@@ -124,6 +124,8 @@ let[@inline] insert_pt t ~ld ~ea =
 
 let[@inline] insert_scratch t ~ld ~ea = ignore (insert_raw t ~ld ~ea)
 
+let count_rejected k = if k > 0 then Omn_obs.Metrics.add m_pruned k
+
 let insert t (p : Ld_ea.t) = insert_pt t ~ld:p.ld ~ea:p.ea
 
 let copy_into ~src ~dst =

@@ -95,3 +95,9 @@ val insert_scratch : t -> ld:float -> ea:float -> unit
 (** Insert without touching the kept/pruned metrics — for bookkeeping
     frontiers (the [Journey] round deltas) whose traffic would distort
     the counters that measure real frontier work. *)
+
+val count_rejected : int -> unit
+(** Add [k] to the pruned counter: the tally of candidates a caller
+    found dominated with {!insert_pt}'s own test and so never passed
+    in. Keeps the kept/pruned totals equal to inserting every candidate
+    — [Journey] flushes its inline rejections here once per round. *)

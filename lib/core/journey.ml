@@ -4,6 +4,27 @@ type round_info = { hop : int; frontiers : Frontier.t array; changed : int }
 
 type strategy = Semi_naive | Full_recompute
 
+(* Sweep counters: extends that found a non-empty delta, and the
+   candidates they emitted. Tallied in locals and flushed once per
+   round, so they cost nothing per contact. *)
+let m_extends = Omn_obs.Metrics.counter "journey.extends"
+let m_candidates = Omn_obs.Metrics.counter "journey.candidates"
+
+(* Would [Frontier.insert_pt f ~ld ~ea] reject the point? Its own first
+   test — the member with the least [ld' >= ld] has [ea' <= ea] — read
+   straight off the SoA arrays. False on NaN coordinates, which
+   therefore still reach [insert_pt] and raise there. [@inline] is
+   honoured without flambda too, and it is what keeps a rejected
+   candidate unboxed: a call would box both floats. *)
+let[@inline] dominated f ~ld ~ea =
+  let fld = Frontier.ld_arr f and size = Frontier.size f in
+  let lo = ref 0 and hi = ref size in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fld.(mid) >= ld then hi := mid else lo := mid + 1
+  done;
+  !lo < size && (Frontier.ea_arr f).(!lo) <= ea
+
 (* The round loop is written against the structure-of-arrays layers
    underneath it and allocates nothing per relaxation in the steady
    state:
@@ -11,8 +32,10 @@ type strategy = Semi_naive | Full_recompute
    - the contact sweep reads the trace's time-indexed CSR mirror (four
      flat arrays in start order) instead of an array of boxed
      [Contact.t] records;
-   - candidate descriptors travel as bare [ld]/[ea] floats straight
-     into [Frontier.insert_pt] — no intermediate [Ld_ea.make];
+   - a candidate is first checked against its destination frontier on
+     unboxed floats ([dominated]); only the few that survive travel as
+     bare [ld]/[ea] floats into [Frontier.insert_pt] — no intermediate
+     [Ld_ea.make];
    - each node owns two reusable scratch frontiers ([delta], holding
      the descriptors discovered last round, and [next], collecting this
      round's discoveries already Pareto-pruned), swapped and [clear]ed
@@ -46,12 +69,16 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   let cbeg = csr.Trace.csr_beg and cend = csr.Trace.csr_end in
   let m = Array.length csr.Trace.csr_a in
   let changed = ref 0 in
+  (* [cursor.(u)]: last index of [delta.(u)] with [ea <= tb] for the
+     contact being swept. See [extend]. *)
+  let cursor = Array.make n (-1) in
+  let extends = ref 0 and candidates = ref 0 and rejected = ref 0 in
   (* Without flambda, every float crossing a function boundary is boxed,
      so the sweep passes only the contact index (an immediate) and the
      candidate coordinates are re-read from / kept in unboxed float
      positions; [insert_cand] is the one place a candidate becomes a
-     pair of boxed arguments, once per emission. Both closures are
-     allocated once per run, not per contact. *)
+     pair of boxed arguments, once per undominated emission. Both
+     closures are allocated once per run, not per contact. *)
   let insert_cand to_node ld ea =
     if Frontier.insert_pt frontiers.(to_node) ~ld ~ea then begin
       let nxt = !next.(to_node) in
@@ -65,55 +92,84 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   in
   (* Extend the delta of [from_node] by contact [ci] towards [to_node]:
      the candidate case analysis of the .mli header, inlined over the
-     delta's float arrays. *)
+     delta's float arrays. Three indices into the delta drive it:
+     [j], the last point with [ea <= tb]; [hi], the first with
+     [ea > te]; and [i], the first with [ld >= te]. The delta is fixed
+     for the round and the sweep meets contacts in start order, so [tb]
+     never decreases for a given [from_node] and [j] is a cursor that
+     only moves forward. [hi] is a short scan on from [j], over the
+     points with [tb < ea <= te]. Both coordinates rise together, so
+     [i < hi] only when [dld.(hi - 1) >= te], and only then is [i]
+     searched for, within [0, hi); otherwise [hi] stands in for it,
+     which neither case (a) nor the case (c) range can tell apart. *)
   let extend from_node to_node ci =
     let d = !delta.(from_node) in
     let dn = Frontier.size d in
     if dn > 0 then begin
+      incr extends;
       let tb = cbeg.(ci) and te = cend.(ci) in
       let dld = Frontier.ld_arr d and dea = Frontier.ea_arr d in
-      (* i = first delta index with ld >= te. *)
-      let i =
-        let lo = ref 0 and hi = ref dn in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if dld.(mid) >= te then hi := mid else lo := mid + 1
-        done;
-        !lo
-      in
-      if i < dn && dea.(i) <= te then
-        insert_cand to_node te (if dea.(i) >= tb then dea.(i) else tb);
-      (* j = last delta index with ea <= tb. *)
-      let j =
-        let lo = ref 0 and hi = ref dn in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if dea.(mid) > tb then hi := mid else lo := mid + 1
-        done;
-        !lo - 1
-      in
-      if j >= 0 && dld.(j) < te then insert_cand to_node dld.(j) tb;
-      (* every delta point with tb < ea <= te and ld < te, verbatim *)
-      let hi =
-        let lo = ref 0 and hi = ref dn in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if dea.(mid) > te then hi := mid else lo := mid + 1
-        done;
-        if !lo < i then !lo else i
-      in
-      for k = j + 1 to hi - 1 do
-        insert_cand to_node dld.(k) dea.(k)
-      done
+      let j = ref cursor.(from_node) in
+      while !j + 1 < dn && dea.(!j + 1) <= tb do
+        incr j
+      done;
+      let j = !j in
+      cursor.(from_node) <- j;
+      let hi = ref (j + 1) in
+      while !hi < dn && dea.(!hi) <= te do
+        incr hi
+      done;
+      let hi = !hi in
+      if hi > 0 then begin
+        let i =
+          if dld.(hi - 1) < te then hi
+          else begin
+            let lo = ref 0 and up = ref (hi - 1) in
+            while !lo < !up do
+              let mid = (!lo + !up) / 2 in
+              if dld.(mid) >= te then up := mid else lo := mid + 1
+            done;
+            !lo
+          end
+        in
+        let dst = frontiers.(to_node) in
+        (* (a) the first point with ld >= te, if its ea <= te *)
+        if i < hi then begin
+          let ea = if dea.(i) >= tb then dea.(i) else tb in
+          incr candidates;
+          if dominated dst ~ld:te ~ea then incr rejected else insert_cand to_node te ea
+        end;
+        (* (b) the last point with ea <= tb, if its ld < te *)
+        if j >= 0 && j < i then begin
+          incr candidates;
+          if dominated dst ~ld:dld.(j) ~ea:tb then incr rejected
+          else insert_cand to_node dld.(j) tb
+        end;
+        (* (c) every point with tb < ea <= te and ld < te, verbatim *)
+        for k = j + 1 to i - 1 do
+          incr candidates;
+          if dominated dst ~ld:dld.(k) ~ea:dea.(k) then incr rejected
+          else insert_cand to_node dld.(k) dea.(k)
+        done
+      end
     end
   in
   let do_round () =
     changed := 0;
     next_touched_n := 0;
+    for idx = 0 to !touched_n - 1 do
+      cursor.(!touched.(idx)) <- -1
+    done;
     for ci = 0 to m - 1 do
       extend csr.Trace.csr_a.(ci) csr.Trace.csr_b.(ci) ci;
       extend csr.Trace.csr_b.(ci) csr.Trace.csr_a.(ci) ci
     done;
+    Omn_obs.Metrics.add m_extends !extends;
+    Omn_obs.Metrics.add m_candidates !candidates;
+    Frontier.count_rejected !rejected;
+    extends := 0;
+    candidates := 0;
+    rejected := 0;
     (match strategy with
     | Semi_naive ->
       (* Clear the consumed deltas, then swap: this round's pruned

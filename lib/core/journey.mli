@@ -24,8 +24,14 @@
     (a) the first [P] in [D] with [ld >= te] (candidate [(te, max ea tb)]),
     (b) the last [P] with [ea <= tb] and [ld < te] (candidate [(ld, tb)]),
     (c) every [P] with [tb < ea <= te] and [ld < te] (candidate
-    [(ld, ea)]) can be undominated, so a contact costs
-    [O(log |D| + hits)] rather than [O(|D|)]. *)
+    [(ld, ea)]) can be undominated. The sweep meets contacts in start
+    order, so the index of (b) is a per-node cursor that only moves
+    forward within a round; (c) is a short scan on from it, and the
+    index of (a) is searched for only when that scan ends on a point
+    with [ld >= te]. A contact therefore costs amortised O(1) plus its
+    candidates, rather than [O(|D|)], and each candidate costs one
+    binary search of the destination frontier, where most are found
+    dominated and dropped without being inserted. *)
 
 type round_info = {
   hop : int;  (** the round just completed; descriptors use <= [hop] contacts *)

@@ -8,9 +8,6 @@ type time_csr = {
   csr_b : int array;
   csr_beg : float array;
   csr_end : float array;
-  csr_off : int array;
-  csr_t0 : float;
-  csr_bucket_w : float;
 }
 
 type t = {
@@ -55,16 +52,12 @@ let build_index ~n_nodes contacts =
   end
 
 (* Time-indexed CSR: the contact multiset flattened into four parallel
-   unboxed arrays in start-time order, plus bucket offsets over the
-   observation window. A mixed int/float record like [Contact.t] stores
-   its float fields boxed, so sweeping [contacts] dereferences two heap
-   boxes per contact; the SoA mirror turns the per-round relaxation
-   sweep of [Omn_core.Journey] into four sequential array reads. The
-   offsets slice the window into equal-width time buckets ([csr_off]
-   has one entry per bucket boundary, [csr_off.(k)] = first contact
-   with [t_beg >= csr_t0 + k * csr_bucket_w]), so windowed sweeps can
-   seek in O(1) instead of binary-searching. *)
-let build_time_csr ~t_start ~t_end (contacts : Contact.t array) =
+   unboxed arrays in start-time order. A mixed int/float record like
+   [Contact.t] stores its float fields boxed, so sweeping [contacts]
+   dereferences two heap boxes per contact; the SoA mirror turns the
+   per-round relaxation sweep of [Omn_core.Journey] into four
+   sequential array reads. *)
+let build_time_csr (contacts : Contact.t array) =
   let m = Array.length contacts in
   let csr_a = Array.make m 0 and csr_b = Array.make m 0 in
   let csr_beg = Array.make m 0. and csr_end = Array.make m 0. in
@@ -75,21 +68,7 @@ let build_time_csr ~t_start ~t_end (contacts : Contact.t array) =
       csr_beg.(i) <- c.t_beg;
       csr_end.(i) <- c.t_end)
     contacts;
-  let span = t_end -. t_start in
-  let n_buckets = if m = 0 || span <= 0. then 1 else min 4096 m in
-  let bucket_w = if span > 0. then span /. float_of_int n_buckets else 0. in
-  let csr_off = Array.make (n_buckets + 1) m in
-  let i = ref 0 in
-  for k = 0 to n_buckets - 1 do
-    let boundary = t_start +. (float_of_int k *. bucket_w) in
-    while !i < m && csr_beg.(!i) < boundary do
-      incr i
-    done;
-    csr_off.(k) <- !i
-  done;
-  (* csr_off.(n_buckets) = m: the last bucket is right-closed so the
-     contact starting exactly at t_end lands in it. *)
-  { csr_a; csr_b; csr_beg; csr_end; csr_off; csr_t0 = t_start; csr_bucket_w = bucket_w }
+  { csr_a; csr_b; csr_beg; csr_end }
 
 let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
   let exception Bad of Err.t in
@@ -110,6 +89,14 @@ let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
                (Err.errf Err.Range "Trace.create: node id %d out of range (n_nodes = %d)"
                   (if c.a < 0 || c.a >= n_nodes then c.a else c.b)
                   n_nodes));
+        (* Negated so that NaN fails too. [Omn_core.Journey]'s sweep
+           relies on [t_beg <= t_end] and on the start-order sort, and a
+           NaN bound slips past the window test below. *)
+        if not (c.t_beg <= c.t_end) then
+          raise
+            (Bad
+               (Err.errf Err.Window "Trace.create: contact [%g; %g] has reversed or NaN bounds"
+                  c.t_beg c.t_end));
         if c.t_beg < t_start || c.t_end > t_end then
           raise
             (Bad
@@ -119,7 +106,7 @@ let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
       contacts;
     Array.sort Contact.compare_by_start contacts;
     let adj_off, adj_pack = build_index ~n_nodes contacts in
-    let csr = build_time_csr ~t_start ~t_end contacts in
+    let csr = build_time_csr contacts in
     Ok { label = name; n_nodes; t_start; t_end; contacts; adj_off; adj_pack; csr }
   with Bad e -> Error e
 
@@ -177,28 +164,6 @@ let pair_contacts t u v =
        [] t u)
 
 let time_csr t = t.csr
-
-let iter_started_in t ~t0 ~t1 f =
-  let csr = t.csr in
-  let m = Array.length csr.csr_beg in
-  if m > 0 && t1 >= t0 then begin
-    (* Seek to the bucket containing t0, then walk forward. *)
-    let n_buckets = Array.length csr.csr_off - 1 in
-    let k =
-      if csr.csr_bucket_w <= 0. then 0
-      else
-        let k = int_of_float ((t0 -. csr.csr_t0) /. csr.csr_bucket_w) in
-        max 0 (min (n_buckets - 1) k)
-    in
-    let i = ref csr.csr_off.(k) in
-    while !i < m && csr.csr_beg.(!i) < t0 do
-      incr i
-    done;
-    while !i < m && csr.csr_beg.(!i) <= t1 do
-      f csr.csr_a.(!i) csr.csr_b.(!i) csr.csr_beg.(!i) csr.csr_end.(!i);
-      incr i
-    done
-  end
 
 let contact_rate t =
   let duration = span t in

@@ -13,10 +13,11 @@
 type t
 
 val create : ?name:string -> n_nodes:int -> t_start:float -> t_end:float -> Contact.t list -> t
-(** Validates that every contact fits the window and that {e both}
-    endpoint ids lie in [[0, n_nodes)] (contacts deserialised past the
-    private constructor are caught here, not by a crash in the index
-    build), then sorts and builds the adjacency index. Raises
+(** Validates that every contact has [t_beg <= t_end] (no NaN bound),
+    fits the window, and that {e both} endpoint ids lie in
+    [[0, n_nodes)] (contacts deserialised past the private constructor
+    are caught here, not by a crash in the index or a silently broken
+    start order), then sorts and builds the adjacency index. Raises
     [Invalid_argument] otherwise, or if [t_start > t_end] or
     [n_nodes < 0]. *)
 
@@ -87,15 +88,9 @@ type time_csr = private {
   csr_b : int array;  (** upper endpoint of contact [i] *)
   csr_beg : float array;  (** start time of contact [i] *)
   csr_end : float array;  (** end time of contact [i] *)
-  csr_off : int array;
-      (** time-bucket offsets, length [buckets + 1]: [csr_off.(k)] is the
-          first contact with [t_beg >= csr_t0 + k * csr_bucket_w], and
-          the final entry is the contact count *)
-  csr_t0 : float;  (** window start the buckets are anchored at *)
-  csr_bucket_w : float;  (** bucket width; [0.] on degenerate windows *)
 }
 (** The contact multiset mirrored as structure-of-arrays in start-time
-    order, with a bucketed time index. [Contact.t] is a mixed int/float
+    order. [Contact.t] is a mixed int/float
     record, so its float fields are boxed and an [Array.iter] over
     {!contacts} chases two heap pointers per contact; the CSR mirror is
     four flat arrays read sequentially — what the per-round relaxation
@@ -105,11 +100,6 @@ type time_csr = private {
 
 val time_csr : t -> time_csr
 (** The trace's time-indexed CSR mirror. O(1), no allocation. *)
-
-val iter_started_in : t -> t0:float -> t1:float -> (int -> int -> float -> float -> unit) -> unit
-(** [iter_started_in t ~t0 ~t1 f] calls [f a b t_beg t_end] for every
-    contact with [t0 <= t_beg <= t1], in start order, seeking via the
-    time buckets instead of scanning from the first contact. *)
 
 val contact_rate : t -> float
 (** Average number of contacts made by a node per unit of time — the λ of

@@ -202,6 +202,235 @@ let strategies_agree () =
     done
   done
 
+(* --- Oracle: the sweep before per-node cursors. --- *)
+
+module Metrics = Omn_obs.Metrics
+
+(* [Journey.run_internal] as it stood before the per-node [j] cursors
+   and the inline domination check: [extend] runs three binary searches
+   over the delta per contact and hands every candidate to
+   [insert_cand]. Kept verbatim as a differential oracle, minus
+   [stop_after] and [on_round] (it returns the per-round [changed]
+   list instead) and plus the [reference_case_a] tally, which lets the
+   generator families show that they reach case (a). *)
+let reference_case_a = ref 0
+
+let reference_run ~strategy trace ~source =
+  let n = Trace.n_nodes trace in
+  let frontiers = Array.init n (fun _ -> Frontier.create ()) in
+  let _ = Frontier.insert frontiers.(source) Ld_ea.identity in
+  let delta = ref (Array.init n (fun _ -> Frontier.create ())) in
+  let next = ref (Array.init n (fun _ -> Frontier.create ())) in
+  Frontier.insert_scratch !delta.(source) ~ld:Ld_ea.identity.ld ~ea:Ld_ea.identity.ea;
+  let touched = ref (Array.make n 0) and touched_n = ref 1 in
+  let next_touched = ref (Array.make n 0) and next_touched_n = ref 0 in
+  !touched.(0) <- source;
+  let csr = Trace.time_csr trace in
+  let cbeg = csr.Trace.csr_beg and cend = csr.Trace.csr_end in
+  let m = Array.length csr.Trace.csr_a in
+  let changed = ref 0 in
+  let insert_cand to_node ld ea =
+    if Frontier.insert_pt frontiers.(to_node) ~ld ~ea then begin
+      let nxt = !next.(to_node) in
+      if Frontier.is_empty nxt then begin
+        !next_touched.(!next_touched_n) <- to_node;
+        incr next_touched_n
+      end;
+      Frontier.insert_scratch nxt ~ld ~ea;
+      incr changed
+    end
+  in
+  let extend from_node to_node ci =
+    let d = !delta.(from_node) in
+    let dn = Frontier.size d in
+    if dn > 0 then begin
+      let tb = cbeg.(ci) and te = cend.(ci) in
+      let dld = Frontier.ld_arr d and dea = Frontier.ea_arr d in
+      (* i = first delta index with ld >= te. *)
+      let i =
+        let lo = ref 0 and hi = ref dn in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if dld.(mid) >= te then hi := mid else lo := mid + 1
+        done;
+        !lo
+      in
+      if i < dn && dea.(i) <= te then begin
+        incr reference_case_a;
+        insert_cand to_node te (if dea.(i) >= tb then dea.(i) else tb)
+      end;
+      (* j = last delta index with ea <= tb. *)
+      let j =
+        let lo = ref 0 and hi = ref dn in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if dea.(mid) > tb then hi := mid else lo := mid + 1
+        done;
+        !lo - 1
+      in
+      if j >= 0 && dld.(j) < te then insert_cand to_node dld.(j) tb;
+      (* every delta point with tb < ea <= te and ld < te, verbatim *)
+      let hi =
+        let lo = ref 0 and hi = ref dn in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if dea.(mid) > te then hi := mid else lo := mid + 1
+        done;
+        if !lo < i then !lo else i
+      in
+      for k = j + 1 to hi - 1 do
+        insert_cand to_node dld.(k) dea.(k)
+      done
+    end
+  in
+  let do_round () =
+    changed := 0;
+    next_touched_n := 0;
+    for ci = 0 to m - 1 do
+      extend csr.Trace.csr_a.(ci) csr.Trace.csr_b.(ci) ci;
+      extend csr.Trace.csr_b.(ci) csr.Trace.csr_a.(ci) ci
+    done;
+    (match strategy with
+    | Journey.Semi_naive ->
+      for idx = 0 to !touched_n - 1 do
+        Frontier.clear !delta.(!touched.(idx))
+      done;
+      let d = !delta in
+      delta := !next;
+      next := d;
+      let t = !touched in
+      touched := !next_touched;
+      next_touched := t;
+      touched_n := !next_touched_n
+    | Journey.Full_recompute ->
+      for idx = 0 to !next_touched_n - 1 do
+        Frontier.clear !next.(!next_touched.(idx))
+      done;
+      for idx = 0 to !touched_n - 1 do
+        Frontier.clear !delta.(!touched.(idx))
+      done;
+      touched_n := 0;
+      for v = 0 to n - 1 do
+        if not (Frontier.is_empty frontiers.(v)) then begin
+          Frontier.copy_into ~src:frontiers.(v) ~dst:!delta.(v);
+          !touched.(!touched_n) <- v;
+          incr touched_n
+        end
+      done);
+    !changed
+  in
+  let rec loop acc =
+    match do_round () with 0 -> List.rev acc | c -> loop (c :: acc)
+  in
+  let per_round = loop [] in
+  (frontiers, per_round)
+
+(* Oracle families, each a trace builder over a seeded RNG: integer
+   grid intervals; many contacts sharing one of two start times (long
+   runs of equal [tb], so the cursor must not skip ahead); zero-length
+   contacts ([tb = te], the boundary of every comparison); and long
+   contacts nested around short ones, whose descriptors keep
+   [ld >= te] points below [hi] — case (a) and the [i] search. *)
+let oracle_contacts rng ~n ~m contact =
+  let pairs =
+    List.init m (fun _ ->
+        let a = Rng.int rng n in
+        let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+        let tb, te = contact () in
+        (min a b, max a b, float_of_int tb, float_of_int te))
+  in
+  Util.trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:30. pairs
+
+let oracle_families =
+  [
+    ( "grid",
+      fun rng ->
+        let n = 2 + Rng.int rng 7 in
+        Util.random_trace rng ~n ~m:(1 + Rng.int rng 40) ~horizon:30 );
+    ( "shared-start",
+      fun rng ->
+        oracle_contacts rng ~n:(2 + Rng.int rng 7) ~m:(1 + Rng.int rng 40) (fun () ->
+            let tb = 10 * Rng.int rng 2 in
+            (tb, tb + Rng.int rng 15)) );
+    ( "zero-duration",
+      fun rng ->
+        oracle_contacts rng ~n:(2 + Rng.int rng 7) ~m:(1 + Rng.int rng 40) (fun () ->
+            let t = Rng.int rng 31 in
+            (t, t)) );
+    ( "nested",
+      fun rng ->
+        oracle_contacts rng ~n:(2 + Rng.int rng 5) ~m:(1 + Rng.int rng 40) (fun () ->
+            if Rng.bool rng then (Rng.int rng 5, 25 + Rng.int rng 6)
+            else
+              let tb = 5 + Rng.int rng 20 in
+              (tb, tb + Rng.int rng 4)) );
+  ]
+
+let frontier_counters () =
+  let snap = Metrics.snapshot () in
+  let get name = Option.value ~default:0 (Metrics.counter_total snap name) in
+  (get "frontier.points_kept", get "frontier.points_pruned")
+
+(* [f ()] with the default registry enabled, and the kept/pruned
+   counter deltas it caused. *)
+let with_frontier_counters f =
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let k0, p0 = frontier_counters () in
+  let v = Fun.protect ~finally:(fun () -> Metrics.set_enabled was) f in
+  let k1, p1 = frontier_counters () in
+  (v, (k1 - k0, p1 - p0))
+
+let prop_cursor_sweep_matches_reference =
+  QCheck2.Test.make ~count:400 ~name:"cursor sweep = three-search reference sweep"
+    QCheck2.Gen.(triple (int_bound (List.length oracle_families - 1)) bool int)
+    (fun (family, full, seed) ->
+      let name, build = List.nth oracle_families family in
+      let trace = build (Rng.create seed) in
+      let strategy = if full then Journey.Full_recompute else Journey.Semi_naive in
+      for source = 0 to Trace.n_nodes trace - 1 do
+        let (want, want_rounds), want_counts =
+          with_frontier_counters (fun () -> reference_run ~strategy trace ~source)
+        in
+        let (got, got_rounds), got_counts =
+          with_frontier_counters (fun () ->
+              let per_round = ref [] in
+              let on_round (r : Journey.round_info) = per_round := r.changed :: !per_round in
+              let frontiers, _ = Journey.run ~strategy ~on_round trace ~source in
+              (frontiers, List.rev !per_round))
+        in
+        let where = Printf.sprintf "%s seed %d full %b source %d" name seed full source in
+        if got_rounds <> want_rounds then
+          QCheck2.Test.fail_reportf "%s: per-round changed [%s], reference [%s]" where
+            (String.concat "; " (List.map string_of_int got_rounds))
+            (String.concat "; " (List.map string_of_int want_rounds));
+        Array.iteri
+          (fun dest f ->
+            if not (Frontier.equal f got.(dest)) then
+              QCheck2.Test.fail_reportf "%s dest %d:@ got %s@ reference %s" where dest
+                (Format.asprintf "%a" Frontier.pp got.(dest))
+                (Format.asprintf "%a" Frontier.pp f))
+          want;
+        if got_counts <> want_counts then
+          QCheck2.Test.fail_reportf "%s: kept/pruned (%d, %d), reference (%d, %d)" where
+            (fst got_counts) (snd got_counts) (fst want_counts) (snd want_counts)
+      done;
+      true)
+
+(* The oracle is only as strong as the cases it reaches: the nested
+   family must emit case (a) candidates, i.e. deltas with [ld >= te]
+   points below [hi]. *)
+let oracle_reaches_case_a () =
+  let build = List.assoc "nested" oracle_families in
+  reference_case_a := 0;
+  for seed = 0 to 19 do
+    let trace = build (Rng.create seed) in
+    for source = 0 to Trace.n_nodes trace - 1 do
+      ignore (reference_run ~strategy:Journey.Semi_naive trace ~source)
+    done
+  done;
+  Alcotest.(check bool) "case (a) emitted" true (!reference_case_a > 0)
+
 let suite =
   [
     Alcotest.test_case "semi-naive = full recompute (30 random traces)" `Slow strategies_agree;
@@ -217,4 +446,6 @@ let suite =
     Alcotest.test_case "several optimal paths (Fig. 5 shape)" `Quick several_descriptors;
     Alcotest.test_case "identity on source" `Quick identity_on_source;
     Alcotest.test_case "empty trace" `Quick empty_trace;
+    Alcotest.test_case "oracle families reach case (a)" `Quick oracle_reaches_case_a;
+    QCheck_alcotest.to_alcotest prop_cursor_sweep_matches_reference;
   ]

@@ -548,6 +548,32 @@ let test_bit_identity () =
   Metrics.set_enabled was;
   Alcotest.(check bool) "delay-cdf curves identical with metrics on/off" true (off = on_)
 
+(* The journey sweep's layer counters count work, not scheduling: the
+   same totals at 1 and 2 domains, and every point a frontier kept was
+   first emitted as a candidate. *)
+let test_journey_counters () =
+  let trace = Util.random_trace (Rng.create 0x5EE) ~n:10 ~m:150 ~horizon:60 in
+  let totals () =
+    let snap = Metrics.snapshot () in
+    let get name = Option.value ~default:0 (Metrics.counter_total snap name) in
+    (get "journey.extends", get "journey.candidates", get "frontier.points_kept")
+  in
+  let counted domains =
+    let e0, c0, k0 = totals () in
+    ignore (Omn_core.Delay_cdf.compute ~max_hops:4 ~domains trace);
+    let e1, c1, k1 = totals () in
+    (e1 - e0, c1 - c0, k1 - k0)
+  in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let (extends, candidates, kept), (extends2, candidates2, _) =
+    Fun.protect ~finally:(fun () -> Metrics.set_enabled was) (fun () -> (counted 1, counted 2))
+  in
+  Alcotest.(check int) "journey.extends at 1 and 2 domains" extends extends2;
+  Alcotest.(check int) "journey.candidates at 1 and 2 domains" candidates candidates2;
+  Alcotest.(check bool) "extends counted" true (extends > 0);
+  Alcotest.(check bool) "candidates >= points_kept" true (candidates >= kept)
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -567,6 +593,7 @@ let suite =
     Alcotest.test_case "with_counter stamps cells" `Quick test_with_counter;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus;
     Alcotest.test_case "bit-identity under instrumentation" `Quick test_bit_identity;
+    Alcotest.test_case "journey counters domain-independent" `Quick test_journey_counters;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_merge_assoc_comm; prop_merge_order_insensitive; prop_prometheus_totals ]

@@ -64,7 +64,20 @@ let trace_rejects_forged_contact () =
   in
   expect_range "negative a" (forged (-3) 2);
   expect_range "a out of range" (forged 7 9);
-  expect_range "b out of range" (forged 1 9)
+  expect_range "b out of range" (forged 1 9);
+  (* Forged bounds: a reversed or NaN interval used to pass the window
+     test (NaN compares false) and break the start order the journey
+     sweep relies on. *)
+  let forged_bounds t_beg t_end : Contact.t = Obj.magic (0, 1, t_beg, t_end) in
+  let expect_window label c =
+    match Trace.create_result ~n_nodes:4 ~t_start:0. ~t_end:2. [ c ] with
+    | Error (e : Omn_robust.Err.t) ->
+      Alcotest.(check bool) (label ^ ": typed Window error") true (e.code = Omn_robust.Err.Window)
+    | Ok _ -> Alcotest.failf "%s: forged contact accepted" label
+  in
+  expect_window "reversed bounds" (forged_bounds 1.5 0.5);
+  expect_window "NaN start" (forged_bounds nan 1.0);
+  expect_window "NaN end" (forged_bounds 0.5 nan)
 
 let trace_gen =
   QCheck2.Gen.(
