@@ -235,53 +235,48 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
     Option.value ~default:0 (Omn_obs.Metrics.counter_total snap "pool.tasks_run")
   in
   (* Supervision overhead: the same 1-domain workload through the
-     resumable driver with supervision off and on (default fault-free
-     retry/quarantine policy). Supervision must be pure bookkeeping on
-     the happy path — bit-identical curves, wall-clock within a few
-     percent. The baseline is the unsupervised resumable driver, not
-     [compute]: the two merge sources in different orders (natural vs
-     uniform), so their float accumulations are not comparable bitwise. *)
+     driver with the default fault-free retry/quarantine policy, against
+     the [compute] baseline — one driver, one merge order, so the curves
+     must be bit-identical and the wall-clock within a few percent
+     (supervision is pure bookkeeping on the happy path). *)
   Omn_obs.Metrics.set_enabled false;
-  let time_resumable ?supervise () =
-    let best = ref infinity in
-    let result = ref None in
+  let plan = Omn_robust.Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops trace) in
+  let drive ?supervise () =
+    match Omn_core.Driver.run ?supervise plan with
+    | Ok o -> o.Omn_core.Driver.curves
+    | Error e ->
+      Format.fprintf fmt "FAIL: driver bench run errored: %s@." (Omn_robust.Err.to_string e);
+      exit 1
+  in
+  let sup_curves, sup_time =
+    let best = ref infinity and result = ref None in
     for _ = 1 to repeats do
       let t0 = Unix.gettimeofday () in
-      (match Omn_core.Delay_cdf.compute_resumable ~max_hops ?supervise trace with
-      | Ok (curves, _) ->
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt;
-        result := Some curves
-      | Error e ->
-        Format.fprintf fmt "FAIL: supervised bench run errored: %s@." (Omn_robust.Err.to_string e);
-        exit 1)
+      let curves = drive ~supervise:Omn_parallel.Supervise.default () in
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt < !best then best := dt;
+      result := Some curves
     done;
-    match !result with Some c -> (c, !best) | None -> assert false
+    (Option.get !result, !best)
   in
-  let unsup_curves, unsup_time = time_resumable () in
-  let sup_curves, sup_time = time_resumable ~supervise:Omn_resilience.Supervise.default () in
   Omn_obs.Metrics.set_enabled globally_enabled;
-  let sup_identical = sup_curves = unsup_curves in
-  let sup_overhead = sup_time /. unsup_time in
-  (* Timeline overhead: the same 1-domain resumable workload with the
+  let sup_identical = sup_curves = base_curves in
+  let sup_overhead = sup_time /. base_time in
+  (* Timeline overhead: the same 1-domain driver workload with the
      event journal recording and a manifest stamped per traced repeat
      (metrics still off, isolating the ring-buffer + provenance cost).
-     The resumable driver is the one that actually emits chunk events.
-     Untraced and traced runs are interleaved and each side takes its
-     own min, so clock drift between measurement windows cancels out of
-     the ratio. Tracing must never perturb results — fatal if it
-     does. *)
+     The driver is the one that emits batch events. Untraced and traced
+     runs are interleaved and each side takes its own min, so clock
+     drift between measurement windows cancels out of the ratio.
+     Tracing must never perturb results — fatal if it does. *)
   Omn_obs.Metrics.set_enabled false;
   Omn_obs.Timeline.reset ();
   let tl_base = ref infinity and tl_time = ref infinity in
   let tl_curves = ref None in
   let timed_run () =
     let t0 = Unix.gettimeofday () in
-    match Omn_core.Delay_cdf.compute_resumable ~max_hops trace with
-    | Ok (curves, _) -> (curves, Unix.gettimeofday () -. t0)
-    | Error e ->
-      Format.fprintf fmt "FAIL: timeline bench run errored: %s@." (Omn_robust.Err.to_string e);
-      exit 1
+    let curves = drive () in
+    (curves, Unix.gettimeofday () -. t0)
   in
   for _ = 1 to repeats do
     Omn_obs.Timeline.set_enabled false;
@@ -298,7 +293,7 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
   Omn_obs.Timeline.set_enabled false;
   let tl_view = Omn_obs.Timeline.snapshot () in
   Omn_obs.Metrics.set_enabled globally_enabled;
-  let tl_identical = !tl_curves = Some unsup_curves in
+  let tl_identical = !tl_curves = Some base_curves in
   let tl_overhead = !tl_time /. !tl_base in
   let tl_time = !tl_time in
   (* Sampling: the sampled estimator against the exact engine on the
@@ -356,10 +351,7 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
     let params = Omn_mobility.Venue.conference_params ~rng:srng ~n:shard_n ~days:0.25 in
     Omn_mobility.Venue.generate srng ~n:shard_n ~name:"bench-shard" params
   in
-  let shard_sources = Omn_core.Delay_cdf.uniform_order (List.init shard_n Fun.id) in
-  let shard_ref =
-    Omn_core.Delay_cdf.compute ~max_hops:shard_hops ~sources:shard_sources shard_trace
-  in
+  let shard_ref = Omn_core.Delay_cdf.compute ~max_hops:shard_hops shard_trace in
   let store_dir = Filename.temp_file "omn_bench_store" ".d" in
   Sys.remove store_dir;
   let shard_cfg chaos =
@@ -377,7 +369,7 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
   in
   let run_shard label cfg =
     let t0 = Unix.gettimeofday () in
-    match Omn_shard.Coord.run ~max_hops:shard_hops ~sources:shard_sources cfg shard_trace with
+    match Omn_shard.Coord.run ~max_hops:shard_hops cfg shard_trace with
     | Error e ->
       Format.fprintf fmt "FAIL: shard bench (%s): %s@." label (Omn_robust.Err.to_string e);
       exit 1
@@ -561,7 +553,7 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
             [
               ("overhead_ratio_1domain", Float sup_overhead);
               ("bit_identical_with_supervision", Bool sup_identical);
-              ("seconds_unsupervised", Float unsup_time);
+              ("seconds_unsupervised", Float base_time);
               ("seconds_supervised", Float sup_time);
             ] );
         ( "timeline",

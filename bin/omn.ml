@@ -51,7 +51,7 @@ let protect f =
 (* The partial (124) / degraded (3) precedence itself lives in
    [Supervise.exit_code]; this constant only labels the chaos
    harness's own deliberate exit. *)
-let exit_degraded = Omn_resilience.Supervise.exit_code ~partial:false ~degraded:true
+let exit_degraded = Omn_parallel.Supervise.exit_code ~partial:false ~degraded:true
 
 let usage_err fmt = Format.kasprintf (fun msg -> raise (Err.Error (Err.v Err.Usage msg))) fmt
 
@@ -453,8 +453,8 @@ let domains_arg =
 
 let checkpoint_arg =
   let doc =
-    "Write an atomic checkpoint of completed source rows to $(docv) as the \
-     computation progresses (removed on successful completion)."
+    "Write an atomic checkpoint of the completed per-source results to $(docv) after \
+     every batch (removed on successful completion)."
   in
   Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
@@ -463,7 +463,11 @@ let resume_arg =
   Arg.(value & flag & info [ "resume" ] ~doc)
 
 let checkpoint_every_arg =
-  let doc = "Checkpoint after every $(docv) source nodes." in
+  let doc =
+    "Batch size in source nodes when $(b,--checkpoint), $(b,--budget-seconds) or \
+     $(b,--progress) needs batches (otherwise a run is one batch). Any value can \
+     resume any checkpoint."
+  in
   Arg.(value & opt int 8 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 let budget_arg =
@@ -473,9 +477,9 @@ let budget_arg =
   in
   Arg.(value & opt (some float) None & info [ "budget-seconds" ] ~docv:"S" ~doc)
 
-(* --- supervision (omn_resilience) --- *)
+(* --- supervision --- *)
 
-module Supervise = Omn_resilience.Supervise
+module Supervise = Omn_parallel.Supervise
 
 let retries_arg =
   let doc =
@@ -683,6 +687,44 @@ let resilience_exit ~partial ~ckpt_fallback degraded =
     List.iter (fun f -> Format.printf "  %a@." Supervise.pp_failure f) fs);
   Supervise.exit_code ~partial ~degraded:(degraded <> [])
 
+(* `omn diameter' and `omn delay-cdf' both run the one driver: the
+   flags pick its policies, --progress its reporter. *)
+let drive ~progress ~label ~domains ?partials_of ?supervise ?checkpoint ~resume ~every ?budget
+    ?sampling plan =
+  let report, finish = progress_reporter ~enabled:progress label in
+  let report =
+    Option.map
+      (fun r (p : Omn_core.Delay_cdf.progress) _ ->
+        r ~done_:p.sources_done ~total:p.sources_total ~degraded:(List.length p.degraded)
+          ~fallback:p.ckpt_fallback)
+      report
+  in
+  let outcome =
+    Omn_core.Driver.run ~domains ?partials_of ?supervise ?checkpoint ~resume
+      ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday ?report ?sampling
+      plan
+  in
+  finish ();
+  match outcome with Ok o -> o | Error e -> raise (Err.Error e)
+
+let partial_banner (p : Omn_core.Delay_cdf.progress) =
+  if p.partial then
+    Format.printf "PARTIAL result: budget exhausted after %d of %d source nodes (uniform sample)@."
+      p.sources_done p.sources_total
+
+let print_curve_table (c : Omn_core.Delay_cdf.curves) =
+  Format.printf "delay        ";
+  List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) [ 1; 2; 3; 4 ];
+  Format.printf "   flood@.";
+  Array.iteri
+    (fun i d ->
+      if i mod 12 = 0 then begin
+        Format.printf "%-12s " (Omn_stats.Timefmt.axis_seconds d);
+        List.iter (fun k -> Format.printf "%7.3f" c.hop_success.(k - 1).(i)) [ 1; 2; 3; 4 ];
+        Format.printf "%8.3f@." c.flood_success.(i)
+      end)
+    c.grid
+
 (* --- sampled estimator flags (omn diameter --sample) --- *)
 
 let sample_arg =
@@ -792,176 +834,114 @@ let diameter_cmd =
     let grid =
       Omn_stats.Grid.logarithmic ~lo:(Float.max 1. (span /. 5000.)) ~hi:span ~n:100
     in
-    let print_result (result : Omn_core.Diameter.result) =
-      Format.printf "(1 - %g)-diameter: %s@." epsilon
-        (match result.diameter with
-        | Some d -> string_of_int d
-        | None -> Printf.sprintf "> %d" max_hops);
-      Format.printf "@.delay        ";
-      List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) [ 1; 2; 3; 4 ];
-      Format.printf "   flood@.";
-      Array.iteri
-        (fun i d ->
-          if i mod 12 = 0 then begin
-            Format.printf "%-12s " (Omn_stats.Timefmt.axis_seconds d);
-            List.iter
-              (fun k -> Format.printf "%7.3f" result.curves.hop_success.(k - 1).(i))
-              [ 1; 2; 3; 4 ];
-            Format.printf "%8.3f@." result.curves.flood_success.(i)
-          end)
-        result.curves.grid
+    let ci_width = Option.value ci_width ~default:1. in
+    let confidence = Option.value confidence ~default:0.9 in
+    let sampling =
+      Option.map
+        (fun sample ->
+          {
+            Omn_core.Driver.sample;
+            ci_width;
+            confidence;
+            bootstrap = Option.value bootstrap ~default:200;
+            epsilon;
+          })
+        sample
     in
-    let result_json (result : Omn_core.Diameter.result) extra =
+    let sample_seed = Option.value sample_seed ~default:0 in
+    (* Each tightening round's batch of per-source partials can come
+       from the shard coordinator instead of the in-process pool: the
+       [on_partial] hook hands every acknowledged partial back and the
+       batch is re-ordered to the driver's contract. *)
+    let partials_of =
+      if not (sharded workers) then None
+      else
+        Some
+          (fun batch ->
+            let tbl = Hashtbl.create (List.length batch) in
+            let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
+            let cfg =
+              {
+                (Shard.default ~workers:count) with
+                Shard.worker_domains = domains;
+                peers;
+                on_partial = Some (fun s p -> Hashtbl.replace tbl s p);
+              }
+            in
+            match Shard.run ~max_hops ~grid ~sources:batch cfg trace with
+            | Error e -> raise (Err.Error e)
+            | Ok (_, p, _) ->
+              if p.partial || p.degraded <> [] then
+                raise (Err.Error (Err.v Err.Compute "sharded sample round incomplete"));
+              List.map
+                (fun s ->
+                  match Hashtbl.find_opt tbl s with
+                  | Some part -> part
+                  | None ->
+                    raise
+                      (Err.Error
+                         (Err.v Err.Compute "worker returned no partial for a sampled source")))
+                batch)
+    in
+    let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid ~seed:sample_seed trace) in
+    let o =
+      drive ~progress
+        ~label:(if sampling = None then "sources" else "sampled sources")
+        ~domains:(if sharded workers then 1 else domains)
+        ?partials_of ?supervise ?checkpoint ~resume ~every ?budget ?sampling plan
+    in
+    let p = o.progress in
+    let diameter =
+      match o.sample with
+      | Some s -> s.diameter
+      | None -> Omn_core.Diameter.of_curves ~epsilon o.curves
+    in
+    let fmt_bound = function Some d -> string_of_int d | None -> Printf.sprintf ">%d" max_hops in
+    partial_banner p;
+    (match output with
+    | Some f ->
       let open Omn_obs.Json in
-      json_with_manifest
-        ([
-           ("epsilon", Float epsilon);
-           ("diameter", match result.diameter with Some d -> Int d | None -> Null);
-           ("max_hops", Int max_hops);
-         ]
-        @ extra @ curve_fields result.curves)
-    in
-    let deliver result extra =
-      match output with
-      | Some f ->
-        write_json f (result_json result extra);
-        Format.printf "wrote %s@." f
-      | None -> print_result result
-    in
-    match sample with
-    | Some sample ->
-      let module Est = Omn_core.Diameter_est in
-      let ci_width = Option.value ci_width ~default:1. in
-      let confidence = Option.value confidence ~default:0.9 in
-      let bootstrap = Option.value bootstrap ~default:200 in
-      let sample_seed = Option.value sample_seed ~default:0 in
-      let report, finish = progress_reporter ~enabled:progress "sampled sources" in
-      let report =
-        Option.map
-          (fun r ~round:_ ~sampled ~total ~width:_ ->
-            r ~done_:sampled ~total ~degraded:0 ~fallback:false)
-          report
+      let opt = function Some d -> Int d | None -> Null in
+      let sample_block =
+        match o.sample with
+        | Some s ->
+          [
+            ( "sample",
+              Obj
+                [
+                  ("sampled", Int p.sources_done); ("total", Int p.sources_total);
+                  ("rounds", Int s.rounds); ("seed", Int sample_seed);
+                  ("confidence", Float confidence); ("ci_lo", opt s.ci_lo);
+                  ("ci_hi", opt s.ci_hi); ("ci_width", Float s.width);
+                  ("target_ci_width", Float ci_width); ("exhaustive", Bool s.exhaustive);
+                  ("partial", Bool p.partial); ("ckpt_fallback", Bool p.ckpt_fallback);
+                ] );
+          ]
+        | None -> []
       in
-      (* Each tightening round's batch of per-source partials can come
-         from the shard coordinator instead of the in-process pool: the
-         [on_partial] hook hands every acknowledged partial back and the
-         batch is re-ordered to the estimator's contract. *)
-      let partials_of =
-        if not (sharded workers) then None
-        else
-          Some
-            (fun batch ->
-              let tbl = Hashtbl.create (List.length batch) in
-              let count, peers =
-                match workers with Wcount n -> (n, []) | Wpeers l -> (0, l)
-              in
-              let cfg =
-                {
-                  (Shard.default ~workers:count) with
-                  Shard.worker_domains = domains;
-                  peers;
-                  on_partial = Some (fun s p -> Hashtbl.replace tbl s p);
-                }
-              in
-              match Shard.run ~max_hops ~grid ~sources:batch cfg trace with
-              | Error e -> raise (Err.Error e)
-              | Ok (_, p, _) ->
-                if p.Omn_core.Delay_cdf.partial || p.Omn_core.Delay_cdf.degraded <> [] then
-                  raise (Err.Error (Err.v Err.Compute "sharded sample round incomplete"));
-                List.map
-                  (fun s ->
-                    match Hashtbl.find_opt tbl s with
-                    | Some part -> part
-                    | None ->
-                      raise
-                        (Err.Error
-                           (Err.v Err.Compute
-                              "worker returned no partial for a sampled source")))
-                  batch)
-      in
-      let est_domains = if sharded workers then 1 else domains in
-      let outcome =
-        Est.estimate ~epsilon ~max_hops ~sample ~seed:sample_seed ~ci_width ~confidence
-          ~bootstrap ~grid ~domains:est_domains ?checkpoint ~resume ?budget_seconds:budget
-          ~clock:Unix.gettimeofday ?report ?partials_of trace
-      in
-      finish ();
-      (match outcome with
-      | Error e -> raise (Err.Error e)
-      | Ok e ->
-        if e.Est.partial then
-          Format.printf
-            "PARTIAL result: budget exhausted at %d of %d sources (CI width %g > target %g)@."
-            e.Est.sampled e.Est.total e.Est.ci_width ci_width;
-        let fmt_bound = function
-          | Some d -> string_of_int d
-          | None -> Printf.sprintf ">%d" max_hops
-        in
-        (match output with
-        | Some f ->
-          let open Omn_obs.Json in
-          write_json f
-            (json_with_manifest
-               (( "sample",
-                  Obj
-                    [
-                      ("sampled", Int e.Est.sampled); ("total", Int e.Est.total);
-                      ("rounds", Int e.Est.rounds); ("seed", Int sample_seed);
-                      ("confidence", Float e.Est.confidence);
-                      ("ci_lo", match e.Est.ci_lo with Some d -> Int d | None -> Null);
-                      ("ci_hi", match e.Est.ci_hi with Some d -> Int d | None -> Null);
-                      ("ci_width", Float e.Est.ci_width);
-                      ("target_ci_width", Float ci_width);
-                      ("exhaustive", Bool e.Est.exhaustive); ("partial", Bool e.Est.partial);
-                      ("ckpt_fallback", Bool e.Est.ckpt_fallback);
-                    ] )
-                :: [
-                     ("epsilon", Float epsilon);
-                     ( "diameter",
-                       match e.Est.diameter with Some d -> Int d | None -> Null );
-                     ("max_hops", Int max_hops);
-                   ]
-               @ curve_fields e.Est.curves));
-          Format.printf "wrote %s@." f
-        | None ->
-          print_result
-            { Omn_core.Diameter.diameter = e.Est.diameter; epsilon; curves = e.Est.curves };
-          Format.printf "sampled %d of %d sources in %d round(s); %g%% CI [%s, %s] (width %g)@."
-            e.Est.sampled e.Est.total e.Est.rounds
-            (100. *. e.Est.confidence)
-            (fmt_bound e.Est.ci_lo) (fmt_bound e.Est.ci_hi) e.Est.ci_width);
-        resilience_exit ~partial:e.Est.partial ~ckpt_fallback:e.Est.ckpt_fallback [])
+      write_json f
+        (json_with_manifest
+           (sample_block
+           @ [
+               ("epsilon", Float epsilon); ("diameter", opt diameter); ("max_hops", Int max_hops);
+               ("sources_done", Int p.sources_done); ("sources_total", Int p.sources_total);
+               ("partial", Bool p.partial);
+               ("degraded_sources", Int (List.length p.degraded));
+               ("ckpt_fallback", Bool p.ckpt_fallback);
+             ]
+           @ curve_fields o.curves));
+      Format.printf "wrote %s@." f
     | None ->
-      if checkpoint = None && budget = None && supervise = None && not progress then begin
-        deliver (Omn_core.Diameter.measure ~epsilon ~max_hops ~grid ~domains trace) [];
-        0
-      end
-      else begin
-        let report, finish = progress_reporter ~enabled:progress "sources" in
-        let outcome =
-          Omn_core.Diameter.measure_resumable ~epsilon ~max_hops ~grid ~domains ?checkpoint
-            ~resume ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday
-            ?report ?supervise trace
-        in
-        finish ();
-        match outcome with
-        | Error e -> raise (Err.Error e)
-        | Ok run ->
-          if run.partial then
-            Format.printf
-              "PARTIAL result: budget exhausted after %d of %d source nodes (uniform sample)@."
-              run.sources_done run.sources_total;
-          deliver run.result
-            Omn_obs.Json.
-              [
-                ("sources_done", Int run.sources_done);
-                ("sources_total", Int run.sources_total);
-                ("partial", Bool run.partial);
-                ("degraded_sources", Int (List.length run.degraded));
-                ("ckpt_fallback", Bool run.ckpt_fallback);
-              ];
-          resilience_exit ~partial:run.partial ~ckpt_fallback:run.ckpt_fallback run.degraded
-      end
+      Format.printf "(1 - %g)-diameter: %s@.@." epsilon
+        (match diameter with Some d -> string_of_int d | None -> Printf.sprintf "> %d" max_hops);
+      print_curve_table o.curves;
+      Option.iter
+        (fun (s : Omn_core.Driver.sample) ->
+          Format.printf "sampled %d of %d sources in %d round(s); %g%% CI [%s, %s] (width %g)@."
+            p.sources_done p.sources_total s.rounds (100. *. confidence) (fmt_bound s.ci_lo)
+            (fmt_bound s.ci_hi) s.width)
+        o.sample);
+    resilience_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback p.degraded
   in
   Cmd.v
     (Cmd.info "diameter" ~doc:"Measure the (1-eps)-diameter of a trace, exactly or by sampling")
@@ -982,21 +962,6 @@ let delay_cdf_cmd =
   let preset =
     let doc = "Synthesise the workload instead of reading a file (same names as `omn gen')." in
     Arg.(value & opt (some preset_conv) None & info [ "preset" ] ~docv:"NAME" ~doc)
-  in
-  let print_curves (c : Omn_core.Delay_cdf.curves) =
-    Format.printf "delay        ";
-    List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) [ 1; 2; 3; 4 ];
-    Format.printf "   flood@.";
-    Array.iteri
-      (fun i d ->
-        if i mod 12 = 0 then begin
-          Format.printf "%-12s " (Omn_stats.Timefmt.axis_seconds d);
-          List.iter (fun k -> Format.printf "%7.3f" c.hop_success.(k - 1).(i)) [ 1; 2; 3; 4 ];
-          Format.printf "%8.3f@." c.flood_success.(i)
-        end)
-      c.grid;
-    Format.printf "flood success at unlimited delay: %.3f (max fixpoint rounds: %d)@."
-      c.flood_success_inf c.max_rounds_used
   in
   let run path preset seed ingest lenient max_hops domains checkpoint resume every budget
       metrics trace_out progress retries task_deadline quarantine workers hb_timeout
@@ -1038,8 +1003,7 @@ let delay_cdf_cmd =
     let grid =
       Omn_stats.Grid.logarithmic ~lo:(Float.max 1. (span /. 5000.)) ~hi:span ~n:100
     in
-    let report, finish = progress_reporter ~enabled:progress "sources" in
-    let outcome =
+    let curves, (p : Omn_core.Delay_cdf.progress) =
       if sharded workers then begin
         let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
         let cfg =
@@ -1076,7 +1040,7 @@ let delay_cdf_cmd =
           if shard_faults = [] then cfg else { cfg with Shard.max_inflight = 2 }
         in
         match Shard.run ~max_hops ~grid cfg trace with
-        | Error e -> Error e
+        | Error e -> raise (Err.Error e)
         | Ok (curves, p, stats) ->
           fleet_telemetry := stats.Shard.fleet;
           update_manifest (fun m ->
@@ -1097,27 +1061,27 @@ let delay_cdf_cmd =
           if stats.Shard.joins > 0 || stats.Shard.leaves > 0 then
             Format.eprintf "omn: shard membership: %d join(s), %d leave(s)@."
               stats.Shard.joins stats.Shard.leaves;
-          Ok (curves, p)
+          (curves, p)
       end
-      else
-        Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
-          ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday ?report
-          ?supervise trace
+      else begin
+        let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid trace) in
+        let o =
+          drive ~progress ~label:"sources" ~domains ?supervise ?checkpoint ~resume ~every ?budget
+            plan
+        in
+        (o.curves, o.progress)
+      end
     in
-    finish ();
-    match outcome with
-    | Error e -> raise (Err.Error e)
-    | Ok (curves, p) ->
-      if p.partial then
-        Format.printf
-          "PARTIAL result: budget exhausted after %d of %d source nodes (uniform sample)@."
-          p.sources_done p.sources_total;
-      (match output with
-      | Some f ->
-        write_json f (json_with_manifest (curve_fields curves));
-        Format.printf "wrote %s@." f
-      | None -> print_curves curves);
-      resilience_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback p.degraded
+    partial_banner p;
+    (match output with
+    | Some f ->
+      write_json f (json_with_manifest (curve_fields curves));
+      Format.printf "wrote %s@." f
+    | None ->
+      print_curve_table curves;
+      Format.printf "flood success at unlimited delay: %.3f (max fixpoint rounds: %d)@."
+        curves.flood_success_inf curves.max_rounds_used);
+    resilience_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback p.degraded
   in
   Cmd.v
     (Cmd.info "delay-cdf"
@@ -1390,14 +1354,14 @@ let chaos_cmd =
            if List.mem item poisoned then failwith "chaos: poisoned source"
            else if List.mem item flaky && attempt = 0 then failwith "chaos: flaky source"));
     let policy = { Supervise.default with backoff = 1e-4; backoff_max = 1e-3 } in
+    let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid trace) in
     let degraded_run =
-      Omn_core.Delay_cdf.compute_resumable ~max_hops ~grid ~domains ~supervise:policy
-        ~clock:Unix.gettimeofday trace
+      Omn_core.Driver.run ~domains ~supervise:policy ~clock:Unix.gettimeofday plan
     in
     Supervise.set_task_fault None;
     (match degraded_run with
     | Error e -> raise (Err.Error e)
-    | Ok (curves, p) ->
+    | Ok { curves; progress = p; _ } ->
       if p.partial then fail "degraded run did not complete";
       let quarantined =
         List.sort compare (List.map (fun (f : Supervise.failure) -> f.item) p.degraded)
@@ -1407,11 +1371,7 @@ let chaos_cmd =
           (String.concat "," (List.map string_of_int poisoned))
           (String.concat "," (List.map string_of_int quarantined));
       ok "poisoned sources quarantined exactly";
-      let survivors =
-        List.filter
-          (fun s -> not (List.mem s poisoned))
-          (Omn_core.Delay_cdf.uniform_order (List.init n (fun i -> i)))
-      in
+      let survivors = List.filter (fun s -> not (List.mem s poisoned)) (List.init n Fun.id) in
       let reference = Omn_core.Delay_cdf.compute ~max_hops ~grid ~sources:survivors trace in
       if curves <> reference then
         fail "degraded curves differ from the fault-free run over surviving sources";
@@ -1421,27 +1381,24 @@ let chaos_cmd =
        back to .prev and still finish bit-identical to an uninterrupted
        run. *)
     let ckpt = Filename.temp_file "omn-chaos" ".ckpt" in
-    let measure ?(resume = false) ?budget_seconds ?checkpoint () =
-      Omn_core.Diameter.measure_resumable ~max_hops ~grid ~domains ?checkpoint ~resume
-        ~checkpoint_every:4 ?budget_seconds ~clock:Unix.gettimeofday trace
-    in
-    let step label r =
-      match r with
+    let step ?(resume = false) ?budget_seconds ?checkpoint label =
+      match
+        Omn_core.Driver.run ~domains ?checkpoint ~resume ~checkpoint_every:4 ?budget_seconds
+          ~clock:Unix.gettimeofday plan
+      with
       | Error e -> fail "%s: %s" label (Err.to_string e)
-      | Ok (run : Omn_core.Diameter.run) -> run
+      | Ok o -> o
     in
-    let r1 = step "budgeted run 1" (measure ~checkpoint:ckpt ~budget_seconds:0. ()) in
-    if not r1.partial then fail "budgeted run 1 unexpectedly completed";
-    let r2 = step "budgeted run 2" (measure ~checkpoint:ckpt ~resume:true ~budget_seconds:0. ()) in
-    ignore (r2 : Omn_core.Diameter.run);
+    let r1 = step ~checkpoint:ckpt ~budget_seconds:0. "budgeted run 1" in
+    if not r1.progress.partial then fail "budgeted run 1 unexpectedly completed";
+    ignore (step ~checkpoint:ckpt ~resume:true ~budget_seconds:0. "budgeted run 2");
     let data = RI.read_to_string ckpt in
     RI.write_string ckpt (Faultgen.apply ~seed Faultgen.Ckpt_flip data);
-    let r3 = step "resumed run" (measure ~checkpoint:ckpt ~resume:true ()) in
-    if not r3.ckpt_fallback then fail "corrupt checkpoint did not fall back to .prev";
-    if r3.partial then fail "resumed run did not complete";
+    let r3 = step ~checkpoint:ckpt ~resume:true "resumed run" in
+    if not r3.progress.ckpt_fallback then fail "corrupt checkpoint did not fall back to .prev";
+    if r3.progress.partial then fail "resumed run did not complete";
     ok "corrupt checkpoint fell back to .prev";
-    let reference = step "uninterrupted run" (measure ()) in
-    if r3.result <> reference.result then
+    if r3.curves <> Omn_core.Delay_cdf.compute ~max_hops ~grid trace then
       fail "resumed-after-corruption result differs from the uninterrupted run";
     if Sys.file_exists ckpt || Sys.file_exists (Omn_robust.Checkpoint.prev_path ckpt) then
       fail "completed run left checkpoint generations behind";
@@ -1469,11 +1426,7 @@ let chaos_cmd =
       in
       let sgrid = Omn_stats.Grid.logarithmic ~lo:10. ~hi:3600. ~n:20 in
       let smax = 4 in
-      let reference =
-        Omn_core.Delay_cdf.compute ~max_hops:smax ~grid:sgrid
-          ~sources:(Omn_core.Delay_cdf.uniform_order (List.init sh_n Fun.id))
-          strace
-      in
+      let reference = Omn_core.Delay_cdf.compute ~max_hops:smax ~grid:sgrid strace in
       let sh_cfg ?(workers = sh_workers) ?(chaos = []) ?ckpt_dir () =
         {
           (Shard.default ~workers) with

@@ -1,16 +1,10 @@
 module Trace = Omn_temporal.Trace
 module Pool = Omn_parallel.Pool
-module Chunk = Omn_parallel.Chunk
 module Metrics = Omn_obs.Metrics
-module Timeline = Omn_obs.Timeline
-module Supervise = Omn_resilience.Supervise
+module Err = Omn_robust.Err
 
 let m_sources = Metrics.counter "delay_cdf.sources_done"
 let m_pairs = Metrics.counter "delay_cdf.pairs_done"
-let m_chunk_s = Metrics.histogram "delay_cdf.chunk_seconds"
-let m_ckpt_s = Metrics.histogram "delay_cdf.checkpoint_seconds"
-let m_ckpt_fallback = Metrics.counter "delay_cdf.ckpt_fallbacks"
-let m_quarantined = Metrics.counter "delay_cdf.sources_quarantined"
 
 type t = {
   grid_ : float array;
@@ -80,7 +74,7 @@ let add_pair t ~t_start ~t_end (descriptors : Ld_ea.t array) =
 
 (* [add_pair] off a live frontier: identical float operations in the
    identical order, minus the [Frontier.to_array] descriptor snapshot —
-   the accumulation loop of [compute_batch] reads the frontier's SoA
+   the accumulation loop of [partial_of] reads the frontier's SoA
    storage in place. *)
 let add_pair_frontier t ~t_start ~t_end frontier =
   if t_start > t_end then invalid_arg "Delay_cdf.add_pair_frontier: reversed window";
@@ -130,242 +124,18 @@ type curves = {
   max_rounds_used : int;
 }
 
-(* Accumulate the per-hop and flooding curves for one batch of sources.
-   Self-contained so that batches can run on separate domains: the only
-   shared value is the (frozen) trace. *)
-let compute_batch ~max_hops ~budget_grid ~is_dest ~windows trace sources =
-  let hop_accs = Array.init max_hops (fun _ -> create ~grid:budget_grid) in
-  let flood_acc = create ~grid:budget_grid in
-  let max_rounds_used = ref 0 in
-  let n_dest_total = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 is_dest in
-  let add_frontiers acc source frontiers =
-    Array.iteri
-      (fun dest frontier ->
-        if dest <> source && is_dest.(dest) then
-          List.iter
-            (fun (t_start, t_end) -> add_pair_frontier acc ~t_start ~t_end frontier)
-            windows)
-      frontiers
-  in
-  List.iter
-    (fun source ->
-      let on_round (info : Journey.round_info) =
-        if info.hop <= max_hops then add_frontiers hop_accs.(info.hop - 1) source info.frontiers
-      in
-      let frontiers, rounds = Journey.run ~on_round trace ~source in
-      max_rounds_used := max !max_rounds_used rounds;
-      for k = rounds + 1 to max_hops do
-        add_frontiers hop_accs.(k - 1) source frontiers
-      done;
-      add_frontiers flood_acc source frontiers;
-      Metrics.incr m_sources;
-      Metrics.add m_pairs (n_dest_total - if is_dest.(source) then 1 else 0))
-    sources;
-  (hop_accs, flood_acc, !max_rounds_used)
+(* --- the plan: what one run computes, validated once --- *)
 
-(* Fan out one task per source and merge the per-source accumulators in
-   source order. The task partition and the merge order are independent
-   of the domain count, and [Pool.run] returns results in input order,
-   so the curves are bit-identical for every [domains] (including 1):
-   parallelism changes wall-clock time only.
-
-   With [supervise], every per-source task runs under
-   [Omn_resilience.Supervise] (bounded retries, deadlines, quarantine).
-   Quarantined sources are skipped at merge time and returned as typed
-   failures; the surviving merges are exactly the sequence a fault-free
-   run restricted to the surviving sources would perform, so successful
-   results stay bit-identical. *)
-let accumulate_sources ?supervise ?pool ~domains ~max_hops ~budget_grid ~is_dest ~windows
-    ~into:(hop_accs, flood_acc, rounds) trace sources =
-  let per_source source = compute_batch ~max_hops ~budget_grid ~is_dest ~windows trace [ source ] in
-  let merge (hops', flood', rounds') =
-    Array.iteri (fun i acc -> merge_into ~dst:hop_accs.(i) acc) hops';
-    merge_into ~dst:flood_acc flood';
-    rounds := max !rounds rounds'
-  in
-  match supervise with
-  | None ->
-    Array.iter merge (Pool.run ?pool ~domains per_source (Array.of_list sources));
-    []
-  | Some policy ->
-    let results =
-      Supervise.map ?pool ~domains ~id:(fun s -> s) policy per_source (Array.of_list sources)
-    in
-    Array.iter (function Ok r -> merge r | Error (_ : Supervise.failure) -> ()) results;
-    let failed = Supervise.failures results in
-    Metrics.add m_quarantined (List.length failed);
-    failed
-
-(* --- per-source partials (the distributed-merge building block) ---
-
-   A [partial] is the contribution of one batch of sources to the final
-   curves, exactly as [compute_batch] produces it. The sharded driver
-   ([Omn_shard]) computes partials on worker processes, ships them as
-   Marshal payloads, and merges them on the coordinator with [Merger] in
-   the same slot order the single-process driver uses — [merge_into] is
-   plain float addition in an identical sequence, so the result is
-   bit-identical at any worker count. *)
-
-type partial = { p_hops : t array; p_flood : t; p_rounds : int }
-
-let partial_magic = "omn-partial 1\n"
-
-let source_partial ?(max_hops = 10) ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
-    ?windows trace source =
-  if max_hops < 1 then invalid_arg "Delay_cdf.source_partial: max_hops < 1";
-  let windows =
-    match windows with
-    | None -> [ (Trace.t_start trace, Trace.t_end trace) ]
-    | Some [] -> invalid_arg "Delay_cdf.source_partial: empty window list"
-    | Some ws -> ws
-  in
-  let n = Trace.n_nodes trace in
-  if source < 0 || source >= n then invalid_arg "Delay_cdf.source_partial: source out of range";
-  let is_dest =
-    match dests with
-    | None -> Array.make n true
-    | Some ds ->
-      let mask = Array.make n false in
-      List.iter (fun d -> mask.(d) <- true) ds;
-      mask
-  in
-  let p_hops, p_flood, p_rounds =
-    compute_batch ~max_hops ~budget_grid ~is_dest ~windows trace [ source ]
-  in
-  { p_hops; p_flood; p_rounds }
-
-(* Marshal is safe here: both ends run the same binary (the coordinator
-   spawns its own executable as workers) and the magic prefix rejects
-   frames from anything else. Floats round-trip bit-exactly. *)
-let partial_to_string p = partial_magic ^ Marshal.to_string p []
-
-let partial_of_string s =
-  let m = String.length partial_magic in
-  if String.length s < m || String.sub s 0 m <> partial_magic then
-    Error "not an omn-partial payload"
-  else
-    match (Marshal.from_string s m : partial) with
-    | p -> Ok p
-    | exception _ -> Error "unreadable omn-partial payload"
-
-type merger = {
-  mg_hops : t array;
-  mg_flood : t;
-  mutable mg_rounds : int;
-  mg_grid : float array;
+type plan = {
+  trace : Trace.t;
+  max_hops : int;
+  grid : float array;
+  windows : (float * float) list;
+  is_dest : bool array;
+  sources : Omn_temporal.Node.t array;
+  order : int array;
+  seed : int;
 }
-
-let merger_create ?(max_hops = 10) ?grid:(budget_grid = Omn_stats.Grid.delay_default) () =
-  if max_hops < 1 then invalid_arg "Delay_cdf.merger_create: max_hops < 1";
-  {
-    mg_hops = Array.init max_hops (fun _ -> create ~grid:budget_grid);
-    mg_flood = create ~grid:budget_grid;
-    mg_rounds = 0;
-    mg_grid = budget_grid;
-  }
-
-let merger_add m p =
-  if Array.length p.p_hops <> Array.length m.mg_hops then
-    invalid_arg "Delay_cdf.merger_add: max_hops mismatch";
-  Array.iteri (fun i acc -> merge_into ~dst:m.mg_hops.(i) acc) p.p_hops;
-  merge_into ~dst:m.mg_flood p.p_flood;
-  m.mg_rounds <- max m.mg_rounds p.p_rounds
-
-let merger_curves m =
-  {
-    grid = Array.copy m.mg_grid;
-    hop_success = Array.map success m.mg_hops;
-    hop_success_inf = Array.map success_inf m.mg_hops;
-    flood_success = success m.mg_flood;
-    flood_success_inf = success_inf m.mg_flood;
-    max_rounds_used = m.mg_rounds;
-  }
-
-let compute ?(max_hops = 10) ?sources ?dests ?grid:(budget_grid = Omn_stats.Grid.delay_default)
-    ?pool ?(domains = 1) ?windows trace =
-  if max_hops < 1 then invalid_arg "Delay_cdf.compute: max_hops < 1";
-  if domains < 1 then invalid_arg "Delay_cdf.compute: domains < 1";
-  Omn_obs.Span.with_ ~name:"delay_cdf.compute" @@ fun () ->
-  let windows =
-    match windows with
-    | None -> [ (Trace.t_start trace, Trace.t_end trace) ]
-    | Some [] -> invalid_arg "Delay_cdf.compute: empty window list"
-    | Some ws ->
-      List.iter (fun (a, b) -> if a > b then invalid_arg "Delay_cdf.compute: reversed window") ws;
-      ws
-  in
-  let n = Trace.n_nodes trace in
-  let sources = Option.value sources ~default:(List.init n (fun i -> i)) in
-  let is_dest =
-    match dests with
-    | None -> Array.make n true
-    | Some ds ->
-      let mask = Array.make n false in
-      List.iter (fun d -> mask.(d) <- true) ds;
-      mask
-  in
-  let hop_accs = Array.init max_hops (fun _ -> create ~grid:budget_grid) in
-  let flood_acc = create ~grid:budget_grid in
-  let rounds = ref 0 in
-  let (_ : Supervise.failure list) =
-    accumulate_sources ?pool ~domains ~max_hops ~budget_grid ~is_dest ~windows
-      ~into:(hop_accs, flood_acc, rounds) trace sources
-  in
-  {
-    grid = Array.copy budget_grid;
-    hop_success = Array.map success hop_accs;
-    hop_success_inf = Array.map success_inf hop_accs;
-    flood_success = success flood_acc;
-    flood_success_inf = success_inf flood_acc;
-    max_rounds_used = !rounds;
-  }
-
-(* --- checkpointed / budgeted driver --- *)
-
-module Err = Omn_robust.Err
-module Checkpoint = Omn_robust.Checkpoint
-
-type progress = {
-  sources_done : int;
-  sources_total : int;
-  partial : bool;
-  degraded : Supervise.failure list;
-  ckpt_fallback : bool;
-}
-
-(* [snap_degraded] stores failures as plain tuples so the Marshal layout
-   does not depend on the [Supervise.failure] record's representation. *)
-type snapshot = {
-  snap_fingerprint : string;
-  snap_done : int;
-  snap_hops : t array;
-  snap_flood : t;
-  snap_rounds : int;
-  snap_degraded : (int * int * string) list;
-}
-
-(* v3: CRC-32-framed payload with generation rotation (see
-   [Omn_robust.Checkpoint]) and a quarantined-source list in the
-   snapshot. v2 files are rejected by the magic mismatch. *)
-let ckpt_magic = "omn-ckpt 3\n"
-
-let save_checkpoint path snap =
-  Checkpoint.save ~magic:ckpt_magic ~path (Marshal.to_string snap [])
-
-let decode_snapshot ~fp path payload =
-  match (Marshal.from_string payload 0 : snapshot) with
-  | exception _ -> Error (Err.v ~file:path Err.Checkpoint "unreadable payload")
-  | snap ->
-    if snap.snap_fingerprint <> fp then
-      Error
-        (Err.v ~file:path Err.Checkpoint
-           "checkpoint was built for a different trace or parameters")
-    else Ok snap
-
-(* Current generation first; any failure (corruption, bad fingerprint)
-   falls back to the rotated previous generation. *)
-let load_checkpoint ~fp path =
-  Checkpoint.load ~magic:ckpt_magic ~validate:(decode_snapshot ~fp path) path
 
 (* Reorder sources by a stride coprime to their count so that every
    prefix of the order is a near-uniform sample of the whole list —
@@ -383,177 +153,152 @@ let uniform_order sources =
     List.init n (fun i -> arr.(i * !s mod n))
   end
 
-let fingerprint ~max_hops ~budget_grid ~is_dest ~windows ~order ~chunk trace =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( Trace.name trace, Trace.n_nodes trace, Trace.t_start trace, Trace.t_end trace,
-            Trace.contacts trace, max_hops, budget_grid, is_dest, windows, order, chunk )
-          []))
+(* Rotating the stride order by the seed keeps every prefix a
+   near-uniform sample (the stride property is rotation-invariant)
+   while giving distinct seeds genuinely different samples. *)
+let rotate arr k =
+  let n = Array.length arr in
+  let k = ((k mod n) + n) mod n in
+  Array.init n (fun i -> arr.((i + k) mod n))
 
-let compute_resumable ?(max_hops = 10) ?sources ?dests
-    ?grid:(budget_grid = Omn_stats.Grid.delay_default) ?pool ?(domains = 1) ?windows ?checkpoint
-    ?(resume = false) ?(checkpoint_every = 8) ?budget_seconds ?(clock = Sys.time) ?report
-    ?supervise trace =
-  try
-    if max_hops < 1 then Err.get_exn (Err.error Err.Usage "compute_resumable: max_hops < 1");
-    if domains < 1 then Err.get_exn (Err.error Err.Usage "compute_resumable: domains < 1");
-    if checkpoint_every < 1 then
-      Err.get_exn (Err.error Err.Usage "compute_resumable: checkpoint_every < 1");
-    (match budget_seconds with
-    | Some b when b < 0. ->
-      Err.get_exn (Err.error Err.Usage "compute_resumable: negative budget")
-    | _ -> ());
-    let windows =
-      match windows with
-      | None -> [ (Trace.t_start trace, Trace.t_end trace) ]
-      | Some [] -> Err.get_exn (Err.error Err.Usage "compute_resumable: empty window list")
-      | Some ws ->
-        List.iter
-          (fun (a, b) ->
-            if a > b then
-              Err.get_exn (Err.error Err.Usage "compute_resumable: reversed window"))
-          ws;
-        ws
-    in
-    let n = Trace.n_nodes trace in
-    let sources = Option.value sources ~default:(List.init n (fun i -> i)) in
-    let is_dest =
-      match dests with
-      | None -> Array.make n true
-      | Some ds ->
-        let mask = Array.make n false in
-        List.iter (fun d -> mask.(d) <- true) ds;
-        mask
-    in
-    let order = uniform_order sources in
-    let total = List.length order in
-    let fp =
-      fingerprint ~max_hops ~budget_grid ~is_dest ~windows ~order ~chunk:checkpoint_every
-        trace
-    in
-    let loaded =
-      match checkpoint with
-      | Some path
-        when resume
-             && (Sys.file_exists path || Sys.file_exists (Checkpoint.prev_path path)) -> (
-        match load_checkpoint ~fp path with
-        | Error e -> Error e
-        | Ok (snap, gen) ->
-          let fallback = gen = Checkpoint.Previous in
-          if fallback then begin
-            Metrics.incr m_ckpt_fallback;
-            Timeline.record (Ckpt_fallback { path })
-          end;
-          Ok
-            ( snap.snap_hops, snap.snap_flood, snap.snap_rounds, snap.snap_done,
-              snap.snap_degraded, fallback ))
-      | _ ->
-        Ok
-          ( Array.init max_hops (fun _ -> create ~grid:budget_grid),
-            create ~grid:budget_grid, 0, 0, [], false )
-    in
-    match loaded with
-    | Error e -> Error e
-    | Ok (hop_accs, flood_acc, rounds0, done0, degraded0, ckpt_fallback) ->
-      (* One pool for the whole run, reused chunk after chunk (spawning
-         per chunk is what the old driver did). Borrowed pools are left
-         to their owner; an owned one is shut down on every exit path. *)
-      let owned = if pool = None && domains > 1 then Some (Pool.create ~domains ()) else None in
-      let pool = match pool with Some _ as p -> p | None -> owned in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Pool.shutdown owned)
-      @@ fun () ->
-      Omn_obs.Span.with_ ~name:"delay_cdf.compute_resumable" @@ fun () ->
-      let t0 = clock () in
-      (* Clock reads for chunk/checkpoint latency happen only when
-         metrics or the timeline are on; the disabled path is
-         timing-free. *)
-      let timed = Metrics.enabled () || Timeline.enabled () in
-      let done_count = ref done0 and rounds = ref rounds0 in
-      let degraded = ref (List.map Supervise.failure_of_tuple degraded0) in
-      let rec loop remaining =
-        match remaining with
-        | [] -> ()
-        | _ ->
-          let chunk, rest = Chunk.split_at checkpoint_every remaining in
-          let chunk_index = !done_count / checkpoint_every in
-          let t_chunk = if timed then Unix.gettimeofday () else 0. in
-          let failed =
-            accumulate_sources ?supervise ?pool ~domains ~max_hops ~budget_grid ~is_dest
-              ~windows ~into:(hop_accs, flood_acc, rounds) trace chunk
-          in
-          degraded := !degraded @ failed;
-          if timed then begin
-            let t1 = Unix.gettimeofday () in
-            Metrics.observe m_chunk_s (t1 -. t_chunk);
-            Timeline.record ~ts:t1
-              (Chunk { index = chunk_index; items = List.length chunk; start = t_chunk });
-            if Timeline.enabled () then begin
-              let gc = Gc.quick_stat () in
-              Timeline.record ~ts:t1
-                (Gc_sample
-                   {
-                     minor = gc.Gc.minor_collections;
-                     major = gc.Gc.major_collections;
-                     heap_words = gc.Gc.heap_words;
-                   })
-            end
-          end;
-          done_count := !done_count + List.length chunk;
-          (match checkpoint with
-          | Some path ->
-            let t_ck = if timed then Unix.gettimeofday () else 0. in
-            save_checkpoint path
-              {
-                snap_fingerprint = fp;
-                snap_done = !done_count;
-                snap_hops = hop_accs;
-                snap_flood = flood_acc;
-                snap_rounds = !rounds;
-                snap_degraded = List.map Supervise.failure_to_tuple !degraded;
-              };
-            if timed then begin
-              let t1 = Unix.gettimeofday () in
-              Metrics.observe m_ckpt_s (t1 -. t_ck);
-              Timeline.record ~ts:t1 (Ckpt_write { path; seconds = t1 -. t_ck })
-            end
-          | None -> ());
-          (match report with
-          | Some r ->
-            r ~done_:!done_count ~total ~degraded:(List.length !degraded)
-              ~fallback:ckpt_fallback
-          | None -> ());
-          let out_of_budget =
-            match budget_seconds with Some b -> clock () -. t0 >= b | None -> false
-          in
-          if not out_of_budget then loop rest
+let plan ?(max_hops = 10) ?sources ?dests ?(grid = Omn_stats.Grid.delay_default) ?windows
+    ?(seed = 0) trace =
+  let n = Trace.n_nodes trace in
+  let sources = Option.value sources ~default:(List.init n Fun.id) in
+  let windows = Option.value windows ~default:[ (Trace.t_start trace, Trace.t_end trace) ] in
+  let outside = List.find_opt (fun v -> v < 0 || v >= n) in
+  let reject fmt =
+    Printf.ksprintf (fun msg -> Err.error Err.Usage ("Delay_cdf.plan: " ^ msg)) fmt
+  in
+  let grid_error = match create ~grid with _ -> None | exception Invalid_argument m -> Some m in
+  if max_hops < 1 then reject "max_hops %d < 1" max_hops
+  else if sources = [] then reject "empty source list"
+  else if windows = [] then reject "empty window list"
+  else
+    match
+      ( outside sources,
+        outside (Option.value dests ~default:[]),
+        List.find_opt (fun (a, b) -> a > b) windows,
+        grid_error )
+    with
+    | Some s, _, _, _ -> reject "source %d out of range [0, %d)" s n
+    | None, Some d, _, _ -> reject "destination %d out of range [0, %d)" d n
+    | None, None, Some (a, b), _ -> reject "reversed window (%g, %g)" a b
+    | None, None, None, Some msg -> Err.error Err.Usage msg
+    | None, None, None, None ->
+      let is_dest =
+        match dests with
+        | None -> Array.make n true
+        | Some ds ->
+          let mask = Array.make n false in
+          List.iter (fun d -> mask.(d) <- true) ds;
+          mask
       in
-      loop (Chunk.drop done0 order);
-      let partial = !done_count < total in
-      if not partial then Option.iter Checkpoint.remove checkpoint;
+      let sources = Array.of_list sources in
+      let positions = List.init (Array.length sources) Fun.id in
       Ok
-        ( {
-            grid = Array.copy budget_grid;
-            hop_success = Array.map success hop_accs;
-            hop_success_inf = Array.map success_inf hop_accs;
-            flood_success = success flood_acc;
-            flood_success_inf = success_inf flood_acc;
-            max_rounds_used = !rounds;
-          },
-          {
-            sources_done = !done_count;
-            sources_total = total;
-            partial;
-            degraded = !degraded;
-            ckpt_fallback;
-          } )
-  with
-  | Err.Error e -> Error e
-  | Invalid_argument msg -> Error (Err.v Err.Usage msg)
-  | Sys_error msg -> Error (Err.v Err.Io msg)
-  | Failure msg ->
-    (* A source task failed with supervision off (or quarantine
-       disabled): fail the whole run with a typed error rather than
-       leaking the worker's exception through the result API. *)
-    Error (Err.v Err.Compute ("source task failed: " ^ msg))
+        {
+          trace;
+          max_hops;
+          grid = Array.copy grid;
+          windows;
+          is_dest;
+          sources;
+          order = rotate (Array.of_list (uniform_order positions)) seed;
+          seed;
+        }
+
+let plan_exn ?max_hops ?sources ?dests ?grid ?windows trace =
+  match plan ?max_hops ?sources ?dests ?grid ?windows trace with
+  | Ok p -> p
+  | Error e -> invalid_arg e.Err.msg
+
+(* --- per-source partials and the one fold over them --- *)
+
+type partial = { p_hops : t array; p_flood : t; p_rounds : int }
+
+(* The per-hop and flooding accumulators of one source. Self-contained
+   so that sources can run on separate domains or worker processes:
+   the only shared value is the (frozen) plan. *)
+let partial_of plan source =
+  let hops = Array.init plan.max_hops (fun _ -> create ~grid:plan.grid) in
+  let flood = create ~grid:plan.grid in
+  let add_frontiers acc frontiers =
+    Array.iteri
+      (fun dest frontier ->
+        if dest <> source && plan.is_dest.(dest) then
+          List.iter
+            (fun (t_start, t_end) -> add_pair_frontier acc ~t_start ~t_end frontier)
+            plan.windows)
+      frontiers
+  in
+  let on_round (info : Journey.round_info) =
+    if info.hop <= plan.max_hops then add_frontiers hops.(info.hop - 1) info.frontiers
+  in
+  let frontiers, rounds = Journey.run ~on_round plan.trace ~source in
+  for k = rounds + 1 to plan.max_hops do
+    add_frontiers hops.(k - 1) frontiers
+  done;
+  add_frontiers flood frontiers;
+  let n_dests = Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 plan.is_dest in
+  Metrics.incr m_sources;
+  Metrics.add m_pairs (n_dests - if plan.is_dest.(source) then 1 else 0);
+  { p_hops = hops; p_flood = flood; p_rounds = rounds }
+
+(* [merge_into] is plain float addition, so the curves depend on the
+   sequence of merges: ascending position, whatever order the partials
+   completed in. *)
+let fold plan parts =
+  let hops = Array.init plan.max_hops (fun _ -> create ~grid:plan.grid) in
+  let flood = create ~grid:plan.grid in
+  let rounds = ref 0 in
+  List.iter
+    (fun (_, p) ->
+      if Array.length p.p_hops <> plan.max_hops then
+        invalid_arg "Delay_cdf.fold: max_hops mismatch";
+      Array.iteri (fun i acc -> merge_into ~dst:hops.(i) acc) p.p_hops;
+      merge_into ~dst:flood p.p_flood;
+      rounds := max !rounds p.p_rounds)
+    (List.stable_sort (fun (i, _) (j, _) -> Int.compare i j) parts);
+  {
+    grid = Array.copy plan.grid;
+    hop_success = Array.map success hops;
+    hop_success_inf = Array.map success_inf hops;
+    flood_success = success flood;
+    flood_success_inf = success_inf flood;
+    max_rounds_used = !rounds;
+  }
+
+let source_partial ?max_hops ?dests ?grid ?windows trace source =
+  partial_of (plan_exn ?max_hops ~sources:[ source ] ?dests ?grid ?windows trace) source
+
+let partial_magic = "omn-partial 1\n"
+
+(* Marshal is safe here: both ends run the same binary (the coordinator
+   spawns its own executable as workers) and the magic prefix rejects
+   frames from anything else. Floats round-trip bit-exactly. *)
+let partial_to_string p = partial_magic ^ Marshal.to_string p []
+
+let partial_of_string s =
+  let m = String.length partial_magic in
+  if String.length s < m || String.sub s 0 m <> partial_magic then
+    Error "not an omn-partial payload"
+  else
+    match (Marshal.from_string s m : partial) with
+    | p -> Ok p
+    | exception _ -> Error "unreadable omn-partial payload"
+
+let compute ?max_hops ?sources ?dests ?grid ?pool ?(domains = 1) ?windows trace =
+  if domains < 1 then invalid_arg "Delay_cdf.compute: domains < 1";
+  let plan = plan_exn ?max_hops ?sources ?dests ?grid ?windows trace in
+  Omn_obs.Span.with_ ~name:"delay_cdf.compute" @@ fun () ->
+  let parts = Pool.run ?pool ~domains (partial_of plan) plan.sources in
+  fold plan (List.mapi (fun i p -> (i, p)) (Array.to_list parts))
+
+type progress = {
+  sources_done : int;
+  sources_total : int;
+  partial : bool;
+  degraded : Omn_parallel.Supervise.failure list;
+  ckpt_fallback : bool;
+}

@@ -46,7 +46,16 @@ val merge_into : dst:t -> t -> unit
     the parallel driver below possible. Raises [Invalid_argument] on
     grid mismatch. *)
 
-(** {1 Whole-trace driver} *)
+(** {1 Plan, per-source partials, fold}
+
+    Every driver of this library — {!compute}, [Driver.run] (checkpoint,
+    budget, supervision, progress, sampling) and the shard coordinator —
+    computes the same thing: a validated {!plan}, one {!partial} per
+    source, and {!fold} over the completed partials. The fold merges in
+    ascending {e position} in the caller's source list, whatever order
+    the partials completed in, so curves depend only on which sources
+    completed: bit-identical across domain counts, worker counts,
+    checkpoint/resume, batching and sampling. *)
 
 type curves = {
   grid : float array;
@@ -59,6 +68,56 @@ type curves = {
   max_rounds_used : int;  (** largest fixpoint round over all sources *)
 }
 
+type partial
+(** One source's contribution to the final curves. *)
+
+type plan = private {
+  trace : Omn_temporal.Trace.t;
+  max_hops : int;
+  grid : float array;
+  windows : (float * float) list;
+  is_dest : bool array;  (** indexed by node: counts as a destination *)
+  sources : Omn_temporal.Node.t array;
+      (** the caller's source list; index = merge position *)
+  order : int array;
+      (** processing order, as positions: {!uniform_order}, rotated by
+          [seed] *)
+  seed : int;
+}
+
+val plan :
+  ?max_hops:int ->
+  ?sources:Omn_temporal.Node.t list ->
+  ?dests:Omn_temporal.Node.t list ->
+  ?grid:float array ->
+  ?windows:(float * float) list ->
+  ?seed:int ->
+  Omn_temporal.Trace.t ->
+  (plan, Omn_robust.Err.t) result
+(** Validate a run's parameters. Defaults: every node as a source and
+    as a destination (all ordered pairs with [source <> dest]),
+    [max_hops] 10, [grid] {!Omn_stats.Grid.delay_default}, creation
+    times uniform over the trace window, [seed] 0. [dests] restricts
+    which destinations count as observations — e.g. only the
+    experimental devices of a trace that also records external ones.
+    [windows] restricts message-creation times to a union of intervals
+    (e.g. day-time hours only, as in the paper's §5.3.1 aside).
+
+    A typed [Usage] error names the bad value: [max_hops < 1], an
+    empty source or window list, a source or destination outside
+    [[0, n_nodes)], a reversed window, or a grid {!create} rejects. *)
+
+val partial_of : plan -> Omn_temporal.Node.t -> partial
+(** The contribution of one source of the plan: run {!Journey.run} and
+    accumulate its frontiers per hop bound and for flooding. Safe to
+    call from any domain. *)
+
+val fold : plan -> (int * partial) list -> curves
+(** Fold [(position, partial)] pairs into curves, merging in ascending
+    position (a stable sort, so repeated positions — bootstrap
+    resamples — merge in list order). Raises [Invalid_argument] on a
+    partial of another [max_hops] or grid. *)
+
 val compute :
   ?max_hops:int ->
   ?sources:Omn_temporal.Node.t list ->
@@ -69,36 +128,13 @@ val compute :
   ?windows:(float * float) list ->
   Omn_temporal.Trace.t ->
   curves
-(** Runs {!Journey.run} from every source (default: all nodes; creation
-    times uniform over the trace window; all ordered pairs with
-    [source <> dest]) and aggregates per-hop-bound success curves.
-    [dests] restricts which destinations count as observations — e.g.
-    only the experimental devices of a trace that also records external
-    ones. [max_hops] defaults to 10, [grid] to
-    {!Omn_stats.Grid.delay_default}.
-
-    Parallelism: [pool] runs the independent per-source journeys on a
-    shared {!Omn_parallel.Pool.t}; otherwise [domains > 1] uses a
-    temporary pool of that many OCaml domains. Either way the curves
-    are {e bit-identical} to the sequential run: one task per source,
-    per-source accumulators merged in source order, a partition and
-    merge order that never depend on the domain count.
-
-    [windows] restricts message-creation times to a union of intervals
-    (e.g. day-time hours only, as in the paper's §5.3.1 aside) instead
-    of the whole trace window. *)
-
-(** {1 Per-source partials (distributed merge)}
-
-    The sharded driver ([Omn_shard]) computes one {!partial} per source
-    on worker processes, ships them as opaque payloads, and folds them
-    into a {!merger} on the coordinator in slot order. Because
-    {!merger_add} performs exactly the [merge_into] sequence the
-    single-process drivers perform, a sharded run is bit-identical to a
-    single-process run at any worker count. *)
-
-type partial
-(** One batch of sources' contribution to the final curves. *)
+(** {!plan}, one {!partial_of} per source in a single
+    {!Omn_parallel.Pool.run}, then {!fold} — the whole plan, no
+    policies. [pool] runs the per-source journeys on a shared pool;
+    otherwise [domains > 1] uses a temporary pool of that many OCaml
+    domains. Either way the curves are bit-identical to the sequential
+    run. Raises [Invalid_argument] with the {!plan} error's message,
+    or when [domains < 1]. *)
 
 val source_partial :
   ?max_hops:int ->
@@ -108,9 +144,9 @@ val source_partial :
   Omn_temporal.Trace.t ->
   Omn_temporal.Node.t ->
   partial
-(** The contribution of one source, with the same defaults as
-    {!compute}. Raises [Invalid_argument] on a bad source or
-    parameters. *)
+(** {!partial_of} for a one-source plan with the same defaults as
+    {!compute} — what a shard worker computes. Raises
+    [Invalid_argument] with the {!plan} error's message. *)
 
 val partial_to_string : partial -> string
 val partial_of_string : string -> (partial, string) result
@@ -118,96 +154,22 @@ val partial_of_string : string -> (partial, string) result
     Only payloads produced by the same binary are safe to decode; the
     magic rejects everything else cheaply. *)
 
-type merger
-
-val merger_create : ?max_hops:int -> ?grid:float array -> unit -> merger
-(** Fresh accumulators, same defaults as {!compute}. *)
-
-val merger_add : merger -> partial -> unit
-(** Fold one partial in. Call in slot order — the merge sequence is
-    what the bit-identity contract is defined over. Raises
-    [Invalid_argument] on a [max_hops] mismatch. *)
-
-val merger_curves : merger -> curves
-
-(** {1 Checkpointed / budgeted driver}
-
-    The long-run variant of {!compute} for multi-day traces: sources
-    are processed in a deterministic stride order whose prefixes are
-    near-uniform samples of the node set, in chunks of
-    [checkpoint_every]; after every chunk the full accumulator state is
-    written atomically (temp file + rename) to the checkpoint file, so
-    a killed process loses at most one chunk of work. *)
+val uniform_order : Omn_temporal.Node.t list -> Omn_temporal.Node.t list
+(** The deterministic stride order sources are {e processed} in when a
+    run is batched, sampled or sharded: every prefix is a near-uniform
+    sample of the whole list, so a budget-truncated run or a sample is
+    a fair subset. It fixes only which sources complete first; the
+    merge order is always {!fold}'s ascending position. *)
 
 type progress = {
-  sources_done : int;
+  sources_done : int;  (** sources processed, including quarantined ones *)
   sources_total : int;
-  partial : bool;  (** true when the budget expired before all sources ran *)
-  degraded : Omn_resilience.Supervise.failure list;
-      (** sources quarantined by the [supervise] policy, in the order
+  partial : bool;  (** the budget expired before the run finished *)
+  degraded : Omn_parallel.Supervise.failure list;
+      (** sources quarantined by a supervision policy, in the order
           they were processed — empty for unsupervised runs *)
   ckpt_fallback : bool;
-      (** true when resume found the current checkpoint generation
-          corrupt (or rejected) and restarted from [*.ckpt.prev] *)
+      (** resume found the current checkpoint generation corrupt (or
+          rejected) and restarted from [*.prev] *)
 }
-
-val uniform_order : Omn_temporal.Node.t list -> Omn_temporal.Node.t list
-(** The deterministic stride order {!compute_resumable} processes its
-    sources in: every prefix is a near-uniform sample of the whole
-    list. Exposed so harnesses can reproduce a degraded run's merge
-    sequence exactly — {!compute} over [uniform_order sources] minus
-    the quarantined ones performs the identical [merge_into] calls. *)
-
-val compute_resumable :
-  ?max_hops:int ->
-  ?sources:Omn_temporal.Node.t list ->
-  ?dests:Omn_temporal.Node.t list ->
-  ?grid:float array ->
-  ?pool:Omn_parallel.Pool.t ->
-  ?domains:int ->
-  ?windows:(float * float) list ->
-  ?checkpoint:string ->
-  ?resume:bool ->
-  ?checkpoint_every:int ->
-  ?budget_seconds:float ->
-  ?clock:(unit -> float) ->
-  ?report:(done_:int -> total:int -> degraded:int -> fallback:bool -> unit) ->
-  ?supervise:Omn_resilience.Supervise.policy ->
-  Omn_temporal.Trace.t ->
-  (curves * progress, Omn_robust.Err.t) result
-(** Like {!compute} (same parallelism and determinism contract; when no
-    [pool] is given and [domains > 1], one pool is created up front and
-    reused across every chunk), plus:
-    - [checkpoint]: write a CRC-32-framed checkpoint file after every
-      chunk, rotating the previous generation to [*.prev]
-      ({!Omn_robust.Checkpoint}); both generations are removed once
-      the run completes;
-    - [resume] (with [checkpoint]): load that file if it exists and
-      continue from it. The checkpoint embeds a fingerprint of the
-      trace and all parameters; resuming against a different trace or
-      parameters is a [Checkpoint] error, as is a corrupt file — but
-      when the {e previous} generation is still intact the run falls
-      back to it automatically ([progress.ckpt_fallback = true]),
-      re-doing at most one chunk. An uninterrupted run and a
-      killed-and-resumed run produce bit-identical curves (same
-      chunking, same merge order).
-    - [supervise]: run every per-source task under the given
-      {!Omn_resilience.Supervise.policy}. Sources that exhaust their
-      retries are quarantined and listed in [progress.degraded]; the
-      surviving sources' contribution is bit-identical to a fault-free
-      run over the source list with the quarantined ones removed
-      (see {!uniform_order}).
-    - [budget_seconds]: stop after the first chunk that exhausts the
-      budget, returning a clearly-labelled partial result over a
-      near-uniform subset of the sources ([progress.partial = true]).
-      At least one chunk always completes, so repeated budgeted
-      invocations with a checkpoint make progress. [clock] supplies
-      the time base (default [Sys.time], CPU seconds; pass a
-      wall-clock for real deadlines).
-    - [checkpoint_every]: chunk size in sources (default 8). Part of
-      the fingerprint — resuming requires the same value.
-    - [report]: called after every chunk with the cumulative source
-      count, the cumulative quarantined-source count and whether the
-      run resumed from a fallback checkpoint generation (the CLI's
-      [--progress] hooks in here and surfaces all three). Purely
-      observational — it must not mutate the computation's inputs. *)
+(** How far a run got — see [Driver.run] and the shard coordinator. *)

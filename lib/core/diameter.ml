@@ -45,34 +45,3 @@ let measure ?(epsilon = 0.01) ?max_hops ?sources ?dests ?grid ?pool ?domains ?wi
   Omn_obs.Span.with_ ~name:"diameter.measure" @@ fun () ->
   let curves = Delay_cdf.compute ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows trace in
   { diameter = of_curves ~epsilon curves; epsilon; curves }
-
-type run = {
-  result : result;
-  sources_done : int;
-  sources_total : int;
-  partial : bool;
-  degraded : Omn_resilience.Supervise.failure list;
-  ckpt_fallback : bool;
-}
-
-let measure_resumable ?(epsilon = 0.01) ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows
-    ?checkpoint ?resume ?checkpoint_every ?budget_seconds ?clock ?report ?supervise trace =
-  if epsilon <= 0. || epsilon >= 1. then
-    Omn_robust.Err.error Omn_robust.Err.Usage "Diameter.measure_resumable: epsilon out of (0,1)"
-  else
-    Omn_obs.Span.with_ ~name:"diameter.measure_resumable" @@ fun () ->
-    match
-      Delay_cdf.compute_resumable ?max_hops ?sources ?dests ?grid ?pool ?domains ?windows
-        ?checkpoint ?resume ?checkpoint_every ?budget_seconds ?clock ?report ?supervise trace
-    with
-    | Error e -> Error e
-    | Ok (curves, p) ->
-      Ok
-        {
-          result = { diameter = of_curves ~epsilon curves; epsilon; curves };
-          sources_done = p.Delay_cdf.sources_done;
-          sources_total = p.Delay_cdf.sources_total;
-          partial = p.Delay_cdf.partial;
-          degraded = p.Delay_cdf.degraded;
-          ckpt_fallback = p.Delay_cdf.ckpt_fallback;
-        }

@@ -39,47 +39,7 @@ val measure :
   result
 (** End-to-end: compute curves with {!Delay_cdf.compute}, then the
     diameter. [pool] / [domains] as in {!Delay_cdf.compute} — the
-    result is independent of both. *)
-
-type run = {
-  result : result;
-  sources_done : int;
-  sources_total : int;
-  partial : bool;
-      (** the work budget expired: [result] covers a near-uniform
-          subset of [sources_done] source nodes and must be labelled
-          as partial *)
-  degraded : Omn_resilience.Supervise.failure list;
-      (** sources quarantined by the [supervise] policy — the run is
-          complete but degraded (CLI exit code 3) *)
-  ckpt_fallback : bool;
-      (** resume recovered from the previous checkpoint generation
-          after finding the current one corrupt *)
-}
-
-val measure_resumable :
-  ?epsilon:float ->
-  ?max_hops:int ->
-  ?sources:Omn_temporal.Node.t list ->
-  ?dests:Omn_temporal.Node.t list ->
-  ?grid:float array ->
-  ?pool:Omn_parallel.Pool.t ->
-  ?domains:int ->
-  ?windows:(float * float) list ->
-  ?checkpoint:string ->
-  ?resume:bool ->
-  ?checkpoint_every:int ->
-  ?budget_seconds:float ->
-  ?clock:(unit -> float) ->
-  ?report:(done_:int -> total:int -> degraded:int -> fallback:bool -> unit) ->
-  ?supervise:Omn_resilience.Supervise.policy ->
-  Omn_temporal.Trace.t ->
-  (run, Omn_robust.Err.t) Stdlib.result
-(** {!measure} on top of {!Delay_cdf.compute_resumable}: periodic
-    CRC-checked, generation-rotated checkpoints, resume after a crash
-    (bit-identical to an uninterrupted run, falling back to the
-    previous generation when the current one is corrupt), optional
-    per-task supervision with quarantine ([supervise]), and graceful
-    degradation to a uniformly sampled subset of sources under a time
-    budget. [report] is forwarded to
-    {!Delay_cdf.compute_resumable}. *)
+    result is independent of both. Raises [Invalid_argument] like
+    {!Delay_cdf.compute} on a bad plan, and on [epsilon] outside
+    (0,1). For checkpoints, budgets, supervision or sampling, run
+    {!Driver.run} and apply {!of_curves}. *)

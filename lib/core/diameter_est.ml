@@ -1,16 +1,3 @@
-module Trace = Omn_temporal.Trace
-module Pool = Omn_parallel.Pool
-module Metrics = Omn_obs.Metrics
-module Timeline = Omn_obs.Timeline
-module Err = Omn_robust.Err
-module Checkpoint = Omn_robust.Checkpoint
-
-let m_rounds = Metrics.counter "sample.rounds"
-let m_sampled = Metrics.counter "sample.sources_sampled"
-let m_boot = Metrics.counter "sample.bootstrap_resamples"
-let m_ckpt_fallback = Metrics.counter "sample.ckpt_fallbacks"
-let g_width = Metrics.gauge "sample.ci_width"
-
 type estimate = {
   diameter : int option;
   epsilon : float;
@@ -27,292 +14,39 @@ type estimate = {
   ckpt_fallback : bool;
 }
 
-(* Test hook (see the statistical coverage suite): a perturbation is
-   applied to {e every} diameter the estimator derives from a curve
-   set — the point estimate and each bootstrap replicate — so a
-   deliberately broken estimator shifts its CI wholesale instead of
-   silently re-centering around the biased point. *)
-let perturb : (int option -> int option) option ref = ref None
-let set_perturb f = perturb := f
-
-type snapshot = {
-  snap_fingerprint : string;
-  snap_rounds : int;
-  snap_partials : string array;  (* [partial_to_string], rotated-order prefix *)
-}
-
-let ckpt_magic = "omn-est 1\n"
-
-let save_checkpoint path snap =
-  Checkpoint.save ~magic:ckpt_magic ~path (Marshal.to_string snap [])
-
-let decode_snapshot ~fp path payload =
-  match (Marshal.from_string payload 0 : snapshot) with
-  | exception _ -> Error (Err.v ~file:path Err.Checkpoint "unreadable payload")
-  | snap ->
-    if snap.snap_fingerprint <> fp then
-      Error
-        (Err.v ~file:path Err.Checkpoint
-           "checkpoint was built for a different trace or parameters")
-    else Ok snap
-
-let load_checkpoint ~fp path =
-  Checkpoint.load ~magic:ckpt_magic ~validate:(decode_snapshot ~fp path) path
-
-let fingerprint ~max_hops ~budget_grid ~is_dest ~windows ~order ~epsilon ~seed ~confidence
-    ~bootstrap ~ci_width ~sample trace =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( Trace.name trace, Trace.n_nodes trace, Trace.t_start trace, Trace.t_end trace,
-            Trace.contacts trace, max_hops, budget_grid, is_dest, windows, order, epsilon,
-            seed, confidence, bootstrap, ci_width, sample )
-          []))
-
-(* Rotating the stride order by the seed keeps every prefix a
-   near-uniform sample (the stride property is rotation-invariant)
-   while giving distinct seeds genuinely different samples — which is
-   what the coverage test needs to observe the CI's sampling
-   distribution. *)
-let rotate l k =
-  let n = List.length l in
-  if n = 0 then l
-  else
-    let k = ((k mod n) + n) mod n in
-    let arr = Array.of_list l in
-    List.init n (fun i -> arr.((i + k) mod n))
-
-let estimate ?(epsilon = 0.01) ?(max_hops = 10) ?(sample = 64) ?(seed = 0) ?(ci_width = 1.)
-    ?(confidence = 0.9) ?(bootstrap = 200) ?sources ?dests
-    ?grid:(budget_grid = Omn_stats.Grid.delay_default) ?pool ?(domains = 1) ?windows
-    ?checkpoint ?(resume = false) ?budget_seconds ?(clock = Sys.time) ?report ?partials_of
-    trace =
-  try
-    if sample < 1 then Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: sample must be at least 1");
-    if ci_width <= 0. then
-      Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: ci-width must be positive");
-    if epsilon <= 0. || epsilon >= 1. then
-      Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: epsilon out of (0,1)");
-    if confidence <= 0. || confidence >= 1. then
-      Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: confidence out of (0,1)");
-    if bootstrap < 1 then
-      Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: bootstrap must be at least 1");
-    if max_hops < 1 then Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: max_hops < 1");
-    if domains < 1 then Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: domains < 1");
-    (match budget_seconds with
-    | Some b when b < 0. ->
-      Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: negative budget")
-    | _ -> ());
-    let windows =
-      match windows with
-      | None -> None
-      | Some [] -> Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: empty window list")
-      | Some ws ->
-        List.iter
-          (fun (a, b) ->
-            if a > b then
-              Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: reversed window"))
-          ws;
-        Some ws
-    in
-    let n = Trace.n_nodes trace in
-    let sources = Option.value sources ~default:(List.init n (fun i -> i)) in
-    let total = List.length sources in
-    if total = 0 then Err.get_exn (Err.error Err.Usage "Diameter_est.estimate: empty source list");
-    let is_dest =
-      match dests with
-      | None -> Array.make n true
-      | Some ds ->
-        let mask = Array.make n false in
-        List.iter (fun d -> mask.(d) <- true) ds;
-        mask
-    in
-    (* Rotated stride order: the sampled prefix grows round by round
-       without ever discarding a computed partial. *)
-    let order = Array.of_list (rotate (Delay_cdf.uniform_order sources) seed) in
-    (* Position of each source in the caller's [sources] list — the
-       point estimate merges partials in this order so that the
-       exhaustive case replays [Delay_cdf.compute]'s exact merge
-       sequence (bit-identity contract). *)
-    let pos_of = Hashtbl.create total in
-    List.iteri (fun i s -> Hashtbl.replace pos_of s i) sources;
-    let fp =
-      fingerprint ~max_hops ~budget_grid ~is_dest ~windows ~order ~epsilon ~seed ~confidence
-        ~bootstrap ~ci_width ~sample trace
-    in
-    let loaded =
-      match checkpoint with
-      | Some path
-        when resume
-             && (Sys.file_exists path || Sys.file_exists (Checkpoint.prev_path path)) -> (
-        match load_checkpoint ~fp path with
-        | Error e -> Error e
-        | Ok (snap, gen) ->
-          let fallback = gen = Checkpoint.Previous in
-          if fallback then begin
-            Metrics.incr m_ckpt_fallback;
-            Timeline.record (Ckpt_fallback { path })
-          end;
-          let decode s =
-            match Delay_cdf.partial_of_string s with
-            | Ok p -> p
-            | Error msg ->
-              Err.get_exn (Err.error ~file:path Err.Checkpoint ("bad stored partial: " ^ msg))
-          in
-          Ok (snap.snap_rounds, Array.map decode snap.snap_partials, fallback))
-      | _ -> Ok (0, [||], false)
-    in
-    match loaded with
-    | Error e -> Error e
-    | Ok (rounds0, partials0, ckpt_fallback) ->
-      let owned = if pool = None && domains > 1 then Some (Pool.create ~domains ()) else None in
-      let pool = match pool with Some _ as p -> p | None -> owned in
-      Fun.protect
-        ~finally:(fun () -> Option.iter Pool.shutdown owned)
-      @@ fun () ->
-      Omn_obs.Span.with_ ~name:"diameter.estimate" @@ fun () ->
-      let t0 = clock () in
-      let compute_partials batch =
-        match partials_of with
-        | Some f ->
-          let ps = f batch in
-          if List.length ps <> List.length batch then
-            Err.get_exn
-              (Err.error Err.Compute
-                 (Printf.sprintf "Diameter_est.estimate: partials_of returned %d partials for %d sources"
-                    (List.length ps) (List.length batch)));
-          Array.of_list ps
-        | None ->
-          Pool.run ?pool ~domains
-            (fun s -> Delay_cdf.source_partial ~max_hops ?dests ~grid:budget_grid ?windows trace s)
-            (Array.of_list batch)
-      in
-      (* Stored partials, indexed by position in the rotated order. *)
-      let partials = Array.make total None in
-      Array.iteri (fun i p -> partials.(i) <- Some p) partials0;
-      let stored = ref (Array.length partials0) in
-      let extend k =
-        if k > !stored then begin
-          let batch = List.init (k - !stored) (fun i -> order.(!stored + i)) in
-          let fresh = compute_partials batch in
-          Array.iteri (fun i p -> partials.(!stored + i) <- Some p) fresh;
-          Metrics.add m_sampled (k - !stored);
-          stored := k
-        end
-      in
-      let sentinel = max_hops + 1 in
-      let to_sent = function Some k -> k | None -> sentinel in
-      let of_sent k = if k > max_hops then None else Some k in
-      let diameter_of curves =
-        let d = Diameter.of_curves ~epsilon curves in
-        match !perturb with None -> d | Some f -> f d
-      in
-      (* Merge the given rotated-order positions (ascending source
-         position, so the full-sample merge is the exact-engine merge)
-         and derive the (1-eps)-diameter. *)
-      let curves_of_positions idxs =
-        let m = Delay_cdf.merger_create ~max_hops ~grid:budget_grid () in
-        List.iter
-          (fun i -> Delay_cdf.merger_add m (Option.get partials.(i)))
-          idxs;
-        Delay_cdf.merger_curves m
-      in
-      let by_source_position idxs =
-        List.sort
-          (fun i j -> compare (Hashtbl.find pos_of order.(i)) (Hashtbl.find pos_of order.(j)))
-          idxs
-      in
-      (* The checkpoint records {e completed} rounds: it is written after
-         a round's convergence decision, so a killed-and-resumed run
-         re-enters the doubling schedule exactly where an uninterrupted
-         run would be (losing at most one round of partials). *)
-      let save_after_round ~round ~k =
-        match checkpoint with
-        | Some path ->
-          let strings =
-            Array.init k (fun i -> Delay_cdf.partial_to_string (Option.get partials.(i)))
-          in
-          save_checkpoint path
-            { snap_fingerprint = fp; snap_rounds = round; snap_partials = strings }
-        | None -> ()
-      in
-      let rec loop ~round ~k =
-        extend k;
-        let exhaustive = k = total in
-        let point_positions = by_source_position (List.init k (fun i -> i)) in
-        let curves = curves_of_positions point_positions in
-        let point = diameter_of curves in
-        let ci_lo, ci_hi, width =
-          if exhaustive then (point, point, 0.)
-          else begin
-            (* Percentile bootstrap over the sampled sources: resample
-               [k] of them with replacement, re-merge, re-derive the
-               diameter. [None] (no diameter within max_hops) sits at
-               the sentinel [max_hops + 1] so it orders above every
-               finite diameter. The interval is unioned with the point
-               estimate so the reported CI always contains it. *)
-            let rng = Omn_stats.Rng.create (seed lxor (round * 1_000_003)) in
-            let ds =
-              Array.init bootstrap (fun _ ->
-                let draw = List.init k (fun _ -> Omn_stats.Rng.int rng k) in
-                let idxs = by_source_position draw in
-                to_sent (diameter_of (curves_of_positions idxs)))
-            in
-            Metrics.add m_boot bootstrap;
-            Array.sort compare ds;
-            let alpha = 1. -. confidence in
-            let b = bootstrap in
-            let lo_i = int_of_float (Float.floor (alpha /. 2. *. float_of_int (b - 1))) in
-            let hi_i = int_of_float (Float.ceil ((1. -. (alpha /. 2.)) *. float_of_int (b - 1))) in
-            let lo = min ds.(lo_i) (to_sent point) in
-            let hi = max ds.(hi_i) (to_sent point) in
-            (of_sent lo, of_sent hi, float_of_int (hi - lo))
-          end
-        in
-        Metrics.incr m_rounds;
-        Metrics.set g_width width;
-        Timeline.record (Sample_round { round; sampled = k; width });
-        (match report with
-        | Some r -> r ~round ~sampled:k ~total ~width
-        | None -> ());
-        let converged = exhaustive || width <= ci_width in
-        let out_of_budget =
-          match budget_seconds with Some b -> clock () -. t0 >= b | None -> false
-        in
-        if converged || out_of_budget then begin
-          let partial = (not converged) && out_of_budget in
-          if partial then save_after_round ~round ~k
-          else Option.iter Checkpoint.remove checkpoint;
-          {
-            diameter = point;
-            epsilon;
-            curves;
-            ci_lo;
-            ci_hi;
-            confidence;
-            ci_width = width;
-            sampled = k;
-            total;
-            rounds = round;
-            exhaustive;
-            partial;
-            ckpt_fallback;
-          }
-        end
-        else begin
-          save_after_round ~round ~k;
-          loop ~round:(round + 1) ~k:(min total (2 * k))
-        end
-      in
-      (* Resume continues the doubling schedule: a checkpoint holding the
-         partials of round r restarts at round r+1 with twice the sample,
-         exactly as the uninterrupted run would. *)
-      let k0 =
-        if !stored = 0 then min sample total else min total (2 * !stored)
-      in
-      Ok (loop ~round:(rounds0 + 1) ~k:k0)
-  with
-  | Err.Error e -> Error e
-  | Invalid_argument msg -> Error (Err.v Err.Usage msg)
-  | Sys_error msg -> Error (Err.v Err.Io msg)
-  | Failure msg -> Error (Err.v Err.Compute ("source task failed: " ^ msg))
+let estimate ?(epsilon = 0.01) ?max_hops ?(sample = 64) ?(seed = 0) ?(ci_width = 1.)
+    ?(confidence = 0.9) ?(bootstrap = 200) ?sources ?dests ?grid ?pool ?domains ?windows
+    ?checkpoint ?resume ?budget_seconds ?clock ?report ?partials_of trace =
+  Omn_obs.Span.with_ ~name:"diameter.estimate" @@ fun () ->
+  let ( let* ) = Result.bind in
+  let* plan = Delay_cdf.plan ?max_hops ?sources ?dests ?grid ?windows ~seed trace in
+  let report =
+    Option.map
+      (fun r (p : Delay_cdf.progress) -> function
+        | Some (s : Driver.sample) ->
+          r ~round:s.rounds ~sampled:p.sources_done ~total:p.sources_total ~width:s.width
+        | None -> ())
+      report
+  in
+  let* o =
+    Driver.run ?pool ?domains ?partials_of ?checkpoint ?resume ?budget_seconds ?clock ?report
+      ~sampling:{ sample; ci_width; confidence; bootstrap; epsilon }
+      plan
+  in
+  let s = Option.get o.sample in
+  Ok
+    {
+      diameter = s.diameter;
+      epsilon;
+      curves = o.curves;
+      ci_lo = s.ci_lo;
+      ci_hi = s.ci_hi;
+      confidence;
+      ci_width = s.width;
+      sampled = o.progress.sources_done;
+      total = o.progress.sources_total;
+      rounds = s.rounds;
+      exhaustive = s.exhaustive;
+      partial = o.progress.partial;
+      ckpt_fallback = o.progress.ckpt_fallback;
+    }

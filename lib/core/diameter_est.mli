@@ -3,28 +3,25 @@
     {!Diameter.measure} runs a journey from {e every} source — exact,
     but linear in the node count, which is the wall at millions of
     nodes. This estimator runs journeys from a seeded stratified
-    sample of the sources instead: the sample is a prefix of the
-    stride order {!Delay_cdf.uniform_order} (every prefix is a
-    near-uniform subset), rotated by the seed so that distinct seeds
-    draw genuinely different samples. The sample doubles round by
-    round until the bootstrap percentile CI on the diameter is no
-    wider than the target (or the sources are exhausted, or the time
-    budget expires), reusing every partial already computed.
+    sample of the sources instead: {!Driver.run} with a sampling
+    schedule. The sample is a prefix of the plan's processing order
+    ({!Delay_cdf.uniform_order}, every prefix a near-uniform subset),
+    rotated by the seed so that distinct seeds draw genuinely
+    different samples. The sample doubles round by round until the
+    bootstrap percentile CI on the diameter is no wider than the
+    target (or the sources are exhausted, or the time budget expires),
+    reusing every partial already computed.
 
     Determinism and exactness contract:
     - a given (trace, parameters, seed) always produces the same
       estimate, CI and round count;
-    - when the sample reaches {e all} sources the estimator performs
-      exactly the merge sequence of {!Delay_cdf.compute} (ascending
-      source position), so the curves — and hence the diameter — are
-      {e bit-identical} to {!Diameter.measure} and the CI collapses to
-      the point ([exhaustive = true], zero width).
-
-    Like {!Delay_cdf.compute_resumable}, the estimator is checkpoint-
-    and budget-aware: with [checkpoint] the sampled partials are saved
-    after every round (CRC-framed, rotated generations), and [resume]
-    continues from them — a killed-and-resumed run is bit-identical to
-    an uninterrupted one. *)
+    - the curves are {!Delay_cdf.fold} over the sampled sources, so
+      when the sample reaches {e all} sources they — and hence the
+      diameter — are {e bit-identical} to {!Diameter.measure} and the
+      CI collapses to the point ([exhaustive = true], zero width);
+    - with [checkpoint] the sampled partials are saved after every
+      round, and [resume] continues from them — a killed-and-resumed
+      run is bit-identical to an uninterrupted one. *)
 
 type estimate = {
   diameter : int option;  (** point estimate over the sampled sources *)
@@ -74,10 +71,10 @@ val estimate :
     resamples per round; the interval is unioned with the point
     estimate so it always contains it. [epsilon], [max_hops],
     [sources], [dests], [grid], [pool], [domains] and [windows] are as
-    in {!Diameter.measure}; [checkpoint], [resume], [budget_seconds],
-    [clock] and [report] as in {!Delay_cdf.compute_resumable} (at
-    least one round always completes; [partial = true] marks a
-    budget-truncated estimate).
+    in {!Diameter.measure}; [checkpoint], [resume], [budget_seconds]
+    and [clock] as in {!Driver.run} (at least one round always
+    completes; [partial = true] marks a budget-truncated estimate).
+    [report] is called after every round.
 
     [partials_of] overrides how per-source partials are computed: it
     receives a batch of sources and must return one
@@ -85,14 +82,7 @@ val estimate :
     order — the hook the sharded coordinator and the streaming CLI
     plug into. Default: {!Delay_cdf.source_partial} on the pool.
 
-    Validation failures ([sample < 1], [ci_width <= 0], [epsilon] or
-    [confidence] outside (0,1), [bootstrap < 1], ...) are typed
-    [Usage] errors. *)
-
-val set_perturb : (int option -> int option) option -> unit
-(** Test hook: post-compose every diameter the estimator derives from
-    a curve set — the point estimate {e and} each bootstrap replicate —
-    with the given function. The statistical coverage suite uses this
-    to verify its own power: a perturbed estimator must make the
-    coverage assertion fail. [None] restores the identity. Not for
-    production use. *)
+    Validation failures ({!Delay_cdf.plan}'s, [sample < 1],
+    [ci_width <= 0], [epsilon] or [confidence] outside (0,1),
+    [bootstrap < 1], ...) are typed [Usage] errors. The perturbation
+    test hook is {!Driver.set_perturb}. *)

@@ -1,7 +1,7 @@
 module Delay_cdf = Omn_core.Delay_cdf
 module Trace = Omn_temporal.Trace
 module Trace_io = Omn_temporal.Trace_io
-module Supervise = Omn_resilience.Supervise
+module Supervise = Omn_parallel.Supervise
 module Faultgen = Omn_robust.Faultgen
 module Err = Omn_robust.Err
 module Retry_io = Omn_robust.Retry_io
@@ -214,31 +214,31 @@ let run ?(max_hops = 10) ?sources ?dests ?grid ?windows ?(clock = Unix.gettimeof
       Err.errorf Io "shard: cannot create checkpoint dir: %s"
         (Unix.error_message e)
     | () ->
-    let n = Trace.n_nodes trace in
-    let sources = Option.value sources ~default:(List.init n (fun i -> i)) in
-    let order = Delay_cdf.uniform_order sources in
-    let slots = Array.of_list order in
+    match Delay_cdf.plan ~max_hops ?sources ?dests ?grid ?windows trace with
+    | Error e -> Error e
+    | Ok plan ->
+    (* slots run in the plan's processing order; the merge is the
+       plan's fold, in ascending source position *)
+    let slots = Array.map (fun i -> plan.sources.(i)) plan.order in
     let nslots = Array.length slots in
     let trace_text = Trace_io.to_string trace in
     let trace_digest = Sha256.string trace_text in
     let fingerprint = Proto.job_fingerprint ~trace_text ~max_hops ~dests ~grid ~windows in
     let ring = ref (Ring.create ~vnodes:cfg.vnodes ~workers:n_initial ()) in
     let all_workers = List.init n_initial Fun.id in
-    let shard_map_sha256 = Ring.map_sha256 !ring ~alive:all_workers ~sources:order in
+    let shard_map_sha256 =
+      Ring.map_sha256 !ring ~alive:all_workers ~sources:(Array.to_list slots)
+    in
     let merge_result ~partial ~slot_state ~acked ~stats_of =
-      let merger = Delay_cdf.merger_create ~max_hops ?grid () in
-      let degraded = ref [] in
-      let bad = ref None in
+      let parts = ref [] and degraded = ref [] and bad = ref None in
       Array.iteri
         (fun i st ->
           match st with
           | Acked s -> (
             match Delay_cdf.partial_of_string s with
             | Ok p ->
-              Delay_cdf.merger_add merger p;
-              (match cfg.on_partial with
-              | Some f -> f slots.(i) p
-              | None -> ())
+              parts := (plan.order.(i), p) :: !parts;
+              Option.iter (fun f -> f slots.(i) p) cfg.on_partial
             | Error msg -> if !bad = None then bad := Some msg)
           | Degr f -> degraded := f :: !degraded
           | Pending | Assigned _ -> ())
@@ -255,28 +255,9 @@ let run ?(max_hops = 10) ?sources ?dests ?grid ?windows ?(clock = Unix.gettimeof
             ckpt_fallback = false;
           }
         in
-        Ok (Delay_cdf.merger_curves merger, progress, stats_of ())
+        Ok (Delay_cdf.fold plan !parts, progress, stats_of ())
     in
-    let empty_stats () =
-      {
-        spawns = 0;
-        heartbeat_misses = 0;
-        frame_corrupts = 0;
-        reassigned = 0;
-        rejoins = 0;
-        duplicates = 0;
-        auth_rejects = 0;
-        partitions = 0;
-        trace_ship_bytes = 0;
-        trace_cache_hits = 0;
-        joins = 0;
-        leaves = 0;
-        shard_map_sha256;
-        fleet = [];
-      }
-    in
-    if nslots = 0 then merge_result ~partial:false ~slot_state:[||] ~acked:0 ~stats_of:empty_stats
-    else begin
+    begin
       let listen_addr =
         match (cfg.listen, cfg.sock_path) with
         | Some a, _ -> a

@@ -1,14 +1,15 @@
 (** Shard coordinator: sources over worker processes, with failover.
 
-    [run] consistent-hashes the (stride-ordered) source list over the
-    worker fleet ({!Ring}), streams [Compute] requests over
-    CRC-framed connections ({!Frame}/{!Proto}) — Unix-domain sockets
-    for spawned same-host workers, authenticated TCP ({!Transport},
-    {!Auth}) for multi-machine fleets — and folds the per-source
-    partials back together {e in slot order}: the final curves are
-    bit-identical to a single-process [Delay_cdf] run at any worker
-    count, under any membership schedule and any failure schedule that
-    still completes.
+    [run] consistent-hashes the plan's sources, in its processing
+    order, over the worker fleet ({!Ring}), streams [Compute] requests
+    over CRC-framed connections ({!Frame}/{!Proto}) — Unix-domain
+    sockets for spawned same-host workers, authenticated TCP
+    ({!Transport}, {!Auth}) for multi-machine fleets — and folds the
+    per-source partials back together with
+    {!Omn_core.Delay_cdf.fold}, in ascending source position: the final
+    curves are bit-identical to {!Omn_core.Delay_cdf.compute} at any
+    worker count, under any membership schedule and any failure
+    schedule that still completes.
 
     Fleet shape: [workers] processes are spawned locally and dial back
     in; [peers] are pre-started [omn worker --listen] processes the
@@ -51,7 +52,7 @@
       degraded], CLI exit 3);
     - when the optional budget expires, the acknowledged subset is
       merged ([progress.partial], CLI exit 124 — precedence over 3 via
-      {!Omn_resilience.Supervise.exit_code});
+      {!Omn_parallel.Supervise.exit_code});
     - when every worker has exhausted its respawns and sources remain,
       [run] returns a [Compute] error (CLI exit 1): results are never
       silently incomplete.
@@ -115,8 +116,8 @@ type config = {
   worker_trace_cache : string option;
       (** [--trace-cache] directory handed to spawned workers *)
   on_partial : (Omn_temporal.Node.t -> Omn_core.Delay_cdf.partial -> unit) option;
-      (** observe each acknowledged per-source partial (in slot order,
-          during the final merge) — the hook the sampled diameter
+      (** observe each acknowledged per-source partial (during the
+          final merge) — the hook the sampled diameter
           estimator uses to collect partials from a sharded run;
           [None] = no observation. Must not mutate the computation. *)
   telemetry : bool;
@@ -200,6 +201,8 @@ val run :
     Omn_robust.Err.t )
   result
 (** Same computation and defaults as {!Omn_core.Delay_cdf.compute},
-    executed across the worker fleet. [progress.ckpt_fallback] is
-    always [false] (worker checkpoints have their own generations).
+    executed across the worker fleet; the parameters are validated by
+    {!Omn_core.Delay_cdf.plan} (typed [Usage] errors).
+    [progress.ckpt_fallback] is always [false] (worker checkpoints have
+    their own generations).
     [clock] is the budget time base (default wall clock). *)

@@ -1,6 +1,6 @@
 module Delay_cdf = Omn_core.Delay_cdf
 module Trace_io = Omn_temporal.Trace_io
-module Supervise = Omn_resilience.Supervise
+module Supervise = Omn_parallel.Supervise
 module Pool = Omn_parallel.Pool
 module Checkpoint = Omn_robust.Checkpoint
 module Retry_io = Omn_robust.Retry_io

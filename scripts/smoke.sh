@@ -32,7 +32,11 @@
 #      through the sampled estimator with the sample covering every
 #      source must be byte-identical (modulo manifest and the sample
 #      block) to the exact in-memory engine, and every malformed
-#      sampling flag must be rejected with the usage exit code 2.
+#      sampling flag must be rejected with the usage exit code 2;
+#   9. cross-driver identity: on a trace with fractional contact times,
+#      every way of running the driver (plain, --progress, --checkpoint,
+#      budget-truncated and resumed, delay-cdf in process and on two
+#      workers, an exhaustive --sample) must print the same curves.
 # Run via `make check`. CI uploads $SMOKE_METRICS, $SMOKE_TRACE,
 # $SMOKE_REPORT, $SMOKE_SHARD_TRACE, $SMOKE_SHARD_REPORT,
 # $SMOKE_FLEET_TRACE, $SMOKE_FLEET_METRICS and $SMOKE_FLEET_REPORT as
@@ -105,8 +109,7 @@ grep -q 'PARTIAL' "$tmp/partial.out" || {
   exit 1
 }
 
-# Resuming from that checkpoint must complete and agree exactly. The
-# chunk size is part of the checkpoint fingerprint, so it must match.
+# Resuming from that checkpoint must complete and agree exactly.
 "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
   --checkpoint-every 1 --checkpoint "$tmp/cdf.ck" --resume -o "$tmp/resumed.json" >/dev/null
 same_result "$tmp/full.json" "$tmp/resumed.json" || {
@@ -123,7 +126,7 @@ fi
 "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --domains 2 --progress \
   --metrics "$SMOKE_METRICS" >/dev/null 2>"$tmp/progress.out"
 for key in '"schema": "omn-metrics 1"' 'frontier.points_pruned' 'frontier.points_kept' \
-  'pool.busy_seconds' 'delay_cdf.pairs_done' '"spans"' 'delay_cdf.compute_resumable'; do
+  'pool.busy_seconds' 'delay_cdf.pairs_done' '"spans"' 'driver.run'; do
   grep -q "$key" "$SMOKE_METRICS" || {
     echo "smoke FAIL: metrics snapshot lacks $key" >&2
     exit 1
@@ -491,5 +494,49 @@ for bad in "--sample 0" "--sample=-2" "--ci-width 0 --sample 4" \
     exit 1
   fi
 done
+
+# --- 9. cross-driver identity -----------------------------------------------
+
+# One merge order everywhere: the curves depend only on which sources
+# completed. The conference preset has fractional contact times, where
+# another merge order changes the last ulp of the curves, so every run
+# below must print the same curve fields (everything from "grid" on;
+# the manifest, the sample block and the run-status keys come before).
+curve_fields() {
+  sed -n '/^  "grid": \[/,$p' "$1"
+}
+"$OMN" gen --preset conference --nodes 60 --hours 12 --seed 5 -o "$tmp/x.omn" >/dev/null
+"$OMN" diameter "$tmp/x.omn" -o "$tmp/x-plain.json" >/dev/null
+"$OMN" diameter "$tmp/x.omn" --progress -o "$tmp/x-progress.json" >/dev/null 2>&1
+"$OMN" diameter "$tmp/x.omn" --checkpoint "$tmp/x.ck" -o "$tmp/x-ckpt.json" >/dev/null
+rc=0
+"$OMN" diameter "$tmp/x.omn" --budget-seconds 0 --checkpoint-every 1 \
+  --checkpoint "$tmp/x-budget.ck" -o "$tmp/x-partial.json" >/dev/null || rc=$?
+if [ "$rc" -ne 124 ]; then
+  echo "smoke FAIL: zero-budget diameter exited $rc, expected 124" >&2
+  exit 1
+fi
+# the resume needs no matching --checkpoint-every: batches are not part
+# of the checkpoint
+"$OMN" diameter "$tmp/x.omn" --checkpoint "$tmp/x-budget.ck" --resume \
+  -o "$tmp/x-resumed.json" >/dev/null
+"$OMN" delay-cdf "$tmp/x.omn" -o "$tmp/x-cdf.json" >/dev/null
+"$OMN" delay-cdf "$tmp/x.omn" --workers 2 -o "$tmp/x-workers.json" >/dev/null
+"$OMN" diameter "$tmp/x.omn" --sample 1000 -o "$tmp/x-sample.json" >/dev/null
+curve_fields "$tmp/x-plain.json" >"$tmp/x-plain.curves"
+[ -s "$tmp/x-plain.curves" ] || {
+  echo "smoke FAIL: no curve fields in the plain diameter output" >&2
+  exit 1
+}
+for run in progress ckpt resumed cdf workers sample; do
+  curve_fields "$tmp/x-$run.json" | cmp -s - "$tmp/x-plain.curves" || {
+    echo "smoke FAIL: $run curves differ from plain omn diameter" >&2
+    exit 1
+  }
+done
+if [ -f "$tmp/x.ck" ] || [ -f "$tmp/x-budget.ck" ]; then
+  echo "smoke FAIL: completed runs left their checkpoints behind" >&2
+  exit 1
+fi
 
 echo "smoke ok"

@@ -183,10 +183,54 @@ let merge_distributes () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "grid mismatch accepted"
 
+(* The merge-order contract against an independent oracle: per-source
+   accumulators built from the public primitives and merged with
+   [merge_into] in the caller's order. On fractional times another
+   order changes the floats, so a fold that merged by node id, by
+   completion order or in reverse would fail here — and the batched,
+   sampled and sharded drivers are pinned to [compute] elsewhere. *)
+let merge_order_is_caller_position () =
+  let trace = Util.random_trace ~scale:0.37 (Rng.create 4242) ~n:9 ~m:70 ~horizon:120 in
+  let grid = [| 1.; 4.; 15.; 40. |] and max_hops = 3 in
+  let sources = [ 7; 2; 8; 0; 5; 1; 6; 3; 4 ] in
+  let hops = Array.init max_hops (fun _ -> Delay_cdf.create ~grid) in
+  let flood = Delay_cdf.create ~grid in
+  List.iter
+    (fun source ->
+      let s_hops = Array.init max_hops (fun _ -> Delay_cdf.create ~grid) in
+      let s_flood = Delay_cdf.create ~grid in
+      let add acc frontiers =
+        Array.iteri
+          (fun dest f ->
+            if dest <> source then
+              Delay_cdf.add_pair_frontier acc ~t_start:0. ~t_end:(Trace.t_end trace) f)
+          frontiers
+      in
+      let on_round (r : Journey.round_info) =
+        if r.hop <= max_hops then add s_hops.(r.hop - 1) r.frontiers
+      in
+      let frontiers, rounds = Journey.run ~on_round trace ~source in
+      for k = rounds + 1 to max_hops do
+        add s_hops.(k - 1) frontiers
+      done;
+      add s_flood frontiers;
+      Array.iteri (fun i acc -> Delay_cdf.merge_into ~dst:hops.(i) acc) s_hops;
+      Delay_cdf.merge_into ~dst:flood s_flood)
+    sources;
+  let c = Delay_cdf.compute ~max_hops ~grid ~sources trace in
+  Alcotest.(check bool) "hop curves are the caller-order merge" true
+    (c.hop_success = Array.map Delay_cdf.success hops
+    && c.hop_success_inf = Array.map Delay_cdf.success_inf hops);
+  Alcotest.(check bool) "flood curve is the caller-order merge" true
+    (c.flood_success = Delay_cdf.success flood
+    && c.flood_success_inf = Delay_cdf.success_inf flood)
+
 let suite =
   [
     Alcotest.test_case "rejects bad grids" `Quick rejects_bad_grid;
     Alcotest.test_case "merge distributes over pairs" `Quick merge_distributes;
+    Alcotest.test_case "merge order is the caller's source order" `Quick
+      merge_order_is_caller_position;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

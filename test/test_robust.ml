@@ -6,6 +6,7 @@ module Trace = Omn_temporal.Trace
 module Trace_io = Omn_temporal.Trace_io
 module Delay_cdf = Omn_core.Delay_cdf
 module Diameter = Omn_core.Diameter
+module Driver = Omn_core.Driver
 module Rng = Omn_stats.Rng
 
 let get_ok = function
@@ -210,9 +211,13 @@ let atomic_trace_save () =
 
 (* --- checkpoint / resume / budget --- *)
 
-let ckpt_trace = Util.random_trace (Rng.create 5) ~n:8 ~m:30 ~horizon:50
+(* Fractional times, so that a resume merging in another order than
+   [Delay_cdf.compute] would change the curves. *)
+let ckpt_trace = Util.random_trace ~scale:0.37 (Rng.create 5) ~n:8 ~m:30 ~horizon:50
 
 let grid = [| 1.; 2.; 5.; 10.; 25.; 50. |]
+let plan ?(max_hops = 4) () = get_ok (Delay_cdf.plan ~max_hops ~grid ckpt_trace)
+let full = Delay_cdf.compute ~max_hops:4 ~grid ckpt_trace
 
 let curves_equal (a : Delay_cdf.curves) (b : Delay_cdf.curves) =
   a.grid = b.grid && a.hop_success = b.hop_success && a.hop_success_inf = b.hop_success_inf
@@ -224,21 +229,19 @@ let with_ckpt_file f =
   Sys.remove path;
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-(* One chunk per call: the zero budget expires right after the first
-   chunk, so repeated resumed calls replay an interrupted run. *)
+(* One batch per call: the zero budget expires right after the first
+   batch, so repeated resumed calls replay an interrupted run. *)
 let step ?(domains = 1) path =
-  Delay_cdf.compute_resumable ~max_hops:4 ~grid ~domains ~checkpoint_every:3 ~checkpoint:path
-    ~resume:true ~budget_seconds:0. ckpt_trace
+  Result.map
+    (fun (o : Driver.outcome) -> (o.curves, o.progress))
+    (Driver.run ~domains ~checkpoint_every:3 ~checkpoint:path ~resume:true ~budget_seconds:0.
+       (plan ()))
 
 let ckpt_resume_bit_identical () =
-  let full, progress =
-    get_ok (Delay_cdf.compute_resumable ~max_hops:4 ~grid ~checkpoint_every:3 ckpt_trace)
-  in
-  Alcotest.(check bool) "uninterrupted run is complete" false progress.Delay_cdf.partial;
   with_ckpt_file (fun path ->
       let c1, p1 = get_ok (step path) in
       Alcotest.(check bool) "first step partial" true p1.Delay_cdf.partial;
-      Alcotest.(check int) "first step did one chunk" 3 p1.Delay_cdf.sources_done;
+      Alcotest.(check int) "first step did one batch" 3 p1.Delay_cdf.sources_done;
       Alcotest.(check bool) "checkpoint written" true (Sys.file_exists path);
       Alcotest.(check bool) "partial differs from full" false (curves_equal c1 full);
       let _, p2 = get_ok (step path) in
@@ -247,16 +250,12 @@ let ckpt_resume_bit_identical () =
       Alcotest.(check bool) "third step completes" false p3.Delay_cdf.partial;
       Alcotest.(check int) "all sources done" 8 p3.Delay_cdf.sources_done;
       Alcotest.(check bool) "checkpoint removed on completion" false (Sys.file_exists path);
-      Alcotest.(check bool) "resumed run bit-identical to uninterrupted" true
-        (curves_equal c3 full))
+      Alcotest.(check bool) "resumed run bit-identical to compute" true (curves_equal c3 full))
 
 (* The determinism contract must hold through interruption: a run that
    checkpoints, resumes under 2 domains and completes gives exactly the
-   curves of an uninterrupted sequential run. *)
+   curves of a sequential [compute]. *)
 let ckpt_resume_parallel_matches_sequential () =
-  let full, _ =
-    get_ok (Delay_cdf.compute_resumable ~max_hops:4 ~grid ~checkpoint_every:3 ckpt_trace)
-  in
   with_ckpt_file (fun path ->
       let rec drive n =
         if n > 10 then Alcotest.fail "resumed run did not converge";
@@ -287,31 +286,72 @@ let ckpt_rejects_parameter_mismatch () =
       let _, _ = get_ok (step path) in
       (* same trace, different max_hops -> different fingerprint *)
       expect_code Err.Checkpoint
-        (Delay_cdf.compute_resumable ~max_hops:5 ~grid ~checkpoint_every:3 ~checkpoint:path
-           ~resume:true ckpt_trace))
+        (Driver.run ~checkpoint:path ~resume:true (plan ~max_hops:5 ())))
 
+(* Every bad input is a typed Usage error naming the bad value, and the
+   raising entry points raise [Invalid_argument] with the same message. *)
 let ckpt_usage_errors () =
-  expect_code Err.Usage (Delay_cdf.compute_resumable ~max_hops:0 ~grid ckpt_trace);
-  expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~checkpoint_every:0 ckpt_trace);
-  expect_code Err.Usage (Delay_cdf.compute_resumable ~grid ~budget_seconds:(-1.) ckpt_trace);
-  expect_code Err.Usage (Diameter.measure_resumable ~epsilon:0. ~grid ckpt_trace)
+  let n = Trace.n_nodes ckpt_trace in
+  let plan_error ?max_hops ?sources ?dests ?windows () =
+    match Delay_cdf.plan ?max_hops ?sources ?dests ~grid ?windows ckpt_trace with
+    | Ok _ -> Alcotest.fail "bad plan accepted"
+    | Error (e : Err.t) ->
+      Alcotest.(check string) "error code" "E-USAGE" (Err.code_name e.code);
+      (match Delay_cdf.compute ?max_hops ?sources ?dests ~grid ?windows ckpt_trace with
+      | _ -> Alcotest.failf "compute accepted what plan rejects (%s)" e.msg
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "compute raises the same message" e.msg msg);
+      e.msg
+  in
+  let names needle msg =
+    Alcotest.(check bool) (Printf.sprintf "%S names %S" msg needle) true
+      (Util.contains_substring msg needle)
+  in
+  names "max_hops 0" (plan_error ~max_hops:0 ());
+  names "empty source list" (plan_error ~sources:[] ());
+  names "source 999" (plan_error ~sources:[ 0; 999 ] ());
+  names "source -1" (plan_error ~sources:[ -1 ] ());
+  names (Printf.sprintf "destination %d" n) (plan_error ~dests:[ n ] ());
+  names "reversed window (5, 1)" (plan_error ~windows:[ (5., 1.) ] ());
+  names "empty window list" (plan_error ~windows:[] ());
+  (match Delay_cdf.source_partial ~dests:[ 999 ] ckpt_trace 0 with
+  | _ -> Alcotest.fail "source_partial accepted an out-of-range destination"
+  | exception Invalid_argument msg -> names "destination 999" msg);
+  (match Diameter.measure ~sources:[] ckpt_trace with
+  | _ -> Alcotest.fail "measure accepted an empty source list"
+  | exception Invalid_argument msg -> names "empty source list" msg);
+  expect_code Err.Usage (Driver.run ~checkpoint_every:0 (plan ()));
+  expect_code Err.Usage (Driver.run ~budget_seconds:(-1.) (plan ()));
+  expect_code Err.Usage (Driver.run ~domains:0 (plan ()));
+  expect_code Err.Usage
+    (Driver.run ~supervise:Omn_parallel.Supervise.default
+       ~sampling:
+         { Driver.sample = 2; ci_width = 1.; confidence = 0.9; bootstrap = 10; epsilon = 0.01 }
+       (plan ()))
 
-let measure_resumable_complete () =
-  let run = get_ok (Diameter.measure_resumable ~epsilon:0.01 ~max_hops:4 ~grid ckpt_trace) in
-  Alcotest.(check bool) "complete" false run.Diameter.partial;
-  Alcotest.(check int) "all sources" 8 run.Diameter.sources_total;
+(* A batched run (budget and reporter on) gives [Diameter.measure]'s
+   diameter and curves. *)
+let batched_diameter_complete () =
+  let reports = ref 0 in
+  let o =
+    get_ok
+      (Driver.run ~checkpoint_every:3 ~budget_seconds:1e9 ~report:(fun _ _ -> incr reports)
+         (plan ()))
+  in
+  Alcotest.(check bool) "complete" false o.progress.Delay_cdf.partial;
+  Alcotest.(check int) "all sources" 8 o.progress.Delay_cdf.sources_total;
+  Alcotest.(check int) "one report per batch" 3 !reports;
   let direct = Diameter.measure ~epsilon:0.01 ~max_hops:4 ~grid ckpt_trace in
   Alcotest.(check (option int)) "diameter agrees with measure" direct.Diameter.diameter
-    run.Diameter.result.Diameter.diameter
+    (Diameter.of_curves ~epsilon:0.01 o.curves);
+  Alcotest.(check bool) "curves agree with measure" true
+    (curves_equal direct.Diameter.curves o.curves)
 
 let budget_partial_is_uniform_prefix () =
-  let _, p =
-    get_ok
-      (Delay_cdf.compute_resumable ~max_hops:4 ~grid ~checkpoint_every:2 ~budget_seconds:0.
-         ckpt_trace)
-  in
+  let o = get_ok (Driver.run ~checkpoint_every:2 ~budget_seconds:0. (plan ())) in
+  let p = o.Driver.progress in
   Alcotest.(check bool) "partial" true p.Delay_cdf.partial;
-  Alcotest.(check int) "one chunk" 2 p.Delay_cdf.sources_done;
+  Alcotest.(check int) "one batch" 2 p.Delay_cdf.sources_done;
   Alcotest.(check int) "out of all" 8 p.Delay_cdf.sources_total
 
 let suite =
@@ -337,6 +377,6 @@ let suite =
     Alcotest.test_case "checkpoint rejects parameter mismatch" `Quick
       ckpt_rejects_parameter_mismatch;
     Alcotest.test_case "usage errors are typed" `Quick ckpt_usage_errors;
-    Alcotest.test_case "measure_resumable complete" `Quick measure_resumable_complete;
+    Alcotest.test_case "batched driver diameter = measure" `Quick batched_diameter_complete;
     Alcotest.test_case "budget yields labelled partial" `Quick budget_partial_is_uniform_prefix;
   ]

@@ -128,9 +128,9 @@ let test_coverage_mutation () =
      must be caught by the coverage assertion — otherwise the coverage
      test has no power and proves nothing. *)
   let shift = function Some k -> Some (k + 2) | None -> Some (max_hops + 3) in
-  Est.set_perturb (Some shift);
+  Omn_core.Driver.set_perturb (Some shift);
   let rate, _ =
-    Fun.protect ~finally:(fun () -> Est.set_perturb None) coverage_rate
+    Fun.protect ~finally:(fun () -> Omn_core.Driver.set_perturb None) coverage_rate
   in
   if rate >= confidence then
     Alcotest.failf
@@ -160,7 +160,10 @@ let test_rejections () =
   expect_usage "max_hops 0" (Est.estimate ~sample:2 ~max_hops:0 trace);
   expect_usage "negative budget" (Est.estimate ~sample:2 ~budget_seconds:(-1.) trace);
   expect_usage "empty windows" (Est.estimate ~sample:2 ~windows:[] trace);
-  expect_usage "reversed window" (Est.estimate ~sample:2 ~windows:[ (5., 1.) ] trace)
+  expect_usage "reversed window" (Est.estimate ~sample:2 ~windows:[ (5., 1.) ] trace);
+  expect_usage "empty sources" (Est.estimate ~sample:2 ~sources:[] trace);
+  expect_usage "source out of range" (Est.estimate ~sample:2 ~sources:[ 0; 999 ] trace);
+  expect_usage "destination out of range" (Est.estimate ~sample:2 ~dests:[ 999 ] trace)
 
 (* --- budget truncation --- *)
 
@@ -176,8 +179,8 @@ let jitter () =
 
 let test_budget_partial () =
   let trace = Util.random_trace (Rng.create 77) ~n:10 ~m:40 ~horizon:20 in
-  Est.set_perturb (Some (jitter ()));
-  Fun.protect ~finally:(fun () -> Est.set_perturb None) @@ fun () ->
+  Omn_core.Driver.set_perturb (Some (jitter ()));
+  Fun.protect ~finally:(fun () -> Omn_core.Driver.set_perturb None) @@ fun () ->
   let c = ref 0. in
   let clock () =
     c := !c +. 1.;

@@ -14,7 +14,7 @@ module Auth = Omn_shard.Auth
 module Store = Omn_shard.Store
 module Err = Omn_robust.Err
 module Faultgen = Omn_robust.Faultgen
-module S = Omn_resilience.Supervise
+module S = Omn_parallel.Supervise
 module Delay_cdf = Omn_core.Delay_cdf
 module Trace_io = Omn_temporal.Trace_io
 module Rng = Omn_stats.Rng
@@ -462,24 +462,31 @@ let store_roundtrip () =
 
 (* --- partial merge --- *)
 
-let trace = Util.random_trace (Rng.create 1731) ~n:10 ~m:60 ~horizon:120
+(* Fractional times: a fleet that merged in completion or slot order
+   instead of ascending position would not match [compute] here. *)
+let trace = Util.random_trace ~scale:0.37 (Rng.create 1731) ~n:10 ~m:60 ~horizon:120
 let grid = [| 1.; 5.; 20.; 60.; 120. |]
 let max_hops = 3
-let sources = Delay_cdf.uniform_order (List.init 10 Fun.id)
-let reference = Delay_cdf.compute ~max_hops ~grid ~sources trace
+let reference = Delay_cdf.compute ~max_hops ~grid trace
 
 let partial_merge_bit_identity () =
-  let m = Delay_cdf.merger_create ~max_hops ~grid () in
-  List.iter
-    (fun s ->
-      let p = Delay_cdf.source_partial ~max_hops ~grid trace s in
-      (* through the wire representation, like a real worker *)
-      match Delay_cdf.partial_of_string (Delay_cdf.partial_to_string p) with
-      | Ok p -> Delay_cdf.merger_add m p
-      | Error e -> Alcotest.failf "partial round-trip failed: %s" e)
-    sources;
+  let plan =
+    match Delay_cdf.plan ~max_hops ~grid trace with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "plan rejected: %s" (Err.to_string e)
+  in
+  (* partials arriving in processing (stride) order, through the wire
+     representation like a real worker's *)
+  let parts =
+    Array.to_list plan.order
+    |> List.map (fun i ->
+           let p = Delay_cdf.source_partial ~max_hops ~grid trace plan.sources.(i) in
+           match Delay_cdf.partial_of_string (Delay_cdf.partial_to_string p) with
+           | Ok p -> (i, p)
+           | Error e -> Alcotest.failf "partial round-trip failed: %s" e)
+  in
   Alcotest.(check bool) "merged partials bit-identical to compute" true
-    (curves_equal (Delay_cdf.merger_curves m) reference);
+    (curves_equal (Delay_cdf.fold plan parts) reference);
   match Delay_cdf.partial_of_string "garbage" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage partial decoded"
@@ -524,9 +531,8 @@ let coord_bit_identity () =
    deterministically (a lone kill can be absorbed by results already in
    the socket buffer, which is correct but unobservable). *)
 let coord_kill_failover () =
-  let big_trace = Util.random_trace (Rng.create 97) ~n:40 ~m:200 ~horizon:200 in
-  let big_sources = Delay_cdf.uniform_order (List.init 40 Fun.id) in
-  let big_reference = Delay_cdf.compute ~max_hops ~grid ~sources:big_sources big_trace in
+  let big_trace = Util.random_trace ~scale:0.37 (Rng.create 97) ~n:40 ~m:200 ~horizon:200 in
+  let big_reference = Delay_cdf.compute ~max_hops ~grid big_trace in
   let chaos =
     List.map
       (fun v -> { Faultgen.after_results = 1 + v; victim = v; shard_fault = Faultgen.Worker_kill })
@@ -557,9 +563,8 @@ let coord_kill_failover () =
    bit-identical to the single-process reference — placement is pure
    metadata, so churn may only move work, never lose or double it. *)
 let coord_membership () =
-  let m_trace = Util.random_trace (Rng.create 311) ~n:24 ~m:140 ~horizon:160 in
-  let m_sources = Delay_cdf.uniform_order (List.init 24 Fun.id) in
-  let m_reference = Delay_cdf.compute ~max_hops ~grid ~sources:m_sources m_trace in
+  let m_trace = Util.random_trace ~scale:0.37 (Rng.create 311) ~n:24 ~m:140 ~horizon:160 in
+  let m_reference = Delay_cdf.compute ~max_hops ~grid m_trace in
   let run ~workers chaos =
     match Coord.run ~max_hops ~grid { (shard_cfg ~workers) with Coord.chaos } m_trace with
     | Error e -> Alcotest.failf "membership run failed: %s" (Omn_robust.Err.to_string e)
@@ -640,13 +645,12 @@ let prop_single_kill_schedules =
    [--stat-addr] endpoint while the run is up must return a Prometheus
    text exposition. Results stay bit-identical with telemetry on. *)
 let coord_fleet_telemetry () =
-  let f_trace = Util.random_trace (Rng.create 523) ~n:40 ~m:200 ~horizon:200 in
-  let f_sources = Delay_cdf.uniform_order (List.init 40 Fun.id) in
+  let f_trace = Util.random_trace ~scale:0.37 (Rng.create 523) ~n:40 ~m:200 ~horizon:200 in
   let module M = Omn_obs.Metrics in
   let was = M.enabled () in
   M.reset ();
   M.set_enabled true;
-  let f_reference = Delay_cdf.compute ~max_hops ~grid ~sources:f_sources f_trace in
+  let f_reference = Delay_cdf.compute ~max_hops ~grid f_trace in
   let solo = M.snapshot () in
   M.reset ();
   M.set_enabled was;
@@ -699,7 +703,7 @@ let coord_fleet_telemetry () =
     }
   in
   let curves, p, st =
-    match Coord.run ~max_hops ~grid ~sources:f_sources cfg f_trace with
+    match Coord.run ~max_hops ~grid cfg f_trace with
     | Ok v -> v
     | Error e ->
       Atomic.set stat_addr (Some (Transport.Tcp ("127.0.0.1", 1)));

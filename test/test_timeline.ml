@@ -266,11 +266,11 @@ let test_report_fleet () =
 
 (* -- end-to-end: the instrumented driver ---------------------------------- *)
 
-(* Run the real resumable driver on 2 domains with metrics and timeline
-   both live, and check the exported spans account for the measured pool
-   busy time: both are computed from the same clock reads, so coverage
-   must be essentially exact (>= 95% leaves room for float summation
-   order only). *)
+(* Run the real driver on 2 domains with metrics and timeline both
+   live, batched by a reporter, and check the exported spans account
+   for the measured pool busy time: both are computed from the same
+   clock reads, so coverage must be essentially exact (>= 95% leaves
+   room for float summation order only). *)
 let test_e2e_coverage () =
   let trace = Util.random_trace (Rng.create 0x71) ~n:16 ~m:200 ~horizon:80 in
   let m_was = Metrics.enabled () and t_was = Timeline.enabled () in
@@ -279,14 +279,15 @@ let test_e2e_coverage () =
   Metrics.set_enabled true;
   Timeline.set_enabled true;
   let outcome =
-    Omn_core.Delay_cdf.compute_resumable ~max_hops:4 ~domains:2 ~checkpoint_every:2 trace
+    Result.bind (Omn_core.Delay_cdf.plan ~max_hops:4 trace)
+      (Omn_core.Driver.run ~domains:2 ~checkpoint_every:2 ~report:(fun _ _ -> ()))
   in
   Metrics.set_enabled m_was;
   Timeline.set_enabled t_was;
   let v = Timeline.snapshot () in
   let snap = Metrics.snapshot () in
   (match outcome with
-  | Ok (_, p) -> Alcotest.(check bool) "run complete" false p.partial
+  | Ok o -> Alcotest.(check bool) "run complete" false o.progress.partial
   | Error e -> Alcotest.failf "driver failed: %s" (Omn_robust.Err.to_string e));
   let work_domains =
     List.sort_uniq compare
@@ -315,15 +316,23 @@ let test_e2e_coverage () =
   Alcotest.(check int) "nothing dropped" 0 (Timeline.total_dropped v)
 
 let test_bit_identity_timeline () =
-  let trace = Util.random_trace (Rng.create 0xB17) ~n:8 ~m:60 ~horizon:50 in
+  let trace = Util.random_trace ~scale:0.37 (Rng.create 0xB17) ~n:8 ~m:60 ~horizon:50 in
   let was = Timeline.enabled () in
   let compute () = Omn_core.Delay_cdf.compute ~max_hops:4 ~domains:2 trace in
   Timeline.set_enabled false;
   let off = compute () in
   Timeline.set_enabled true;
   let on_ = compute () in
+  (* the batched driver, which records batch events, merges the same way *)
+  let driven =
+    Result.map
+      (fun (o : Omn_core.Driver.outcome) -> o.curves)
+      (Result.bind (Omn_core.Delay_cdf.plan ~max_hops:4 trace)
+         (Omn_core.Driver.run ~domains:2 ~checkpoint_every:3 ~report:(fun _ _ -> ())))
+  in
   Timeline.set_enabled was;
-  Alcotest.(check bool) "delay-cdf curves identical with timeline on/off" true (off = on_)
+  Alcotest.(check bool) "delay-cdf curves identical with timeline on/off" true (off = on_);
+  Alcotest.(check bool) "traced batched driver gives the same curves" true (driven = Ok off)
 
 (* -- manifest ------------------------------------------------------------- *)
 

@@ -20,8 +20,11 @@ let trace_of_contacts ?(n_nodes = 0) ?(t_start = 0.) ?t_end contacts =
 
 (* A random small trace: n nodes, m contacts with integer-ish bounds in
    [0, horizon], durations geometric-ish. Integer grid keeps ties and
-   exact-equality corner cases frequent, which is what we want to test. *)
-let random_trace rng ~n ~m ~horizon =
+   exact-equality corner cases frequent, which is what we want to test.
+   [scale] multiplies every time: on integer times, float sums are exact
+   in any order, so a bit-identity check that must tell merge orders
+   apart needs a fractional scale (e.g. 0.37). *)
+let random_trace ?(scale = 1.) rng ~n ~m ~horizon =
   let contacts = ref [] in
   let made = ref 0 in
   while !made < m do
@@ -30,11 +33,11 @@ let random_trace rng ~n ~m ~horizon =
       let t_beg = float_of_int (Rng.int rng horizon) in
       let dur = float_of_int (Rng.int rng (max 1 (horizon / 4))) in
       let t_end = Float.min (float_of_int horizon) (t_beg +. dur) in
-      contacts := (min a b, max a b, t_beg, t_end) :: !contacts;
+      contacts := (min a b, max a b, scale *. t_beg, scale *. t_end) :: !contacts;
       incr made
     end
   done;
-  trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:(float_of_int horizon) !contacts
+  trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:(scale *. float_of_int horizon) !contacts
 
 let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
