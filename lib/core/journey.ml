@@ -4,11 +4,13 @@ type round_info = { hop : int; frontiers : Frontier.t array; changed : int }
 
 type strategy = Semi_naive | Full_recompute
 
-(* Sweep counters: extends that found a non-empty delta, and the
-   candidates they emitted. Tallied in locals and flushed once per
-   round, so they cost nothing per contact. *)
+(* Sweep counters: extends that found a non-empty delta, the
+   candidates they emitted, and the case (b) candidates rejected by the
+   pair rule in [extend] without a frontier search. Tallied in locals
+   and flushed once per round, so they cost nothing per contact. *)
 let m_extends = Omn_obs.Metrics.counter "journey.extends"
 let m_candidates = Omn_obs.Metrics.counter "journey.candidates"
+let m_pair_repeats = Omn_obs.Metrics.counter "journey.pair_repeats"
 
 (* Would [Frontier.insert_pt f ~ld ~ea] reject the point? Its own first
    test — the member with the least [ld' >= ld] has [ea' <= ea] — read
@@ -29,9 +31,9 @@ let[@inline] dominated f ~ld ~ea =
    underneath it and allocates nothing per relaxation in the steady
    state:
 
-   - the contact sweep reads the trace's time-indexed CSR mirror (four
-     flat arrays in start order) instead of an array of boxed
-     [Contact.t] records;
+   - the contact sweep reads the trace's time-indexed CSR mirror (flat
+     arrays in start order) instead of an array of boxed [Contact.t]
+     records;
    - a candidate is first checked against its destination frontier on
      unboxed floats ([dominated]); only the few that survive travel as
      bare [ld]/[ea] floats into [Frontier.insert_pt] — no intermediate
@@ -67,12 +69,13 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   !touched.(0) <- source;
   let csr = Trace.time_csr trace in
   let cbeg = csr.Trace.csr_beg and cend = csr.Trace.csr_end in
+  let cprev = csr.Trace.csr_prev in
   let m = Array.length csr.Trace.csr_a in
   let changed = ref 0 in
   (* [cursor.(u)]: last index of [delta.(u)] with [ea <= tb] for the
      contact being swept. See [extend]. *)
   let cursor = Array.make n (-1) in
-  let extends = ref 0 and candidates = ref 0 and rejected = ref 0 in
+  let extends = ref 0 and candidates = ref 0 and rejected = ref 0 and repeats = ref 0 in
   (* Without flambda, every float crossing a function boundary is boxed,
      so the sweep passes only the contact index (an immediate) and the
      candidate coordinates are re-read from / kept in unboxed float
@@ -139,10 +142,28 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
           incr candidates;
           if dominated dst ~ld:te ~ea then incr rejected else insert_cand to_node te ea
         end;
-        (* (b) the last point with ea <= tb, if its ld < te *)
+        (* (b) the last point with ea <= tb, if its ld < te. The pair
+           rule comes first. Let [p] be the pair's previous contact:
+           this round swept it earlier, in both directions, against
+           this same delta, and [tb_p <= tb]. If [ea_j <= te_p] and
+           [ld_j <= te_p], point [j] crosses [p] as
+           [(ld_j, max ea_j tb_p)]. The (a)/(b)/(c) candidates of [p]
+           dominate every crossing of [p], and each was inserted into
+           [dst] or found dominated there (by induction over the
+           sweep, also those this rule rejected). Frontiers only
+           improve and [max ea_j tb_p <= tb], so [dst] dominates
+           [(ld_j, tb)] now: [dominated] would say so too, after a
+           binary search. The proof needs [p] swept before [ci] in the
+           same round; a sweep that skips or reorders contacts must
+           drop the rule or prove it again. *)
         if j >= 0 && j < i then begin
           incr candidates;
-          if dominated dst ~ld:dld.(j) ~ea:tb then incr rejected
+          let p = cprev.(ci) in
+          if p >= 0 && dea.(j) <= cend.(p) && dld.(j) <= cend.(p) then begin
+            incr rejected;
+            incr repeats
+          end
+          else if dominated dst ~ld:dld.(j) ~ea:tb then incr rejected
           else insert_cand to_node dld.(j) tb
         end;
         (* (c) every point with tb < ea <= te and ld < te, verbatim *)
@@ -166,10 +187,12 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
     done;
     Omn_obs.Metrics.add m_extends !extends;
     Omn_obs.Metrics.add m_candidates !candidates;
+    Omn_obs.Metrics.add m_pair_repeats !repeats;
     Frontier.count_rejected !rejected;
     extends := 0;
     candidates := 0;
     rejected := 0;
+    repeats := 0;
     (match strategy with
     | Semi_naive ->
       (* Clear the consumed deltas, then swap: this round's pruned

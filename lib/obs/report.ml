@@ -249,9 +249,9 @@ let resilience_section t counters =
     [
       ("retries", Json.Int (max t.retries (c "supervise.retries")));
       ("quarantined", Json.Int (max t.quarantines (c "supervise.quarantined")));
-      ("io_retries", Json.Int (max t.io_retries (c "io.retries")));
-      ("degraded_sources", Json.Int (c "delay_cdf.sources_degraded"));
-      ("checkpoint_fallbacks", Json.Int (max t.fallbacks (c "delay_cdf.checkpoint_fallback")));
+      ("io_retries", Json.Int (max t.io_retries (c "resilience.io_retries")));
+      ("degraded_sources", Json.Int (c "delay_cdf.sources_quarantined"));
+      ("checkpoint_fallbacks", Json.Int (max t.fallbacks (c "delay_cdf.ckpt_fallbacks")));
     ]
 
 (* ---- fleet section ---------------------------------------------------- *)

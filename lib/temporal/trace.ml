@@ -8,6 +8,7 @@ type time_csr = {
   csr_b : int array;
   csr_beg : float array;
   csr_end : float array;
+  csr_prev : int array;
 }
 
 type t = {
@@ -16,18 +17,17 @@ type t = {
   t_start : float;
   t_end : float;
   contacts : Contact.t array;
-  adj_off : int array;        (* length n_nodes + 1; row u = [off.(u), off.(u+1)) *)
-  adj_pack : Contact.t array; (* length 2 * n_contacts; rows sorted by start *)
-  csr : time_csr;             (* the same contacts, unboxed SoA in time order *)
+  adj_off : int array; (* length n_nodes + 1; row u = [off.(u), off.(u+1)) *)
+  adj_idx : int array; (* length 2 * n_contacts; indices into [contacts], ascending per row *)
+  csr : time_csr;      (* the same contacts, unboxed SoA in time order *)
 }
 
 module Err = Omn_robust.Err
 
 (* CSR construction by counting sort. [contacts] is already sorted by
-   start time and every node id validated, so appending in array order
-   leaves each row sorted too. *)
+   start time and every node id validated, so appending indices in
+   array order leaves each row ascending, hence in start order too. *)
 let build_index ~n_nodes contacts =
-  let m = Array.length contacts in
   let off = Array.make (n_nodes + 1) 0 in
   Array.iter
     (fun (c : Contact.t) ->
@@ -37,27 +37,47 @@ let build_index ~n_nodes contacts =
   for u = 1 to n_nodes do
     off.(u) <- off.(u) + off.(u - 1)
   done;
-  if m = 0 then (off, [||])
-  else begin
-    let pack = Array.make (2 * m) contacts.(0) in
-    let cursor = Array.sub off 0 n_nodes in
-    Array.iter
-      (fun (c : Contact.t) ->
-        pack.(cursor.(c.a)) <- c;
-        cursor.(c.a) <- cursor.(c.a) + 1;
-        pack.(cursor.(c.b)) <- c;
-        cursor.(c.b) <- cursor.(c.b) + 1)
-      contacts;
-    (off, pack)
-  end
+  let idx = Array.make (2 * Array.length contacts) 0 in
+  let cursor = Array.sub off 0 n_nodes in
+  Array.iteri
+    (fun i (c : Contact.t) ->
+      idx.(cursor.(c.a)) <- i;
+      cursor.(c.a) <- cursor.(c.a) + 1;
+      idx.(cursor.(c.b)) <- i;
+      cursor.(c.b) <- cursor.(c.b) + 1)
+    contacts;
+  (off, idx)
 
-(* Time-indexed CSR: the contact multiset flattened into four parallel
+(* [prev.(i)]: the latest contact before [i] between the same two
+   nodes, or -1. Every contact of a pair sits in the row of its lower
+   node, in ascending index order, so one walk per row links them
+   through [last.(v)], the slot of the row's latest contact with [v]
+   so far. Slots only grow from row to row, so one below the row's
+   offset is stale, and the table needs no reset: O(n_nodes) scratch.
+   A self-contact would meet itself in its own row; [create] rejects
+   those. *)
+let build_prev ~n_nodes ~off ~idx csr_a csr_b =
+  let prev = Array.make (Array.length csr_a) (-1) in
+  let last = Array.make n_nodes (-1) in
+  for u = 0 to n_nodes - 1 do
+    for k = off.(u) to off.(u + 1) - 1 do
+      let i = idx.(k) in
+      let v = csr_a.(i) + csr_b.(i) - u in
+      if v > u then begin
+        if last.(v) >= off.(u) then prev.(i) <- idx.(last.(v));
+        last.(v) <- k
+      end
+    done
+  done;
+  prev
+
+(* Time-indexed CSR: the contact multiset flattened into parallel
    unboxed arrays in start-time order. A mixed int/float record like
    [Contact.t] stores its float fields boxed, so sweeping [contacts]
    dereferences two heap boxes per contact; the SoA mirror turns the
-   per-round relaxation sweep of [Omn_core.Journey] into four
-   sequential array reads. *)
-let build_time_csr (contacts : Contact.t array) =
+   per-round relaxation sweep of [Omn_core.Journey] into sequential
+   array reads. *)
+let build_time_csr ~n_nodes ~off ~idx (contacts : Contact.t array) =
   let m = Array.length contacts in
   let csr_a = Array.make m 0 and csr_b = Array.make m 0 in
   let csr_beg = Array.make m 0. and csr_end = Array.make m 0. in
@@ -68,7 +88,8 @@ let build_time_csr (contacts : Contact.t array) =
       csr_beg.(i) <- c.t_beg;
       csr_end.(i) <- c.t_end)
     contacts;
-  { csr_a; csr_b; csr_beg; csr_end }
+  let csr_prev = build_prev ~n_nodes ~off ~idx csr_a csr_b in
+  { csr_a; csr_b; csr_beg; csr_end; csr_prev }
 
 let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
   let exception Bad of Err.t in
@@ -89,6 +110,12 @@ let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
                (Err.errf Err.Range "Trace.create: node id %d out of range (n_nodes = %d)"
                   (if c.a < 0 || c.a >= n_nodes then c.a else c.b)
                   n_nodes));
+        (* [Contact.make] refuses [a = b] too. A forged self-contact
+           would sit twice in its node's row and link to itself in
+           [build_prev], where [Omn_core.Journey] would read it as an
+           earlier contact of the same pair. *)
+        if c.a = c.b then
+          raise (Bad (Err.errf Err.Range "Trace.create: self-contact on node %d" c.a));
         (* Negated so that NaN fails too. [Omn_core.Journey]'s sweep
            relies on [t_beg <= t_end] and on the start-order sort, and a
            NaN bound slips past the window test below. *)
@@ -105,9 +132,9 @@ let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
                   t_start t_end)))
       contacts;
     Array.sort Contact.compare_by_start contacts;
-    let adj_off, adj_pack = build_index ~n_nodes contacts in
-    let csr = build_time_csr contacts in
-    Ok { label = name; n_nodes; t_start; t_end; contacts; adj_off; adj_pack; csr }
+    let adj_off, adj_idx = build_index ~n_nodes contacts in
+    let csr = build_time_csr ~n_nodes ~off:adj_off ~idx:adj_idx contacts in
+    Ok { label = name; n_nodes; t_start; t_end; contacts; adj_off; adj_idx; csr }
   with Bad e -> Error e
 
 let create_result ?name ~n_nodes ~t_start ~t_end contact_list =
@@ -139,19 +166,20 @@ let degree t u =
 
 let node_contacts t u =
   check_node t u "node_contacts";
-  Array.sub t.adj_pack t.adj_off.(u) (t.adj_off.(u + 1) - t.adj_off.(u))
+  let off = t.adj_off.(u) in
+  Array.init (t.adj_off.(u + 1) - off) (fun k -> t.contacts.(t.adj_idx.(off + k)))
 
 let iter_node_contacts f t u =
   check_node t u "iter_node_contacts";
-  for i = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
-    f t.adj_pack.(i)
+  for k = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
+    f t.contacts.(t.adj_idx.(k))
   done
 
 let fold_node_contacts f init t u =
   check_node t u "fold_node_contacts";
   let acc = ref init in
-  for i = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
-    acc := f !acc t.adj_pack.(i)
+  for k = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
+    acc := f !acc t.contacts.(t.adj_idx.(k))
   done;
   !acc
 

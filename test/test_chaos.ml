@@ -467,6 +467,59 @@ let metrics_flow () =
   RI.set_inject None;
   Alcotest.(check bool) "io retries counted" true (total "resilience.io_retries" >= 1)
 
+(* [omn report] reads the resilience counters by the names the library
+   registers: a report built from the metrics snapshot alone of a run
+   that quarantined a source, retried a read and fell back to [.prev]
+   must show all three. *)
+let report_reads_resilience_counters () =
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      S.set_task_fault None;
+      RI.set_inject None;
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  Metrics.reset ();
+  S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 7 then failwith "poison"));
+  with_ckpt @@ fun path ->
+  let step ?budget_seconds ~resume () =
+    get_ok
+      (Driver.run ~checkpoint_every:3 ~checkpoint:path ~resume ?budget_seconds ~supervise:fast
+         chaos_plan)
+  in
+  ignore (step ~budget_seconds:0. ~resume:false ());
+  ignore (step ~budget_seconds:0. ~resume:true ());
+  flip_file path;
+  let fails = Atomic.make 1 in
+  RI.set_inject
+    (Some
+       (fun ~op ~path:_ ->
+         if op = "read" && Atomic.fetch_and_add fails (-1) > 0 then raise (RI.Injected "io")));
+  let o = step ~resume:true () in
+  RI.set_inject None;
+  let p = o.Driver.progress in
+  Alcotest.(check bool) "run fell back to .prev" true p.Delay_cdf.ckpt_fallback;
+  Alcotest.(check (list int)) "source 7 quarantined" [ 7 ]
+    (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+  let snap = Metrics.snapshot () in
+  let report = Omn_obs.Report.build ~metrics:(Metrics.snapshot_to_json snap) () in
+  List.iter
+    (fun (field, counter) ->
+      let registered = Option.value ~default:0 (Metrics.counter_total snap counter) in
+      let reported =
+        Option.bind (Omn_obs.Json.member "resilience" report) (Omn_obs.Json.member field)
+        |> Fun.flip Option.bind Omn_obs.Json.to_int
+      in
+      Alcotest.(check bool) (counter ^ " counted") true (registered > 0);
+      Alcotest.(check (option int)) ("resilience." ^ field ^ " reads " ^ counter)
+        (Some registered) reported)
+    [
+      ("degraded_sources", "delay_cdf.sources_quarantined");
+      ("checkpoint_fallbacks", "delay_cdf.ckpt_fallbacks");
+      ("io_retries", "resilience.io_retries");
+    ]
+
 (* Random fault schedules (property): a run that is repeatedly killed
    (budget-expired), resumed, and occasionally hit by checkpoint
    corruption never loses acknowledged progress beyond one generation,
@@ -552,5 +605,7 @@ let suite =
     Alcotest.test_case "corrupt checkpoint falls back to .prev" `Quick ckpt_fallback_recovers;
     Alcotest.test_case "diameter threads resilience through" `Quick diameter_threads_resilience;
     Alcotest.test_case "retry/fault/fallback counts reach metrics" `Quick metrics_flow;
+    Alcotest.test_case "report reads the registered resilience counters" `Quick
+      report_reads_resilience_counters;
     QCheck_alcotest.to_alcotest prop_random_fault_schedules;
   ]

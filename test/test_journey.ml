@@ -431,6 +431,31 @@ let oracle_reaches_case_a () =
   done;
   Alcotest.(check bool) "case (a) emitted" true (!reference_case_a > 0)
 
+(* Likewise for the pair rule of [Journey.extend]: every family must
+   repeat pairs closely enough that the rule rejects case (b)
+   candidates, or the property above would not test it. *)
+let oracle_reaches_pair_rule () =
+  let repeats () =
+    Option.value ~default:0 (Metrics.counter_total (Metrics.snapshot ()) "journey.pair_repeats")
+  in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  List.iter
+    (fun (name, build) ->
+      let before = repeats () in
+      for seed = 0 to 19 do
+        let trace = build (Rng.create seed) in
+        for source = 0 to Trace.n_nodes trace - 1 do
+          ignore (Journey.run trace ~source)
+        done
+      done;
+      let got = repeats () - before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: journey.pair_repeats %d > 0" name got)
+        true (got > 0))
+    oracle_families
+
 let suite =
   [
     Alcotest.test_case "semi-naive = full recompute (30 random traces)" `Slow strategies_agree;
@@ -447,5 +472,6 @@ let suite =
     Alcotest.test_case "identity on source" `Quick identity_on_source;
     Alcotest.test_case "empty trace" `Quick empty_trace;
     Alcotest.test_case "oracle families reach case (a)" `Quick oracle_reaches_case_a;
+    Alcotest.test_case "oracle families reach the pair rule" `Quick oracle_reaches_pair_rule;
     QCheck_alcotest.to_alcotest prop_cursor_sweep_matches_reference;
   ]

@@ -72,4 +72,5 @@ let () =
       ("differential", Test_differential.suite);
       ("stream", Test_stream.suite);
       ("sampling", Test_sampling.suite);
+      ("reproduction", Test_reproduction.suite);
     ]

@@ -549,30 +549,42 @@ let test_bit_identity () =
   Alcotest.(check bool) "delay-cdf curves identical with metrics on/off" true (off = on_)
 
 (* The journey sweep's layer counters count work, not scheduling: the
-   same totals at 1 and 2 domains, and every point a frontier kept was
-   first emitted as a candidate. *)
+   same totals at 1 and 2 domains, every point a frontier kept was
+   first emitted as a candidate, and every candidate the pair rule
+   rejected is also a pruned point. *)
 let test_journey_counters () =
   let trace = Util.random_trace (Rng.create 0x5EE) ~n:10 ~m:150 ~horizon:60 in
+  let names =
+    [
+      "journey.extends"; "journey.candidates"; "journey.pair_repeats"; "frontier.points_kept";
+      "frontier.points_pruned";
+    ]
+  in
   let totals () =
     let snap = Metrics.snapshot () in
-    let get name = Option.value ~default:0 (Metrics.counter_total snap name) in
-    (get "journey.extends", get "journey.candidates", get "frontier.points_kept")
+    List.map (fun name -> Option.value ~default:0 (Metrics.counter_total snap name)) names
   in
   let counted domains =
-    let e0, c0, k0 = totals () in
+    let before = totals () in
     ignore (Omn_core.Delay_cdf.compute ~max_hops:4 ~domains trace);
-    let e1, c1, k1 = totals () in
-    (e1 - e0, c1 - c0, k1 - k0)
+    List.combine names (List.map2 ( - ) (totals ()) before)
   in
   let was = Metrics.enabled () in
   Metrics.set_enabled true;
-  let (extends, candidates, kept), (extends2, candidates2, _) =
+  let one, two =
     Fun.protect ~finally:(fun () -> Metrics.set_enabled was) (fun () -> (counted 1, counted 2))
   in
-  Alcotest.(check int) "journey.extends at 1 and 2 domains" extends extends2;
-  Alcotest.(check int) "journey.candidates at 1 and 2 domains" candidates candidates2;
-  Alcotest.(check bool) "extends counted" true (extends > 0);
-  Alcotest.(check bool) "candidates >= points_kept" true (candidates >= kept)
+  let get name = List.assoc name one in
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " at 1 and 2 domains") (get name) (List.assoc name two))
+    names;
+  Alcotest.(check bool) "extends counted" true (get "journey.extends" > 0);
+  Alcotest.(check bool) "candidates >= points_kept" true
+    (get "journey.candidates" >= get "frontier.points_kept");
+  Alcotest.(check bool) "pair repeats counted" true (get "journey.pair_repeats" > 0);
+  Alcotest.(check bool) "pair_repeats <= points_pruned" true
+    (get "journey.pair_repeats" <= get "frontier.points_pruned")
 
 let suite =
   [

@@ -56,15 +56,23 @@ let trace_rejects () =
    [Contact.t] record. *)
 let trace_rejects_forged_contact () =
   let forged a b : Contact.t = Obj.magic (a, b, 0.5, 1.0) in
-  let expect_range label c =
+  let expect_range ?(names = "") label c =
     match Trace.create_result ~n_nodes:4 ~t_start:0. ~t_end:2. [ c ] with
     | Error (e : Omn_robust.Err.t) ->
-      Alcotest.(check bool) (label ^ ": typed Range error") true (e.code = Omn_robust.Err.Range)
+      Alcotest.(check bool) (label ^ ": typed Range error") true (e.code = Omn_robust.Err.Range);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" label e.msg names)
+        true
+        (Util.contains_substring e.msg names)
     | Ok _ -> Alcotest.failf "%s: forged contact accepted" label
   in
   expect_range "negative a" (forged (-3) 2);
   expect_range "a out of range" (forged 7 9);
   expect_range "b out of range" (forged 1 9);
+  (* A forged self-contact would sit twice in its node's row and be
+     linked to itself in [csr_prev], which the journey sweep reads as
+     an earlier contact of the same pair. *)
+  expect_range ~names:"node 2" "self-contact" (forged 2 2);
   (* Forged bounds: a reversed or NaN interval used to pass the window
      test (NaN compares false) and break the start order the journey
      sweep relies on. *)
@@ -121,6 +129,41 @@ let trace_pair_contacts =
         done
       done;
       !ok)
+
+(* Few nodes and three start times, so that pairs repeat and share
+   start times: the cases where [csr_prev] could link the wrong way. *)
+let repeat_trace_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 3 in
+    let* m = int_range 0 30 in
+    let* seed = int in
+    let rng = Rng.create seed in
+    return
+      (Util.trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:20.
+         (List.init m (fun _ ->
+              let a = Rng.int rng n in
+              let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+              let tb = 5 * Rng.int rng 3 in
+              (min a b, max a b, float_of_int tb, float_of_int (tb + Rng.int rng 6))))))
+
+let trace_csr_prev =
+  QCheck2.Test.make ~count:300 ~name:"csr_prev = latest earlier contact of the pair"
+    repeat_trace_gen (fun trace ->
+      let prev = (Trace.time_csr trace).Trace.csr_prev in
+      let m = Trace.n_contacts trace in
+      let same i p =
+        let ci = Trace.contact trace i and cp = Trace.contact trace p in
+        ci.a = cp.a && ci.b = cp.b
+      in
+      if Array.length prev <> m then
+        QCheck2.Test.fail_reportf "csr_prev has %d entries for %d contacts" (Array.length prev) m;
+      for i = 0 to m - 1 do
+        let rec latest p = if p < 0 || same i p then p else latest (p - 1) in
+        let want = latest (i - 1) in
+        if prev.(i) <> want then
+          QCheck2.Test.fail_reportf "contact %d: csr_prev %d, want %d" i prev.(i) want
+      done;
+      true)
 
 let trace_contact_rate () =
   let trace =
@@ -350,4 +393,10 @@ let suite =
     Alcotest.test_case "activity profile" `Quick stats_activity_profile;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ trace_adjacency_complete; trace_pair_contacts; trace_io_roundtrip; trace_io_clean_repair ]
+      [
+        trace_adjacency_complete;
+        trace_pair_contacts;
+        trace_csr_prev;
+        trace_io_roundtrip;
+        trace_io_clean_repair;
+      ]
