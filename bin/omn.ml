@@ -88,20 +88,15 @@ let lenient_arg =
   in
   Arg.(value & flag & info [ "lenient" ] ~doc)
 
-let load_trace ~policy ~lenient path =
+(* [stream] reads through the streaming reader: constant-memory
+   ingestion, and the only reader that understands `# omn-shards 1'
+   indexes. *)
+let load_trace ?(stream = false) ~policy ~lenient path =
   let policy = if lenient && policy = Repair.Strict then Repair.Repair else policy in
-  match Omn_temporal.Trace_io.load_result ~policy path with
-  | Error e -> raise (Err.Error e)
-  | Ok (trace, report) ->
-    if policy <> Repair.Strict then Format.eprintf "%a@." Repair.pp report;
-    trace
-
-(* Same policy/report contract as [load_trace], but through the
-   streaming parser — constant-memory ingestion, and the only reader
-   that understands `# omn-shards 1' indexes. *)
-let load_trace_stream ~policy ~lenient path =
-  let policy = if lenient && policy = Repair.Strict then Repair.Repair else policy in
-  match Omn_temporal.Trace_stream.load_result ~policy path with
+  let load =
+    if stream then Omn_temporal.Trace_stream.load_result else Omn_temporal.Trace_io.load_result
+  in
+  match load ~policy path with
   | Error e -> raise (Err.Error e)
   | Ok (trace, report) ->
     if policy <> Repair.Strict then Format.eprintf "%a@." Repair.pp report;
@@ -800,10 +795,7 @@ let diameter_cmd =
       if h > !peak then peak := h
     in
     let alarm = if heap_cap > 0 then Some (Gc.create_alarm note_peak) else None in
-    let trace =
-      if stream then load_trace_stream ~policy:ingest ~lenient path
-      else load_trace ~policy:ingest ~lenient path
-    in
+    let trace = load_trace ~stream ~policy:ingest ~lenient path in
     Option.iter
       (fun a ->
         Gc.delete_alarm a;

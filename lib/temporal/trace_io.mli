@@ -13,10 +13,13 @@
     {!save}; {!load} accepts files without them by inferring the node
     count and window from the records.
 
-    Reading comes in two flavours. The {!parse} / {!load_result} API is
-    policy-driven and returns typed errors plus a repair report; the
-    legacy raising API ({!load}, {!of_string}, {!input}) is strict and
-    raises [Failure] with a line-numbered message. *)
+    This is the in-memory reader: it reads the whole text, so records
+    may come in any order and [nodes] / [window] headers are last-wins.
+    It runs {!Trace_stream}'s parser ({!Trace_stream.parse_whole});
+    [Trace_stream.load_result] streams the same format in bounded
+    memory. {!parse} / {!load_result} are policy-driven and return
+    typed errors plus a repair report; {!load} and {!of_string} are
+    strict and raise [Failure] with a line-numbered message. *)
 
 val save : Trace.t -> string -> unit
 (** Write to a file path {e crash-safely}: the content goes to a temp
@@ -53,7 +56,8 @@ val load_result :
     instead of raising. *)
 
 val output : out_channel -> Trace.t -> unit
-val input : in_channel -> Trace.t
 
 val to_string : Trace.t -> string
+(** The exact bytes {!save} and {!output} write. *)
+
 val of_string : string -> Trace.t

@@ -1,46 +1,47 @@
 module Err = Omn_robust.Err
 module Repair = Omn_robust.Repair
 
-(* Same cells as [Trace_io]'s — [Metrics.counter] returns the existing
-   registration for a known name, so streaming and in-memory ingestion
-   tally into one place. *)
+(* Cumulative ingestion tallies over every successful parse, in-memory
+   ([Trace_io]) and streaming alike. *)
 let m_lines = Omn_obs.Metrics.counter "ingest.lines_read"
 let m_kept = Omn_obs.Metrics.counter "ingest.contacts_kept"
 let m_repaired = Omn_obs.Metrics.counter "ingest.lines_repaired"
 let m_dropped = Omn_obs.Metrics.counter "ingest.lines_dropped"
 
 let shard_magic = "# omn-shards 1"
-let default_chunk = 64 * 1024
+let chunk = 64 * 1024
 
-type summary = {
-  s_name : string;
-  s_n_nodes : int;
-  s_window : float * float;
-  s_report : Repair.report;
-}
+(* A record that passed the line checks, held by the in-memory reader
+   until EOF. *)
+type held = { ln : int; a : int; b : int; t_beg : float; t_end : float }
 
-(* The parser state is [Trace_io.parse_lines] unrolled into a single
-   pass. [Trace_io] runs four whole-input passes (line parse, window,
-   range, duplicates); a streaming reader has to decide per record, so
-   every whole-input decision is carried as deferred state and resolved
-   at EOF:
+(* One parser for both readers. Lines are checked as they arrive (fields,
+   contact sanity, headers); a record that passes goes through the
+   record stage ([record]: window, range, duplicates). The policies are
+   defined over the whole file, so every whole-file decision is carried
+   as deferred state and resolved at EOF:
    - strict window/range violations are *deferred*, not raised, because
-     in [Trace_io] a parse error anywhere in the file outranks them
-     (its line pass completes before the window pass starts);
+     a line error anywhere in the file outranks them;
    - [Repair]'s [Widened_node_count] needs the final max node id, so
      only the first violator's line is remembered;
-   - events are kept in four per-pass lists and concatenated in pass
-     order before the final stable sort by line, reproducing
-     [Trace_io]'s event order exactly (same-line events tie-break by
-     pass).
-   The one semantic addition: emitted records must be non-decreasing in
-   [t_beg] (that is what makes single-pass window/duplicate handling
-   sound), so an out-of-order record is a typed [Contact] error under
-   every policy. [Trace_io.save] always writes time-ordered files, so
-   the two readers agree byte-for-byte on every saved trace. *)
+   - events are kept in four per-stage lists (line, window, range,
+     duplicates) and concatenated in that order before the final stable
+     sort by line, so same-line events tie-break by stage.
+   The entry point fixes when records reach the record stage:
+   - streaming ([ordered]): at once, so the records are never held.
+     Records must be non-decreasing in [t_beg] (a typed [Contact] error
+     otherwise, under every policy), which keeps duplicates contiguous
+     in equal-[t_beg] runs, so the duplicate table is per run; and a
+     [nodes] / [window] header after a record cannot be honoured;
+   - in-memory ([parse_whole]): held until EOF, then drained in file
+     order with one duplicate table for the whole file, so headers are
+     last-wins and records may come in any order ([Trace.create]
+     sorts). Draining in start order instead would change which of two
+     clamped duplicates is kept and which violator is reported first. *)
 type state = {
   policy : Repair.policy;
   strict : bool;
+  ordered : bool;  (* streaming; the in-memory reader holds records *)
   mutable file : string option;  (* current file, for error locations *)
   mutable carry : string;  (* partial last line of the previous chunk *)
   mutable lineno : int;
@@ -48,8 +49,9 @@ type state = {
   mutable h_name : string option;
   mutable h_nodes : (int * int) option;  (* value, line *)
   mutable h_window : (float * float * int) option;  (* lo, hi, line *)
-  mutable saw_record : bool;
-  (* per-pass event lists, newest first *)
+  mutable saw_record : bool;  (* a record reached the record stage *)
+  mutable held : held list;  (* in-memory reader, newest first *)
+  (* per-stage event lists, newest first *)
   mutable ev_parse : Repair.event list;
   mutable ev_window : Repair.event list;
   mutable ev_range : Repair.event list;
@@ -57,20 +59,21 @@ type state = {
   mutable strict_window : Err.t option;  (* first out-of-window record *)
   mutable strict_range : Err.t option;  (* first out-of-range record *)
   mutable widen_line : int;  (* first Repair range violator; -1 = none *)
-  mutable max_node : int;  (* over records surviving the window pass *)
-  mutable last_beg : float;  (* order check over emitted records *)
+  mutable max_node : int;  (* over records surviving the window check *)
+  mutable last_beg : float;  (* streaming order check *)
   dedup : (int * int * float * float, unit) Hashtbl.t;
-  mutable dedup_beg : float;  (* t_beg of the current duplicate run *)
+  mutable dedup_beg : float;  (* streaming: t_beg of the current duplicate run *)
   mutable kept : int;
   mutable min_beg : float;  (* window inference, over emitted records *)
   mutable max_end : float;
   emit : Contact.t -> unit;
 }
 
-let create ~policy ~emit =
+let create ~policy ~ordered ~emit =
   {
     policy;
     strict = policy = Repair.Strict;
+    ordered;
     file = None;
     carry = "";
     lineno = 0;
@@ -79,6 +82,7 @@ let create ~policy ~emit =
     h_nodes = None;
     h_window = None;
     saw_record = false;
+    held = [];
     ev_parse = [];
     ev_window = [];
     ev_range = [];
@@ -99,9 +103,8 @@ let create ~policy ~emit =
 let err st ?line code fmt =
   Format.kasprintf (fun msg -> raise (Err.Error (Err.v ?file:st.file ?line code msg))) fmt
 
-(* A [nodes] or [window] header after the first record: [Trace_io] is
-   last-wins because it collects headers before touching any record; a
-   streaming reader has already applied the old value, so a *different*
+(* A [nodes] or [window] header after a record reached the record stage
+   (streaming only): the old value is already applied, so a *different*
    late value cannot be honoured. An equal restatement (what
    concatenated [Shard_sink] shards produce) passes silently. *)
 let late_header st lineno line =
@@ -212,15 +215,17 @@ let record st ln a b t_beg t_end =
       end
   in
   if keep then begin
-    if t_beg < st.last_beg then begin
-      (* A pending strict window violation outranks the order error:
-         [Trace_io] would have reported it for this input. *)
-      (match st.strict_window with Some e -> raise (Err.Error e) | None -> ());
-      err st ~line:ln Err.Contact
-        "out-of-order contact: t_beg %g after %g (streaming requires time-ordered input)" t_beg
-        st.last_beg
+    if st.ordered then begin
+      if t_beg < st.last_beg then begin
+        (* A pending strict window violation outranks the order error:
+           the in-memory reader reports it for this input. *)
+        (match st.strict_window with Some e -> raise (Err.Error e) | None -> ());
+        err st ~line:ln Err.Contact
+          "out-of-order contact: t_beg %g after %g (streaming requires time-ordered input)"
+          t_beg st.last_beg
+      end;
+      st.last_beg <- t_beg
     end;
-    st.last_beg <- t_beg;
     if a > st.max_node then st.max_node <- a;
     if b > st.max_node then st.max_node <- b;
     let keep =
@@ -249,14 +254,14 @@ let record st ln a b t_beg t_end =
       | _ -> true
     in
     if keep then begin
-      (* Duplicate runs: [Trace_io] dedups with a whole-file table keyed
-         on the post-clamp record; its key includes [t_beg], and emitted
-         [t_beg] is non-decreasing, so duplicates are always contiguous
-         in equal-[t_beg] runs and a per-run table is equivalent. *)
+      (* The duplicate key is the post-clamp record. It includes
+         [t_beg], and streamed [t_beg] is non-decreasing, so streamed
+         duplicates are contiguous in equal-[t_beg] runs and a per-run
+         table equals the whole-file one. *)
       let dup =
         st.policy = Repair.Repair
         && begin
-             if t_beg <> st.dedup_beg then begin
+             if st.ordered && t_beg <> st.dedup_beg then begin
                Hashtbl.reset st.dedup;
                st.dedup_beg <- t_beg
              end;
@@ -285,6 +290,10 @@ let record st ln a b t_beg t_end =
       end
     end
   end
+
+let accept st ln a b t_beg t_end =
+  if st.ordered then record st ln a b t_beg t_end
+  else st.held <- { ln; a; b; t_beg; t_end } :: st.held
 
 let handle_record_line st lineno line =
   match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
@@ -323,13 +332,13 @@ let handle_record_line st lineno line =
           st.ev_parse <-
             { Repair.line = lineno; action = Repair.Swapped_interval; detail = line }
             :: st.ev_parse;
-          record st lineno a b t_end t_beg
+          accept st lineno a b t_end t_beg
         | Repair.Skip ->
           st.ev_parse <-
             { Repair.line = lineno; action = Repair.Dropped_malformed; detail = line }
             :: st.ev_parse
       end
-      else record st lineno a b t_beg t_end
+      else accept st lineno a b t_beg t_end
     | _ ->
       if st.strict then err st ~line:lineno Err.Parse "bad field"
       else
@@ -369,15 +378,17 @@ let feed st chunk =
    with Not_found -> ());
   st.carry <- String.sub data !start (n - !start)
 
-(* End of one input file: the carry is its last line. [Trace_io] splits
-   on '\n' so a file always yields a final (possibly empty) segment;
-   processing the carry unconditionally matches. *)
+(* End of one input file: the carry is its last line, possibly empty
+   (a file split on '\n' always yields a final segment). *)
 let eof_file st =
   let last = st.carry in
   st.carry <- "";
   process_line st last
 
 let finalize st =
+  let held = st.held in
+  st.held <- [];
+  List.iter (fun r -> record st r.ln r.a r.b r.t_beg r.t_end) (List.rev held);
   (match st.strict_window with Some e -> raise (Err.Error e) | None -> ());
   let n_nodes =
     match st.h_nodes with
@@ -430,7 +441,7 @@ let finalize st =
 
 let pump st buf ic =
   let rec loop () =
-    let n = input ic buf 0 (Bytes.length buf) in
+    let n = input ic buf 0 chunk in
     if n > 0 then begin
       feed st (Bytes.sub_string buf 0 n);
       loop ()
@@ -447,25 +458,19 @@ let shard_list ~index_path text =
        else Some (if Filename.is_relative l then Filename.concat dir l else l))
 
 (* Raises [Err.Error]; [Sys_error] is mapped by the public wrappers. *)
-let run ~policy ~chunk ~emit path =
-  let st = create ~policy ~emit in
+let run ~policy ~emit path =
+  let st = create ~policy ~ordered:true ~emit in
   st.file <- Some path;
-  let buf = Bytes.create (max 1 chunk) in
+  let buf = Bytes.create chunk in
   let mode =
     In_channel.with_open_bin path (fun ic ->
-      let n = input ic buf 0 (Bytes.length buf) in
-      let first = Bytes.sub_string buf 0 n in
-      let is_index =
-        match String.index_opt first '\n' with
-        | Some i -> String.trim (String.sub first 0 i) = shard_magic
-        | None -> n < Bytes.length buf && String.trim first = shard_magic
-      in
-      if is_index then `Index (first ^ In_channel.input_all ic)
-      else begin
-        feed st first;
+      (* the whole first line, however short the reads come back *)
+      match In_channel.input_line ic with
+      | Some first when String.trim first = shard_magic -> `Index (In_channel.input_all ic)
+      | first ->
+        Option.iter (fun l -> feed st (l ^ "\n")) first;
         pump st buf ic;
-        `Plain
-      end)
+        `Plain)
   in
   (match mode with
   | `Plain -> eof_file st
@@ -501,25 +506,16 @@ let build_trace ?file (name, n_nodes, (t_start, t_end), report) contacts =
   | Ok t -> Ok (t, report)
   | Error e -> Error (match file with Some f -> Err.in_file f e | None -> e)
 
-let load_result ?(policy = Repair.Strict) ?(chunk = default_chunk) path =
+let load_result ?(policy = Repair.Strict) path =
   let emit, contents = collector () in
-  match run ~policy ~chunk ~emit path with
+  match run ~policy ~emit path with
   | exception Err.Error e -> Error e
   | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg)
   | meta -> build_trace ~file:path meta (contents ())
 
-let fold_result ?(policy = Repair.Strict) ?(chunk = default_chunk) ~init ~f path =
-  let acc = ref init in
-  let emit c = acc := f !acc c in
-  match run ~policy ~chunk ~emit path with
-  | exception Err.Error e -> Error e
-  | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg)
-  | name, n_nodes, window, report ->
-    Ok (!acc, { s_name = name; s_n_nodes = n_nodes; s_window = window; s_report = report })
-
-let parse_chunks ?(policy = Repair.Strict) ?file chunks =
+let parse_text ~ordered ?(policy = Repair.Strict) ?file chunks =
   let emit, contents = collector () in
-  let st = create ~policy ~emit in
+  let st = create ~policy ~ordered ~emit in
   st.file <- file;
   match
     List.iter (feed st) chunks;
@@ -529,4 +525,6 @@ let parse_chunks ?(policy = Repair.Strict) ?file chunks =
   | exception Err.Error e -> Error e
   | meta -> build_trace ?file meta (contents ())
 
+let parse_chunks ?policy ?file chunks = parse_text ~ordered:true ?policy ?file chunks
 let parse ?policy ?file text = parse_chunks ?policy ?file [ text ]
+let parse_whole ?policy ?file text = parse_text ~ordered:false ?policy ?file [ text ]

@@ -1,62 +1,45 @@
-(** Streaming trace ingestion: [Trace_io]'s parser as a single pass.
+(** Trace ingestion: the one parser behind both trace readers.
 
-    [Trace_io.load_result] materialises the whole file as a string,
-    then a line list, then a record list before any contact exists —
-    several times the file size in transient heap. This reader feeds
-    fixed-size chunks through an incremental parser that applies the
-    same strict/repair/skip policies record by record, so peak memory
-    is the contact storage itself (or O(1) with {!fold_result}).
+    Lines are checked as they arrive, and the strict/repair/skip
+    policies (see {!Trace_io.parse}) are applied record by record, with
+    every whole-file decision (first violator, widened node count,
+    event order) deferred to EOF. Two entry points share that state
+    machine and differ only in when a record reaches the window / range
+    / duplicate stage:
+    - the streaming reader ({!load_result}, {!parse_chunks}, {!parse})
+      feeds fixed-size chunks and passes each record on at once, so
+      peak memory is the contact storage itself;
+    - the in-memory reader ({!parse_whole}, i.e. {!Trace_io.parse})
+      holds the records until EOF and then drains them in file order.
 
-    Compatibility contract, pinned by the differential suite in
-    [test/test_stream.ml]: on any {e time-ordered, header-first} input
-    — which is every file [Trace_io.save] or [Omn_mobility.Shard_sink]
-    writes — {!load_result} returns the byte-identical trace {e and}
-    repair report as [Trace_io.load_result], under all three policies,
-    including all error messages in [Strict] mode. Two documented
-    divergences, both on inputs a saved trace never contains:
+    The streaming reader returns the byte-identical trace {e and}
+    repair report as the in-memory one on any {e time-ordered,
+    header-first} input — which is every file [Trace_io.save] or
+    [Omn_mobility.Shard_sink] writes — under all three policies,
+    including every error message, and at any chunk boundary. The
+    differential suite in [test/test_stream.ml] pins both readers to a
+    frozen reference parser. Two documented divergences, both on inputs
+    a saved trace never contains:
     - a record whose (post-repair) [t_beg] precedes an already-emitted
       one is rejected with a typed [Contact] error under {e every}
-      policy ([Trace_io] sorts at the end; a one-pass reader cannot);
+      policy (the in-memory reader accepts any order);
     - a [nodes] or [window] header appearing {e after} records is
       accepted silently when it restates the effective value (shard
       concatenation) and is otherwise a [Header] error ([Strict]) or
-      an [Ignored_header] event ([Trace_io] is last-wins).
+      an [Ignored_header] event (the in-memory reader is last-wins).
 
     Shard indexes: a file whose first line is [# omn-shards 1] lists
     one shard filename per non-comment line (relative to the index's
     directory); the shards are streamed in order as one logical trace,
     line numbers continuing across files. *)
 
-type summary = {
-  s_name : string;
-  s_n_nodes : int;
-  s_window : float * float;
-  s_report : Omn_robust.Repair.report;
-}
-(** What remains of a trace once the contacts have been consumed. *)
-
 val load_result :
   ?policy:Omn_robust.Repair.policy ->
-  ?chunk:int ->
   string ->
   (Trace.t * Omn_robust.Repair.report, Omn_robust.Err.t) result
-(** Stream a file (or shard index) into a {!Trace.t}. [policy]
-    defaults to [Strict], [chunk] to 64 KiB. IO failures come back as
-    [Io] errors. *)
-
-val fold_result :
-  ?policy:Omn_robust.Repair.policy ->
-  ?chunk:int ->
-  init:'a ->
-  f:('a -> Contact.t -> 'a) ->
-  string ->
-  ('a * summary, Omn_robust.Err.t) result
-(** Fold over the contacts in time order without building a trace —
-    O(chunk + dedup-run) memory. [f] observes contacts as they are
-    emitted; on an [Error] return (including deferred [Strict]
-    violations, which are only resolvable at EOF) the accumulator is
-    discarded, and [f] may already have run. The final node count and
-    window are only known at EOF, in the returned {!summary}. *)
+(** Stream a file (or shard index) into a {!Trace.t} in 64 KiB chunks.
+    [policy] defaults to [Strict]. IO failures come back as [Io]
+    errors. *)
 
 val parse_chunks :
   ?policy:Omn_robust.Repair.policy ->
@@ -75,3 +58,13 @@ val parse :
   string ->
   (Trace.t * Omn_robust.Repair.report, Omn_robust.Err.t) result
 (** [parse_chunks] on a single chunk. *)
+
+val parse_whole :
+  ?policy:Omn_robust.Repair.policy ->
+  ?file:string ->
+  string ->
+  (Trace.t * Omn_robust.Repair.report, Omn_robust.Err.t) result
+(** The in-memory reader: the records that pass the line checks are
+    held until EOF, then drained in file order through the window /
+    range / duplicate stage with one duplicate table for the whole
+    file. Records may come in any order and headers are last-wins. *)

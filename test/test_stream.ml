@@ -1,24 +1,31 @@
-(* Differential pin of the streaming trace reader against the in-memory
-   one.
+(* Differential pin of both trace readers against a frozen reference.
 
-   [Trace_stream] promises byte-identical traces AND byte-identical
-   repair reports to [Trace_io] on any time-ordered input, under all
-   three ingestion policies, no matter how the input is cut into
-   chunks. These tests hold it to that:
+   [Trace_io.parse] (in-memory) and [Trace_stream] (streaming) run one
+   parser; [Ingest_reference] is the whole-input parser it replaced.
+   The streaming reader promises the reference's trace bytes AND repair
+   report on any time-ordered input, under all three ingestion
+   policies, no matter how the input is cut into chunks; the in-memory
+   reader promises them on any input. These tests hold both to it:
 
    - ~100 seeded instances from the four generator families, serialised
-     and re-read through both parsers (clean and with seeded dirt) under
-     Strict / Repair / Skip, compared outcome-for-outcome (trace bytes,
-     repair report, or the exact error);
+     and re-read (clean and with seeded time-ordered dirt) under Strict /
+     Repair / Skip through both readers, the streaming one also cut at
+     random points, compared with the reference outcome for outcome
+     (trace bytes, repair report, or the exact error);
+   - ~2,000 seeded texts the streaming reader rejects — shuffled
+     records, late and repeated headers, out-of-window, out-of-range,
+     reversed and duplicate lines — through the in-memory reader;
    - a QCheck property that arbitrary chunk boundaries — including cuts
-     inside a record — never change the parse;
+     inside a record — never change the streamed parse;
    - truncation at every byte of a serialised trace (EOF mid-record)
-     matches [Trace_io] under each policy;
-   - out-of-order input is rejected with a typed [Contact] error under
-     every policy (the one documented divergence: the streaming reader
+     through both readers under each policy;
+   - the [ingest.*] counters move by the repair report's totals;
+   - out-of-order input is rejected by the streaming reader with a typed
+     [Contact] error under every policy (the documented divergence: it
      cannot sort);
    - a [Shard_sink] write-out streams back byte-identical to the
-     in-memory generator that fed it. *)
+     in-memory generator that fed it, and an index is recognised
+     however the reads split its first line. *)
 
 module Rng = Omn_stats.Rng
 module Trace = Omn_temporal.Trace
@@ -26,6 +33,8 @@ module Trace_io = Omn_temporal.Trace_io
 module Stream = Omn_temporal.Trace_stream
 module Repair = Omn_robust.Repair
 module Err = Omn_robust.Err
+module Metrics = Omn_obs.Metrics
+module Reference = Ingest_reference
 
 let policies = [ Repair.Strict; Repair.Repair; Repair.Skip ]
 
@@ -108,21 +117,17 @@ let check_parity seed =
     (fun (label, text) ->
       List.iter
         (fun policy ->
-          let reference = show (Trace_io.parse ~policy ~file:"t" text) in
-          let streamed = show (Stream.parse ~policy ~file:"t" text) in
-          if reference <> streamed then
-            errs :=
-              Printf.sprintf "seed %d (%s, %s): whole-text mismatch:\n%s\n=== vs ===\n%s" seed
-                label (policy_name policy) reference streamed
-              :: !errs;
-          let chunked =
-            show (Stream.parse_chunks ~policy ~file:"t" (chop rng text))
+          let reference = show (Reference.parse ~policy ~file:"t" text) in
+          let check reader got =
+            if got <> reference then
+              errs :=
+                Printf.sprintf "seed %d (%s, %s): %s mismatch:\n%s\n=== vs reference ===\n%s" seed
+                  label (policy_name policy) reader got reference
+                :: !errs
           in
-          if reference <> chunked then
-            errs :=
-              Printf.sprintf "seed %d (%s, %s): chunked mismatch" seed label
-                (policy_name policy)
-              :: !errs)
+          check "in-memory" (show (Trace_io.parse ~policy ~file:"t" text));
+          check "streamed" (show (Stream.parse ~policy ~file:"t" text));
+          check "chunked" (show (Stream.parse_chunks ~policy ~file:"t" (chop rng text))))
         policies)
     texts;
   !errs
@@ -136,8 +141,77 @@ let test_streaming_differential () =
     Alcotest.failf "%d parity failure(s) across 100 instances; first:\n%s" (List.length errs)
       first
 
-(* QCheck: the parse is invariant under the chunking, for arbitrary cut
-   points of a fixed input that exercises headers, repairs and drops. *)
+(* A text only a whole-file reader accepts as the reference does:
+   records in any order, [nodes] / [window] / [name] headers anywhere
+   (repeated, so last-wins matters; windows sometimes reversed), and
+   the lines every policy acts on — out-of-window, out-of-range,
+   reversed, self-loops, exact duplicates. Times are small integers, so
+   window clamps turn distinct records into duplicates: which one is
+   kept, and which violator is reported first, follow file order. *)
+let unordered rng =
+  let n = 3 + Rng.int rng 4 in
+  let record () =
+    let t0 = Rng.int rng 16 - 3 in
+    Printf.sprintf "%d %d %d %d" (Rng.int rng (n + 1)) (Rng.int rng (n + 1)) t0
+      (t0 + Rng.int rng 7 - 1)
+  in
+  let records = List.init (3 + Rng.int rng 14) (fun _ -> record ()) in
+  let records = records @ List.filter (fun _ -> Rng.int rng 3 = 0) records in
+  let header () =
+    let lo = Rng.int rng 4 and hi = 6 + Rng.int rng 10 in
+    match Rng.int rng 4 with
+    | 0 -> Printf.sprintf "# nodes %d" (n - 1 + Rng.int rng 3)
+    | 1 -> Printf.sprintf "# window %d %d" lo hi
+    | 2 -> Printf.sprintf "# window %d %d" hi lo
+    | _ -> Printf.sprintf "# name u%d" (Rng.int rng 3)
+  in
+  let lines = Array.of_list (List.init (Rng.int rng 5) (fun _ -> header ()) @ records) in
+  Rng.shuffle rng lines;
+  String.concat "\n" (Array.to_list lines)
+
+let test_unordered_differential () =
+  let errs = ref [] and diverged = ref 0 and accepted = ref 0 in
+  for seed = 1 to 2000 do
+    let text = unordered (Rng.create (31 * seed)) in
+    List.iter
+      (fun policy ->
+        let reference = Reference.parse ~policy ~file:"u" text in
+        if Result.is_ok reference then incr accepted;
+        let reference = show reference in
+        let got = show (Trace_io.parse ~policy ~file:"u" text) in
+        if got <> reference then
+          errs :=
+            Printf.sprintf "seed %d (%s):\n%s\n--- in-memory:\n%s\n=== vs reference ===\n%s" seed
+              (policy_name policy) text got reference
+            :: !errs;
+        if show (Stream.parse ~policy ~file:"u" text) <> reference then incr diverged)
+      policies
+  done;
+  (match List.rev !errs with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf "%d parity failure(s) across 2000 unordered texts; first:\n%s"
+      (List.length !errs) first);
+  (* the generator must keep producing what the suite is for: inputs the
+     streaming reader does not accept as the reference does, and enough
+     accepted parses that repairs and choices are compared, not just
+     errors *)
+  if !diverged * 2 < 6000 || !accepted * 3 < 6000 then
+    Alcotest.failf "degenerate texts: streaming diverges on %d, reference accepts %d, of 6000"
+      !diverged !accepted
+
+(* The streaming reader's documented rejection of out-of-order input. *)
+let is_out_of_order = function
+  | Error (e : Err.t) ->
+    e.Err.code = Err.Contact
+    && Util.contains_substring (Format.asprintf "%a" Err.pp e) "out-of-order"
+  | Ok _ -> false
+
+(* QCheck: the streamed parse is invariant under the chunking, for
+   arbitrary cut points of a fixed input that exercises headers,
+   repairs and drops, and equals the reference's unless the input is
+   out of order for the streaming reader (it is, under Repair: a
+   swapped interval moves a t_beg back). *)
 let qcheck_text =
   "# omn-trace 1\n# name q\n# nodes 5\n# window 0 40\n0 1 1 2\n0 1 1 2\njunk line\n\
    2 3 2 100\n# late comment\n1 4 3 3\n3 4 3 1\n2 4 5 9\n"
@@ -158,35 +232,35 @@ let test_chunk_invariance =
         (oneofl policies)
         (list_size (int_range 0 12) (int_range 0 (String.length qcheck_text))))
     (fun (policy, cuts) ->
-      let whole = show (Stream.parse ~policy ~file:"q" qcheck_text) in
+      let whole = Stream.parse ~policy ~file:"q" qcheck_text in
       let split = show (Stream.parse_chunks ~policy ~file:"q" (split_at_cuts qcheck_text cuts)) in
-      whole = split)
+      show whole = split
+      && (is_out_of_order whole
+         || show whole = show (Reference.parse ~policy ~file:"q" qcheck_text)))
 
 (* EOF mid-record: truncating the serialised trace at every byte leaves
-   the two parsers in agreement — the streaming reader's carry buffer
-   at EOF must behave exactly like [Trace_io] seeing a short last
-   line. *)
+   both readers in agreement with the reference — the carry buffer at
+   EOF must behave exactly like a whole-input split on '\n' seeing a
+   short last line. *)
 let test_truncation () =
   let text = Trace_io.to_string (instance 8301) in
   let n = String.length text in
-  (* One legitimate escape hatch: a cut inside a float can leave a
-     reversed interval whose swap-repair moves its t_beg before the
-     already-emitted records — the streaming reader then raises its
-     documented typed out-of-order rejection instead of sorting. Count
-     those: they must stay a rare corner, not the common case. *)
-  let is_out_of_order = function
-    | Error (e : Err.t) ->
-      e.Err.code = Err.Contact
-      && Util.contains_substring (Format.asprintf "%a" Err.pp e) "out-of-order"
-    | Ok _ -> false
-  in
+  (* One legitimate escape hatch for the streaming reader: a cut inside
+     a float can leave a reversed interval whose swap-repair moves its
+     t_beg before the already-emitted records, and the reader then
+     raises its documented out-of-order rejection instead of sorting.
+     Count those: they must stay a rare corner, not the common case. *)
   let divergences = ref 0 and compared = ref 0 in
   for cut = 0 to n - 1 do
     List.iter
       (fun policy ->
         let t = String.sub text 0 cut in
-        let reference = Trace_io.parse ~policy ~file:"t" t in
+        let reference = Reference.parse ~policy ~file:"t" t in
+        let in_memory = Trace_io.parse ~policy ~file:"t" t in
         let streamed = Stream.parse ~policy ~file:"t" t in
+        if show reference <> show in_memory then
+          Alcotest.failf "cut %d (%s): in-memory truncation mismatch:\n%s\n=== vs ===\n%s" cut
+            (policy_name policy) (show reference) (show in_memory);
         incr compared;
         if is_out_of_order streamed && not (is_out_of_order reference) then incr divergences
         else if show reference <> show streamed then
@@ -198,9 +272,46 @@ let test_truncation () =
     Alcotest.failf "out-of-order divergence on %d of %d truncations: not a corner case"
       !divergences !compared
 
+(* The [ingest.*] counters move by exactly the repair report's totals,
+   whichever reader ran. *)
+let test_ingest_counters () =
+  let names =
+    [ "ingest.lines_read"; "ingest.contacts_kept"; "ingest.lines_repaired"; "ingest.lines_dropped" ]
+  in
+  let totals () =
+    let snap = Metrics.snapshot () in
+    List.map (fun name -> Option.value ~default:0 (Metrics.counter_total snap name)) names
+  in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  let clean = Trace_io.to_string (instance 8203) in
+  let dirty = dirty (Rng.create 5) clean in
+  List.iter
+    (fun (reader, parse) ->
+      List.iter
+        (fun (policy, text) ->
+          let label = Printf.sprintf "%s, %s" reader (policy_name policy) in
+          let before = totals () in
+          match parse ~policy text with
+          | Error e -> Alcotest.failf "%s: %a" label Err.pp e
+          | Ok (_, (r : Repair.report)) ->
+            let delta = List.map2 ( - ) (totals ()) before in
+            if policy <> Repair.Strict && Repair.is_clean r then
+              Alcotest.failf "%s: the dirty text needed no repair" label;
+            Alcotest.(check (list int))
+              (label ^ ": counter deltas = report totals")
+              [ r.total_lines; r.kept; Repair.n_repaired r; Repair.n_dropped r ]
+              delta)
+        [ (Repair.Strict, clean); (Repair.Repair, dirty); (Repair.Skip, dirty) ])
+    [
+      ("in-memory", fun ~policy text -> Trace_io.parse ~policy text);
+      ("streamed", fun ~policy text -> Stream.parse ~policy text);
+    ]
+
 (* The documented divergence: the streaming reader cannot sort, so
    out-of-order input is a typed [Contact] error under every policy
-   (where [Trace_io] would sort and accept). *)
+   (where the in-memory reader accepts it and [Trace.create] sorts). *)
 let test_out_of_order_rejected () =
   let text = "# omn-trace 1\n# nodes 3\n# window 0 10\n0 1 5 6\n1 2 1 2\n" in
   List.iter
@@ -211,21 +322,15 @@ let test_out_of_order_rejected () =
         if e.Err.code <> Err.Contact then
           Alcotest.failf "%s: expected a Contact error, got %a" (policy_name policy) Err.pp e)
     policies;
-  (* the same text is fine for the sorting in-memory reader *)
+  (* the same text is fine for the in-memory reader *)
   match Trace_io.parse ~policy:Repair.Strict ~file:"t" text with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "Trace_io rejected sortable input: %a" Err.pp e
+  | Error e -> Alcotest.failf "Trace_io rejected unordered input: %a" Err.pp e
 
 (* Shard sink round-trip: generator -> sink -> streamed index is
    byte-identical to the in-memory generator, for both the venue
    iterator and a plain [Trace.iter] spill. *)
-let test_shard_sink_roundtrip () =
-  let n = 8 in
-  let in_memory =
-    let rng = Rng.create 4242 in
-    let p = Omn_mobility.Venue.conference_params ~rng ~n ~days:0.15 in
-    Omn_mobility.Venue.generate rng ~n ~name:"sinkcheck" p
-  in
+let with_temp_dir f =
   let dir = Filename.temp_file "omn_sink" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -233,7 +338,16 @@ let test_shard_sink_roundtrip () =
     ~finally:(fun () ->
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+let test_shard_sink_roundtrip () =
+  let n = 8 in
+  let in_memory =
+    let rng = Rng.create 4242 in
+    let p = Omn_mobility.Venue.conference_params ~rng ~n ~days:0.15 in
+    Omn_mobility.Venue.generate rng ~n ~name:"sinkcheck" p
+  in
+  with_temp_dir (fun dir ->
       let index = Filename.concat dir "trace.idx" in
       let sink =
         Omn_mobility.Shard_sink.create ~shards:5 ~name:"sinkcheck" ~n_nodes:n
@@ -250,6 +364,33 @@ let test_shard_sink_roundtrip () =
           "sink -> stream = in-memory generator" (Trace_io.to_string in_memory)
           (Trace_io.to_string streamed))
 
+(* The first line decides between a trace and a shard index, whatever
+   sizes the reads come back in: a pipe that delivers the magic line in
+   two writes still streams as an index. *)
+let test_index_magic_split_read () =
+  with_temp_dir (fun dir ->
+      let trace = instance 8204 in
+      Trace_io.save trace (Filename.concat dir "s.omn");
+      let fifo = Filename.concat dir "trace.idx" in
+      Unix.mkfifo fifo 0o600;
+      let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe) @@ fun () ->
+      let writer =
+        Domain.spawn (fun () ->
+          Out_channel.with_open_bin fifo (fun oc ->
+            output_string oc "# omn-sh";
+            flush oc;
+            Unix.sleepf 0.05;
+            output_string oc "ards 1\ns.omn\n"))
+      in
+      let streamed = Stream.load_result fifo in
+      Domain.join writer;
+      match streamed with
+      | Error e -> Alcotest.failf "index read in two pieces: %a" Err.pp e
+      | Ok (t, _) ->
+        Alcotest.(check string) "index streams its shard" (Trace_io.to_string trace)
+          (Trace_io.to_string t))
+
 let suite =
   [
     Alcotest.test_case "out-of-order input: typed Contact error" `Quick
@@ -259,5 +400,9 @@ let suite =
     Alcotest.test_case "EOF mid-record at every byte, all policies" `Slow test_truncation;
     Alcotest.test_case "streaming vs in-memory, 100 instances x 3 policies" `Slow
       test_streaming_differential;
+    Alcotest.test_case "index magic split across reads" `Quick test_index_magic_split_read;
+    Alcotest.test_case "ingest counters = repair report totals" `Quick test_ingest_counters;
+    Alcotest.test_case "in-memory vs reference, 2000 unordered texts x 3 policies" `Slow
+      test_unordered_differential;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ test_chunk_invariance ]

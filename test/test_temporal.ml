@@ -185,11 +185,20 @@ let trace_io_roundtrip =
 
 let trace_io_file () =
   let trace = Util.trace_of_contacts [ (0, 1, 0., 5.); (1, 2, 3., 8.) ] in
+  (* fractional times: a text of several of the writer's 64 KiB pieces *)
+  let big = Util.random_trace ~scale:0.37 (Rng.create 3) ~n:30 ~m:4000 ~horizon:5000 in
   let path = Filename.temp_file "omn" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace_io.save trace path;
+      (* digests (manifests, the shard job's trace_sha256, the workers'
+         trace cache) hash [to_string]; a saved file must be those bytes *)
+      List.iter
+        (fun t ->
+          Trace_io.save t path;
+          Alcotest.(check string) "save writes to_string" (Trace_io.to_string t)
+            (In_channel.with_open_bin path In_channel.input_all))
+        [ big; trace ];
       let reloaded = Trace_io.load path in
       Alcotest.(check int) "contacts" 2 (Trace.n_contacts reloaded))
 
