@@ -37,20 +37,21 @@ let earliest_arrival_bounded trace ~source ~t0 ~max_hops =
   if max_hops < 0 then invalid_arg "Dijkstra: negative hop bound";
   let rows = Array.make_matrix (max_hops + 1) n infinity in
   rows.(0).(source) <- t0;
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
   for k = 1 to max_hops do
     let prev = rows.(k - 1) and cur = rows.(k) in
     Array.blit prev 0 cur 0 n;
-    Trace.iter
-      (fun (c : Contact.t) ->
-        let relax u v =
-          if prev.(u) <= c.t_end then begin
-            let reach = Float.max prev.(u) c.t_beg in
-            if reach < cur.(v) then cur.(v) <- reach
-          end
-        in
-        relax c.a c.b;
-        relax c.b c.a)
-      trace
+    for i = 0 to Array.length csr_a - 1 do
+      let a = csr_a.(i) and b = csr_b.(i) and tb = csr_beg.(i) and te = csr_end.(i) in
+      if prev.(a) <= te then begin
+        let reach = Float.max prev.(a) tb in
+        if reach < cur.(b) then cur.(b) <- reach
+      end;
+      if prev.(b) <= te then begin
+        let reach = Float.max prev.(b) tb in
+        if reach < cur.(a) then cur.(a) <- reach
+      end
+    done
   done;
   rows
 

@@ -1,5 +1,4 @@
 module Trace = Omn_temporal.Trace
-module Contact = Omn_temporal.Contact
 
 (* Between two consecutive contact boundaries the delivery function of any
    pair is governed by a single (LD, EA) descriptor (all LDs are contact
@@ -19,10 +18,12 @@ type t = {
 }
 
 let compute trace ~source =
-  let times =
-    Trace.fold (fun acc (c : Contact.t) -> c.t_beg :: c.t_end :: acc) [ Trace.t_start trace ] trace
-    |> List.sort_uniq Float.compare
-  in
+  let { Trace.csr_beg; csr_end; _ } = Trace.time_csr trace in
+  let times = ref [ Trace.t_start trace ] in
+  for i = 0 to Array.length csr_beg - 1 do
+    times := csr_beg.(i) :: csr_end.(i) :: !times
+  done;
+  let times = List.sort_uniq Float.compare !times in
   let boundaries = Array.of_list times in
   let flood t0 = Dijkstra.earliest_arrival trace ~source ~t0 in
   let boundary_arr = Array.map flood boundaries in

@@ -56,14 +56,17 @@ type snapshot = {
 
 let ckpt_magic = "omn-ckpt 4\n"
 
+(* The trace enters through its store's arrays, which marshal flat;
+   [csr_prev] is derived from them. *)
 let fingerprint (plan : Delay_cdf.plan) sampling =
   let trace = plan.trace in
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
   Digest.to_hex
     (Digest.string
        (Marshal.to_string
           ( Trace.name trace, Trace.n_nodes trace, Trace.t_start trace, Trace.t_end trace,
-            Trace.contacts trace, plan.max_hops, plan.grid, plan.is_dest, plan.windows,
-            plan.sources, plan.order, sampling )
+            (csr_a, csr_b, csr_beg, csr_end), plan.max_hops, plan.grid, plan.is_dest,
+            plan.windows, plan.sources, plan.order, sampling )
           []))
 
 (* Current generation first; any failure (corruption, bad fingerprint)

@@ -31,9 +31,8 @@ let[@inline] dominated f ~ld ~ea =
    underneath it and allocates nothing per relaxation in the steady
    state:
 
-   - the contact sweep reads the trace's time-indexed CSR mirror (flat
-     arrays in start order) instead of an array of boxed [Contact.t]
-     records;
+   - the contact sweep reads the trace's store (flat arrays in start
+     order, [Trace.time_csr]), never a boxed [Contact.t] record;
    - a candidate is first checked against its destination frontier on
      unboxed floats ([dominated]); only the few that survive travel as
      bare [ld]/[ea] floats into [Frontier.insert_pt] — no intermediate

@@ -127,10 +127,10 @@ let run trace ~protocol ~source ~dest ~t0 ~deadline =
     end
   in
   let heap = Heap.create ~cmp:(fun (t1, _) (t2, _) -> Float.compare t1 t2) in
-  Trace.iter
+  Array.iter
     (fun (c : Contact.t) ->
       if c.t_end >= t0 && c.t_beg <= give_up then Heap.push heap (Float.max c.t_beg t0, c))
-    trace;
+    all_contacts;
   let offer_active_contacts x tau =
     Trace.iter_node_contacts
       (fun (c : Contact.t) -> if c.t_beg <= tau && tau <= c.t_end then Heap.push heap (tau, c))

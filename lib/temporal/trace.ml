@@ -1,6 +1,6 @@
-(* Immutable after construction: the adjacency index is CSR-packed
-   eagerly in [create], so traces can be shared freely across domains
-   with no synchronisation (there used to be a lazily filled [mutable
+(* Immutable after construction: the store is built eagerly in [create],
+   so traces can be shared freely across domains with no
+   synchronisation (there used to be a lazily filled [mutable
    adjacency] cell here — a data race whenever two domains forced it
    concurrently). *)
 type time_csr = {
@@ -11,41 +11,145 @@ type time_csr = {
   csr_prev : int array;
 }
 
+(* The SoA arrays and the per-node index are the whole store: no
+   [Contact.t] is kept, the accessors below build them on demand. *)
 type t = {
   label : string;
   n_nodes : int;
   t_start : float;
   t_end : float;
-  contacts : Contact.t array;
   adj_off : int array; (* length n_nodes + 1; row u = [off.(u), off.(u+1)) *)
-  adj_idx : int array; (* length 2 * n_contacts; indices into [contacts], ascending per row *)
-  csr : time_csr;      (* the same contacts, unboxed SoA in time order *)
+  adj_idx : int array; (* length 2 * n_contacts; contact indices, ascending per row *)
+  csr : time_csr;      (* the contacts, unboxed SoA in start order *)
 }
 
 module Err = Omn_robust.Err
 
-(* CSR construction by counting sort. [contacts] is already sorted by
-   start time and every node id validated, so appending indices in
-   array order leaves each row ascending, hence in start order too. *)
-let build_index ~n_nodes contacts =
+let g_store_bytes = Omn_obs.Metrics.gauge "trace.store_bytes"
+
+module Builder = struct
+  type t = {
+    mutable len : int;
+    mutable a : int array;
+    mutable b : int array;
+    mutable t_beg : float array;
+    mutable t_end : float array;
+  }
+
+  let create cap =
+    {
+      len = 0;
+      a = Array.make cap 0;
+      b = Array.make cap 0;
+      t_beg = Array.make cap 0.;
+      t_end = Array.make cap 0.;
+    }
+
+  let resize buf cap =
+    let ints arr =
+      let fresh = Array.make cap 0 in
+      Array.blit arr 0 fresh 0 buf.len;
+      fresh
+    and floats arr =
+      let fresh = Array.make cap 0. in
+      Array.blit arr 0 fresh 0 buf.len;
+      fresh
+    in
+    buf.a <- ints buf.a;
+    buf.b <- ints buf.b;
+    buf.t_beg <- floats buf.t_beg;
+    buf.t_end <- floats buf.t_end
+
+  let reserve buf n = if buf.len + n > Array.length buf.a then resize buf (buf.len + n)
+
+  let[@inline] add buf ~a ~b ~t_beg ~t_end =
+    let i = buf.len in
+    if i = Array.length buf.a then resize buf (max 1024 (2 * i));
+    buf.a.(i) <- a;
+    buf.b.(i) <- b;
+    buf.t_beg.(i) <- t_beg;
+    buf.t_end.(i) <- t_end;
+    buf.len <- i + 1
+end
+
+(* The buffer's contacts in start order, as four exact-length arrays.
+   The key is [Contact.compare_by_start]'s (t_beg, t_end, a, b) read
+   from the buffer, and [Array.sort] (a heap sort) places elements by
+   comparison outcomes alone, so sorting the index permutation gives
+   the order sorting the records gave, ties included. Input already in
+   that order is taken as is, but only if every tie is bit-identical:
+   [Float.compare (-0.) 0. = 0], and the sort could swap such a tie,
+   which prints differently. The bounds are validated, so no NaN. *)
+let in_start_order (buf : Builder.t) =
+  let m = buf.len in
+  let ba = buf.a and bb = buf.b and bbeg = buf.t_beg and bend = buf.t_end in
+  let cmp i j =
+    let c = Float.compare bbeg.(i) bbeg.(j) in
+    if c <> 0 then c
+    else begin
+      let c = Float.compare bend.(i) bend.(j) in
+      if c <> 0 then c
+      else begin
+        let c = Int.compare ba.(i) ba.(j) in
+        if c <> 0 then c else Int.compare bb.(i) bb.(j)
+      end
+    end
+  in
+  let rec ordered i =
+    i >= m
+    ||
+    let c = cmp (i - 1) i in
+    (c < 0
+    || c = 0
+       && Float.sign_bit bbeg.(i - 1) = Float.sign_bit bbeg.(i)
+       && Float.sign_bit bend.(i - 1) = Float.sign_bit bend.(i))
+    && ordered (i + 1)
+  in
+  if ordered 1 then begin
+    let trim arr = if Array.length arr = m then arr else Array.sub arr 0 m in
+    (trim ba, trim bb, trim bbeg, trim bend)
+  end
+  else begin
+    let perm = Array.init m Fun.id in
+    Array.sort cmp perm;
+    let ints src =
+      let dst = Array.make m 0 in
+      for k = 0 to m - 1 do
+        dst.(k) <- src.(perm.(k))
+      done;
+      dst
+    and floats src =
+      let dst = Array.make m 0. in
+      for k = 0 to m - 1 do
+        dst.(k) <- src.(perm.(k))
+      done;
+      dst
+    in
+    (ints ba, ints bb, floats bbeg, floats bend)
+  end
+
+(* CSR construction by counting sort. The contacts are already in start
+   order and every node id validated, so appending indices in array
+   order leaves each row ascending, hence in start order too. *)
+let build_index ~n_nodes csr_a csr_b =
+  let m = Array.length csr_a in
   let off = Array.make (n_nodes + 1) 0 in
-  Array.iter
-    (fun (c : Contact.t) ->
-      off.(c.a + 1) <- off.(c.a + 1) + 1;
-      off.(c.b + 1) <- off.(c.b + 1) + 1)
-    contacts;
+  for i = 0 to m - 1 do
+    off.(csr_a.(i) + 1) <- off.(csr_a.(i) + 1) + 1;
+    off.(csr_b.(i) + 1) <- off.(csr_b.(i) + 1) + 1
+  done;
   for u = 1 to n_nodes do
     off.(u) <- off.(u) + off.(u - 1)
   done;
-  let idx = Array.make (2 * Array.length contacts) 0 in
+  let idx = Array.make (2 * m) 0 in
   let cursor = Array.sub off 0 n_nodes in
-  Array.iteri
-    (fun i (c : Contact.t) ->
-      idx.(cursor.(c.a)) <- i;
-      cursor.(c.a) <- cursor.(c.a) + 1;
-      idx.(cursor.(c.b)) <- i;
-      cursor.(c.b) <- cursor.(c.b) + 1)
-    contacts;
+  for i = 0 to m - 1 do
+    let a = csr_a.(i) and b = csr_b.(i) in
+    idx.(cursor.(a)) <- i;
+    cursor.(a) <- cursor.(a) + 1;
+    idx.(cursor.(b)) <- i;
+    cursor.(b) <- cursor.(b) + 1
+  done;
   (off, idx)
 
 (* [prev.(i)]: the latest contact before [i] between the same two
@@ -71,71 +175,80 @@ let build_prev ~n_nodes ~off ~idx csr_a csr_b =
   done;
   prev
 
-(* Time-indexed CSR: the contact multiset flattened into parallel
-   unboxed arrays in start-time order. A mixed int/float record like
-   [Contact.t] stores its float fields boxed, so sweeping [contacts]
-   dereferences two heap boxes per contact; the SoA mirror turns the
-   per-round relaxation sweep of [Omn_core.Journey] into sequential
-   array reads. *)
-let build_time_csr ~n_nodes ~off ~idx (contacts : Contact.t array) =
-  let m = Array.length contacts in
-  let csr_a = Array.make m 0 and csr_b = Array.make m 0 in
-  let csr_beg = Array.make m 0. and csr_end = Array.make m 0. in
-  Array.iteri
-    (fun i (c : Contact.t) ->
-      csr_a.(i) <- c.a;
-      csr_b.(i) <- c.b;
-      csr_beg.(i) <- c.t_beg;
-      csr_end.(i) <- c.t_end)
-    contacts;
-  let csr_prev = build_prev ~n_nodes ~off ~idx csr_a csr_b in
-  { csr_a; csr_b; csr_beg; csr_end; csr_prev }
+let store_bytes t =
+  let c = t.csr in
+  let ints =
+    Array.length c.csr_a + Array.length c.csr_b + Array.length c.csr_prev
+    + Array.length t.adj_idx + Array.length t.adj_off
+  in
+  (ints * (Sys.word_size / 8)) + ((Array.length c.csr_beg + Array.length c.csr_end) * 8)
 
-let create_array_result ?(name = "trace") ~n_nodes ~t_start ~t_end contacts =
+let of_builder_result ?(name = "trace") ~n_nodes ~t_start ~t_end (buf : Builder.t) =
+  Omn_obs.Span.with_ ~name:"trace.create" @@ fun () ->
   let exception Bad of Err.t in
+  let bad code fmt = Format.kasprintf (fun msg -> raise (Bad (Err.v code msg))) fmt in
   try
-    if n_nodes < 0 then raise (Bad (Err.errf Err.Range "Trace.create: n_nodes < 0 (%d)" n_nodes));
-    if t_start > t_end then
-      raise
-        (Bad (Err.errf Err.Window "Trace.create: reversed window [%g; %g]" t_start t_end));
-    Array.iter
-      (fun (c : Contact.t) ->
-        (* Both endpoints, both bounds: [Contact.make] canonicalises to
-           [0 <= a < b], but contacts can reach us through [Marshal] or
-           other private-constructor bypasses, and the index construction
-           below would crash on them instead of reporting a typed error. *)
-        if c.a < 0 || c.a >= n_nodes || c.b < 0 || c.b >= n_nodes then
-          raise
-            (Bad
-               (Err.errf Err.Range "Trace.create: node id %d out of range (n_nodes = %d)"
-                  (if c.a < 0 || c.a >= n_nodes then c.a else c.b)
-                  n_nodes));
-        (* [Contact.make] refuses [a = b] too. A forged self-contact
-           would sit twice in its node's row and link to itself in
-           [build_prev], where [Omn_core.Journey] would read it as an
-           earlier contact of the same pair. *)
-        if c.a = c.b then
-          raise (Bad (Err.errf Err.Range "Trace.create: self-contact on node %d" c.a));
-        (* Negated so that NaN fails too. [Omn_core.Journey]'s sweep
-           relies on [t_beg <= t_end] and on the start-order sort, and a
-           NaN bound slips past the window test below. *)
-        if not (c.t_beg <= c.t_end) then
-          raise
-            (Bad
-               (Err.errf Err.Window "Trace.create: contact [%g; %g] has reversed or NaN bounds"
-                  c.t_beg c.t_end));
-        if c.t_beg < t_start || c.t_end > t_end then
-          raise
-            (Bad
-               (Err.errf Err.Window
-                  "Trace.create: contact [%g; %g] outside window [%g; %g]" c.t_beg c.t_end
-                  t_start t_end)))
-      contacts;
-    Array.sort Contact.compare_by_start contacts;
-    let adj_off, adj_idx = build_index ~n_nodes contacts in
-    let csr = build_time_csr ~n_nodes ~off:adj_off ~idx:adj_idx contacts in
-    Ok { label = name; n_nodes; t_start; t_end; contacts; adj_off; adj_idx; csr }
+    if n_nodes < 0 then bad Err.Range "Trace.create: n_nodes < 0 (%d)" n_nodes;
+    (* A window bound that is not finite cannot be saved: the readers
+       refuse it in a header. NaN would also slip past every test
+       below, since it compares false. *)
+    if not (Float.is_finite t_start && Float.is_finite t_end) then
+      bad Err.Window "Trace.create: non-finite window [%g; %g]" t_start t_end;
+    if t_start > t_end then bad Err.Window "Trace.create: reversed window [%g; %g]" t_start t_end;
+    for i = 0 to buf.len - 1 do
+      let a = buf.a.(i) and b = buf.b.(i) and t_beg = buf.t_beg.(i) and t_end' = buf.t_end.(i) in
+      (* Both endpoints, both bounds: [Contact.make] canonicalises to
+         [0 <= a < b], but contacts can reach us through [Marshal] or
+         other private-constructor bypasses, and the index construction
+         below would crash on them instead of reporting a typed error. *)
+      if a < 0 || a >= n_nodes || b < 0 || b >= n_nodes then
+        bad Err.Range "Trace.create: node id %d out of range (n_nodes = %d)"
+          (if a < 0 || a >= n_nodes then a else b)
+          n_nodes;
+      (* [Contact.make] refuses [a = b] too. A forged self-contact
+         would sit twice in its node's row and link to itself in
+         [build_prev], where [Omn_core.Journey] would read it as an
+         earlier contact of the same pair. *)
+      if a = b then bad Err.Range "Trace.create: self-contact on node %d" a;
+      (* Negated so that NaN fails too. [Omn_core.Journey]'s sweep
+         relies on [t_beg <= t_end] and on the start-order sort, and a
+         NaN bound slips past the window test below. *)
+      if not (t_beg <= t_end') then
+        bad Err.Window "Trace.create: contact [%g; %g] has reversed or NaN bounds" t_beg t_end';
+      if t_beg < t_start || t_end' > t_end then
+        bad Err.Window "Trace.create: contact [%g; %g] outside window [%g; %g]" t_beg t_end'
+          t_start t_end
+    done;
+    let csr_a, csr_b, csr_beg, csr_end = in_start_order buf in
+    (* The trace may now own the buffer's arrays. *)
+    buf.len <- 0;
+    buf.a <- [||];
+    buf.b <- [||];
+    buf.t_beg <- [||];
+    buf.t_end <- [||];
+    let adj_off, adj_idx = build_index ~n_nodes csr_a csr_b in
+    let csr_prev = build_prev ~n_nodes ~off:adj_off ~idx:adj_idx csr_a csr_b in
+    let t =
+      {
+        label = name;
+        n_nodes;
+        t_start;
+        t_end;
+        adj_off;
+        adj_idx;
+        csr = { csr_a; csr_b; csr_beg; csr_end; csr_prev };
+      }
+    in
+    Omn_obs.Metrics.set g_store_bytes (float_of_int (store_bytes t));
+    Ok t
   with Bad e -> Error e
+
+let create_array_result ?name ~n_nodes ~t_start ~t_end contacts =
+  let buf = Builder.create (Array.length contacts) in
+  Array.iter
+    (fun (c : Contact.t) -> Builder.add buf ~a:c.a ~b:c.b ~t_beg:c.t_beg ~t_end:c.t_end)
+    contacts;
+  of_builder_result ?name ~n_nodes ~t_start ~t_end buf
 
 let create_result ?name ~n_nodes ~t_start ~t_end contact_list =
   create_array_result ?name ~n_nodes ~t_start ~t_end (Array.of_list contact_list)
@@ -151,11 +264,25 @@ let n_nodes t = t.n_nodes
 let t_start t = t.t_start
 let t_end t = t.t_end
 let span t = t.t_end -. t.t_start
-let n_contacts t = Array.length t.contacts
-let contacts t = t.contacts
-let contact t i = t.contacts.(i)
-let iter f t = Array.iter f t.contacts
-let fold f init t = Array.fold_left f init t.contacts
+let n_contacts t = Array.length t.csr.csr_a
+
+let contact t i =
+  let c = t.csr in
+  Contact.make ~a:c.csr_a.(i) ~b:c.csr_b.(i) ~t_beg:c.csr_beg.(i) ~t_end:c.csr_end.(i)
+
+let contacts t = Array.init (n_contacts t) (contact t)
+
+let iter f t =
+  for i = 0 to n_contacts t - 1 do
+    f (contact t i)
+  done
+
+let fold f init t =
+  let acc = ref init in
+  for i = 0 to n_contacts t - 1 do
+    acc := f !acc (contact t i)
+  done;
+  !acc
 
 let check_node t u fn =
   if u < 0 || u >= t.n_nodes then invalid_arg ("Trace." ^ fn ^ ": bad node")
@@ -167,29 +294,33 @@ let degree t u =
 let node_contacts t u =
   check_node t u "node_contacts";
   let off = t.adj_off.(u) in
-  Array.init (t.adj_off.(u + 1) - off) (fun k -> t.contacts.(t.adj_idx.(off + k)))
+  Array.init (t.adj_off.(u + 1) - off) (fun k -> contact t t.adj_idx.(off + k))
 
 let iter_node_contacts f t u =
   check_node t u "iter_node_contacts";
   for k = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
-    f t.contacts.(t.adj_idx.(k))
+    f (contact t t.adj_idx.(k))
   done
 
 let fold_node_contacts f init t u =
   check_node t u "fold_node_contacts";
   let acc = ref init in
   for k = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
-    acc := f !acc t.contacts.(t.adj_idx.(k))
+    acc := f !acc (contact t t.adj_idx.(k))
   done;
   !acc
 
 let pair_contacts t u v =
   let u, v = if u < v then (u, v) else (v, u) in
+  check_node t u "pair_contacts";
   check_node t v "pair_contacts";
-  List.rev
-    (fold_node_contacts
-       (fun acc (c : Contact.t) -> if c.a = u && c.b = v then c :: acc else acc)
-       [] t u)
+  let c = t.csr in
+  let acc = ref [] in
+  for k = t.adj_off.(u + 1) - 1 downto t.adj_off.(u) do
+    let i = t.adj_idx.(k) in
+    if c.csr_a.(i) = u && c.csr_b.(i) = v then acc := contact t i :: !acc
+  done;
+  !acc
 
 let time_csr t = t.csr
 

@@ -1,27 +1,39 @@
 (** Contact traces: the temporal-network representation of §4.2.
 
     A trace is a static node set [0 .. n_nodes - 1], an observation window
-    [(t_start, t_end)], and a multiset of {!Contact.t} within the window,
-    stored sorted by start time. This is the input type of every path
+    [(t_start, t_end)], and a multiset of contacts within the window,
+    sorted by start time. This is the input type of every path
     computation and every experiment in this repository.
 
-    A trace is immutable: the per-node adjacency index is built eagerly
-    at creation (CSR-packed offsets plus one [int array] of contact
-    indices, 2 words per contact), so a single trace value can be shared
-    by any number of domains with no synchronisation and no forcing
-    protocol. *)
+    The store is structure-of-arrays: the four fields of the contacts in
+    start order ({!time_csr}), each contact's link to the previous
+    contact of its pair, and a per-node index (CSR-packed offsets plus
+    one [int array] of contact indices). That is 7 words per contact and
+    one per node, and no {!Contact.t} is kept: {!contacts}, {!contact},
+    {!iter}, {!fold} and the per-node accessors build records on demand,
+    so they allocate and are meant for cold paths; hot loops read
+    {!time_csr}.
+
+    A trace is immutable: the store is built eagerly at creation, so a
+    single trace value can be shared by any number of domains with no
+    synchronisation and no forcing protocol. *)
 
 type t
 
 val create : ?name:string -> n_nodes:int -> t_start:float -> t_end:float -> Contact.t list -> t
-(** Validates that every contact has [t_beg <= t_end] (no NaN bound),
-    fits the window, that {e both} endpoint ids lie in [[0, n_nodes)]
-    and that they differ (contacts deserialised past the private
-    constructor are caught here, not by a crash in the index, a
-    silently broken start order, or a self-contact linked to itself in
-    [csr_prev]), then sorts and builds the adjacency index. Raises
-    [Invalid_argument] otherwise, or if [t_start > t_end] or
-    [n_nodes < 0]. *)
+(** Validates that the window bounds are finite and ordered, that every
+    contact has [t_beg <= t_end] (no NaN bound), fits the window, that
+    {e both} endpoint ids lie in [[0, n_nodes)] and that they differ
+    (contacts deserialised past the private constructor are caught
+    here, not by a crash in the index, a silently broken start order,
+    or a self-contact linked to itself in [csr_prev]), then sorts and
+    builds the store. Contacts are checked in input order, so the error
+    names the first violator. Raises [Invalid_argument] otherwise, or
+    if [n_nodes < 0].
+
+    Every creation records a [trace.create] span and sets the
+    [trace.store_bytes] gauge (the store's array payload) when metrics
+    are on. *)
 
 val create_result :
   ?name:string ->
@@ -32,7 +44,8 @@ val create_result :
   (t, Omn_robust.Err.t) result
 (** Non-raising {!create}: validation failures come back as typed
     errors ([Range] for node problems, naming the node — an id out of
-    range or a self-contact; [Window] for window problems). *)
+    range or a self-contact; [Window] for window problems, including a
+    NaN or infinite window bound). *)
 
 val create_array_result :
   ?name:string ->
@@ -41,11 +54,39 @@ val create_array_result :
   t_end:float ->
   Contact.t array ->
   (t, Omn_robust.Err.t) result
-(** {!create_result} taking ownership of a contact array instead of
-    copying a list — the streaming reader builds its contacts in a
-    growable array and hands it over without an intermediate list.
-    The array is validated and sorted in place; the caller must not
-    reuse it. *)
+(** {!create_result} on an array. The array is read, never sorted or
+    modified. *)
+
+(** A growable structure-of-arrays buffer of contact fields, so that a
+    reader or a transform can build a trace without boxing a
+    {!Contact.t} per contact. Fields are stored as given: validation is
+    {!of_builder_result}'s. *)
+module Builder : sig
+  type t
+
+  val create : int -> t
+  (** An empty buffer with room for the given number of contacts. *)
+
+  val reserve : t -> int -> unit
+  (** [reserve buf k] makes room for [k] more contacts, exactly: a
+      smaller capacity becomes the number of contacts added so far
+      plus [k]. *)
+
+  val add : t -> a:Node.t -> b:Node.t -> t_beg:float -> t_end:float -> unit
+  (** Append one contact, doubling the capacity when full. *)
+end
+
+val of_builder_result :
+  ?name:string ->
+  n_nodes:int ->
+  t_start:float ->
+  t_end:float ->
+  Builder.t ->
+  (t, Omn_robust.Err.t) result
+(** {!create_result} on the buffer's contacts, in the order they were
+    added. The trace takes over the buffer's arrays where it can (input
+    already in start order, buffer full), so the buffer is left empty
+    and must not be reused. *)
 
 val name : t -> string
 (** Dataset label (defaults to ["trace"]). *)
@@ -61,25 +102,30 @@ val span : t -> float
 val n_contacts : t -> int
 
 val contacts : t -> Contact.t array
-(** Sorted by {!Contact.compare_by_start}. The array is owned by the
-    trace; do not mutate it. *)
+(** Sorted by {!Contact.compare_by_start}. A fresh array of fresh
+    records, built from the store: O(n_contacts) allocation per call. *)
 
 val contact : t -> int -> Contact.t
+(** The [i]-th contact in start order, built on demand. *)
+
 val iter : (Contact.t -> unit) -> t -> unit
+(** Visit the contacts in start order; builds one record per contact. *)
+
 val fold : ('acc -> Contact.t -> 'acc) -> 'acc -> t -> 'acc
+(** Fold over the contacts in start order; builds one record per
+    contact. *)
 
 val node_contacts : t -> Node.t -> Contact.t array
-(** Contacts involving a node, sorted by start time. Returns a fresh
-    array (O(degree), read out of {!contacts} through the CSR index of
-    contact indices); prefer {!iter_node_contacts} /
-    {!fold_node_contacts} on hot paths. *)
+(** Contacts involving a node, sorted by start time. A fresh array of
+    records built through the per-node index, O(degree). *)
 
 val iter_node_contacts : (Contact.t -> unit) -> t -> Node.t -> unit
-(** Visit a node's contacts in start order, through the CSR index — no
-    allocation. *)
+(** Visit a node's contacts in start order, through the per-node index;
+    builds one record per contact. *)
 
 val fold_node_contacts : ('acc -> Contact.t -> 'acc) -> 'acc -> t -> Node.t -> 'acc
-(** Fold over a node's contacts in start order, no allocation. *)
+(** Fold over a node's contacts in start order; builds one record per
+    contact. *)
 
 val pair_contacts : t -> Node.t -> Node.t -> Contact.t list
 (** Contacts between an unordered pair, sorted by start time. *)
@@ -97,20 +143,18 @@ type time_csr = private {
           largest [p < i] with the same endpoints as [i] — or [-1] when
           [i] is the pair's first *)
 }
-(** The contact multiset mirrored as structure-of-arrays in start-time
-    order, index [i] being {!contacts}[.(i)]. [Contact.t] is a mixed
-    int/float record, so its float fields are boxed and an
-    [Array.iter] over {!contacts} chases two heap pointers per contact;
-    the CSR mirror is flat arrays read sequentially — what the
-    per-round relaxation sweep in [Omn_core.Journey] iterates, and
+(** The store: the contact multiset as structure-of-arrays in
+    start-time order, index [i] being {!contact}[ t i]. Flat arrays read
+    sequentially are what the per-round relaxation sweep in
+    [Omn_core.Journey] iterates (a mixed int/float record would box its
+    float fields and cost two heap pointers per contact), and
     [csr_prev] lets that sweep skip a candidate the pair's previous
-    contact already offered. [csr_prev] costs one word per contact and
-    is derived here, never serialised. Built eagerly at {!create},
-    immutable and safe to share across domains. The arrays are owned by
-    the trace: do not mutate. *)
+    contact already offered. [csr_prev] is derived here, never
+    serialised. Built eagerly at {!create}, immutable and safe to share
+    across domains. The arrays are owned by the trace: do not mutate. *)
 
 val time_csr : t -> time_csr
-(** The trace's time-indexed CSR mirror. O(1), no allocation. *)
+(** The trace's contact arrays. O(1), no allocation. *)
 
 val contact_rate : t -> float
 (** Average number of contacts made by a node per unit of time — the λ of

@@ -9,14 +9,14 @@ let write flush trace =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "# omn-trace 1\n# name %s\n# nodes %d\n# window %.17g %.17g\n"
     (Trace.name trace) (Trace.n_nodes trace) (Trace.t_start trace) (Trace.t_end trace);
-  Trace.iter
-    (fun (c : Contact.t) ->
-      Printf.bprintf buf "%d %d %.17g %.17g\n" c.a c.b c.t_beg c.t_end;
-      if Buffer.length buf >= 65536 then begin
-        flush buf;
-        Buffer.clear buf
-      end)
-    trace;
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
+  for i = 0 to Array.length csr_a - 1 do
+    Printf.bprintf buf "%d %d %.17g %.17g\n" csr_a.(i) csr_b.(i) csr_beg.(i) csr_end.(i);
+    if Buffer.length buf >= 65536 then begin
+      flush buf;
+      Buffer.clear buf
+    end
+  done;
   flush buf
 
 let output oc trace = write (Buffer.output_buffer oc) trace

@@ -12,7 +12,8 @@ type summary = {
 }
 
 let durations trace =
-  Array.map Contact.duration (Trace.contacts trace)
+  let { Trace.csr_beg; csr_end; _ } = Trace.time_csr trace in
+  Array.init (Array.length csr_beg) (fun i -> csr_end.(i) -. csr_beg.(i))
 
 let duration_distribution trace =
   let d = durations trace in
@@ -59,31 +60,22 @@ let fraction_duration_leq trace threshold =
   let n = Trace.n_contacts trace in
   if n = 0 then 0.
   else begin
-    let k = Trace.fold (fun acc c -> if Contact.duration c <= threshold then acc + 1 else acc) 0 trace in
-    float_of_int k /. float_of_int n
+    let { Trace.csr_beg; csr_end; _ } = Trace.time_csr trace in
+    let k = ref 0 in
+    for i = 0 to n - 1 do
+      if csr_end.(i) -. csr_beg.(i) <= threshold then incr k
+    done;
+    float_of_int !k /. float_of_int n
   end
 
+(* A contact's predecessor in its pair is [csr_prev], so each gap is
+   one subtraction; [Empirical] sorts, so their order does not matter. *)
 let inter_contact_times trace =
-  (* Group per unordered pair, then diff successive intervals. *)
-  let table : (int * int, Contact.t list) Hashtbl.t = Hashtbl.create 256 in
-  Trace.iter
-    (fun (c : Contact.t) ->
-      let key = (c.a, c.b) in
-      let prev = Option.value (Hashtbl.find_opt table key) ~default:[] in
-      Hashtbl.replace table key (c :: prev))
-    trace;
+  let { Trace.csr_beg; csr_end; csr_prev; _ } = Trace.time_csr trace in
   let gaps = ref [] in
-  Hashtbl.iter
-    (fun _ cs ->
-      let cs = List.sort Contact.compare_by_start cs in
-      let rec walk = function
-        | (c1 : Contact.t) :: ((c2 : Contact.t) :: _ as rest) ->
-          gaps := Float.max 0. (c2.t_beg -. c1.t_end) :: !gaps;
-          walk rest
-        | _ -> ()
-      in
-      walk cs)
-    table;
+  Array.iteri
+    (fun i p -> if p >= 0 then gaps := Float.max 0. (csr_beg.(i) -. csr_end.(p)) :: !gaps)
+    csr_prev;
   match !gaps with
   | [] -> None
   | gaps -> Some (Empirical.of_array (Array.of_list gaps))
@@ -124,10 +116,10 @@ let contacts_per_window trace ~window =
   let n_windows = int_of_float (Float.ceil (Trace.span trace /. window)) in
   let n_windows = max n_windows 1 in
   let counts = Array.make n_windows 0 in
-  Trace.iter
-    (fun (c : Contact.t) ->
-      let idx = int_of_float ((c.t_beg -. t0) /. window) in
+  Array.iter
+    (fun t_beg ->
+      let idx = int_of_float ((t_beg -. t0) /. window) in
       let idx = min (n_windows - 1) (max 0 idx) in
       counts.(idx) <- counts.(idx) + 1)
-    trace;
+    (Trace.time_csr trace).csr_beg;
   Array.mapi (fun i k -> (t0 +. (float_of_int i *. window), k)) counts

@@ -66,10 +66,10 @@ type state = {
   mutable kept : int;
   mutable min_beg : float;  (* window inference, over emitted records *)
   mutable max_end : float;
-  emit : Contact.t -> unit;
+  buf : Trace.Builder.t;  (* the kept records, never boxed *)
 }
 
-let create ~policy ~ordered ~emit =
+let create ~policy ~ordered =
   {
     policy;
     strict = policy = Repair.Strict;
@@ -97,7 +97,7 @@ let create ~policy ~ordered ~emit =
     kept = 0;
     min_beg = infinity;
     max_end = neg_infinity;
-    emit = (fun c -> emit c);
+    buf = Trace.Builder.create 0;
   }
 
 let err st ?line code fmt =
@@ -286,7 +286,9 @@ let record st ln a b t_beg t_end =
         st.kept <- st.kept + 1;
         if t_beg < st.min_beg then st.min_beg <- t_beg;
         if t_end > st.max_end then st.max_end <- t_end;
-        st.emit (Contact.make ~a ~b ~t_beg ~t_end)
+        (* canonical [a < b], as [Contact.make] makes it *)
+        if a < b then Trace.Builder.add st.buf ~a ~b ~t_beg ~t_end
+        else Trace.Builder.add st.buf ~a:b ~b:a ~t_beg ~t_end
       end
     end
   end
@@ -388,6 +390,9 @@ let eof_file st =
 let finalize st =
   let held = st.held in
   st.held <- [];
+  (* At most every held record is kept: sized once, exactly, the
+     buffers become the trace's arrays without a trimming copy. *)
+  Trace.Builder.reserve st.buf (List.length held);
   List.iter (fun r -> record st r.ln r.a r.b r.t_beg r.t_end) (List.rev held);
   (match st.strict_window with Some e -> raise (Err.Error e) | None -> ());
   let n_nodes =
@@ -458,8 +463,8 @@ let shard_list ~index_path text =
        else Some (if Filename.is_relative l then Filename.concat dir l else l))
 
 (* Raises [Err.Error]; [Sys_error] is mapped by the public wrappers. *)
-let run ~policy ~emit path =
-  let st = create ~policy ~ordered:true ~emit in
+let run ~policy path =
+  let st = create ~policy ~ordered:true in
   st.file <- Some path;
   let buf = Bytes.create chunk in
   let mode =
@@ -482,48 +487,31 @@ let run ~policy ~emit path =
         eof_file st)
       (shard_list ~index_path:path text);
     st.file <- Some path);
-  finalize st
+  st
 
-let dummy_contact = Contact.make ~a:0 ~b:1 ~t_beg:0. ~t_end:0.
-
-let collector () =
-  let arr = ref [||] and len = ref 0 in
-  let emit c =
-    if !len = Array.length !arr then begin
-      let cap = max 1024 (2 * Array.length !arr) in
-      let na = Array.make cap dummy_contact in
-      Array.blit !arr 0 na 0 !len;
-      arr := na
-    end;
-    !arr.(!len) <- c;
-    incr len
-  in
-  let contents () = if !len = Array.length !arr then !arr else Array.sub !arr 0 !len in
-  (emit, contents)
-
-let build_trace ?file (name, n_nodes, (t_start, t_end), report) contacts =
-  match Trace.create_array_result ~name ~n_nodes ~t_start ~t_end contacts with
-  | Ok t -> Ok (t, report)
-  | Error e -> Error (match file with Some f -> Err.in_file f e | None -> e)
+let build_trace ?file st =
+  match finalize st with
+  | exception Err.Error e -> Error e
+  | name, n_nodes, (t_start, t_end), report -> (
+    match Trace.of_builder_result ~name ~n_nodes ~t_start ~t_end st.buf with
+    | Ok t -> Ok (t, report)
+    | Error e -> Error (match file with Some f -> Err.in_file f e | None -> e))
 
 let load_result ?(policy = Repair.Strict) path =
-  let emit, contents = collector () in
-  match run ~policy ~emit path with
+  match run ~policy path with
   | exception Err.Error e -> Error e
   | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg)
-  | meta -> build_trace ~file:path meta (contents ())
+  | st -> build_trace ~file:path st
 
 let parse_text ~ordered ?(policy = Repair.Strict) ?file chunks =
-  let emit, contents = collector () in
-  let st = create ~policy ~ordered ~emit in
+  let st = create ~policy ~ordered in
   st.file <- file;
   match
     List.iter (feed st) chunks;
-    eof_file st;
-    finalize st
+    eof_file st
   with
   | exception Err.Error e -> Error e
-  | meta -> build_trace ?file meta (contents ())
+  | () -> build_trace ?file st
 
 let parse_chunks ?policy ?file chunks = parse_text ~ordered:true ?policy ?file chunks
 let parse ?policy ?file text = parse_chunks ?policy ?file [ text ]

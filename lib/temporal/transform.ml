@@ -1,34 +1,56 @@
-let rebuild ?name base contacts =
-  let name = Option.value name ~default:(Trace.name base) in
-  Trace.create ~name ~n_nodes:(Trace.n_nodes base) ~t_start:(Trace.t_start base)
-    ~t_end:(Trace.t_end base) contacts
+module Builder = Trace.Builder
 
+(* Every transform adds its contacts last first. The sort places ties
+   that differ only in the sign of a zero by their input order, and
+   this is the order the list-based transforms gave [Trace.create], so
+   every derived trace keeps its bytes. *)
+let build ~name ~n_nodes ~t_start ~t_end buf =
+  match Trace.of_builder_result ~name ~n_nodes ~t_start ~t_end buf with
+  | Ok t -> t
+  | Error e -> invalid_arg (Omn_robust.Err.to_string e)
+
+let rebuild base buf =
+  build ~name:(Trace.name base) ~n_nodes:(Trace.n_nodes base) ~t_start:(Trace.t_start base)
+    ~t_end:(Trace.t_end base) buf
+
+(* [keep i] runs in trace order: [remove_random] draws once per contact. *)
 let filter keep base =
-  rebuild base (Trace.fold (fun acc c -> if keep c then c :: acc else acc) [] base)
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr base in
+  let kept = Array.init (Trace.n_contacts base) keep in
+  let buf = Builder.create (Array.fold_left (fun k x -> if x then k + 1 else k) 0 kept) in
+  for i = Array.length kept - 1 downto 0 do
+    if kept.(i) then
+      Builder.add buf ~a:csr_a.(i) ~b:csr_b.(i) ~t_beg:csr_beg.(i) ~t_end:csr_end.(i)
+  done;
+  rebuild base buf
 
 let remove_random ~rng ~p trace =
   if not (0. <= p && p <= 1.) then invalid_arg "Transform.remove_random: bad p";
   filter (fun _ -> not (Omn_stats.Rng.bernoulli rng p)) trace
 
-let keep_longer_than threshold trace =
-  filter (fun c -> Contact.duration c > threshold) trace
+let duration trace i =
+  let { Trace.csr_beg; csr_end; _ } = Trace.time_csr trace in
+  csr_end.(i) -. csr_beg.(i)
 
-let keep_shorter_than threshold trace =
-  filter (fun c -> Contact.duration c <= threshold) trace
+let keep_longer_than threshold trace = filter (fun i -> duration trace i > threshold) trace
+let keep_shorter_than threshold trace = filter (fun i -> duration trace i <= threshold) trace
+
+(* Adds [f i]'s image of every contact, last contact first. *)
+let map_rev trace f =
+  let buf = Builder.create (Trace.n_contacts trace) in
+  for i = Trace.n_contacts trace - 1 downto 0 do
+    f buf i
+  done;
+  buf
 
 let time_window ~t_start ~t_end trace =
   if t_start > t_end then invalid_arg "Transform.time_window: reversed";
-  let clipped =
-    Trace.fold
-      (fun acc (c : Contact.t) ->
-        if c.t_end < t_start || c.t_beg > t_end then acc
-        else
-          Contact.make ~a:c.a ~b:c.b ~t_beg:(Float.max c.t_beg t_start)
-            ~t_end:(Float.min c.t_end t_end)
-          :: acc)
-      [] trace
-  in
-  Trace.create ~name:(Trace.name trace) ~n_nodes:(Trace.n_nodes trace) ~t_start ~t_end clipped
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
+  map_rev trace (fun buf i ->
+      if not (csr_end.(i) < t_start || csr_beg.(i) > t_end) then
+        Builder.add buf ~a:csr_a.(i) ~b:csr_b.(i) ~t_beg:(Float.max csr_beg.(i) t_start)
+          ~t_end:(Float.min csr_end.(i) t_end))
+  |> build ~name:(Trace.name trace) ~n_nodes:(Trace.n_nodes trace) ~t_start ~t_end
 
 let restrict_nodes ~keep trace =
   let n = Trace.n_nodes trace in
@@ -40,18 +62,18 @@ let restrict_nodes ~keep trace =
       incr next
     end
   done;
-  let contacts =
-    Trace.fold
-      (fun acc (c : Contact.t) ->
-        if remap.(c.a) >= 0 && remap.(c.b) >= 0 then
-          Contact.make ~a:remap.(c.a) ~b:remap.(c.b) ~t_beg:c.t_beg ~t_end:c.t_end :: acc
-        else acc)
-      [] trace
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
+  (* [remap] is increasing, so a kept contact stays [a < b]. *)
+  let buf =
+    map_rev trace (fun buf i ->
+        let a = remap.(csr_a.(i)) and b = remap.(csr_b.(i)) in
+        if a >= 0 && b >= 0 then
+          Builder.add buf ~a ~b ~t_beg:csr_beg.(i) ~t_end:csr_end.(i))
   in
   let back = Array.make !next (-1) in
   Array.iteri (fun old fresh -> if fresh >= 0 then back.(fresh) <- old) remap;
-  ( Trace.create ~name:(Trace.name trace) ~n_nodes:!next ~t_start:(Trace.t_start trace)
-      ~t_end:(Trace.t_end trace) contacts,
+  ( build ~name:(Trace.name trace) ~n_nodes:!next ~t_start:(Trace.t_start trace)
+      ~t_end:(Trace.t_end trace) buf,
     back )
 
 let quantize ~granularity trace =
@@ -59,30 +81,32 @@ let quantize ~granularity trace =
   let t0 = Trace.t_start trace and t1 = Trace.t_end trace in
   let snap_down t = t0 +. (Float.floor ((t -. t0) /. granularity) *. granularity) in
   let snap_up t = t0 +. (Float.ceil ((t -. t0) /. granularity) *. granularity) in
-  let contacts =
-    Trace.fold
-      (fun acc (c : Contact.t) ->
-        let t_beg = Float.max t0 (snap_down c.t_beg) in
-        let t_end = Float.min t1 (snap_up c.t_end) in
-        Contact.make ~a:c.a ~b:c.b ~t_beg ~t_end :: acc)
-      [] trace
-  in
-  rebuild trace contacts
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
+  map_rev trace (fun buf i ->
+      Builder.add buf ~a:csr_a.(i) ~b:csr_b.(i) ~t_beg:(Float.max t0 (snap_down csr_beg.(i)))
+        ~t_end:(Float.min t1 (snap_up csr_end.(i))))
+  |> rebuild trace
 
 let shift delta trace =
-  let contacts =
-    Trace.fold
-      (fun acc (c : Contact.t) ->
-        Contact.make ~a:c.a ~b:c.b ~t_beg:(c.t_beg +. delta) ~t_end:(c.t_end +. delta) :: acc)
-      [] trace
-  in
-  Trace.create ~name:(Trace.name trace) ~n_nodes:(Trace.n_nodes trace)
-    ~t_start:(Trace.t_start trace +. delta) ~t_end:(Trace.t_end trace +. delta) contacts
+  let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
+  map_rev trace (fun buf i ->
+      Builder.add buf ~a:csr_a.(i) ~b:csr_b.(i) ~t_beg:(csr_beg.(i) +. delta)
+        ~t_end:(csr_end.(i) +. delta))
+  |> build ~name:(Trace.name trace) ~n_nodes:(Trace.n_nodes trace)
+       ~t_start:(Trace.t_start trace +. delta) ~t_end:(Trace.t_end trace +. delta)
 
 let merge t1 t2 =
   if Trace.n_nodes t1 <> Trace.n_nodes t2 then invalid_arg "Transform.merge: node counts differ";
-  let contacts = Trace.fold (fun acc c -> c :: acc) (Trace.fold (fun acc c -> c :: acc) [] t1) t2 in
-  Trace.create ~name:(Trace.name t1) ~n_nodes:(Trace.n_nodes t1)
+  let buf = Builder.create (Trace.n_contacts t1 + Trace.n_contacts t2) in
+  let add_rev trace =
+    let { Trace.csr_a; csr_b; csr_beg; csr_end; _ } = Trace.time_csr trace in
+    for i = Trace.n_contacts trace - 1 downto 0 do
+      Builder.add buf ~a:csr_a.(i) ~b:csr_b.(i) ~t_beg:csr_beg.(i) ~t_end:csr_end.(i)
+    done
+  in
+  add_rev t2;
+  add_rev t1;
+  build ~name:(Trace.name t1) ~n_nodes:(Trace.n_nodes t1)
     ~t_start:(Float.min (Trace.t_start t1) (Trace.t_start t2))
     ~t_end:(Float.max (Trace.t_end t1) (Trace.t_end t2))
-    contacts
+    buf

@@ -586,6 +586,46 @@ let test_journey_counters () =
   Alcotest.(check bool) "pair_repeats <= points_pruned" true
     (get "journey.pair_repeats" <= get "frontier.points_pruned")
 
+(* Every load builds its trace once: one [trace.create] span per load,
+   through either reader, and the [trace.store_bytes] gauge holds the
+   store's array payload. *)
+let test_trace_create_layer () =
+  let module Trace = Omn_temporal.Trace in
+  let trace = Util.random_trace ~scale:0.37 (Rng.create 0x70) ~n:9 ~m:120 ~horizon:80 in
+  let path = Filename.temp_file "omn_obs" ".omn" in
+  let was = Metrics.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled was;
+      Sys.remove path)
+    (fun () ->
+      Omn_temporal.Trace_io.save trace path;
+      List.iter
+        (fun (reader, load) ->
+          Metrics.reset ();
+          Metrics.set_enabled true;
+          let loaded =
+            match load path with
+            | Ok (t, _) -> t
+            | Error e -> Alcotest.failf "%s: %s" reader (Omn_robust.Err.to_string e)
+          in
+          Metrics.set_enabled false;
+          let snap = Metrics.snapshot () in
+          let count =
+            match Metrics.find_span snap "trace.create" with Some v -> v.sv_count | None -> 0
+          in
+          Alcotest.(check int) (reader ^ ": one trace.create span") 1 count;
+          let csr = Trace.time_csr loaded in
+          let m = Array.length csr.csr_a and n = Trace.n_nodes loaded in
+          let ints = (3 * m) + (2 * m) + (n + 1) and floats = 2 * m in
+          Alcotest.(check (option (float 0.)))
+            (reader ^ ": trace.store_bytes") (Some (float_of_int ((ints * (Sys.word_size / 8)) + (floats * 8))))
+            (Metrics.gauge_total snap "trace.store_bytes"))
+        [
+          ("Trace_io", Omn_temporal.Trace_io.load_result ?policy:None);
+          ("Trace_stream", Omn_temporal.Trace_stream.load_result ?policy:None);
+        ])
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -606,6 +646,7 @@ let suite =
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus;
     Alcotest.test_case "bit-identity under instrumentation" `Quick test_bit_identity;
     Alcotest.test_case "journey counters domain-independent" `Quick test_journey_counters;
+    Alcotest.test_case "trace.create span and store gauge" `Quick test_trace_create_layer;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_merge_assoc_comm; prop_merge_order_insensitive; prop_prometheus_totals ]

@@ -1,6 +1,7 @@
 module Contact = Omn_temporal.Contact
 module Trace = Omn_temporal.Trace
 module Trace_io = Omn_temporal.Trace_io
+module Trace_stream = Omn_temporal.Trace_stream
 module Trace_stats = Omn_temporal.Trace_stats
 module Rng = Omn_stats.Rng
 
@@ -380,6 +381,203 @@ let stats_activity_profile () =
   Alcotest.(check int) "second window" 1 (snd profile.(1));
   Alcotest.(check int) "last window" 1 (snd profile.(9))
 
+(* --- non-finite windows --- *)
+
+(* A NaN or infinite window bound is a typed Window error, raised
+   before any contact is looked at: such a window could be saved but
+   not read back (the readers refuse it in a header). *)
+let trace_rejects_nonfinite_window () =
+  let c = Contact.make ~a:0 ~b:1 ~t_beg:1. ~t_end:2. in
+  let expect label ~t_start ~t_end contacts =
+    (match Trace.create_result ~n_nodes:2 ~t_start ~t_end contacts with
+    | Error (e : Omn_robust.Err.t) ->
+      Alcotest.(check string) (label ^ ": error code") "E-WINDOW" (Omn_robust.Err.code_name e.code)
+    | Ok _ -> Alcotest.failf "%s: non-finite window accepted" label);
+    match Trace.create ~n_nodes:2 ~t_start ~t_end contacts with
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (label ^ ": raised message is the typed one") true
+        (Util.contains_substring msg "[E-WINDOW]")
+    | _ -> Alcotest.failf "%s: Trace.create accepted a non-finite window" label
+  in
+  expect "infinite end" ~t_start:0. ~t_end:infinity [ c ];
+  expect "infinite start" ~t_start:neg_infinity ~t_end:5. [ c ];
+  expect "NaN window" ~t_start:nan ~t_end:nan [ c ];
+  expect "NaN end, no contacts" ~t_start:0. ~t_end:nan [];
+  (* checked before the contacts: an out-of-range node is not reported *)
+  expect "before the contacts" ~t_start:0. ~t_end:infinity
+    [ (Obj.magic (0, 9, 1., 2.) : Contact.t) ]
+
+(* --- the store --- *)
+
+let infocom05 = lazy (Omn_mobility.Presets.infocom05 ~seed:1 ()).trace
+
+(* SHA-256 of [Trace_io.to_string] for the traces [omn gen -o] writes,
+   recorded when a trace still kept one boxed record per contact: the
+   structure-of-arrays store must write the same bytes. The random
+   preset has fractional times. *)
+let store_byte_pins () =
+  let hours = 6. *. 3600. in
+  let pins =
+    [
+      ( "infocom05 --seed 1",
+        infocom05,
+        "f2a73847fda18ca23dd3b9ffb25a7c08f243ce41dab8ec05bfa8453fd48c14a8" );
+      ( "hong-kong --seed 1",
+        lazy (Omn_mobility.Presets.hong_kong ~seed:1 ()).trace,
+        "9aadef8c4c75c84557da72dba41ed3c67b30881524302004aab9d95bee2fe79d" );
+      ( "random --nodes 40 --hours 6 --seed 7",
+        lazy
+          (Omn_randnet.Continuous.generate (Rng.create 7)
+             { Omn_randnet.Continuous.n = 40; lambda = 2. /. 3600.; horizon = hours }),
+        "a24b9140df620f9263fb092b8488327e9eafcf635124a7d27fa8f2bd448f1511" );
+      ( "waypoint --nodes 40 --hours 6 --seed 7",
+        lazy
+          (Omn_mobility.Random_waypoint.generate (Rng.create 7)
+             { Omn_mobility.Random_waypoint.default with n = 40; horizon = hours }),
+        "3d2f8fd2274d6af3d641ff15ce649eedf38ecf8cc36b2029f4c0a641967db98f" );
+    ]
+  in
+  List.iter
+    (fun (label, trace, want) ->
+      Alcotest.(check string) label want
+        (Omn_obs.Sha256.string (Trace_io.to_string (Lazy.force trace))))
+    pins
+
+(* The writer's format, fed from a test-side record sort. *)
+let render ~n_nodes ~t_end (contacts : Contact.t array) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "# omn-trace 1\n# name trace\n# nodes %d\n# window %.17g %.17g\n" n_nodes 0.
+    t_end;
+  Array.iter
+    (fun (c : Contact.t) -> Printf.bprintf b "%d %d %.17g %.17g\n" c.a c.b c.t_beg c.t_end)
+    contacts;
+  Buffer.contents b
+
+(* Tie-heavy contacts whose times include both signs of zero, so that
+   some ties under [Contact.compare_by_start] print differently; half
+   the inputs come already in start order (ties in random order), where
+   [create] may skip its sort only if every tie is bit-identical. *)
+let signed_zero_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 3 in
+    let* m = int_range 0 30 in
+    let* seed = int in
+    let* presorted = bool in
+    let rng = Rng.create seed in
+    let starts = [| -0.; 0.; 5.; 10. |] and lengths = [| -0.; 0.; 3. |] in
+    let contacts =
+      Array.init m (fun _ ->
+          let a = Rng.int rng n in
+          let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+          let t_beg = starts.(Rng.int rng 4) in
+          Contact.make ~a ~b ~t_beg ~t_end:(t_beg +. lengths.(Rng.int rng 3)))
+    in
+    if presorted then Array.stable_sort Contact.compare_by_start contacts;
+    return (n, contacts))
+
+let store_order_is_record_sort =
+  QCheck2.Test.make ~count:500 ~name:"create order = record sort, signed-zero ties"
+    signed_zero_gen (fun (n_nodes, input) ->
+      let before = Array.copy input in
+      let expected = Array.copy input in
+      Array.sort Contact.compare_by_start expected;
+      match Trace.create_array_result ~n_nodes ~t_start:0. ~t_end:20. input with
+      | Error e -> QCheck2.Test.fail_reportf "rejected: %s" (Omn_robust.Err.to_string e)
+      | Ok trace ->
+        if not (Array.for_all2 ( == ) before input) then
+          QCheck2.Test.fail_report "create_array_result modified its argument";
+        let got = Trace_io.to_string trace and want = render ~n_nodes ~t_end:20. expected in
+        if got <> want then QCheck2.Test.fail_reportf "got:\n%s\nwant:\n%s" got want;
+        true)
+
+(* Seven words per contact (four field arrays, [csr_prev], two index
+   slots) and one per node, plus a constant: no record per contact. *)
+let store_footprint () =
+  let trace = Lazy.force infocom05 in
+  let m = Trace.n_contacts trace and n = Trace.n_nodes trace in
+  let words = Obj.reachable_words (Obj.repr trace) in
+  let bound = (7 * m) + (n + 1) + 64 in
+  if words > bound then
+    Alcotest.failf "Infocom05 trace: %d words (%.1f per contact) > 7m + (n + 1) + 64 = %d" words
+      (float_of_int words /. float_of_int m)
+      bound
+
+(* The checkpoint fingerprint hashes the store: one contact's end moved
+   by one ulp is another trace, while the same file read by either
+   reader is the same trace. *)
+let store_checkpoint_fingerprint () =
+  let trace = Util.random_trace ~scale:0.37 (Rng.create 5) ~n:8 ~m:30 ~horizon:50 in
+  let grid = [| 1.; 2.; 5.; 10.; 25.; 50. |] in
+  let path = Filename.temp_file "omn_store" ".omn" and ckpt = Filename.temp_file "omn_store" ".ckpt" in
+  Sys.remove ckpt;
+  let step trace =
+    match Omn_core.Delay_cdf.plan ~max_hops:4 ~grid trace with
+    | Error e -> Alcotest.failf "plan: %s" (Omn_robust.Err.to_string e)
+    | Ok plan ->
+      Omn_core.Driver.run ~checkpoint_every:3 ~checkpoint:ckpt ~resume:true ~budget_seconds:0. plan
+  in
+  let sources_done label trace =
+    match step trace with
+    | Ok o -> o.Omn_core.Driver.progress.Omn_core.Delay_cdf.sources_done
+    | Error e -> Alcotest.failf "%s: %s" label (Omn_robust.Err.to_string e)
+  in
+  let load label = function
+    | Ok (t, _) -> t
+    | Error e -> Alcotest.failf "%s: %s" label (Omn_robust.Err.to_string e)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Omn_robust.Checkpoint.remove ckpt)
+    (fun () ->
+      Trace_io.save trace path;
+      let in_memory = load "Trace_io" (Trace_io.load_result path) in
+      let streamed = load "Trace_stream" (Trace_stream.load_result path) in
+      let first = sources_done "first batch" in_memory in
+      let contacts = Trace.contacts trace in
+      let i =
+        let rec find i = if contacts.(i).t_end < Trace.t_end trace then i else find (i + 1) in
+        find 0
+      in
+      let c = contacts.(i) in
+      contacts.(i) <- Contact.make ~a:c.a ~b:c.b ~t_beg:c.t_beg ~t_end:(Float.succ c.t_end);
+      let moved =
+        Trace.create ~n_nodes:(Trace.n_nodes trace) ~t_start:(Trace.t_start trace)
+          ~t_end:(Trace.t_end trace) (Array.to_list contacts)
+      in
+      (match step moved with
+      | Error (e : Omn_robust.Err.t) ->
+        Alcotest.(check string) "one ulp: refused" "E-CHECKPOINT" (Omn_robust.Err.code_name e.code)
+      | Ok _ -> Alcotest.fail "a checkpoint resumed on a trace one ulp away");
+      let second = sources_done "resume through the streaming reader" streamed in
+      Alcotest.(check bool) "streamed load resumed the in-memory load's checkpoint" true
+        (second > first))
+
+(* One pass over [csr_prev] gives the multiset of gaps a per-pair scan
+   of sorted records gives. *)
+let stats_inter_contact_brute =
+  QCheck2.Test.make ~count:300 ~name:"inter_contact_times = per-pair scan" repeat_trace_gen
+    (fun trace ->
+      let n = Trace.n_nodes trace in
+      let gaps = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          let rec walk = function
+            | (c1 : Contact.t) :: ((c2 : Contact.t) :: _ as rest) ->
+              gaps := Float.max 0. (c2.t_beg -. c1.t_end) :: !gaps;
+              walk rest
+            | _ -> ()
+          in
+          Trace.contacts trace |> Array.to_list
+          |> List.filter (fun (c : Contact.t) -> c.a = u && c.b = v)
+          |> List.sort Contact.compare_by_start |> walk
+        done
+      done;
+      let want =
+        match !gaps with [] -> None | g -> Some (Omn_stats.Empirical.of_array (Array.of_list g))
+      in
+      Trace_stats.inter_contact_times trace = want)
+
 let suite =
   [
     Alcotest.test_case "contact canonicalisation" `Quick contact_canonical;
@@ -400,6 +598,10 @@ let suite =
     Alcotest.test_case "stats on the empty trace" `Quick stats_empty_trace;
     Alcotest.test_case "stats on a single contact" `Quick stats_single_contact;
     Alcotest.test_case "activity profile" `Quick stats_activity_profile;
+    Alcotest.test_case "non-finite windows get typed errors" `Quick trace_rejects_nonfinite_window;
+    Alcotest.test_case "store: omn gen byte pins" `Quick store_byte_pins;
+    Alcotest.test_case "store: 7 words per contact" `Quick store_footprint;
+    Alcotest.test_case "store: checkpoint fingerprint" `Quick store_checkpoint_fingerprint;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -408,4 +610,6 @@ let suite =
         trace_csr_prev;
         trace_io_roundtrip;
         trace_io_clean_repair;
+        store_order_is_record_sort;
+        stats_inter_contact_brute;
       ]

@@ -163,6 +163,22 @@ let restrict_remaps () =
   Alcotest.(check int) "remapped a" 1 c.a;
   Alcotest.(check int) "remapped b" 2 c.b
 
+(* [omn transform --window T0:inf] used to write a trace no reader
+   accepts, and [nan:nan] died in [Contact.make]: both now raise the
+   typed Window error of [Trace.create]. *)
+let window_nonfinite () =
+  let trace = Util.random_trace (Rng.create 3) ~n:5 ~m:20 ~horizon:40 in
+  List.iter
+    (fun (label, t_start, t_end) ->
+      match Transform.time_window ~t_start ~t_end trace with
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S is the typed window error" label msg)
+          true
+          (Util.contains_substring msg "[E-WINDOW]")
+      | _ -> Alcotest.failf "%s: non-finite window accepted" label)
+    [ ("T0:inf", 10., infinity); ("-inf:T1", neg_infinity, 30.); ("nan:nan", nan, nan) ]
+
 let suite =
   [
     Alcotest.test_case "remove p=0 / p=1" `Quick remove_edge_cases;
@@ -171,6 +187,7 @@ let suite =
     Alcotest.test_case "transforms on the empty trace" `Quick empty_trace_transforms;
     Alcotest.test_case "transforms on a single contact" `Quick single_contact_transforms;
     Alcotest.test_case "removal to zero stays well-defined" `Quick removal_to_zero_downstream;
+    Alcotest.test_case "time_window: non-finite window is a typed error" `Quick window_nonfinite;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ duration_partition; window_clips; quantize_aligns; shift_translates; merge_counts ]
