@@ -102,6 +102,19 @@ let load_trace ?(stream = false) ~policy ~lenient path =
     if policy <> Repair.Strict then Format.eprintf "%a@." Repair.pp report;
     trace
 
+(* The budget grid of `omn diameter' and `omn delay-cdf': 100
+   log-spaced budgets up to the trace's span, starting at span / 5000
+   but at least 1 s — or at the span itself, when it is shorter. A
+   window that spans no time has no delays to grid. *)
+let delay_grid trace =
+  let span = Omn_temporal.Trace.span trace in
+  if not (span > 0.) then
+    raise
+      (Err.Error
+         (Err.errf Err.Window "trace window [%g; %g] spans no time; delays need a positive span"
+            (Omn_temporal.Trace.t_start trace) (Omn_temporal.Trace.t_end trace)));
+  Omn_stats.Grid.logarithmic ~lo:(Float.min span (Float.max 1. (span /. 5000.))) ~hi:span ~n:100
+
 let save_or_print trace = function
   | Some path ->
     Omn_temporal.Trace_io.save trace path;
@@ -809,6 +822,7 @@ let diameter_cmd =
                       shard index)"
                      !peak heap_cap))))
       alarm;
+    let grid = delay_grid trace in
     trace_manifest ~path ~domains
       ~config:
         Omn_obs.Json.
@@ -822,10 +836,6 @@ let diameter_cmd =
           ]
       trace;
     write_checkpoint_sidecar checkpoint;
-    let span = Omn_temporal.Trace.span trace in
-    let grid =
-      Omn_stats.Grid.logarithmic ~lo:(Float.max 1. (span /. 5000.)) ~hi:span ~n:100
-    in
     let ci_width = Option.value ci_width ~default:1. in
     let confidence = Option.value confidence ~default:0.9 in
     let sampling =
@@ -981,6 +991,7 @@ let delay_cdf_cmd =
       | None, Some pr -> preset_trace pr ~seed ~nodes:40 ~lambda:2. ~hours:6.
       | None, None -> usage_err "need a TRACE file or --preset NAME"
     in
+    let grid = delay_grid trace in
     trace_manifest ?path ~seed ~domains
       ~config:
         Omn_obs.Json.
@@ -991,10 +1002,6 @@ let delay_cdf_cmd =
           ]
       trace;
     write_checkpoint_sidecar checkpoint;
-    let span = Omn_temporal.Trace.span trace in
-    let grid =
-      Omn_stats.Grid.logarithmic ~lo:(Float.max 1. (span /. 5000.)) ~hi:span ~n:100
-    in
     let curves, (p : Omn_core.Delay_cdf.progress) =
       if sharded workers then begin
         let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in

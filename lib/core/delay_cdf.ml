@@ -6,6 +6,9 @@ module Err = Omn_robust.Err
 let m_sources = Metrics.counter "delay_cdf.sources_done"
 let m_pairs = Metrics.counter "delay_cdf.pairs_done"
 
+(* Descriptors walked by accumulation, added once per pair. *)
+let m_segments = Metrics.counter "delay_cdf.segments"
+
 type t = {
   grid_ : float array;
   slope_diff : float array;  (* length n+1: coefficient of d on [i_lo, i_full) *)
@@ -19,7 +22,8 @@ let create ~grid =
   let n = Array.length grid in
   if n = 0 then invalid_arg "Delay_cdf.create: empty grid";
   for i = 0 to n - 1 do
-    if grid.(i) < 0. || Float.is_nan grid.(i) then invalid_arg "Delay_cdf.create: negative budget";
+    if not (Float.is_finite grid.(i)) then invalid_arg "Delay_cdf.create: non-finite budget";
+    if grid.(i) < 0. then invalid_arg "Delay_cdf.create: negative budget";
     if i > 0 && grid.(i) < grid.(i - 1) then invalid_arg "Delay_cdf.create: grid not ascending"
   done;
   {
@@ -33,62 +37,70 @@ let create ~grid =
 
 let grid t = Array.copy t.grid_
 
-(* First grid index with grid.(i) >= x, or n. *)
-let lower t x =
-  let n = Array.length t.grid_ in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.grid_.(mid) >= x then hi := mid else lo := mid + 1
-  done;
-  !lo
-
-(* One creation-time segment (a, b] governed by arrival [ea]: success
-   measure at budget d is clamp(b - max(a, ea - d), 0, b - a) — zero up
-   to d = ea - b, then (b - ea) + d, then saturated at b - a. *)
-let add_segment t ~a ~b ~ea =
-  if b > a then begin
-    let i_lo = lower t (ea -. b) in
-    let i_full = lower t (ea -. a) in
-    if i_full > i_lo then begin
-      t.slope_diff.(i_lo) <- t.slope_diff.(i_lo) +. 1.;
-      t.slope_diff.(i_full) <- t.slope_diff.(i_full) -. 1.;
-      t.const_diff.(i_lo) <- t.const_diff.(i_lo) +. (b -. ea);
-      t.const_diff.(i_full) <- t.const_diff.(i_full) -. (b -. ea)
-    end;
-    t.full_diff.(i_full) <- t.full_diff.(i_full) +. (b -. a);
-    t.inf_mass <- t.inf_mass +. (b -. a)
+(* First grid index with grid.(i) >= x, or n. A query at or below the
+   smallest budget, most of them on a dense trace, needs no search. *)
+let[@inline] lower t x =
+  let g = t.grid_ in
+  if x <= g.(0) then 0
+  else begin
+    let lo = ref 0 and hi = ref (Array.length g) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if g.(mid) >= x then hi := mid else lo := mid + 1
+    done;
+    !lo
   end
 
-let add_pair t ~t_start ~t_end (descriptors : Ld_ea.t array) =
-  if t_start > t_end then invalid_arg "Delay_cdf.add_pair: reversed window";
-  t.total <- t.total +. (t_end -. t_start);
-  let prev_ld = ref neg_infinity in
-  Array.iter
-    (fun (p : Ld_ea.t) ->
-      let a = Float.max t_start !prev_ld in
-      let b = Float.min t_end p.ld in
-      add_segment t ~a ~b ~ea:p.ea;
-      prev_ld := p.ld)
-    descriptors
+(* One creation-time segment (a, b], a < b, governed by arrival [ea]:
+   success measure at budget d is clamp(b - max(a, ea - d), 0, b - a) —
+   zero up to d = ea - b, then (b - ea) + d, then saturated at b - a.
+   The caller adds b - a to [inf_mass]. *)
+let[@inline] add_segment t ~a ~b ~ea =
+  let i_lo = lower t (ea -. b) in
+  let i_full = lower t (ea -. a) in
+  if i_full > i_lo then begin
+    t.slope_diff.(i_lo) <- t.slope_diff.(i_lo) +. 1.;
+    t.slope_diff.(i_full) <- t.slope_diff.(i_full) -. 1.;
+    t.const_diff.(i_lo) <- t.const_diff.(i_lo) +. (b -. ea);
+    t.const_diff.(i_full) <- t.const_diff.(i_full) -. (b -. ea)
+  end;
+  t.full_diff.(i_full) <- t.full_diff.(i_full) +. (b -. a)
 
-(* [add_pair] off a live frontier: identical float operations in the
-   identical order, minus the [Frontier.to_array] descriptor snapshot —
-   the accumulation loop of [partial_of] reads the frontier's SoA
-   storage in place. *)
-let add_pair_frontier t ~t_start ~t_end frontier =
-  if t_start > t_end then invalid_arg "Delay_cdf.add_pair_frontier: reversed window";
+(* Descriptor i of a pair governs the creation times
+   (max t_start ld.(i-1), min t_end ld.(i)]. Read off flat arrays, with
+   [lower] and [add_segment] inlined and [inf_mass] summed in a local,
+   the loop keeps its floats unboxed and allocates nothing per
+   descriptor; every accumulator cell still sees the same float
+   operations in the same order. *)
+let add_descriptors t ~t_start ~t_end ~n lds eas =
   t.total <- t.total +. (t_end -. t_start);
-  let n = Frontier.size frontier in
-  let lds = Frontier.ld_arr frontier and eas = Frontier.ea_arr frontier in
-  let prev_ld = ref neg_infinity in
+  let inf_mass = ref t.inf_mass and prev_ld = ref neg_infinity in
   for i = 0 to n - 1 do
     let ld = lds.(i) in
     let a = Float.max t_start !prev_ld in
     let b = Float.min t_end ld in
-    add_segment t ~a ~b ~ea:eas.(i);
+    if b > a then begin
+      add_segment t ~a ~b ~ea:eas.(i);
+      inf_mass := !inf_mass +. (b -. a)
+    end;
     prev_ld := ld
-  done
+  done;
+  t.inf_mass <- !inf_mass;
+  Metrics.add m_segments n
+
+let add_pair t ~t_start ~t_end (descriptors : Ld_ea.t array) =
+  if t_start > t_end then invalid_arg "Delay_cdf.add_pair: reversed window";
+  add_descriptors t ~t_start ~t_end ~n:(Array.length descriptors)
+    (Array.map (fun (p : Ld_ea.t) -> p.ld) descriptors)
+    (Array.map (fun (p : Ld_ea.t) -> p.ea) descriptors)
+
+(* [add_pair] off a live frontier, minus the [Frontier.to_array]
+   descriptor snapshot: the accumulation loop of [partial_of] reads the
+   frontier's SoA storage in place. *)
+let add_pair_frontier t ~t_start ~t_end frontier =
+  if t_start > t_end then invalid_arg "Delay_cdf.add_pair_frontier: reversed window";
+  add_descriptors t ~t_start ~t_end ~n:(Frontier.size frontier) (Frontier.ld_arr frontier)
+    (Frontier.ea_arr frontier)
 
 let success t =
   let n = Array.length t.grid_ in
@@ -178,14 +190,16 @@ let plan ?(max_hops = 10) ?sources ?dests ?(grid = Omn_stats.Grid.delay_default)
     match
       ( outside sources,
         outside (Option.value dests ~default:[]),
+        List.find_opt (fun (a, b) -> not (Float.is_finite a && Float.is_finite b)) windows,
         List.find_opt (fun (a, b) -> a > b) windows,
         grid_error )
     with
-    | Some s, _, _, _ -> reject "source %d out of range [0, %d)" s n
-    | None, Some d, _, _ -> reject "destination %d out of range [0, %d)" d n
-    | None, None, Some (a, b), _ -> reject "reversed window (%g, %g)" a b
-    | None, None, None, Some msg -> Err.error Err.Usage msg
-    | None, None, None, None ->
+    | Some s, _, _, _, _ -> reject "source %d out of range [0, %d)" s n
+    | None, Some d, _, _, _ -> reject "destination %d out of range [0, %d)" d n
+    | None, None, Some (a, b), _, _ -> reject "non-finite window (%g, %g)" a b
+    | None, None, None, Some (a, b), _ -> reject "reversed window (%g, %g)" a b
+    | None, None, None, None, Some msg -> Err.error Err.Usage msg
+    | None, None, None, None, None ->
       let is_dest =
         match dests with
         | None -> Array.make n true

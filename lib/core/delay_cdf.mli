@@ -8,12 +8,16 @@
     sum of piecewise-linear-in-[d] segment contributions
     (see {!Delivery.success_measure}). The accumulator below aggregates
     those contributions over pairs onto a fixed budget grid in
-    O(log |grid|) per frontier descriptor, using difference arrays. *)
+    O(log |grid|) per frontier descriptor, using difference arrays.
+    Accumulating a live frontier ({!add_pair_frontier}) allocates
+    nothing per descriptor: a pair costs two boxed floats (the stored
+    [total] and infinite-budget mass), whatever its frontier's
+    length. *)
 
 type t
 
 val create : grid:float array -> t
-(** [grid]: ascending, non-negative delay budgets (seconds).
+(** [grid]: ascending, non-negative, finite delay budgets (seconds).
     Raises [Invalid_argument] otherwise. *)
 
 val grid : t -> float array
@@ -105,7 +109,8 @@ val plan :
 
     A typed [Usage] error names the bad value: [max_hops < 1], an
     empty source or window list, a source or destination outside
-    [[0, n_nodes)], a reversed window, or a grid {!create} rejects. *)
+    [[0, n_nodes)], a window with a non-finite bound, a reversed
+    window, or a grid {!create} rejects. *)
 
 val partial_of : plan -> Omn_temporal.Node.t -> partial
 (** The contribution of one source of the plan: run {!Journey.run} and

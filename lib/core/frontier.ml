@@ -35,15 +35,45 @@ let get t i =
 
 let to_array t = Array.init t.size (fun i -> { Ld_ea.ld = t.ld.(i); ea = t.ea.(i) })
 
-(* First index with ld.(i) >= x, or size. *)
-let lower_ld t x =
-  let d = t.ld in
-  let lo = ref 0 and hi = ref t.size in
+(* First index in [lo, hi) with d.(i) >= x, or hi. Every comparison is
+   [d.(i) >= x], false on a NaN [x], so a NaN query ends at [hi]. *)
+let[@inline] search_ld (d : float array) (x : float) lo hi =
+  let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     if d.(mid) >= x then hi := mid else lo := mid + 1
   done;
   !lo
+
+(* First index with ld.(i) >= x, or size. *)
+let lower_ld t x = search_ld t.ld x 0 t.size
+
+(* [lower_ld] by a finger search from [hint]: probe 1, 2, 4, ...
+   positions away from the hint, towards the answer, then binary-search
+   the last step. The answer is the same as [lower_ld]'s, so any hint
+   is correct; a near one makes it O(log distance). A NaN [x] fails
+   every [>=], so it walks right to [size] as the binary search does. *)
+let[@inline] lower_ld_from t ~hint x =
+  let d = t.ld and size = t.size in
+  let h = if hint < 0 then 0 else if hint > size then size else hint in
+  if h < size && not (d.(h) >= x) then begin
+    (* The answer is past [h]. *)
+    let lo = ref (h + 1) and step = ref 1 in
+    while h + !step < size && not (d.(h + !step) >= x) do
+      lo := h + !step + 1;
+      step := 2 * !step
+    done;
+    search_ld d x !lo (if h + !step < size then h + !step else size)
+  end
+  else begin
+    (* The answer is at or before [h]. *)
+    let hi = ref h and step = ref 1 in
+    while h - !step >= 0 && d.(h - !step) >= x do
+      hi := h - !step;
+      step := 2 * !step
+    done;
+    search_ld d x (if h - !step >= 0 then h - !step + 1 else 0) !hi
+  end
 
 (* First index with ea.(i) > x, or size. *)
 let upper_ea t x =

@@ -59,6 +59,15 @@ val ld_arr : t -> float array
 val ea_arr : t -> float array
 (** Physical [ea] storage; same caveats as {!ld_arr}. *)
 
+val lower_ld_from : t -> hint:int -> float -> int
+(** [lower_ld_from t ~hint x] is the first index [i < size t] with
+    [ld >= x], or [size t] when there is none or [x] is NaN. It searches
+    from [hint] (clamped into [[0, size t]]), stepping 1, 2, 4, ...
+    positions towards the answer and then binary-searching the last
+    step, so it costs O(log distance) from the hint; any hint gives the
+    same answer. For callers that query one frontier at nearby points
+    over and over and keep the last answer as the next hint. *)
+
 val mem_dominated : t -> Ld_ea.t -> bool
 (** Would [insert] reject this point (some member dominates it, or it is
     already present)? Does not modify the frontier. *)

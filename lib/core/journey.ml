@@ -11,21 +11,25 @@ type strategy = Semi_naive | Full_recompute
 let m_extends = Omn_obs.Metrics.counter "journey.extends"
 let m_candidates = Omn_obs.Metrics.counter "journey.candidates"
 let m_pair_repeats = Omn_obs.Metrics.counter "journey.pair_repeats"
+let m_rounds = Omn_obs.Metrics.counter "journey.rounds"
 
 (* Would [Frontier.insert_pt f ~ld ~ea] reject the point? Its own first
    test — the member with the least [ld' >= ld] has [ea' <= ea] — read
-   straight off the SoA arrays. False on NaN coordinates, which
-   therefore still reach [insert_pt] and raise there. [@inline] is
-   honoured without flambda too, and it is what keeps a rejected
-   candidate unboxed: a call would box both floats. *)
-let[@inline] dominated f ~ld ~ea =
-  let fld = Frontier.ld_arr f and size = Frontier.size f in
-  let lo = ref 0 and hi = ref size in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fld.(mid) >= ld then hi := mid else lo := mid + 1
-  done;
-  !lo < size && (Frontier.ea_arr f).(!lo) <= ea
+   straight off the SoA arrays. The member is found by a finger search
+   from [hint.(v)], where the last check on destination [v] ended, and
+   the answer becomes the next hint: consecutive checks on one
+   destination land a few positions apart, so this costs a few probes
+   instead of a binary search of the whole frontier. False on NaN
+   coordinates, which therefore still reach [insert_pt] and raise
+   there. [@inline] here and on [Frontier.lower_ld_from] is honoured
+   without flambda too, and it is what keeps a rejected candidate
+   unboxed: a call would box both floats. Across modules it needs
+   Frontier's implementation at compile time, which the release
+   profile has and the dev profile's [-opaque] hides. *)
+let[@inline] dominated f hint v ~ld ~ea =
+  let i = Frontier.lower_ld_from f ~hint:hint.(v) ld in
+  hint.(v) <- i;
+  i < Frontier.size f && (Frontier.ea_arr f).(i) <= ea
 
 (* The round loop is written against the structure-of-arrays layers
    underneath it and allocates nothing per relaxation in the steady
@@ -74,6 +78,8 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   (* [cursor.(u)]: last index of [delta.(u)] with [ea <= tb] for the
      contact being swept. See [extend]. *)
   let cursor = Array.make n (-1) in
+  (* [hint.(v)]: where the last [dominated] check on [v] ended. *)
+  let hint = Array.make n 0 in
   let extends = ref 0 and candidates = ref 0 and rejected = ref 0 and repeats = ref 0 in
   (* Without flambda, every float crossing a function boundary is boxed,
      so the sweep passes only the contact index (an immediate) and the
@@ -139,7 +145,8 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
         if i < hi then begin
           let ea = if dea.(i) >= tb then dea.(i) else tb in
           incr candidates;
-          if dominated dst ~ld:te ~ea then incr rejected else insert_cand to_node te ea
+          if dominated dst hint to_node ~ld:te ~ea then incr rejected
+          else insert_cand to_node te ea
         end;
         (* (b) the last point with ea <= tb, if its ld < te. The pair
            rule comes first. Let [p] be the pair's previous contact:
@@ -152,9 +159,9 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
            sweep, also those this rule rejected). Frontiers only
            improve and [max ea_j tb_p <= tb], so [dst] dominates
            [(ld_j, tb)] now: [dominated] would say so too, after a
-           binary search. The proof needs [p] swept before [ci] in the
-           same round; a sweep that skips or reorders contacts must
-           drop the rule or prove it again. *)
+           frontier search. The proof needs [p] swept before [ci] in
+           the same round; a sweep that skips or reorders contacts
+           must drop the rule or prove it again. *)
         if j >= 0 && j < i then begin
           incr candidates;
           let p = cprev.(ci) in
@@ -162,13 +169,13 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
             incr rejected;
             incr repeats
           end
-          else if dominated dst ~ld:dld.(j) ~ea:tb then incr rejected
+          else if dominated dst hint to_node ~ld:dld.(j) ~ea:tb then incr rejected
           else insert_cand to_node dld.(j) tb
         end;
         (* (c) every point with tb < ea <= te and ld < te, verbatim *)
         for k = j + 1 to i - 1 do
           incr candidates;
-          if dominated dst ~ld:dld.(k) ~ea:dea.(k) then incr rejected
+          if dominated dst hint to_node ~ld:dld.(k) ~ea:dea.(k) then incr rejected
           else insert_cand to_node dld.(k) dea.(k)
         done
       end
@@ -240,6 +247,7 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
     end
   in
   let rounds = loop 1 in
+  Omn_obs.Metrics.add m_rounds rounds;
   (frontiers, rounds)
 
 let run ?max_rounds ?strategy ?on_round trace ~source =

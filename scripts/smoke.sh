@@ -1,7 +1,9 @@
 #!/bin/sh
 # End-to-end smoke test. Three layers:
 #   1. robustness: fault-injected traces must fail strict ingestion,
-#      pass lenient ingestion with a repair report;
+#      pass lenient ingestion with a repair report; diameter and
+#      delay-cdf must run on a window shorter than 1 s and fail with a
+#      typed E-WINDOW on one that spans no time;
 #   2. budget/resume: a delay-cdf run truncated by --budget-seconds must
 #      exit 124 with a PARTIAL banner, and resuming from its checkpoint
 #      must reproduce the uninterrupted run byte for byte;
@@ -81,6 +83,28 @@ for fault in truncate mangle nan self-loop negative-id window-lie; do
     echo "smoke FAIL: no repair report for fault '$fault'" >&2
     exit 1
   }
+done
+
+# The delay grid starts at span / 5000, at least 1 s, and never above
+# the span: a 0.5 s window still has curves. A window that spans no
+# time has no delays at all, which is a typed window error.
+printf '# window 0 0.5\n0 1 0 0.2\n1 2 0.3 0.4\n' >"$tmp/short.omn"
+printf '# window 5 5\n0 1 5 5\n' >"$tmp/instant.omn"
+for cmd in diameter delay-cdf; do
+  rc=0
+  "$OMN" "$cmd" "$tmp/short.omn" >/dev/null 2>"$tmp/short.err" || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    echo "smoke FAIL: 'omn $cmd' on a 0.5 s window exited $rc" >&2
+    cat "$tmp/short.err" >&2
+    exit 1
+  fi
+  rc=0
+  "$OMN" "$cmd" "$tmp/instant.omn" >/dev/null 2>"$tmp/instant.err" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q 'E-WINDOW' "$tmp/instant.err"; then
+    echo "smoke FAIL: 'omn $cmd' on a zero-span window exited $rc, expected 2 with E-WINDOW" >&2
+    cat "$tmp/instant.err" >&2
+    exit 1
+  fi
 done
 
 "$OMN" diameter "$tmp/clean.omn" --budget-seconds 5 --checkpoint "$tmp/ck" >/dev/null

@@ -67,9 +67,185 @@ let rejects_bad_grid () =
   (match Delay_cdf.create ~grid:[| 1.; 0.5 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "descending grid accepted");
-  match Delay_cdf.create ~grid:[| -1. |] with
+  (match Delay_cdf.create ~grid:[| -1. |] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative budget accepted"
+  | _ -> Alcotest.fail "negative budget accepted");
+  List.iter
+    (fun grid ->
+      match Delay_cdf.create ~grid with
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "message" "Delay_cdf.create: non-finite budget" msg
+      | _ -> Alcotest.failf "grid with %h accepted" grid.(Array.length grid - 1))
+    [ [| Float.nan |]; [| 1.; Float.nan |]; [| 1.; infinity |] ]
+
+(* [lower], [add_segment] and [add_pair_frontier] as they stood before
+   accumulation was inlined, kept verbatim over a record of the same
+   shape as [Delay_cdf.t], with [success], [success_inf] and
+   [total_mass] read the same way. The library must give the same bits
+   on every cell: the same float operations in the same order. *)
+module Frozen_accumulation = struct
+  type t = {
+    grid_ : float array;
+    slope_diff : float array;
+    const_diff : float array;
+    full_diff : float array;
+    mutable inf_mass : float;
+    mutable total : float;
+  }
+
+  let create ~grid =
+    let n = Array.length grid in
+    {
+      grid_ = Array.copy grid;
+      slope_diff = Array.make (n + 1) 0.;
+      const_diff = Array.make (n + 1) 0.;
+      full_diff = Array.make (n + 1) 0.;
+      inf_mass = 0.;
+      total = 0.;
+    }
+
+  let lower t x =
+    let n = Array.length t.grid_ in
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.grid_.(mid) >= x then hi := mid else lo := mid + 1
+    done;
+    !lo
+
+  let add_segment t ~a ~b ~ea =
+    if b > a then begin
+      let i_lo = lower t (ea -. b) in
+      let i_full = lower t (ea -. a) in
+      if i_full > i_lo then begin
+        t.slope_diff.(i_lo) <- t.slope_diff.(i_lo) +. 1.;
+        t.slope_diff.(i_full) <- t.slope_diff.(i_full) -. 1.;
+        t.const_diff.(i_lo) <- t.const_diff.(i_lo) +. (b -. ea);
+        t.const_diff.(i_full) <- t.const_diff.(i_full) -. (b -. ea)
+      end;
+      t.full_diff.(i_full) <- t.full_diff.(i_full) +. (b -. a);
+      t.inf_mass <- t.inf_mass +. (b -. a)
+    end
+
+  let add_pair_frontier t ~t_start ~t_end frontier =
+    if t_start > t_end then invalid_arg "Delay_cdf.add_pair_frontier: reversed window";
+    t.total <- t.total +. (t_end -. t_start);
+    let n = Frontier.size frontier in
+    let lds = Frontier.ld_arr frontier and eas = Frontier.ea_arr frontier in
+    let prev_ld = ref neg_infinity in
+    for i = 0 to n - 1 do
+      let ld = lds.(i) in
+      let a = Float.max t_start !prev_ld in
+      let b = Float.min t_end ld in
+      add_segment t ~a ~b ~ea:eas.(i);
+      prev_ld := ld
+    done
+
+  let success t =
+    let n = Array.length t.grid_ in
+    let out = Array.make n 0. in
+    let slope = ref 0. and const = ref 0. and full = ref 0. in
+    for i = 0 to n - 1 do
+      slope := !slope +. t.slope_diff.(i);
+      const := !const +. t.const_diff.(i);
+      full := !full +. t.full_diff.(i);
+      let mass = (!slope *. t.grid_.(i)) +. !const +. !full in
+      out.(i) <- (if t.total > 0. then mass /. t.total else 0.)
+    done;
+    out
+
+  let success_inf t = if t.total > 0. then t.inf_mass /. t.total else 0.
+end
+
+(* Cases for the bit comparison: frontiers on fractional times (so the
+   order of float additions shows in the last bits), windows that clip
+   them at either end, and grids whose smallest budget is exactly some
+   descriptor's [ea - ld], the boundary of [lower]'s shortcut. *)
+let accumulation_case_gen =
+  QCheck2.Gen.(
+    let frontier =
+      let* k = int_range 0 40 in
+      let* steps = list_repeat k (pair (float_range 0.01 7.3) (float_range (-3.1) 9.7)) in
+      let f = Frontier.create () in
+      let ld = ref 0. and ea = ref (-5.) in
+      List.iter
+        (fun (dld, dea) ->
+          ld := !ld +. dld;
+          ea := Float.max (!ea +. 0.37) (!ld +. dea);
+          ignore (Frontier.insert_pt f ~ld:!ld ~ea:!ea))
+        steps;
+      return f
+    in
+    let* frontiers = list_size (int_range 1 6) frontier in
+    let* budgets = list_size (int_range 1 8) (float_range 0. 40.) in
+    let* edge = int_range 0 7 in
+    let* t_start = float_range (-2.) 30. in
+    let* len = float_range 0. 120. in
+    let budgets = List.sort compare budgets in
+    (* [ea_i - ld_i] or [ea_i - ld_(i-1)] of the first frontier: the
+       [lower] argument of segment i when the window does not clip it *)
+    let edge_budget =
+      let f = List.hd frontiers in
+      let lds = Frontier.ld_arr f and eas = Frontier.ea_arr f in
+      let i = edge / 2 mod max 1 (Frontier.size f) in
+      let j = if edge mod 2 = 0 then i else i - 1 in
+      if i >= Frontier.size f || j < 0 then None
+      else
+        let d = eas.(i) -. lds.(j) in
+        if d >= 0. then Some d else None
+    in
+    let grid =
+      match edge_budget with
+      | None -> Array.of_list budgets
+      | Some d -> Array.of_list (d :: List.filter (fun b -> b >= d) budgets)
+    in
+    return (frontiers, grid, t_start, t_start +. len))
+
+let accumulation_bit_identical =
+  QCheck2.Test.make ~count:500 ~name:"accumulation = frozen pre-inline accumulation, bit for bit"
+    accumulation_case_gen (fun (frontiers, grid, t_start, t_end) ->
+      let frozen = Frozen_accumulation.create ~grid in
+      let live = Delay_cdf.create ~grid and snapshot = Delay_cdf.create ~grid in
+      List.iter
+        (fun f ->
+          Frozen_accumulation.add_pair_frontier frozen ~t_start ~t_end f;
+          Delay_cdf.add_pair_frontier live ~t_start ~t_end f;
+          Delay_cdf.add_pair snapshot ~t_start ~t_end (Frontier.to_array f))
+        frontiers;
+      let bits = Array.map Int64.bits_of_float in
+      let want =
+        ( bits (Frozen_accumulation.success frozen),
+          Int64.bits_of_float (Frozen_accumulation.success_inf frozen),
+          Int64.bits_of_float frozen.total )
+      in
+      let got acc =
+        ( bits (Delay_cdf.success acc),
+          Int64.bits_of_float (Delay_cdf.success_inf acc),
+          Int64.bits_of_float (Delay_cdf.total_mass acc) )
+      in
+      if got live <> want then QCheck2.Test.fail_report "add_pair_frontier moved a bit";
+      if got snapshot <> want then QCheck2.Test.fail_report "add_pair moved a bit";
+      true)
+
+(* Accumulation allocates per pair, not per descriptor: the stored
+   [total] and [inf_mass] box two floats (4 words); before [lower] and
+   [add_segment] were inlined, a 1,000-point frontier cost 11,828. *)
+let add_pair_frontier_allocation () =
+  let f = Frontier.create () in
+  for i = 0 to 999 do
+    ignore (Frontier.insert_pt f ~ld:(2. *. float i) ~ea:(3. *. float i))
+  done;
+  let acc = Delay_cdf.create ~grid:(Omn_stats.Grid.logarithmic ~lo:1. ~hi:3000. ~n:100) in
+  Delay_cdf.add_pair_frontier acc ~t_start:0. ~t_end:2000. f;
+  let calls = 200 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Delay_cdf.add_pair_frontier acc ~t_start:0. ~t_end:2000. f
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float calls in
+  if per_call > 16. then
+    Alcotest.failf "add_pair_frontier on 1,000 points allocates %.1f minor words per call (max 16)"
+      per_call
 
 (* End-to-end: curves on random traces are coherent. *)
 let trace_gen =
@@ -228,6 +404,8 @@ let merge_order_is_caller_position () =
 let suite =
   [
     Alcotest.test_case "rejects bad grids" `Quick rejects_bad_grid;
+    Alcotest.test_case "add_pair_frontier allocates per pair, not per descriptor" `Quick
+      add_pair_frontier_allocation;
     Alcotest.test_case "merge distributes over pairs" `Quick merge_distributes;
     Alcotest.test_case "merge order is the caller's source order" `Quick
       merge_order_is_caller_position;
@@ -236,4 +414,5 @@ let suite =
       [
         accumulator_matches_measures; success_monotone_in_budget; curves_coherent;
         compute_matches_journeys; parallel_matches_sequential; parallel_bit_identical;
+        accumulation_bit_identical;
       ]

@@ -203,6 +203,65 @@ let copy_into_overwrites =
       Frontier.check_invariant dst;
       Frontier.equal src dst)
 
+(* [lower_ld_from] against a linear scan: from every hint, including
+   stale ones past the end, the finger search returns the first index
+   with [ld >= x]. Frontiers reach 2,000 points so that the doubling
+   steps run long; queries fall below, on, between and above the
+   members, at both zeros (a member may be -0. or 0.) and at the
+   infinities, and NaN must give [size]. *)
+let finger_search_gen =
+  QCheck2.Gen.(
+    let* size = frequency [ (1, int_range 0 16); (2, int_range 0 2000) ] in
+    let* start = int_range (-size) 0 in
+    let* steps = list_repeat size (int_range 1 3) in
+    let* neg_zero = bool in
+    let* picks = list_repeat 12 (int_range 0 (max 0 (size - 1))) in
+    let lds =
+      let at = ref start in
+      Array.of_list
+        (List.map
+           (fun step ->
+             let ld = if !at = 0 && neg_zero then -0. else 0.5 *. float_of_int !at in
+             at := !at + step;
+             ld)
+           steps)
+    in
+    return (lds, picks))
+
+let finger_search_matches_scan =
+  QCheck2.Test.make ~count:100 ~name:"lower_ld_from = linear scan, from every hint"
+    finger_search_gen (fun (lds, picks) ->
+      let f = Frontier.create () in
+      Array.iteri (fun i ld -> ignore (Frontier.insert_pt f ~ld ~ea:((2. *. ld) +. float i))) lds;
+      let size = Frontier.size f in
+      if size <> Array.length lds then
+        QCheck2.Test.fail_reportf "built %d of %d points" size (Array.length lds);
+      let scan x =
+        let rec go i = if i = size || lds.(i) >= x then i else go (i + 1) in
+        go 0
+      in
+      let queries =
+        [ 0.; -0.; Float.nan; infinity; neg_infinity ]
+        @ (if size = 0 then []
+          else [ lds.(0) -. 1.; lds.(size - 1); lds.(size - 1) +. 1. ])
+        @ List.concat_map
+            (fun k ->
+              if size = 0 then []
+              else lds.(k) :: (if k > 0 then [ (lds.(k - 1) +. lds.(k)) /. 2. ] else []))
+            picks
+      in
+      List.iter
+        (fun x ->
+          let want = if Float.is_nan x then size else scan x in
+          for hint = -2 to size + 3 do
+            let got = Frontier.lower_ld_from f ~hint x in
+            if got <> want then
+              QCheck2.Test.fail_reportf "size %d, x %h, hint %d: got %d, want %d" size x hint
+                got want
+          done)
+        queries;
+      true)
+
 let unit_tests =
   let p ld ea = Ld_ea.make ~ld ~ea in
   [
@@ -275,5 +334,5 @@ let unit_tests =
 let props =
   [ matches_naive; invariant_holds; order_independent; insert_reports_change ]
   @ family_props
-  @ [ clear_reuse; copy_into_overwrites ]
+  @ [ clear_reuse; copy_into_overwrites; finger_search_matches_scan ]
 let suite = unit_tests @ List.map QCheck_alcotest.to_alcotest props

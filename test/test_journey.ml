@@ -328,10 +328,13 @@ let reference_run ~strategy trace ~source =
 (* Oracle families, each a trace builder over a seeded RNG: integer
    grid intervals; many contacts sharing one of two start times (long
    runs of equal [tb], so the cursor must not skip ahead); zero-length
-   contacts ([tb = te], the boundary of every comparison); and long
+   contacts ([tb = te], the boundary of every comparison); long
    contacts nested around short ones, whose descriptors keep
-   [ld >= te] points below [hi] — case (a) and the [i] search. *)
-let oracle_contacts rng ~n ~m contact =
+   [ld >= te] points below [hi] — case (a) and the [i] search; and a
+   few hundred short contacts among 3–4 nodes over a long horizon,
+   whose destination frontiers grow long enough for the finger search
+   of [dominated] to take long steps. *)
+let oracle_contacts ?(horizon = 30) rng ~n ~m contact =
   let pairs =
     List.init m (fun _ ->
         let a = Rng.int rng n in
@@ -339,7 +342,7 @@ let oracle_contacts rng ~n ~m contact =
         let tb, te = contact () in
         (min a b, max a b, float_of_int tb, float_of_int te))
   in
-  Util.trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:30. pairs
+  Util.trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:(float_of_int horizon) pairs
 
 let oracle_families =
   [
@@ -364,6 +367,13 @@ let oracle_families =
             else
               let tb = 5 + Rng.int rng 20 in
               (tb, tb + Rng.int rng 4)) );
+    ( "long-frontier",
+      fun rng ->
+        let horizon = 20_000 in
+        oracle_contacts ~horizon rng ~n:(3 + Rng.int rng 2) ~m:(200 + Rng.int rng 200)
+          (fun () ->
+            let tb = Rng.int rng (horizon - 4) in
+            (tb, tb + Rng.int rng 5)) );
   ]
 
 let frontier_counters () =
@@ -431,6 +441,24 @@ let oracle_reaches_case_a () =
   done;
   Alcotest.(check bool) "case (a) emitted" true (!reference_case_a > 0)
 
+(* Likewise for the finger search of [dominated]: its doubling steps
+   run long only on long frontiers, so the long-frontier family must
+   build a destination frontier of at least 64 points. *)
+let oracle_reaches_long_frontiers () =
+  let build = List.assoc "long-frontier" oracle_families in
+  let longest = ref 0 in
+  for seed = 0 to 19 do
+    let trace = build (Rng.create seed) in
+    for source = 0 to Trace.n_nodes trace - 1 do
+      Array.iter
+        (fun f -> longest := max !longest (Frontier.size f))
+        (fst (Journey.run trace ~source))
+    done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "longest frontier %d >= 64" !longest)
+    true (!longest >= 64)
+
 (* Likewise for the pair rule of [Journey.extend]: every family must
    repeat pairs closely enough that the rule rejects case (b)
    candidates, or the property above would not test it. *)
@@ -473,5 +501,7 @@ let suite =
     Alcotest.test_case "empty trace" `Quick empty_trace;
     Alcotest.test_case "oracle families reach case (a)" `Quick oracle_reaches_case_a;
     Alcotest.test_case "oracle families reach the pair rule" `Quick oracle_reaches_pair_rule;
+    Alcotest.test_case "oracle families reach long frontiers" `Quick
+      oracle_reaches_long_frontiers;
     QCheck_alcotest.to_alcotest prop_cursor_sweep_matches_reference;
   ]

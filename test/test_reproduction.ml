@@ -10,7 +10,11 @@ module Trace = Omn_temporal.Trace
    [omn diameter]'s grid, 12 hops and 2 domains. The counters pin the
    journey sweep's work: a sweep change may make candidates cheaper,
    but not change which are emitted, kept or pruned, nor how many the
-   pair rule rejects without a frontier search. *)
+   pair rule rejects without a frontier search. The last two pin the
+   rounds and the accumulation's walk: their values were counted
+   independently of the counters, as the sum of the rounds
+   [Journey.run] returns and of [Frontier.size] over every frontier
+   [partial_of] accumulates. *)
 let infocom05_fig9 () =
   let trace = (Omn_mobility.Presets.infocom05 ~seed:1 ()).trace in
   let span = Trace.span trace in
@@ -22,6 +26,8 @@ let infocom05_fig9 () =
       ("journey.candidates", 21_789_672);
       ("journey.extends", 23_233_620);
       ("journey.pair_repeats", 13_847_511);
+      ("journey.rounds", 466);
+      ("delay_cdf.segments", 5_126_297);
     ]
   in
   let totals () =

@@ -314,6 +314,9 @@ let ckpt_usage_errors () =
   names (Printf.sprintf "destination %d" n) (plan_error ~dests:[ n ] ());
   names "reversed window (5, 1)" (plan_error ~windows:[ (5., 1.) ] ());
   names "empty window list" (plan_error ~windows:[] ());
+  names "non-finite window (nan, 10)" (plan_error ~windows:[ (Float.nan, 10.) ] ());
+  names "non-finite window (0, inf)" (plan_error ~windows:[ (0., infinity) ] ());
+  names "non-finite window (-inf, 10)" (plan_error ~windows:[ (neg_infinity, 10.) ] ());
   (match Delay_cdf.source_partial ~dests:[ 999 ] ckpt_trace 0 with
   | _ -> Alcotest.fail "source_partial accepted an out-of-range destination"
   | exception Invalid_argument msg -> names "destination 999" msg);
