@@ -9,47 +9,9 @@
 
 let fmt = Format.std_formatter
 
-(* Worker-mode escape hatch for the shard bench block: the coordinator's
-   [Spawn_exec] re-executes [Sys.executable_name worker ...], and under
-   the bench that is this binary (same hatch as [Test_main]). *)
-let () =
-  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "worker" then begin
-    let arg flag =
-      let glued = flag ^ "=" in
-      let rec find i =
-        if i >= Array.length Sys.argv then None
-        else if Sys.argv.(i) = flag && i + 1 < Array.length Sys.argv then
-          Some Sys.argv.(i + 1)
-        else if String.starts_with ~prefix:glued Sys.argv.(i) then
-          Some (String.sub Sys.argv.(i) (String.length glued)
-                  (String.length Sys.argv.(i) - String.length glued))
-        else find (i + 1)
-      in
-      find 2
-    in
-    let mode =
-      match (arg "--connect", arg "--sock") with
-      | Some a, _ -> (
-        match Omn_shard.Transport.parse a with
-        | Ok addr -> Omn_shard.Worker.Dial addr
-        | Error _ -> exit 2)
-      | None, Some p -> Omn_shard.Worker.Dial (Omn_shard.Transport.Unix_path p)
-      | None, None -> exit 2
-    in
-    let worker = match arg "--id" with Some id -> int_of_string id | None -> -1 in
-    let auth_key =
-      match arg "--auth-key" with
-      | Some _ as k -> k
-      | None -> Sys.getenv_opt "OMN_SHARD_KEY"
-    in
-    match
-      Omn_shard.Worker.main ~worker ~mode ?auth_key ?trace_cache:(arg "--trace-cache") ()
-    with
-    | Ok () -> exit 0
-    | Error e ->
-      prerr_endline (Omn_robust.Err.to_string e);
-      exit (Omn_robust.Err.exit_code e.code)
-  end
+(* The shard bench block's coordinator re-executes this binary as a
+   worker. *)
+let () = Omn_shard.Worker.hatch ()
 
 (* --- Bechamel timing benches: the §4.4 efficiency claims --- *)
 
@@ -367,13 +329,19 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
       chaos;
     }
   in
+  let shard_plan =
+    Omn_robust.Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops:shard_hops shard_trace)
+  in
   let run_shard label cfg =
     let t0 = Unix.gettimeofday () in
-    match Omn_shard.Coord.run ~max_hops:shard_hops cfg shard_trace with
-    | Error e ->
+    match
+      Omn_shard.Coord.with_fleet cfg shard_plan (fun partials_of ->
+          Omn_core.Driver.run ~partials_of shard_plan)
+    with
+    | Error e | Ok (Error e, _) ->
       Format.fprintf fmt "FAIL: shard bench (%s): %s@." label (Omn_robust.Err.to_string e);
       exit 1
-    | Ok (curves, p, st) ->
+    | Ok (Ok { curves; progress = p; _ }, st) ->
       if p.Omn_core.Delay_cdf.partial || p.Omn_core.Delay_cdf.sources_done <> shard_n then begin
         Format.fprintf fmt "FAIL: shard bench (%s): incomplete merge@." label;
         exit 1

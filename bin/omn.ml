@@ -199,9 +199,9 @@ let curve_fields (c : Omn_core.Delay_cdf.curves) =
 let write_json path json =
   Omn_robust.Retry_io.write_string path (Omn_obs.Json.to_string ~pretty:true json ^ "\n")
 
-(* Telemetry pulled from shard workers during this run (set by the
-   delay-cdf driver after Shard.run returns); when non-empty the obs
-   artifacts become fleet-merged: one Perfetto process per worker and a
+(* Telemetry pulled from shard workers during this run (set by [drive]
+   when its fleet session ends); when non-empty the obs artifacts
+   become fleet-merged: one Perfetto process per worker and a
    cross-process metrics snapshot with per-worker breakdowns. *)
 let fleet_telemetry : Omn_shard.Coord.telemetry list ref = ref []
 
@@ -573,8 +573,9 @@ let workers_arg =
      over TCP. $(b,0) (default) computes in-process. Results are byte-identical to \
      the in-process run at any worker count, even when workers are killed, \
      partitioned or joined mid-run. With workers, $(b,--domains) sets each worker's \
-     own domain-pool size. Incompatible with $(b,--checkpoint)/$(b,--resume); see \
-     $(b,--worker-ckpt-dir) for the sharded equivalent."
+     own domain-pool size; $(b,--checkpoint)/$(b,--resume), $(b,--budget-seconds), \
+     $(b,--progress) and $(b,--sample) work as in process, over one fleet for the \
+     whole run."
   in
   Arg.(value & opt workers_conv (Wcount 0) & info [ "workers" ] ~docv:"W" ~doc)
 
@@ -675,11 +676,44 @@ let shard_fault_arg =
   in
   Arg.(value & opt_all shard_fault_conv [] & info [ "shard-fault" ] ~docv:"SPEC" ~doc)
 
-let shard_supervise (p : Supervise.policy option) =
-  Option.map
-    (fun (p : Supervise.policy) ->
-      (p.Supervise.retries, p.Supervise.backoff, p.Supervise.backoff_max, p.Supervise.jitter_seed))
-    p
+(* One fleet per run, set up the same way for `omn diameter' and
+   `omn delay-cdf'; delay-cdf adds its own shard flags on top. *)
+let fleet_config ~domains ~supervise ~telemetry workers =
+  if not (sharded workers) then None
+  else
+    let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
+    Some
+      {
+        (Shard.default ~workers:count) with
+        Shard.worker_domains = domains;
+        peers;
+        supervise;
+        auth_key = auth_key_resolve None;
+        telemetry;
+        on_stat_bound =
+          Some (fun a -> Format.eprintf "omn: fleet stats on %s@." (Transport.to_string a));
+      }
+
+(* What a fleet session leaves behind: per-worker telemetry for the obs
+   artifacts, the fleet shape in the manifest, and failover, auth and
+   membership notes on stderr. *)
+let note_fleet (cfg : Shard.config) (st : Shard.stats) =
+  fleet_telemetry := st.fleet;
+  update_manifest (fun m ->
+      {
+        m with
+        Omn_obs.Manifest.workers = Some (cfg.workers + List.length cfg.peers);
+        shard_map_sha256 = Some st.shard_map_sha256;
+      });
+  if st.reassigned > 0 || st.rejoins > 0 then
+    Format.eprintf
+      "omn: shard failover: %d source(s) reassigned, %d worker spawn(s), %d rejoin(s), %d \
+       duplicate result(s) dropped@."
+      st.reassigned st.spawns st.rejoins st.duplicates;
+  if st.auth_rejects > 0 then
+    Format.eprintf "omn: shard auth: %d connection(s) rejected (E-AUTH)@." st.auth_rejects;
+  if st.joins > 0 || st.leaves > 0 then
+    Format.eprintf "omn: shard membership: %d join(s), %d leave(s)@." st.joins st.leaves
 
 (* Report fallback/quarantine outcomes and pick the documented exit
    code via the one shared precedence rule: partial (124) beats
@@ -696,8 +730,9 @@ let resilience_exit ~partial ~ckpt_fallback degraded =
   Supervise.exit_code ~partial ~degraded:(degraded <> [])
 
 (* `omn diameter' and `omn delay-cdf' both run the one driver: the
-   flags pick its policies, --progress its reporter. *)
-let drive ~progress ~label ~domains ?partials_of ?supervise ?checkpoint ~resume ~every ?budget
+   flags pick its policies, --progress its reporter, --workers its
+   executor (the fleet serves every batch). *)
+let drive ~progress ~label ~domains ?fleet ?supervise ?checkpoint ~resume ~every ?budget
     ?sampling plan =
   let report, finish = progress_reporter ~enabled:progress label in
   let report =
@@ -707,12 +742,25 @@ let drive ~progress ~label ~domains ?partials_of ?supervise ?checkpoint ~resume 
           ~fallback:p.ckpt_fallback)
       report
   in
-  let outcome =
-    Omn_core.Driver.run ~domains ?partials_of ?supervise ?checkpoint ~resume
-      ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday ?report ?sampling
-      plan
+  let run ?partials_of () =
+    let outcome =
+      Omn_core.Driver.run ~domains ?partials_of ?supervise ?checkpoint ~resume
+        ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday ?report
+        ?sampling plan
+    in
+    finish ();
+    outcome
   in
-  finish ();
+  let outcome =
+    match fleet with
+    | None -> run ()
+    | Some cfg -> (
+      match Shard.with_fleet cfg plan (fun partials_of -> run ~partials_of ()) with
+      | Error e -> Error e
+      | Ok (outcome, st) ->
+        note_fleet cfg st;
+        outcome)
+  in
   match outcome with Ok o -> o | Error e -> raise (Err.Error e)
 
 let partial_banner (p : Omn_core.Delay_cdf.progress) =
@@ -790,9 +838,7 @@ let diameter_cmd =
       if ci_width <> None then reject "--ci-width";
       if confidence <> None then reject "--confidence";
       if bootstrap <> None then reject "--bootstrap";
-      if sample_seed <> None then reject "--sample-seed";
-      if sharded workers then
-        usage_err "--workers requires --sample (the exact sharded engine is `omn delay-cdf')"
+      if sample_seed <> None then reject "--sample-seed"
     end;
     let domains = Omn_parallel.Pool.resolve domains in
     let supervise = supervise_policy retries task_deadline quarantine in
@@ -851,46 +897,14 @@ let diameter_cmd =
         sample
     in
     let sample_seed = Option.value sample_seed ~default:0 in
-    (* Each tightening round's batch of per-source partials can come
-       from the shard coordinator instead of the in-process pool: the
-       [on_partial] hook hands every acknowledged partial back and the
-       batch is re-ordered to the driver's contract. *)
-    let partials_of =
-      if not (sharded workers) then None
-      else
-        Some
-          (fun batch ->
-            let tbl = Hashtbl.create (List.length batch) in
-            let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
-            let cfg =
-              {
-                (Shard.default ~workers:count) with
-                Shard.worker_domains = domains;
-                peers;
-                on_partial = Some (fun s p -> Hashtbl.replace tbl s p);
-              }
-            in
-            match Shard.run ~max_hops ~grid ~sources:batch cfg trace with
-            | Error e -> raise (Err.Error e)
-            | Ok (_, p, _) ->
-              if p.partial || p.degraded <> [] then
-                raise (Err.Error (Err.v Err.Compute "sharded sample round incomplete"));
-              List.map
-                (fun s ->
-                  match Hashtbl.find_opt tbl s with
-                  | Some part -> part
-                  | None ->
-                    raise
-                      (Err.Error
-                         (Err.v Err.Compute "worker returned no partial for a sampled source")))
-                batch)
-    in
     let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid ~seed:sample_seed trace) in
+    let fleet =
+      fleet_config ~domains ~supervise ~telemetry:(metrics <> None || trace_out <> None) workers
+    in
     let o =
       drive ~progress
         ~label:(if sampling = None then "sources" else "sampled sources")
-        ~domains:(if sharded workers then 1 else domains)
-        ?partials_of ?supervise ?checkpoint ~resume ~every ?budget ?sampling plan
+        ~domains ?fleet ?supervise ?checkpoint ~resume ~every ?budget ?sampling plan
     in
     let p = o.progress in
     let diameter =
@@ -970,10 +984,6 @@ let delay_cdf_cmd =
       worker_ckpt_dir shard_faults listen auth_key worker_trace_cache stat_addr output =
     protect_code @@ fun () ->
     if resume && checkpoint = None then usage_err "--resume requires --checkpoint FILE";
-    if sharded workers && (checkpoint <> None || resume) then
-      usage_err
-        "--workers is incompatible with --checkpoint/--resume (workers keep their own \
-         shard checkpoints; see --worker-ckpt-dir)";
     if shard_faults <> [] && not (sharded workers) then
       usage_err "--shard-fault requires --workers";
     if (listen <> None || auth_key <> None || worker_trace_cache <> None
@@ -1002,74 +1012,36 @@ let delay_cdf_cmd =
           ]
       trace;
     write_checkpoint_sidecar checkpoint;
-    let curves, (p : Omn_core.Delay_cdf.progress) =
-      if sharded workers then begin
-        let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
-        let cfg =
-          {
-            (Shard.default ~workers:count) with
-            Shard.worker_domains = domains;
-            heartbeat_timeout = hb_timeout;
-            supervise = shard_supervise supervise;
-            ckpt_dir = worker_ckpt_dir;
-            budget_seconds = budget;
-            listen;
-            peers;
-            auth_key = auth_key_resolve auth_key;
-            worker_trace_cache;
-            chaos =
-              List.sort
-                (fun (a : Faultgen.shard_event) b -> compare a.after_results b.after_results)
-                shard_faults;
-            (* pull worker telemetry whenever this run writes obs
-               artifacts or serves live stats; never affects results *)
-            telemetry = metrics <> None || trace_out <> None || stat_addr <> None;
-            stat_addr;
-            on_stat_bound =
-              Some
-                (fun a ->
-                  Format.eprintf "omn: fleet stats on %s@." (Transport.to_string a));
-          }
-        in
-        (* a fault schedule needs the victim to still hold undispatched
-           work when the fault fires, or failover degenerates into a
-           socket-buffer race; pin the flow-control window like the
-           chaos harness does *)
-        let cfg =
-          if shard_faults = [] then cfg else { cfg with Shard.max_inflight = 2 }
-        in
-        match Shard.run ~max_hops ~grid cfg trace with
-        | Error e -> raise (Err.Error e)
-        | Ok (curves, p, stats) ->
-          fleet_telemetry := stats.Shard.fleet;
-          update_manifest (fun m ->
-              {
-                m with
-                Omn_obs.Manifest.workers = Some (workers_fleet workers);
-                shard_map_sha256 = Some stats.Shard.shard_map_sha256;
-              });
-          if stats.Shard.reassigned > 0 || stats.Shard.rejoins > 0 then
-            Format.eprintf
-              "omn: shard failover: %d source(s) reassigned, %d worker spawn(s), %d \
-               rejoin(s), %d duplicate result(s) dropped@."
-              stats.Shard.reassigned stats.Shard.spawns stats.Shard.rejoins
-              stats.Shard.duplicates;
-          if stats.Shard.auth_rejects > 0 then
-            Format.eprintf "omn: shard auth: %d connection(s) rejected (E-AUTH)@."
-              stats.Shard.auth_rejects;
-          if stats.Shard.joins > 0 || stats.Shard.leaves > 0 then
-            Format.eprintf "omn: shard membership: %d join(s), %d leave(s)@."
-              stats.Shard.joins stats.Shard.leaves;
-          (curves, p)
-      end
-      else begin
-        let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid trace) in
-        let o =
-          drive ~progress ~label:"sources" ~domains ?supervise ?checkpoint ~resume ~every ?budget
-            plan
-        in
-        (o.curves, o.progress)
-      end
+    let fleet =
+      fleet_config ~domains ~supervise
+        ~telemetry:(metrics <> None || trace_out <> None || stat_addr <> None)
+        workers
+      |> Option.map (fun cfg ->
+             let cfg =
+               {
+                 cfg with
+                 Shard.heartbeat_timeout = hb_timeout;
+                 ckpt_dir = worker_ckpt_dir;
+                 listen;
+                 auth_key = auth_key_resolve auth_key;
+                 worker_trace_cache;
+                 chaos =
+                   List.sort
+                     (fun (a : Faultgen.shard_event) b -> compare a.after_results b.after_results)
+                     shard_faults;
+                 stat_addr;
+               }
+             in
+             (* a fault schedule needs the victim to still hold
+                undispatched work when the fault fires, or failover
+                degenerates into a socket-buffer race; pin the
+                flow-control window like the chaos harness does *)
+             if shard_faults = [] then cfg else { cfg with Shard.max_inflight = 2 })
+    in
+    let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid trace) in
+    let { Omn_core.Driver.curves; progress = p; _ } =
+      drive ~progress ~label:"sources" ~domains ?fleet ?supervise ?checkpoint ~resume ~every
+        ?budget plan
     in
     partial_banner p;
     (match output with
@@ -1442,10 +1414,13 @@ let chaos_cmd =
           ckpt_dir;
         }
       in
+      let splan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops:smax ~grid:sgrid strace) in
       let run_shard label cfg =
-        match Shard.run ~max_hops:smax ~grid:sgrid cfg strace with
-        | Error e -> fail "%s: %s" label (Err.to_string e)
-        | Ok (curves, p, st) ->
+        match
+          Shard.with_fleet cfg splan (fun partials_of -> Omn_core.Driver.run ~partials_of splan)
+        with
+        | Error e | Ok (Error e, _) -> fail "%s: %s" label (Err.to_string e)
+        | Ok (Ok { curves; progress = p; _ }, st) ->
           if p.Omn_core.Delay_cdf.partial then fail "%s: unexpectedly partial" label;
           if p.degraded <> [] then fail "%s: unexpectedly degraded" label;
           if p.sources_done <> sh_n then

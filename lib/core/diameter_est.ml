@@ -28,6 +28,7 @@ let estimate ?(epsilon = 0.01) ?max_hops ?(sample = 64) ?(seed = 0) ?(ci_width =
         | None -> ())
       report
   in
+  let partials_of = Option.map (fun f batch -> List.map Result.ok (f batch)) partials_of in
   let* o =
     Driver.run ?pool ?domains ?partials_of ?checkpoint ?resume ?budget_seconds ?clock ?report
       ~sampling:{ sample; ci_width; confidence; bootstrap; epsilon }

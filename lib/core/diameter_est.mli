@@ -79,8 +79,9 @@ val estimate :
     [partials_of] overrides how per-source partials are computed: it
     receives a batch of sources and must return one
     {!Delay_cdf.source_partial}-equivalent partial per source, in
-    order — the hook the sharded coordinator and the streaming CLI
-    plug into. Default: {!Delay_cdf.source_partial} on the pool.
+    order — a tracing harness plugs in here; the shard fleet runs
+    {!Driver.run} directly. Default: {!Delay_cdf.source_partial} on
+    the pool.
 
     Validation failures ({!Delay_cdf.plan}'s, [sample < 1],
     [ci_width <= 0], [epsilon] or [confidence] outside (0,1),

@@ -136,8 +136,8 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
     if domains < 1 then usage "domains %d < 1" domains;
     if checkpoint_every < 1 then usage "checkpoint_every %d < 1" checkpoint_every;
     Option.iter (fun b -> if b < 0. then usage "negative budget %g" b) budget_seconds;
-    if supervise <> None && (sampling <> None || partials_of <> None) then
-      usage "supervision needs the in-process executor and no sampling";
+    if supervise <> None && sampling <> None then
+      usage "supervision does not combine with sampling";
     Option.iter
       (fun (s : sampling) ->
         if s.sample < 1 then usage "sample %d must be at least 1" s.sample;
@@ -178,23 +178,33 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
     let execute positions =
       let nodes = Array.map (fun i -> plan.sources.(i)) positions in
       let keep j p = completed := (positions.(j), p) :: !completed in
+      (* A failed source is quarantined only under a quarantining
+         policy; otherwise it fails the run, whichever executor ran it. *)
+      let settle j = function
+        | Ok p -> keep j p
+        | Error (f : Supervise.failure) -> (
+          match supervise with
+          | Some { Supervise.quarantine = true; _ } ->
+            Metrics.incr m_quarantined;
+            degraded := f :: !degraded
+          | _ ->
+            raise
+              (Err.Error
+                 (Err.errf Err.Compute "source task failed: source %d after %d attempt(s): %s"
+                    f.item f.attempts f.reason)))
+      in
       (match (partials_of, supervise) with
       | Some f, _ ->
-        let ps = f (Array.to_list nodes) in
-        if List.length ps <> Array.length nodes then
+        let rs = f (Array.to_list nodes) in
+        if List.length rs <> Array.length nodes then
           raise
             (Err.Error
                (Err.v Err.Compute
-                  (Printf.sprintf "Driver.run: partials_of returned %d partials for %d sources"
-                     (List.length ps) (Array.length nodes))));
-        List.iteri keep ps
+                  (Printf.sprintf "Driver.run: partials_of returned %d results for %d sources"
+                     (List.length rs) (Array.length nodes))));
+        List.iteri settle rs
       | None, Some policy ->
-        Array.iteri
-          (fun j -> function
-            | Ok p -> keep j p
-            | Error f ->
-              Metrics.incr m_quarantined;
-              degraded := f :: !degraded)
+        Array.iteri settle
           (Supervise.map ?pool ~domains ~id:Fun.id policy (Delay_cdf.partial_of plan) nodes)
       | None, None -> Array.iteri keep (Pool.run ?pool ~domains (Delay_cdf.partial_of plan) nodes));
       processed := !processed + Array.length positions

@@ -4,8 +4,11 @@
     Policies are optional and compose in one loop:
     - {b executor}: the inline / domain-pool {!Delay_cdf.partial_of}
       (default), under a {!Omn_parallel.Supervise.policy}
-      ([supervise]), or a caller's [partials_of] hook (the shard fleet,
-      a tracing harness);
+      ([supervise]), or a caller's [partials_of] hook (the shard
+      fleet's session, [Omn_shard.Coord.with_fleet]). Every executor
+      returns one result per source; a failed source joins
+      [progress.degraded] only when [supervise] quarantines, and fails
+      the run otherwise;
     - {b checkpoint}: after every batch, the completed partials and the
       quarantined sources are written CRC-framed with generation
       rotation ({!Omn_robust.Checkpoint}); [resume] continues from
@@ -67,7 +70,9 @@ type outcome = {
 val run :
   ?pool:Omn_parallel.Pool.t ->
   ?domains:int ->
-  ?partials_of:(Omn_temporal.Node.t list -> Delay_cdf.partial list) ->
+  ?partials_of:
+    (Omn_temporal.Node.t list ->
+    (Delay_cdf.partial, Omn_parallel.Supervise.failure) result list) ->
   ?supervise:Omn_parallel.Supervise.policy ->
   ?checkpoint:string ->
   ?resume:bool ->
@@ -82,8 +87,9 @@ val run :
     [domains] are as in {!Delay_cdf.compute}; when no [pool] is given
     and [domains > 1], one pool is created for the whole run.
     [partials_of] receives each batch's sources and must return one
-    {!Delay_cdf.source_partial}-equivalent partial per source, in
-    order.
+    result per source, in order: a {!Delay_cdf.source_partial}-
+    equivalent partial, or the failure of a source the executor gave
+    up on (after the retries of its own copy of [supervise], if any).
 
     The checkpoint embeds a fingerprint of the trace, the plan and the
     sampling schedule, computed only when [checkpoint] is given;
@@ -92,10 +98,11 @@ val run :
 
     Typed errors: [Usage] for [domains < 1], [checkpoint_every < 1], a
     negative budget, a sampling parameter out of range, or [supervise]
-    combined with [sampling] or [partials_of]; [Compute] when a source
-    task fails unsupervised (or with quarantine off) or [partials_of]
-    returns the wrong number of partials; [Io] for file-system
-    failures. *)
+    combined with [sampling]; [Compute] when a source task fails
+    unsupervised (or with quarantine off), or [partials_of] returns
+    the wrong number of results; [Io] for file-system failures. An
+    exception [partials_of] raises as [Omn_robust.Err.Error] is
+    returned as that error. *)
 
 val set_perturb : (int option -> int option) option -> unit
 (** Test hook: post-compose every diameter the sampling rule derives

@@ -1,25 +1,33 @@
-(** Shard coordinator: sources over worker processes, with failover.
+(** Shard coordinator: a fleet of worker processes as one executor of
+    {!Omn_core.Driver.run}, with failover.
 
-    [run] consistent-hashes the plan's sources, in its processing
-    order, over the worker fleet ({!Ring}), streams [Compute] requests
+    [with_fleet cfg plan f] starts one fleet session for a
+    {!Omn_core.Delay_cdf.plan} and hands [f] an executor for
+    [Driver.run]'s [partials_of]. Every batch the driver passes it is
+    served to completion: its sources are consistent-hashed over the
+    fleet ({!Ring}) in the batch's order, [Compute] requests stream
     over CRC-framed connections ({!Frame}/{!Proto}) — Unix-domain
     sockets for spawned same-host workers, authenticated TCP
-    ({!Transport}, {!Auth}) for multi-machine fleets — and folds the
-    per-source partials back together with
-    {!Omn_core.Delay_cdf.fold}, in ascending source position: the final
-    curves are bit-identical to {!Omn_core.Delay_cdf.compute} at any
-    worker count, under any membership schedule and any failure
-    schedule that still completes.
+    ({!Transport}, {!Auth}) for multi-machine fleets — and one result
+    per source comes back, in order. The session keeps no budget,
+    merge or plan of its own: batching, budget, checkpoint/resume,
+    progress, sampling and the ascending-position
+    {!Omn_core.Delay_cdf.fold} are the driver's, so the curves are
+    bit-identical to {!Omn_core.Delay_cdf.compute} (over the sources
+    that completed) at any worker count, under any membership
+    schedule and any failure schedule that still completes.
 
     Fleet shape: [workers] processes are spawned locally and dial back
     in; [peers] are pre-started [omn worker --listen] processes the
     coordinator dials (playing the {!Auth} {e client} on those links).
-    Both are part of the initial fleet the dispatch barrier waits for.
-    Additional members may join mid-run: an authenticated connection
-    whose [Hello] carries [worker = -1] is admitted, assigned the next
-    id, and added to the ring — only the moved arc's {e pending}
-    sources route to it; assigned sources are never recalled, so
-    at-most-once merging is preserved at any membership schedule.
+    Both are part of the initial fleet the first batch's dispatch
+    barrier waits for. Additional members may join mid-run: an
+    authenticated connection whose [Hello] carries [worker = -1] is
+    admitted, assigned the next id, and added to the ring — only the
+    moved arc's {e pending} sources route to it; assigned sources are
+    never recalled, so at-most-once merging is preserved at any
+    membership schedule. The fleet lives for the whole session: later
+    batches reuse its workers, their trace and their result caches.
 
     Trace shipping is digest-addressed: the job carries the trace's
     SHA-256, and only a worker that cannot produce the bytes locally
@@ -34,39 +42,41 @@
       {e unacknowledged} sources are reassigned to their ring
       successors; a bounded number of respawns with exponential
       backoff brings it back, and its shard checkpoint lets it resume
-      rather than recompute;
+      rather than recompute. Only time inside a batch counts as
+      silence: the heartbeat clock restarts with every batch;
     - a dialed peer whose link drops is re-dialed under the same
       bounded-backoff budget ([max_respawns]); a peer that {e rejects}
       our credentials or speaks another protocol version aborts the
-      run with a typed [E-AUTH]/[E-PROTO] error (retrying an identical
-      handshake cannot succeed);
+      batch with a typed [E-AUTH]/[E-PROTO] error (retrying an
+      identical handshake cannot succeed);
     - an inbound connection that fails the pre-shared-key handshake is
       rejected with a typed error frame, counted
       ([stats.auth_rejects]), and closed — the run is unaffected;
-    - duplicate results (a reassignment race, or net-dup chaos) are
-      dropped at the accounting table — a source is merged {e at most
-      once};
-    - a source that exhausts the worker-side supervision policy comes
-      back as [Failed] and is excluded from the merge exactly like a
-      quarantined source in the single-process driver ([progress.
-      degraded], CLI exit 3);
-    - when the optional budget expires, the acknowledged subset is
-      merged ([progress.partial], CLI exit 124 — precedence over 3 via
-      {!Omn_parallel.Supervise.exit_code});
+    - duplicate results (a reassignment race, net-dup chaos, or a late
+      answer to an earlier batch) are dropped at the accounting table
+      — a source is merged {e at most once};
+    - a source that exhausts the worker-side supervision policy
+      ([supervise], shipped whole in the job) comes back as
+      [Error failure]. [Driver.run] applies the in-process rule: the
+      source joins [progress.degraded] (CLI exit 3) when the driver's
+      policy quarantines, and the run fails with a [Compute] error
+      (CLI exit 1) otherwise — with [quarantine = false], without a
+      policy, and under sampling;
     - when every worker has exhausted its respawns and sources remain,
-      [run] returns a [Compute] error (CLI exit 1): results are never
-      silently incomplete.
+      the executor raises a [Compute] error (CLI exit 1), which
+      [Driver.run] returns: results are never silently incomplete.
 
     The chaos schedule ({!Omn_robust.Faultgen.shard_event}) is
     interpreted here: after the scheduled number of acknowledged
-    results the victim is killed, stopped, frame-corrupted,
-    partitioned (link dropped, process kept — it must reconnect),
-    slowed (frames delayed within a bound strictly below the heartbeat
-    timeout — a slow link is never declared dead), duplicated
-    (net-dup), joined by an impostor with a wrong key (auth-bad),
-    grown (worker-join) or shrunk (worker-leave). All shard events are
-    recorded in {!Omn_obs.Timeline} and counted in [Omn_obs.Metrics]
-    under [shard.*] / [shard.net.*]. *)
+    results (counted over the whole session) the victim is killed,
+    stopped, frame-corrupted, partitioned (link dropped, process kept
+    — it must reconnect), slowed (frames delayed within a bound
+    strictly below the heartbeat timeout — a slow link is never
+    declared dead), duplicated (net-dup), joined by an impostor with a
+    wrong key (auth-bad), grown (worker-join) or shrunk
+    (worker-leave). All shard events are recorded in
+    {!Omn_obs.Timeline} and counted in [Omn_obs.Metrics] under
+    [shard.*] / [shard.net.*]. *)
 
 type spawn =
   | Spawn_exec
@@ -96,12 +106,12 @@ type config = {
   max_respawns : int;
       (** respawns (or re-dials, for peers) per worker after its first *)
   respawn_backoff : float;  (** base respawn delay, doubled per respawn *)
-  supervise : (int * float * float * int) option;
-      (** worker-side policy (retries, backoff, backoff_max,
-          jitter_seed); [None] = fail-fast (0 retries) *)
+  supervise : Omn_parallel.Supervise.policy option;
+      (** the supervision policy workers apply per source (retries,
+          backoff, deadlines); [None] = one attempt. Pass the same
+          policy to [Driver.run], which decides quarantine *)
   ckpt_dir : string option;
       (** directory for per-worker shard checkpoints; created if missing *)
-  budget_seconds : float option;
   chaos : Omn_robust.Faultgen.shard_event list;  (** must be ascending *)
   sock_path : string option;
       (** Unix listener path (default: a fresh path under [TMPDIR]);
@@ -115,17 +125,12 @@ type config = {
       (** pre-shared key: require the {!Auth} handshake on every link *)
   worker_trace_cache : string option;
       (** [--trace-cache] directory handed to spawned workers *)
-  on_partial : (Omn_temporal.Node.t -> Omn_core.Delay_cdf.partial -> unit) option;
-      (** observe each acknowledged per-source partial (during the
-          final merge) — the hook the sampled diameter
-          estimator uses to collect partials from a sharded run;
-          [None] = no observation. Must not mutate the computation. *)
   telemetry : bool;
       (** pull each worker's metrics snapshot and timeline segments
-          ([Stats_pull]/[Stats_push]) every [stats_interval] seconds and
-          once more before the final merge; results are bit-identical
-          on or off (telemetry frames ride the same links but the merge
-          is slot-ordered) *)
+          ([Stats_pull]/[Stats_push]) every [stats_interval] seconds
+          while a batch is served, and once more when the session
+          ends; results are bit-identical on or off (telemetry frames
+          ride the same links but results are slot-ordered) *)
   stats_interval : float;  (** seconds between telemetry pulls *)
   stat_addr : Transport.addr option;
       (** when set, serve a live Prometheus text exposition of the
@@ -141,8 +146,8 @@ val default : workers:int -> config
 (** 1 domain per worker, 64 vnodes, a 32-source in-flight window,
     [Spawn_exec], 0.25 s heartbeat interval, 5 s timeout, 2 respawns
     with 0.1 s base backoff, no supervision retries, no checkpoints, no
-    budget, no chaos, no peers, no auth, Unix-domain listener, no
-    telemetry (1 s pull interval when enabled), no stat endpoint. *)
+    chaos, no peers, no auth, Unix-domain listener, no telemetry (1 s
+    pull interval when enabled), no stat endpoint. *)
 
 type telemetry = {
   tw_worker : int;
@@ -188,21 +193,32 @@ type stats = {
           [config.telemetry] is off *)
 }
 
-val run :
-  ?max_hops:int ->
-  ?sources:Omn_temporal.Node.t list ->
-  ?dests:Omn_temporal.Node.t list ->
-  ?grid:float array ->
-  ?windows:(float * float) list ->
-  ?clock:(unit -> float) ->
+type executor =
+  Omn_temporal.Node.t list ->
+  (Omn_core.Delay_cdf.partial, Omn_parallel.Supervise.failure) result list
+(** [Driver.run]'s [partials_of]: one result per source, in order. *)
+
+val with_fleet :
   config ->
-  Omn_temporal.Trace.t ->
-  ( Omn_core.Delay_cdf.curves * Omn_core.Delay_cdf.progress * stats,
-    Omn_robust.Err.t )
-  result
-(** Same computation and defaults as {!Omn_core.Delay_cdf.compute},
-    executed across the worker fleet; the parameters are validated by
-    {!Omn_core.Delay_cdf.plan} (typed [Usage] errors).
-    [progress.ckpt_fallback] is always [false] (worker checkpoints have
-    their own generations).
-    [clock] is the budget time base (default wall clock). *)
+  Omn_core.Delay_cdf.plan ->
+  (executor -> 'a) ->
+  ('a * stats, Omn_robust.Err.t) result
+(** [with_fleet cfg plan f] binds the listener, runs [f] with the
+    session's executor — typically
+    [fun partials_of -> Driver.run ~partials_of plan] — and tears the
+    session down on every exit path: a final telemetry pull, [Shutdown]
+    to every worker, the socket unlinked, [SIGPIPE] restored. Workers
+    start with the first batch and serve every later one. The plan
+    supplies the job's trace, hop bound, grid, windows and
+    destinations; a batch may name any of its sources. The executor
+    raises [Omn_robust.Err.Error] when the fleet is lost ([Compute]),
+    a peer rejects the handshake ([Auth]/[Proto]) or a worker returns
+    an undecodable partial ([Compute]); [Driver.run] returns such an
+    error as its own.
+
+    [Error] only when the session cannot start: [Usage] for a fleet
+    without workers, non-positive heartbeat parameters or
+    [max_inflight < 1]; [Io] for a listener, stat address or
+    checkpoint directory that cannot be set up. An exception from [f]
+    is re-raised after the teardown. [stats] covers the whole
+    session. *)

@@ -5,7 +5,7 @@ type job = {
   dests : int list option;
   grid : float array option;
   windows : (float * float) list option;
-  supervise : (int * float * float * int) option;
+  supervise : Omn_parallel.Supervise.policy option;
   ckpt_path : string option;
   fingerprint : string;
   domains : int;

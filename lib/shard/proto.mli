@@ -33,10 +33,14 @@ type job = {
   dests : int list option;
   grid : float array option;
   windows : (float * float) list option;
-  supervise : (int * float * float * int) option;
-      (** (retries, backoff, backoff_max, jitter_seed) — worker-side
-          supervision policy; [None] means fail-fast with 0 retries
-          (the failure still arrives as [Failed], not a worker crash) *)
+  supervise : Omn_parallel.Supervise.policy option;
+      (** the run's whole supervision policy (a plain record, so it
+          Marshals like the rest of the frame); the worker applies its
+          retries, backoff and deadlines and reports a source that
+          exhausts them as [Failed]. [None] means one attempt. The
+          worker never aborts on [quarantine = false]: whether a
+          [Failed] source is quarantined or fails the run is the
+          coordinator's decision *)
   ckpt_path : string option;  (** per-worker shard checkpoint file *)
   fingerprint : string;
       (** digest of trace + parameters; a checkpoint from any other
@@ -54,8 +58,8 @@ type to_worker =
       (** full trace bytes, sent only in answer to [Need_trace]; the
           worker verifies [Sha256.string text = digest] before use *)
   | Compute of { slot : int; source : int }
-      (** [slot] is the position in the coordinator's merge order; the
-          worker echoes it back untouched *)
+      (** [slot] is the coordinator's id for this request (unique
+          over a fleet session); the worker echoes it back untouched *)
   | Stats_pull of { t_coord : float }
       (** telemetry poll: report your metrics snapshot and new timeline
           events. [t_coord] is the coordinator's send stamp, echoed back

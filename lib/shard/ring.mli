@@ -12,7 +12,7 @@
     Placement is pure metadata here: it decides which worker {e
     computes} a source, never how results are merged, so the final
     curves are bit-identical at any worker count or death schedule (the
-    coordinator merges per-source partials in slot order).
+    driver folds per-source partials in ascending source position).
 
     Membership is dynamic: {!add} and {!remove} insert or delete one
     member's vnode points, leaving every other source→worker edge

@@ -183,10 +183,11 @@ let session ~persist ~trace_cache ~worker fd =
       | `Done -> `Done
       | `Lost -> `Lost
       | `Trace trace ->
+        (* a source that exhausts the policy is reported, never raised:
+           quarantine is decided by the coordinator's driver *)
         let policy =
           match job.supervise with
-          | Some (retries, backoff, backoff_max, jitter_seed) ->
-            { Supervise.default with retries; backoff; backoff_max; jitter_seed }
+          | Some p -> { p with Supervise.quarantine = true }
           | None -> { Supervise.default with retries = 0 }
         in
         let cache =
@@ -375,3 +376,51 @@ let main ~worker ~mode ?auth_key ?trace_cache ?(once = false) () =
         | `Done | `Lost -> accept_loop ())
     in
     accept_loop ()
+
+(* [Spawn_exec] re-executes the coordinator's own binary as
+   [<exe> worker --id=N --connect ADDR [--trace-cache DIR]]. The CLI
+   parses that with its [worker] subcommand; any other binary that
+   hosts a coordinator calls this first thing. *)
+let hatch () =
+  let argv = Sys.argv in
+  if Array.length argv >= 2 && argv.(1) = "worker" then begin
+    (* both [--flag VALUE] and the glued [--flag=VALUE] form *)
+    let arg flag =
+      let glued = flag ^ "=" in
+      let rec find i =
+        if i >= Array.length argv then None
+        else if argv.(i) = flag && i + 1 < Array.length argv then Some argv.(i + 1)
+        else if String.starts_with ~prefix:glued argv.(i) then
+          let n = String.length glued in
+          Some (String.sub argv.(i) n (String.length argv.(i) - n))
+        else find (i + 1)
+      in
+      find 2
+    in
+    let ( let* ) = Result.bind in
+    let outcome =
+      let* worker =
+        match arg "--id" with
+        | None -> Ok (-1)
+        | Some s -> (
+          match int_of_string_opt s with
+          | Some id -> Ok id
+          | None -> Err.errorf Usage "worker: --id %S is not an integer" s)
+      in
+      let* mode =
+        match (arg "--connect", arg "--sock") with
+        | Some a, _ -> Result.map (fun addr -> Dial addr) (Transport.parse a)
+        | None, Some p -> Ok (Dial (Transport.Unix_path p))
+        | None, None -> Err.error Usage "worker: need --connect or --sock"
+      in
+      let auth_key =
+        match arg "--auth-key" with Some _ as k -> k | None -> Sys.getenv_opt "OMN_SHARD_KEY"
+      in
+      main ~worker ~mode ?auth_key ?trace_cache:(arg "--trace-cache") ()
+    in
+    match outcome with
+    | Ok () -> exit 0
+    | Error e ->
+      prerr_endline (Err.to_string e);
+      exit (Err.exit_code e.code)
+  end

@@ -63,3 +63,13 @@ val main :
     or coordinator disappearance, [Error] with [E-AUTH]/[E-PROTO]/
     [E-IO] on typed rejections. Callers that forked must follow with
     [Unix._exit]. *)
+
+val hatch : unit -> unit
+(** Return unless [Sys.argv] is [<exe> worker ...]; otherwise run
+    {!main} from that argv ([--id N], [--connect ADDR] or [--sock
+    PATH], [--auth-key KEY] defaulting to [OMN_SHARD_KEY],
+    [--trace-cache DIR]; glued [--flag=VALUE] forms too) and exit with
+    its typed code: 0 on [Ok], {!Omn_robust.Err.exit_code} otherwise
+    (2 with [E-USAGE] for a malformed [--id] or address). A test or
+    bench binary whose coordinator uses [Spawn_exec] calls this first,
+    so that re-executing it yields a worker. *)

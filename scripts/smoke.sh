@@ -38,7 +38,9 @@
 #   9. cross-driver identity: on a trace with fractional contact times,
 #      every way of running the driver (plain, --progress, --checkpoint,
 #      budget-truncated and resumed, delay-cdf in process and on two
-#      workers, an exhaustive --sample) must print the same curves.
+#      workers, a budget-truncated two-worker run resumed on two
+#      workers, exact diameter on two workers, an exhaustive --sample)
+#      must print the same curves.
 # Run via `make check`. CI uploads $SMOKE_METRICS, $SMOKE_TRACE,
 # $SMOKE_REPORT, $SMOKE_SHARD_TRACE, $SMOKE_SHARD_REPORT,
 # $SMOKE_FLEET_TRACE, $SMOKE_FLEET_METRICS and $SMOKE_FLEET_REPORT as
@@ -546,19 +548,36 @@ fi
   -o "$tmp/x-resumed.json" >/dev/null
 "$OMN" delay-cdf "$tmp/x.omn" -o "$tmp/x-cdf.json" >/dev/null
 "$OMN" delay-cdf "$tmp/x.omn" --workers 2 -o "$tmp/x-workers.json" >/dev/null
+# the fleet is one more executor of the driver: a zero budget still
+# completes a batch and checkpoints it, and the resume finishes on the
+# fleet
+rc=0
+"$OMN" delay-cdf "$tmp/x.omn" --workers 2 --budget-seconds 0 --checkpoint-every 1 \
+  --checkpoint "$tmp/x-fleet.ck" -o "$tmp/x-fleet-partial.json" >"$tmp/x-fleet.out" || rc=$?
+if [ "$rc" -ne 124 ]; then
+  echo "smoke FAIL: zero-budget fleet delay-cdf exited $rc, expected 124" >&2
+  exit 1
+fi
+if grep -q 'after 0 of' "$tmp/x-fleet.out"; then
+  echo "smoke FAIL: zero-budget fleet run completed no source" >&2
+  exit 1
+fi
+"$OMN" delay-cdf "$tmp/x.omn" --workers 2 --checkpoint "$tmp/x-fleet.ck" --resume \
+  -o "$tmp/x-fleetresumed.json" >/dev/null
+"$OMN" diameter "$tmp/x.omn" --workers 2 -o "$tmp/x-diamworkers.json" >/dev/null
 "$OMN" diameter "$tmp/x.omn" --sample 1000 -o "$tmp/x-sample.json" >/dev/null
 curve_fields "$tmp/x-plain.json" >"$tmp/x-plain.curves"
 [ -s "$tmp/x-plain.curves" ] || {
   echo "smoke FAIL: no curve fields in the plain diameter output" >&2
   exit 1
 }
-for run in progress ckpt resumed cdf workers sample; do
+for run in progress ckpt resumed cdf workers fleetresumed diamworkers sample; do
   curve_fields "$tmp/x-$run.json" | cmp -s - "$tmp/x-plain.curves" || {
     echo "smoke FAIL: $run curves differ from plain omn diameter" >&2
     exit 1
   }
 done
-if [ -f "$tmp/x.ck" ] || [ -f "$tmp/x-budget.ck" ]; then
+if [ -f "$tmp/x.ck" ] || [ -f "$tmp/x-budget.ck" ] || [ -f "$tmp/x-fleet.ck" ]; then
   echo "smoke FAIL: completed runs left their checkpoints behind" >&2
   exit 1
 fi

@@ -217,8 +217,8 @@ let proto_roundtrip () =
     {
       Proto.trace_digest = String.make 64 'a'; worker = 1; max_hops = 4;
       dests = Some [ 1; 2 ]; grid = Some [| 1.; 2. |]; windows = Some [ (0., 10.) ];
-      supervise = Some (2, 0.05, 1., 0); ckpt_path = None; fingerprint = "fp"; domains = 2;
-      telemetry = true;
+      supervise = Some { S.default with task_deadline = Some 0.5 }; ckpt_path = None;
+      fingerprint = "fp"; domains = 2; telemetry = true;
     }
   in
   List.iter
@@ -494,7 +494,7 @@ let partial_merge_bit_identity () =
 (* --- the coordinator, end to end --- *)
 
 (* [Spawn_exec] re-executes this test binary, which doubles as its own
-   worker (see the escape hatch in [Test_main]). [Spawn_fork] would be
+   worker ([Test_main] calls [Worker.hatch] first). [Spawn_fork] would be
    cheaper but is illegal here: suites that ran earlier created domains,
    and OCaml 5 forbids [Unix.fork] in a multi-domain process. *)
 (* max_inflight = 2 keeps dispatch behind the chaos schedules below: a
@@ -509,8 +509,23 @@ let shard_cfg ~workers =
     max_inflight = 2;
   }
 
+let plan_of t =
+  match Delay_cdf.plan ~max_hops ~grid t with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "plan rejected: %s" (Err.to_string e)
+
+(* The fleet as [Driver.run]'s executor: curves, progress and the
+   session's stats, or the first error of either. *)
+let fleet_run ?supervise ?report ?checkpoint_every ?sampling cfg plan =
+  match
+    Coord.with_fleet cfg plan (fun partials_of ->
+        Omn_core.Driver.run ~partials_of ?supervise ?report ?checkpoint_every ?sampling plan)
+  with
+  | Error e | Ok (Error e, _) -> Error e
+  | Ok (Ok o, st) -> Ok (o.curves, o.progress, st)
+
 let run_ok ?(cfg = shard_cfg ~workers:3) () =
-  match Coord.run ~max_hops ~grid cfg trace with
+  match fleet_run cfg (plan_of trace) with
   | Ok v -> v
   | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
 
@@ -548,7 +563,7 @@ let coord_kill_failover () =
       try Unix.rmdir ckpt_dir with Unix.Unix_error _ -> ())
   @@ fun () ->
   let cfg = { (shard_cfg ~workers:3) with Coord.chaos; ckpt_dir = Some ckpt_dir } in
-  match Coord.run ~max_hops ~grid cfg big_trace with
+  match fleet_run cfg (plan_of big_trace) with
   | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
   | Ok (curves, p, st) ->
     Alcotest.(check bool) "complete despite every worker dying" false p.Delay_cdf.partial;
@@ -566,7 +581,7 @@ let coord_membership () =
   let m_trace = Util.random_trace ~scale:0.37 (Rng.create 311) ~n:24 ~m:140 ~horizon:160 in
   let m_reference = Delay_cdf.compute ~max_hops ~grid m_trace in
   let run ~workers chaos =
-    match Coord.run ~max_hops ~grid { (shard_cfg ~workers) with Coord.chaos } m_trace with
+    match fleet_run { (shard_cfg ~workers) with Coord.chaos } (plan_of m_trace) with
     | Error e -> Alcotest.failf "membership run failed: %s" (Omn_robust.Err.to_string e)
     | Ok (curves, p, st) ->
       Alcotest.(check bool) "complete" false p.Delay_cdf.partial;
@@ -626,7 +641,7 @@ let prop_single_kill_schedules =
     QCheck2.Gen.(pair (int_range 0 8) (int_range 0 2))
     (fun (after_results, victim) ->
       let chaos = [ { Faultgen.after_results; victim; shard_fault = Faultgen.Worker_kill } ] in
-      match Coord.run ~max_hops ~grid { (shard_cfg ~workers:3) with Coord.chaos } trace with
+      match fleet_run { (shard_cfg ~workers:3) with Coord.chaos } (plan_of trace) with
       | Error e -> QCheck2.Test.fail_reportf "run failed: %s" (Omn_robust.Err.to_string e)
       | Ok (curves, p, st) ->
         if p.Delay_cdf.partial then QCheck2.Test.fail_report "spurious partial";
@@ -634,6 +649,126 @@ let prop_single_kill_schedules =
           QCheck2.Test.fail_reportf "%d/10 sources merged (duplicates dropped: %d)"
             p.Delay_cdf.sources_done st.Coord.duplicates;
         curves_equal curves reference)
+
+(* Time spent between batches (checkpoints, a reporter, folds) is not
+   worker silence: a reporter that sleeps past the heartbeat timeout
+   after every batch must not cost a heartbeat miss or a respawn. *)
+let coord_idle_between_batches () =
+  let cfg = { (shard_cfg ~workers:2) with Coord.heartbeat_timeout = 1. } in
+  let batches = ref 0 in
+  let report _ _ =
+    incr batches;
+    Unix.sleepf (1.5 *. cfg.Coord.heartbeat_timeout)
+  in
+  match fleet_run ~report ~checkpoint_every:5 cfg (plan_of trace) with
+  | Error e -> Alcotest.failf "batched fleet run failed: %s" (Err.to_string e)
+  | Ok (curves, p, st) ->
+    Alcotest.(check int) "two batches, one fleet" 2 !batches;
+    Alcotest.(check bool) "complete" false p.Delay_cdf.partial;
+    Alcotest.(check bool) "bit-identical to single-process" true (curves_equal curves reference);
+    Alcotest.(check int) "no heartbeat miss between batches" 0 st.Coord.heartbeat_misses;
+    Alcotest.(check int) "one spawn per worker" 2 st.Coord.spawns
+
+(* One worker in a second domain of this process, serving one session
+   on a Unix socket: [Supervise.set_task_fault] reaches it, which it
+   cannot through an exec'd worker. [f] gets a fleet config naming it
+   as the only peer. SIGPIPE stays ignored until the worker domain has
+   finished. *)
+let with_domain_worker f =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "omn-test-worker-%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let worker =
+    Domain.spawn (fun () ->
+        Omn_shard.Worker.main ~worker:0 ~mode:(Omn_shard.Worker.Listen (Transport.Unix_path path))
+          ~once:true ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Domain.join worker);
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      Sys.set_signal Sys.sigpipe prev)
+  @@ fun () ->
+  let rec wait n =
+    if n > 0 && not (Sys.file_exists path) then begin
+      Unix.sleepf 0.005;
+      wait (n - 1)
+    end
+  in
+  wait 2000;
+  f { (shard_cfg ~workers:0) with Coord.peers = [ Transport.Unix_path path ] }
+
+(* A worker's [Failed] reaches [progress.degraded] through the driver's
+   in-process rule: quarantined under a quarantining policy, a typed
+   Compute error with quarantine off, without a policy, and under
+   sampling. The poisoned source is the first one processed, so every
+   run reaches it. *)
+let coord_failed_path () =
+  let plan = plan_of trace in
+  let poisoned = plan.sources.(plan.order.(0)) in
+  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
+  S.set_task_fault
+    (Some (fun ~item ~attempt:_ -> if item = poisoned then failwith "test: poisoned source"));
+  let policy = { S.default with backoff = 1e-4; backoff_max = 1e-3 } in
+  let run ?supervise ?sampling () =
+    with_domain_worker (fun cfg -> fleet_run ?supervise ?sampling { cfg with supervise } plan)
+  in
+  (match run ~supervise:policy () with
+  | Error e -> Alcotest.failf "quarantining run failed: %s" (Err.to_string e)
+  | Ok (curves, p, _) ->
+    Alcotest.(check (list (pair int int))) "exactly the poisoned source, after 3 attempts"
+      [ (poisoned, 3) ]
+      (List.map (fun (f : S.failure) -> (f.S.item, f.S.attempts)) p.Delay_cdf.degraded);
+    Alcotest.(check int) "every source processed" 10 p.Delay_cdf.sources_done;
+    let survivors = List.filter (fun v -> v <> poisoned) (List.init 10 Fun.id) in
+    Alcotest.(check bool) "curves bit-identical to compute over the survivors" true
+      (curves_equal curves (Delay_cdf.compute ~max_hops ~grid ~sources:survivors trace)));
+  let compute_error what = function
+    | Error { Err.code = Err.Compute; _ } -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Err.to_string e)
+    | Ok _ -> Alcotest.failf "%s: a failed source did not fail the run" what
+  in
+  compute_error "quarantine off" (run ~supervise:{ policy with quarantine = false } ());
+  compute_error "no policy" (run ());
+  compute_error "sampling"
+    (run
+       ~sampling:
+         {
+           Omn_core.Driver.sample = 2;
+           ci_width = 0.5;
+           confidence = 0.9;
+           bootstrap = 20;
+           epsilon = 0.01;
+         }
+       ())
+
+(* The whole policy travels in the job: a fault that overruns the task
+   deadline before it raises is not retried, whatever [retries] says. *)
+let coord_task_deadline () =
+  let plan = plan_of trace in
+  let poisoned = plan.sources.(plan.order.(0)) in
+  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
+  S.set_task_fault
+    (Some
+       (fun ~item ~attempt:_ ->
+         if item = poisoned then begin
+           Unix.sleepf 0.05;
+           failwith "test: slow poisoned source"
+         end));
+  let policy =
+    { S.default with retries = 2; backoff = 1e-4; backoff_max = 1e-3; task_deadline = Some 0.01 }
+  in
+  match
+    with_domain_worker (fun cfg ->
+        fleet_run ~supervise:policy { cfg with supervise = Some policy } plan)
+  with
+  | Error e -> Alcotest.failf "deadline run failed: %s" (Err.to_string e)
+  | Ok (_, p, _) ->
+    Alcotest.(check (list (pair int int))) "overrunning source attempted once" [ (poisoned, 1) ]
+      (List.map (fun (f : S.failure) -> (f.S.item, f.S.attempts)) p.Delay_cdf.degraded)
 
 (* --- fleet telemetry --- *)
 
@@ -703,7 +838,7 @@ let coord_fleet_telemetry () =
     }
   in
   let curves, p, st =
-    match Coord.run ~max_hops ~grid cfg f_trace with
+    match fleet_run cfg (plan_of f_trace) with
     | Ok v -> v
     | Error e ->
       Atomic.set stat_addr (Some (Transport.Tcp ("127.0.0.1", 1)));
@@ -833,4 +968,9 @@ let suite =
       coord_fleet_telemetry;
     Alcotest.test_case "exit-code precedence 124 > 3 > 0" `Quick exit_code_precedence;
     Alcotest.test_case "shard fault schedules deterministic" `Quick shard_schedule_properties;
+    Alcotest.test_case "idle between batches is not worker silence" `Quick
+      coord_idle_between_batches;
+    Alcotest.test_case "worker Failed: quarantined or a Compute error, as in process" `Quick
+      coord_failed_path;
+    Alcotest.test_case "task deadline travels in the job" `Quick coord_task_deadline;
   ]
