@@ -9,10 +9,6 @@
 
 let fmt = Format.std_formatter
 
-(* The shard bench block's coordinator re-executes this binary as a
-   worker. *)
-let () = Omn_shard.Worker.hatch ()
-
 (* --- Bechamel timing benches: the §4.4 efficiency claims --- *)
 
 let timing_tests () =
@@ -125,14 +121,16 @@ let run_timing () =
 
 (* Wall-clock regression harness for the omn_parallel port of
    Delay_cdf.compute: times the 80-node workload at 1/2/4 domains,
-   checks the curves are bit-identical across domain counts, measures
-   the overhead of enabling the metrics registry, and emits a
+   reruns it with the metrics registry live, and emits a
    machine-readable report (with the span tree and key observability
-   counters folded in) that CI archives. With [enforce] set, the
-   2-domain run must be at least [min_speedup] times faster than the
-   1-domain run or the process fails — except on hosts where the
-   runtime recommends < 2 domains (a 1-core container cannot exhibit a
-   speedup); the skip is stamped visibly into the JSON as
+   counters folded in) that CI archives. Correctness of the library is
+   the test suite's job; the bench guards only the runs it times: the
+   curves must be bit-identical across domain counts and with metrics
+   on, and the instrumented run must have gone through the pool. With
+   [enforce] set, the 2-domain run must be at least [min_speedup] times
+   faster than the 1-domain run or the process fails — except on hosts
+   where the runtime recommends < 2 domains (a 1-core container cannot
+   exhibit a speedup); the skip is stamped visibly into the JSON as
    ["gate"]["status"] = "skipped", never silently. [max_prune_ratio]
    optionally gates frontier churn: the instrumented rerun's
    points_pruned / points_kept must not regress above the recorded
@@ -196,243 +194,6 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
   let pool_tasks_run =
     Option.value ~default:0 (Omn_obs.Metrics.counter_total snap "pool.tasks_run")
   in
-  (* Supervision overhead: the same 1-domain workload through the
-     driver with the default fault-free retry/quarantine policy, against
-     the [compute] baseline — one driver, one merge order, so the curves
-     must be bit-identical and the wall-clock within a few percent
-     (supervision is pure bookkeeping on the happy path). *)
-  Omn_obs.Metrics.set_enabled false;
-  let plan = Omn_robust.Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops trace) in
-  let drive ?supervise () =
-    match Omn_core.Driver.run ?supervise plan with
-    | Ok o -> o.Omn_core.Driver.curves
-    | Error e ->
-      Format.fprintf fmt "FAIL: driver bench run errored: %s@." (Omn_robust.Err.to_string e);
-      exit 1
-  in
-  let sup_curves, sup_time =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      let curves = drive ~supervise:Omn_parallel.Supervise.default () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some curves
-    done;
-    (Option.get !result, !best)
-  in
-  Omn_obs.Metrics.set_enabled globally_enabled;
-  let sup_identical = sup_curves = base_curves in
-  let sup_overhead = sup_time /. base_time in
-  (* Timeline overhead: the same 1-domain driver workload with the
-     event journal recording and a manifest stamped per traced repeat
-     (metrics still off, isolating the ring-buffer + provenance cost).
-     The driver is the one that emits batch events. Untraced and traced
-     runs are interleaved and each side takes its own min, so clock
-     drift between measurement windows cancels out of the ratio.
-     Tracing must never perturb results — fatal if it does. *)
-  Omn_obs.Metrics.set_enabled false;
-  Omn_obs.Timeline.reset ();
-  let tl_base = ref infinity and tl_time = ref infinity in
-  let tl_curves = ref None in
-  let timed_run () =
-    let t0 = Unix.gettimeofday () in
-    let curves = drive () in
-    (curves, Unix.gettimeofday () -. t0)
-  in
-  for _ = 1 to repeats do
-    Omn_obs.Timeline.set_enabled false;
-    let _, dt = timed_run () in
-    if dt < !tl_base then tl_base := dt;
-    Omn_obs.Timeline.set_enabled true;
-    let curves, dt = timed_run () in
-    ignore
-      (Omn_obs.Json.to_string
-         (Omn_obs.Manifest.to_json (Omn_obs.Manifest.create ~version:"bench" ())));
-    if dt < !tl_time then tl_time := dt;
-    tl_curves := Some curves
-  done;
-  Omn_obs.Timeline.set_enabled false;
-  let tl_view = Omn_obs.Timeline.snapshot () in
-  Omn_obs.Metrics.set_enabled globally_enabled;
-  let tl_identical = !tl_curves = Some base_curves in
-  let tl_overhead = !tl_time /. !tl_base in
-  let tl_time = !tl_time in
-  (* Sampling: the sampled estimator against the exact engine on the
-     same workload. Sampling must buy wall-clock (it touches a fraction
-     of the sources) without losing the truth — the bootstrap CI has to
-     contain the exact (1-eps)-diameter or the bench fails. Metrics
-     stay off so the timings match the other blocks. *)
-  Omn_obs.Metrics.set_enabled false;
-  let time_best f =
-    let best = ref infinity and result = ref None in
-    for _ = 1 to repeats do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let exact_res, exact_time = time_best (fun () -> Omn_core.Diameter.measure ~max_hops trace) in
-  let sample = max 1 (n / 8) in
-  let est, est_time =
-    time_best (fun () ->
-        match
-          Omn_core.Diameter_est.estimate ~max_hops ~sample ~seed:1 ~ci_width:2. ~confidence:0.9
-            ~bootstrap:200 trace
-        with
-        | Ok e -> e
-        | Error e ->
-          Format.fprintf fmt "FAIL: sampled bench run errored: %s@." (Omn_robust.Err.to_string e);
-          exit 1)
-  in
-  Omn_obs.Metrics.set_enabled globally_enabled;
-  (* [None] (no finite diameter) compares as one past the deepest hop
-     bound, same sentinel the estimator's bootstrap uses. *)
-  let sentinel = function Some k -> k | None -> max_hops + 1 in
-  let exact_d = sentinel exact_res.Omn_core.Diameter.diameter in
-  let est_covers =
-    sentinel est.Omn_core.Diameter_est.ci_lo <= exact_d
-    && exact_d <= sentinel est.Omn_core.Diameter_est.ci_hi
-  in
-  (* Shard: failover reassignment latency and digest-addressed trace
-     shipping over an authenticated TCP loopback fleet. The kill run
-     stamps the chaos Mark and the first Reassign into the timeline and
-     reports the gap; the second run reuses the same trace store, so
-     every worker must come up warm (zero bytes shipped, one cache hit
-     per worker). Merge non-identity with the single-process driver is
-     fatal, like the cross-domain identity gate. *)
-  Omn_obs.Metrics.set_enabled false;
-  let shard_workers = 2 in
-  let shard_n = 32 in
-  let shard_hops = 4 in
-  let shard_trace =
-    let srng = Omn_stats.Rng.create 23 in
-    let params = Omn_mobility.Venue.conference_params ~rng:srng ~n:shard_n ~days:0.25 in
-    Omn_mobility.Venue.generate srng ~n:shard_n ~name:"bench-shard" params
-  in
-  let shard_ref = Omn_core.Delay_cdf.compute ~max_hops:shard_hops shard_trace in
-  let store_dir = Filename.temp_file "omn_bench_store" ".d" in
-  Sys.remove store_dir;
-  let shard_cfg chaos =
-    {
-      (Omn_shard.Coord.default ~workers:shard_workers) with
-      Omn_shard.Coord.heartbeat_interval = 0.05;
-      heartbeat_timeout = 5.;
-      respawn_backoff = 0.01;
-      max_inflight = 2;
-      listen = Some (Omn_shard.Transport.Tcp ("127.0.0.1", 0));
-      auth_key = Some "bench-preshared-key";
-      worker_trace_cache = Some store_dir;
-      chaos;
-    }
-  in
-  let shard_plan =
-    Omn_robust.Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops:shard_hops shard_trace)
-  in
-  let run_shard label cfg =
-    let t0 = Unix.gettimeofday () in
-    match
-      Omn_shard.Coord.with_fleet cfg shard_plan (fun partials_of ->
-          Omn_core.Driver.run ~partials_of shard_plan)
-    with
-    | Error e | Ok (Error e, _) ->
-      Format.fprintf fmt "FAIL: shard bench (%s): %s@." label (Omn_robust.Err.to_string e);
-      exit 1
-    | Ok (Ok { curves; progress = p; _ }, st) ->
-      if p.Omn_core.Delay_cdf.partial || p.Omn_core.Delay_cdf.sources_done <> shard_n then begin
-        Format.fprintf fmt "FAIL: shard bench (%s): incomplete merge@." label;
-        exit 1
-      end;
-      if curves <> shard_ref then begin
-        Format.fprintf fmt "FAIL: shard bench (%s): merge differs from the single-process run@."
-          label;
-        exit 1
-      end;
-      (st, Unix.gettimeofday () -. t0)
-  in
-  Omn_obs.Timeline.reset ();
-  Omn_obs.Timeline.set_enabled true;
-  let kill_st, kill_time =
-    run_shard "cold store, worker-kill failover"
-      (shard_cfg
-         [
-           {
-             Omn_robust.Faultgen.after_results = 2;
-             victim = 0;
-             shard_fault = Omn_robust.Faultgen.Worker_kill;
-           };
-         ])
-  in
-  Omn_obs.Timeline.set_enabled false;
-  let shard_tl = Omn_obs.Timeline.snapshot () in
-  let best_of k label cfg =
-    let st = ref None and best = ref infinity in
-    for _ = 1 to k do
-      let s, t = run_shard label cfg in
-      if t < !best then best := t;
-      st := Some s
-    done;
-    (Option.get !st, !best)
-  in
-  let warm_st, warm_time = best_of 3 "warm store, clean" (shard_cfg []) in
-  (* Fleet telemetry: the same warm clean run with Stats_pull/Stats_push
-     on. run_shard already makes merge non-identity fatal, so this
-     measures what the telemetry plane costs when it changes nothing:
-     overhead above the warn threshold is reported, not fatal (these
-     runs are tens of milliseconds, so even best-of-3 carries noise). A
-     worker that never reports is fatal — a silent telemetry loss would
-     make every fleet report lie. *)
-  let fleet_st, fleet_time =
-    best_of 3 "warm store, telemetry on"
-      { (shard_cfg []) with Omn_shard.Coord.telemetry = true; stats_interval = 0.1 }
-  in
-  Omn_obs.Metrics.set_enabled globally_enabled;
-  let fleet_overhead = fleet_time /. warm_time in
-  let fleet_warn_ratio = 1.03 in
-  let fleet_events =
-    List.fold_left
-      (fun acc t -> acc + List.length t.Omn_shard.Coord.tw_events)
-      0 fleet_st.Omn_shard.Coord.fleet
-  in
-  if List.length fleet_st.Omn_shard.Coord.fleet <> shard_workers then begin
-    Format.fprintf fmt "FAIL: fleet telemetry: %d of %d workers reported@."
-      (List.length fleet_st.Omn_shard.Coord.fleet)
-      shard_workers;
-    exit 1
-  end;
-  (* time from the chaos injection Mark to the first reassignment of the
-     victim's unacknowledged work — the failover latency a real fleet
-     would observe *)
-  let reassign_latency =
-    let events = shard_tl.Omn_obs.Timeline.events in
-    match
-      List.find_map
-        (fun ((_, e) : int * Omn_obs.Timeline.entry) ->
-          match e.ev with
-          | Omn_obs.Timeline.Mark { name }
-            when String.length name >= 6 && String.sub name 0 6 = "chaos:" ->
-            Some e.ts
-          | _ -> None)
-        events
-    with
-    | None -> None
-    | Some t0 ->
-      List.find_map
-        (fun ((_, e) : int * Omn_obs.Timeline.entry) ->
-          match e.ev with
-          | Omn_obs.Timeline.Reassign _ when e.ts >= t0 -> Some (e.ts -. t0)
-          | _ -> None)
-        events
-  in
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat store_dir f) with Sys_error _ -> ())
-       (Sys.readdir store_dir);
-     Unix.rmdir store_dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
   let frontiers, _ = Omn_core.Journey.run trace ~source:0 in
   let sizes = Array.map Omn_core.Frontier.size frontiers in
   let max_frontier = Array.fold_left max 0 sizes in
@@ -516,73 +277,6 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
               );
               ("spans", Option.value ~default:Null (member "spans" snap_json));
             ] );
-        ( "resilience",
-          Obj
-            [
-              ("overhead_ratio_1domain", Float sup_overhead);
-              ("bit_identical_with_supervision", Bool sup_identical);
-              ("seconds_unsupervised", Float base_time);
-              ("seconds_supervised", Float sup_time);
-            ] );
-        ( "timeline",
-          Obj
-            [
-              ("overhead_ratio_1domain", Float tl_overhead);
-              ("bit_identical_with_timeline", Bool tl_identical);
-              ("seconds_traced", Float tl_time);
-              ("events_recorded", Int (List.length tl_view.Omn_obs.Timeline.events));
-              ("dropped_events", Int (Omn_obs.Timeline.total_dropped tl_view));
-            ] );
-        ( "sampling",
-          Obj
-            [
-              ("sample", Int sample);
-              ("sampled", Int est.Omn_core.Diameter_est.sampled);
-              ("total", Int est.Omn_core.Diameter_est.total);
-              ("rounds", Int est.Omn_core.Diameter_est.rounds);
-              ("seconds_exact", Float exact_time);
-              ("seconds_sampled", Float est_time);
-              ("speedup_vs_exact", Float (exact_time /. est_time));
-              ( "exact_diameter",
-                match exact_res.Omn_core.Diameter.diameter with Some k -> Int k | None -> Null );
-              ( "ci_lo",
-                match est.Omn_core.Diameter_est.ci_lo with Some k -> Int k | None -> Null );
-              ( "ci_hi",
-                match est.Omn_core.Diameter_est.ci_hi with Some k -> Int k | None -> Null );
-              ("ci_width", Float est.Omn_core.Diameter_est.ci_width);
-              ("covers_exact", Bool est_covers);
-            ] );
-        ( "shard",
-          Obj
-            [
-              ("workers", Int shard_workers);
-              ("sources", Int shard_n);
-              ("transport", String "tcp-loopback+auth");
-              ("seconds_kill_failover", Float kill_time);
-              ("seconds_warm_clean", Float warm_time);
-              ( "reassign_latency_seconds",
-                match reassign_latency with Some s -> Float s | None -> Null );
-              ("reassigned", Int kill_st.Omn_shard.Coord.reassigned);
-              ("spawns_kill_run", Int kill_st.Omn_shard.Coord.spawns);
-              ("trace_ship_bytes_cold", Int kill_st.Omn_shard.Coord.trace_ship_bytes);
-              ("trace_ship_bytes_warm", Int warm_st.Omn_shard.Coord.trace_ship_bytes);
-              ("trace_cache_hits_warm", Int warm_st.Omn_shard.Coord.trace_cache_hits);
-            ] );
-        ( "fleet_obs",
-          Obj
-            [
-              ("workers_reporting", Int (List.length fleet_st.Omn_shard.Coord.fleet));
-              ("seconds_telemetry_on", Float fleet_time);
-              ("seconds_telemetry_off", Float warm_time);
-              ("overhead_ratio", Float fleet_overhead);
-              (* run_shard exits fatally on any merge divergence, so a
-                 written artifact always carries [true] here *)
-              ("bit_identical_with_telemetry", Bool true);
-              ("timeline_events_pulled", Int fleet_events);
-              ("overhead_warn_ratio", Float fleet_warn_ratio);
-              ( "overhead_status",
-                String (if fleet_overhead <= fleet_warn_ratio then "ok" else "warn") );
-            ] );
         ( "runs",
           List
             (List.map
@@ -627,63 +321,7 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
     "  metrics-on rerun (%d domain(s)): %.3fs (overhead x%.3f), bit-identical: %b, \
      pool.tasks_run: %d@."
     obs_domains obs_time obs_overhead obs_identical pool_tasks_run;
-  Format.fprintf fmt "  supervised rerun: %.3fs (overhead x%.3f), bit-identical: %b@." sup_time
-    sup_overhead sup_identical;
-  Format.fprintf fmt
-    "  timeline-on rerun: %.3fs (overhead x%.3f), bit-identical: %b, %d events (%d dropped)@."
-    tl_time tl_overhead tl_identical
-    (List.length tl_view.Omn_obs.Timeline.events)
-    (Omn_obs.Timeline.total_dropped tl_view);
-  let opt_str = function Some k -> string_of_int k | None -> "none" in
-  Format.fprintf fmt
-    "  sampling: exact %.3fs vs sampled %.3fs (%d of %d sources, %d round(s), x%.2f); CI [%s, \
-     %s] width %.2f vs exact %s@."
-    exact_time est_time est.Omn_core.Diameter_est.sampled est.Omn_core.Diameter_est.total
-    est.Omn_core.Diameter_est.rounds (exact_time /. est_time)
-    (opt_str est.Omn_core.Diameter_est.ci_lo)
-    (opt_str est.Omn_core.Diameter_est.ci_hi)
-    est.Omn_core.Diameter_est.ci_width
-    (opt_str exact_res.Omn_core.Diameter.diameter);
-  Format.fprintf fmt
-    "  shard (TCP loopback, auth, %d workers): kill-failover %.3fs (reassign latency %s, %d \
-     reassigned), warm clean %.3fs; trace bytes cold %d / warm %d (%d cache hits)@."
-    shard_workers kill_time
-    (match reassign_latency with Some s -> Printf.sprintf "%.3fs" s | None -> "n/a")
-    kill_st.Omn_shard.Coord.reassigned warm_time kill_st.Omn_shard.Coord.trace_ship_bytes
-    warm_st.Omn_shard.Coord.trace_ship_bytes warm_st.Omn_shard.Coord.trace_cache_hits;
-  Format.fprintf fmt
-    "  fleet telemetry: %.3fs on vs %.3fs off (overhead x%.3f), %d workers reporting, %d \
-     timeline events pulled, bit-identical: true@."
-    fleet_time warm_time fleet_overhead
-    (List.length fleet_st.Omn_shard.Coord.fleet)
-    fleet_events;
-  if fleet_overhead > fleet_warn_ratio then
-    Format.fprintf fmt
-      "WARN: fleet telemetry overhead x%.3f exceeds the x%.2f warn threshold@." fleet_overhead
-      fleet_warn_ratio;
   Format.fprintf fmt "  wrote %s@." path;
-  if kill_st.Omn_shard.Coord.reassigned = 0 then begin
-    Format.fprintf fmt "FAIL: the killed worker's work was never reassigned@.";
-    exit 1
-  end;
-  if kill_st.Omn_shard.Coord.trace_ship_bytes = 0 then begin
-    Format.fprintf fmt "FAIL: the cold-store run shipped no trace bytes@.";
-    exit 1
-  end;
-  if warm_st.Omn_shard.Coord.trace_ship_bytes <> 0 then begin
-    Format.fprintf fmt "FAIL: warm workers re-shipped %d trace bytes (digest cache miss)@."
-      warm_st.Omn_shard.Coord.trace_ship_bytes;
-    exit 1
-  end;
-  if warm_st.Omn_shard.Coord.trace_cache_hits < shard_workers then begin
-    Format.fprintf fmt "FAIL: only %d of %d warm workers hit the digest cache@."
-      warm_st.Omn_shard.Coord.trace_cache_hits shard_workers;
-    exit 1
-  end;
-  if not est_covers then begin
-    Format.fprintf fmt "FAIL: sampled CI does not cover the exact (1-eps)-diameter@.";
-    exit 1
-  end;
   if not identical then begin
     Format.fprintf fmt "FAIL: parallel curves differ from the sequential curves@.";
     exit 1
@@ -699,23 +337,6 @@ let bench_parallel ~quick ~enforce ~min_speedup ~max_prune_ratio () =
     Format.fprintf fmt "FAIL: pool.tasks_run is 0 on a %d-domain instrumented run@." obs_domains;
     exit 1
   end;
-  if not sup_identical then begin
-    Format.fprintf fmt "FAIL: fault-free supervision changed the computed curves@.";
-    exit 1
-  end;
-  if not tl_identical then begin
-    Format.fprintf fmt "FAIL: enabling the timeline changed the computed curves@.";
-    exit 1
-  end;
-  if tl_overhead > 1.02 then
-    (* Advisory, like the other overhead targets: evidence in the JSON. *)
-    Format.fprintf fmt "WARN: timeline overhead x%.3f exceeds the 1.02 target@." tl_overhead
-  else Format.fprintf fmt "  timeline overhead within 2%% target@.";
-  if sup_overhead > 1.03 then
-    (* Advisory, like the metrics-overhead target: the evidence stays in
-       the JSON either way. *)
-    Format.fprintf fmt "WARN: supervision overhead x%.3f exceeds the 1.03 target@." sup_overhead
-  else Format.fprintf fmt "  supervision overhead within 3%% target@.";
   if obs_overhead > 1.05 then
     (* Advisory rather than fatal: best-of-N tames most noise, but a
        loaded CI host can still blow a 5% margin without a real

@@ -37,8 +37,9 @@ let protect_code f =
     Format.eprintf "omn: %s@." msg;
     2
   | exception Invalid_argument msg ->
-    Format.eprintf "omn: invalid argument: %s@." msg;
-    2
+    (* a library guard rejected a value the command passed through *)
+    Format.eprintf "omn: %a@." Err.pp (Err.v Err.Usage msg);
+    Err.exit_code Err.Usage
   | exception Failure msg ->
     Format.eprintf "omn: %s@." msg;
     1
@@ -832,7 +833,7 @@ let diameter_cmd =
       sample_seed stream workers heap_cap output =
     protect_code @@ fun () ->
     if resume && checkpoint = None then usage_err "--resume requires --checkpoint FILE";
-    if epsilon <= 0. || epsilon >= 1. then usage_err "--epsilon out of (0,1)";
+    if not (epsilon > 0. && epsilon < 1.) then usage_err "--epsilon %g out of (0,1)" epsilon;
     if sample = None then begin
       let reject what = usage_err "%s requires --sample" what in
       if ci_width <> None then reject "--ci-width";

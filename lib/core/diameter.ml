@@ -17,8 +17,12 @@ let reaches_everywhere ~epsilon (curves : Delay_cdf.curves) k =
   end;
   !ok
 
+let check_epsilon fn epsilon =
+  if not (epsilon > 0. && epsilon < 1.) then
+    Printf.ksprintf invalid_arg "Diameter.%s: epsilon %g out of (0,1)" fn epsilon
+
 let of_curves ?(epsilon = 0.01) (curves : Delay_cdf.curves) =
-  if epsilon <= 0. || epsilon >= 1. then invalid_arg "Diameter.of_curves: epsilon out of (0,1)";
+  check_epsilon "of_curves" epsilon;
   let max_hops = Array.length curves.hop_success in
   let rec search k =
     if k > max_hops then None
@@ -28,6 +32,7 @@ let of_curves ?(epsilon = 0.01) (curves : Delay_cdf.curves) =
   search 1
 
 let vs_delay ?(epsilon = 0.01) (curves : Delay_cdf.curves) =
+  check_epsilon "vs_delay" epsilon;
   let bar = 1. -. epsilon in
   let max_hops = Array.length curves.hop_success in
   Array.mapi

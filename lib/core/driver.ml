@@ -135,7 +135,11 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
     in
     if domains < 1 then usage "domains %d < 1" domains;
     if checkpoint_every < 1 then usage "checkpoint_every %d < 1" checkpoint_every;
-    Option.iter (fun b -> if b < 0. then usage "negative budget %g" b) budget_seconds;
+    (* an infinite budget is no limit; NaN fails the comparison *)
+    Option.iter (fun b -> if not (b >= 0.) then usage "budget %g is not >= 0" b) budget_seconds;
+    (* before the first batch: a fleet would ship the policy to workers
+       that each fail on it *)
+    Option.iter Supervise.validate supervise;
     if supervise <> None && sampling <> None then
       usage "supervision does not combine with sampling";
     Option.iter

@@ -27,8 +27,11 @@ let default =
 
 let check p =
   if p.n < 1 then invalid_arg "Random_waypoint: n < 1";
-  if p.area <= 0. || p.range <= 0. || p.horizon <= 0. || p.dt <= 0. then
-    invalid_arg "Random_waypoint: non-positive geometry";
+  List.iter
+    (fun (name, x) ->
+      if not (x > 0. && x < infinity) then
+        Printf.ksprintf invalid_arg "Random_waypoint: %s %g is not a positive finite number" name x)
+    [ ("area", p.area); ("range", p.range); ("horizon", p.horizon); ("dt", p.dt) ];
   if not (0. < p.v_min && p.v_min <= p.v_max) then invalid_arg "Random_waypoint: bad speeds";
   if p.mean_pause < 0. then invalid_arg "Random_waypoint: negative pause"
 

@@ -27,7 +27,9 @@ let check p =
   Array.iter
     (fun pl -> if pl.width < 1 || pl.height < 1 then invalid_arg "Venue: empty place grid")
     p.places;
-  if p.t_start >= p.t_end then invalid_arg "Venue: empty window";
+  if not (Float.is_finite p.t_start && Float.is_finite p.t_end && p.t_start < p.t_end) then
+    Printf.ksprintf invalid_arg "Venue: window [%g, %g] is not finite and non-empty" p.t_start
+      p.t_end;
   if p.move_rate_max <= 0. || p.zone_rate_max <= 0. then invalid_arg "Venue: zero envelopes";
   if p.min_overlap < 0. then invalid_arg "Venue: negative min_overlap"
 

@@ -60,15 +60,18 @@ let backoff_delay policy ~item ~attempt =
   let rng = Rng.create (policy.jitter_seed lxor Hashtbl.hash (item, attempt)) in
   base *. (0.5 +. (0.5 *. Rng.float rng))
 
+(* An infinite deadline is no limit; NaN fails every [>= 0.]. *)
 let validate policy =
   if policy.retries < 0 then invalid_arg "Supervise: retries < 0";
-  if policy.backoff < 0. || policy.backoff_max < 0. then invalid_arg "Supervise: negative backoff";
-  (match policy.task_deadline with
-  | Some d when d < 0. -> invalid_arg "Supervise: negative task deadline"
-  | _ -> ());
-  match policy.run_deadline with
-  | Some d when d < 0. -> invalid_arg "Supervise: negative run deadline"
-  | _ -> ()
+  if not (policy.backoff >= 0. && policy.backoff_max >= 0.) then
+    invalid_arg "Supervise: negative backoff";
+  let deadline name = function
+    | Some d when not (d >= 0.) ->
+      Printf.ksprintf invalid_arg "Supervise: %s deadline %g is not >= 0" name d
+    | _ -> ()
+  in
+  deadline "task" policy.task_deadline;
+  deadline "run" policy.run_deadline
 
 let run_task ?(clock = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?(give_up = fun () -> false)
     policy ~item f =

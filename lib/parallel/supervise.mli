@@ -77,6 +77,12 @@ val backoff_delay : policy -> item:int -> attempt:int -> float
     by a jitter in [0.5, 1.0) derived from [(jitter_seed, item,
     attempt)] only. Exposed for tests. *)
 
+val validate : policy -> unit
+(** Raises [Invalid_argument] naming the field on a malformed policy:
+    negative [retries], a backoff or deadline that is negative or NaN.
+    An infinite deadline is no limit. {!run_task} and {!map} call it;
+    an executor that ships the policy elsewhere calls it first. *)
+
 val run_task :
   ?clock:(unit -> float) ->
   ?sleep:(float -> unit) ->
@@ -90,7 +96,7 @@ val run_task :
     to run instantly). [give_up] is polled after each failure; when it
     returns [true], remaining retries are forfeited ({!map} wires the
     [run_deadline] through it). Raises [Invalid_argument] on a
-    malformed policy (negative [retries] or backoff). With
+    malformed policy ({!validate}). With
     [quarantine = false] the final exception is re-raised instead of
     returned. *)
 

@@ -9,8 +9,12 @@ type params = { n : int; lambda : float; horizon : float }
 
 let check params =
   if params.n < 2 then invalid_arg "Continuous: n < 2";
-  if params.lambda <= 0. then invalid_arg "Continuous: lambda <= 0";
-  if params.horizon <= 0. then invalid_arg "Continuous: horizon <= 0"
+  if not (params.lambda > 0. && params.lambda < infinity) then
+    Printf.ksprintf invalid_arg "Continuous: lambda %g is not a positive finite rate"
+      params.lambda;
+  if not (params.horizon > 0. && params.horizon < infinity) then
+    Printf.ksprintf invalid_arg "Continuous: horizon %g is not a positive finite time"
+      params.horizon
 
 let generate rng params =
   check params;

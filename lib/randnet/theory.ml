@@ -10,7 +10,9 @@ let g x =
   if x < 0. then invalid_arg "Theory.g: negative";
   ((1. +. x) *. log (1. +. x)) -. xlnx x
 
-let check_lambda lambda = if lambda <= 0. then invalid_arg "Theory: lambda <= 0"
+let check_lambda lambda =
+  if not (lambda > 0. && lambda < infinity) then
+    Printf.ksprintf invalid_arg "Theory: lambda %g is not a positive finite rate" lambda
 
 let exponent case ~lambda ~gamma =
   check_lambda lambda;

@@ -23,22 +23,19 @@ let m_dup_frames = Metrics.counter "shard.net.dup_frames"
 let m_joins = Metrics.counter "shard.members_joined"
 let m_leaves = Metrics.counter "shard.members_left"
 
-type spawn = Spawn_exec | Spawn_fork
+(* respawns (or re-dials, for peers) per worker after its first *)
+let max_respawns = 2
 
 type config = {
   workers : int;
   worker_domains : int;
-  vnodes : int;
   max_inflight : int;
-  spawn : spawn;
   heartbeat_interval : float;
   heartbeat_timeout : float;
-  max_respawns : int;
   respawn_backoff : float;
   supervise : Supervise.policy option;
   ckpt_dir : string option;
   chaos : Faultgen.shard_event list;
-  sock_path : string option;
   listen : Transport.addr option;
   peers : Transport.addr list;
   auth_key : string option;
@@ -53,17 +50,13 @@ let default ~workers =
   {
     workers;
     worker_domains = 1;
-    vnodes = 64;
     max_inflight = 32;
-    spawn = Spawn_exec;
     heartbeat_interval = 0.25;
     heartbeat_timeout = 5.;
-    max_respawns = 2;
     respawn_backoff = 0.1;
     supervise = None;
     ckpt_dir = None;
     chaos = [];
-    sock_path = None;
     listen = None;
     peers = [];
     auth_key = None;
@@ -155,39 +148,30 @@ let env_with_key key =
   let base = List.filter keep (Array.to_list (Unix.environment ())) in
   Array.of_list (base @ [ "OMN_SHARD_KEY=" ^ key ])
 
+(* Re-execute the running binary as [<exe> worker --id=N --connect ADDR
+   [--trace-cache DIR]]: the CLI parses that with its [worker]
+   subcommand, any other host binary with {!Worker.hatch}. A fork would
+   be cheaper, but OCaml 5 forbids [Unix.fork] once a process runs more
+   than one domain. *)
 let spawn_worker ?key cfg ~connect ~id =
   let key = match key with Some _ as k -> k | None -> cfg.auth_key in
-  match cfg.spawn with
-  | Spawn_exec ->
-    let args =
-      (* glued [--id=N]: a joiner's id is -1, which an option parser
-         would otherwise read as an unknown flag *)
-      [ Sys.executable_name; "worker"; Printf.sprintf "--id=%d" id; "--connect";
-        Transport.to_string connect ]
-      @ (match cfg.worker_trace_cache with
-        | Some d -> [ "--trace-cache"; d ]
-        | None -> [])
-    in
-    let argv = Array.of_list args in
-    (match key with
-    | Some k ->
-      (* the key travels in the environment, not argv: ps must not
-         leak it *)
-      Unix.create_process_env Sys.executable_name argv (env_with_key k) Unix.stdin
-        Unix.stdout Unix.stderr
-    | None ->
-      Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout
-        Unix.stderr)
-  | Spawn_fork -> (
-    match Unix.fork () with
-    | 0 ->
-      (try
-         ignore
-           (Worker.main ~worker:id ~mode:(Worker.Dial connect) ?auth_key:key
-              ?trace_cache:cfg.worker_trace_cache ())
-       with _ -> ());
-      Unix._exit 0
-    | pid -> pid)
+  let args =
+    (* glued [--id=N]: a joiner's id is -1, which an option parser
+       would otherwise read as an unknown flag *)
+    [ Sys.executable_name; "worker"; Printf.sprintf "--id=%d" id; "--connect";
+      Transport.to_string connect ]
+    @ (match cfg.worker_trace_cache with
+      | Some d -> [ "--trace-cache"; d ]
+      | None -> [])
+  in
+  let argv = Array.of_list args in
+  match key with
+  | Some k ->
+    (* the key travels in the environment, not argv: ps must not
+       leak it *)
+    Unix.create_process_env Sys.executable_name argv (env_with_key k) Unix.stdin Unix.stdout
+      Unix.stderr
+  | None -> Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout Unix.stderr
 
 type executor =
   Omn_temporal.Node.t list -> (Delay_cdf.partial, Supervise.failure) result list
@@ -225,17 +209,16 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
     let trace_text = Trace_io.to_string plan.trace in
     let trace_digest = Sha256.string trace_text in
     let fingerprint = Proto.job_fingerprint ~trace_text ~max_hops ~dests ~grid ~windows in
-    let ring = ref (Ring.create ~vnodes:cfg.vnodes ~workers:n_initial ()) in
+    let ring = ref (Ring.create ~workers:n_initial ()) in
     let all_workers = List.init n_initial Fun.id in
     let shard_map_sha256 =
       Ring.map_sha256 !ring ~alive:all_workers
         ~sources:(Array.to_list (Array.map (fun i -> plan.sources.(i)) plan.order))
     in
     let listen_addr =
-      match (cfg.listen, cfg.sock_path) with
-      | Some a, _ -> a
-      | None, Some p -> Transport.Unix_path p
-      | None, None ->
+      match cfg.listen with
+      | Some a -> a
+      | None ->
         Transport.Unix_path
           (Filename.concat (Filename.get_temp_dir_name ())
              (Printf.sprintf "omn-shard-%d-%d.sock" (Unix.getpid ())
@@ -476,7 +459,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
       and handle_death w =
         kill_and_reap w;
         if w.left then ()
-        else if w.respawns >= cfg.max_respawns then w.gone <- true
+        else if w.respawns >= max_respawns then w.gone <- true
         else
           w.next_spawn_at <-
             clock () +. (cfg.respawn_backoff *. (2. ** float_of_int (max 0 w.respawns)));
@@ -815,10 +798,10 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
                     | Error e ->
                       (try Unix.close fd with Unix.Unix_error _ -> ());
                       if auth_fatal e then fatal := Some e
-                      else if w.respawns >= cfg.max_respawns then w.gone <- true
+                      else if w.respawns >= max_respawns then w.gone <- true
                       else w.next_spawn_at <- clock () +. backoff_for w)
                   | Error _ ->
-                    if w.respawns >= cfg.max_respawns then w.gone <- true
+                    if w.respawns >= max_respawns then w.gone <- true
                     else w.next_spawn_at <- clock () +. backoff_for w
                 end)
       in

@@ -5,21 +5,26 @@
     {!Omn_core.Delay_cdf.plan} and hands [f] an executor for
     [Driver.run]'s [partials_of]. Every batch the driver passes it is
     served to completion: its sources are consistent-hashed over the
-    fleet ({!Ring}) in the batch's order, [Compute] requests stream
-    over CRC-framed connections ({!Frame}/{!Proto}) — Unix-domain
-    sockets for spawned same-host workers, authenticated TCP
-    ({!Transport}, {!Auth}) for multi-machine fleets — and one result
-    per source comes back, in order. The session keeps no budget,
-    merge or plan of its own: batching, budget, checkpoint/resume,
-    progress, sampling and the ascending-position
-    {!Omn_core.Delay_cdf.fold} are the driver's, so the curves are
-    bit-identical to {!Omn_core.Delay_cdf.compute} (over the sources
-    that completed) at any worker count, under any membership
-    schedule and any failure schedule that still completes.
+    fleet ({!Ring}, 64 points per worker) in the batch's order,
+    [Compute] requests stream over CRC-framed connections
+    ({!Frame}/{!Proto}) — Unix-domain sockets for spawned same-host
+    workers, authenticated TCP ({!Transport}, {!Auth}) for
+    multi-machine fleets — and one result per source comes back, in
+    order. The session keeps no budget, merge or plan of its own:
+    batching, budget, checkpoint/resume, progress, sampling and the
+    ascending-position {!Omn_core.Delay_cdf.fold} are the driver's,
+    so the curves are bit-identical to {!Omn_core.Delay_cdf.compute}
+    (over the sources that completed) at any worker count, under any
+    membership schedule and any failure schedule that still
+    completes.
 
     Fleet shape: [workers] processes are spawned locally and dial back
-    in; [peers] are pre-started [omn worker --listen] processes the
-    coordinator dials (playing the {!Auth} {e client} on those links).
+    in — each is the running binary re-executed as [<exe> worker
+    --id=N --connect ADDR], so a binary other than the CLI must call
+    {!Worker.hatch} first, and the pre-shared key travels in the
+    [OMN_SHARD_KEY] environment variable, never argv; [peers] are
+    pre-started [omn worker --listen] processes the coordinator dials
+    (playing the {!Auth} {e client} on those links).
     Both are part of the initial fleet the first batch's dispatch
     barrier waits for. Additional members may join mid-run: an
     authenticated connection whose [Hello] carries [worker = -1] is
@@ -40,15 +45,15 @@
       frame, or misses the heartbeat timeout (it may be hung —
       [SIGSTOP]ed — not dead) is [SIGKILL]ed and reaped; its
       {e unacknowledged} sources are reassigned to their ring
-      successors; a bounded number of respawns with exponential
-      backoff brings it back, and its shard checkpoint lets it resume
-      rather than recompute. Only time inside a batch counts as
-      silence: the heartbeat clock restarts with every batch;
+      successors; up to two respawns with exponential backoff bring
+      it back, and its shard checkpoint lets it resume rather than
+      recompute. Only time inside a batch counts as silence: the
+      heartbeat clock restarts with every batch;
     - a dialed peer whose link drops is re-dialed under the same
-      bounded-backoff budget ([max_respawns]); a peer that {e rejects}
-      our credentials or speaks another protocol version aborts the
-      batch with a typed [E-AUTH]/[E-PROTO] error (retrying an
-      identical handshake cannot succeed);
+      budget (two re-dials, exponential backoff); a peer that
+      {e rejects} our credentials or speaks another protocol version
+      aborts the batch with a typed [E-AUTH]/[E-PROTO] error
+      (retrying an identical handshake cannot succeed);
     - an inbound connection that fails the pre-shared-key handshake is
       rejected with a typed error frame, counted
       ([stats.auth_rejects]), and closed — the run is unaffected;
@@ -78,33 +83,19 @@
     {!Omn_obs.Timeline} and counted in [Omn_obs.Metrics] under
     [shard.*] / [shard.net.*]. *)
 
-type spawn =
-  | Spawn_exec
-      (** re-execute [Sys.executable_name worker --id I --connect ADDR]
-          — the CLI path; requires the running binary to expose the
-          [worker] subcommand. The pre-shared key travels in the
-          [OMN_SHARD_KEY] environment variable, never argv *)
-  | Spawn_fork
-      (** [Unix.fork] and call {!Worker.main} in the child — the test
-          path; only safe while no other domains are running *)
-
 type config = {
   workers : int;  (** locally spawned workers (may be 0 with [peers]) *)
   worker_domains : int;  (** domain-pool size inside each worker *)
-  vnodes : int;  (** ring points per worker *)
   max_inflight : int;
       (** flow-control window: max unacknowledged [Compute]s per worker.
           Bounds socket buffering on large runs, and guarantees a worker
           that dies or hangs mid-run leaves undispatched work behind —
           so failover (not a drained socket buffer) is what completes
           the run under chaos schedules *)
-  spawn : spawn;
   heartbeat_interval : float;  (** seconds between [Ping]s *)
   heartbeat_timeout : float;
       (** silence past this declares a worker dead; must exceed the
           longest single-source compute time *)
-  max_respawns : int;
-      (** respawns (or re-dials, for peers) per worker after its first *)
   respawn_backoff : float;  (** base respawn delay, doubled per respawn *)
   supervise : Omn_parallel.Supervise.policy option;
       (** the supervision policy workers apply per source (retries,
@@ -113,12 +104,11 @@ type config = {
   ckpt_dir : string option;
       (** directory for per-worker shard checkpoints; created if missing *)
   chaos : Omn_robust.Faultgen.shard_event list;  (** must be ascending *)
-  sock_path : string option;
-      (** Unix listener path (default: a fresh path under [TMPDIR]);
-          ignored when [listen] is set *)
   listen : Transport.addr option;
       (** listener address; [Tcp (host, 0)] binds an ephemeral port
-          (spawned workers are pointed at the actually-bound one) *)
+          (spawned workers are pointed at the actually-bound one);
+          [None] is a Unix-domain socket at a fresh path under
+          [TMPDIR] *)
   peers : Transport.addr list;
       (** pre-started [omn worker --listen] addresses to dial *)
   auth_key : string option;
@@ -143,11 +133,11 @@ type config = {
 }
 
 val default : workers:int -> config
-(** 1 domain per worker, 64 vnodes, a 32-source in-flight window,
-    [Spawn_exec], 0.25 s heartbeat interval, 5 s timeout, 2 respawns
-    with 0.1 s base backoff, no supervision retries, no checkpoints, no
-    chaos, no peers, no auth, Unix-domain listener, no telemetry (1 s
-    pull interval when enabled), no stat endpoint. *)
+(** 1 domain per worker, a 32-source in-flight window, 0.25 s
+    heartbeat interval, 5 s timeout, 0.1 s base respawn backoff, no
+    supervision retries, no checkpoints, no chaos, no peers, no auth,
+    Unix-domain listener, no telemetry (1 s pull interval when
+    enabled), no stat endpoint. *)
 
 type telemetry = {
   tw_worker : int;

@@ -377,7 +377,7 @@ let main ~worker ~mode ?auth_key ?trace_cache ?(once = false) () =
     in
     accept_loop ()
 
-(* [Spawn_exec] re-executes the coordinator's own binary as
+(* The coordinator spawns a worker by re-executing its own binary as
    [<exe> worker --id=N --connect ADDR [--trace-cache DIR]]. The CLI
    parses that with its [worker] subcommand; any other binary that
    hosts a coordinator calls this first thing. *)

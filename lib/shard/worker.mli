@@ -61,8 +61,7 @@ val main :
     content-addressed {!Store} directory; [once] (listen mode) exits
     after one cleanly completed session. Returns [Ok ()] on [Shutdown]
     or coordinator disappearance, [Error] with [E-AUTH]/[E-PROTO]/
-    [E-IO] on typed rejections. Callers that forked must follow with
-    [Unix._exit]. *)
+    [E-IO] on typed rejections. *)
 
 val hatch : unit -> unit
 (** Return unless [Sys.argv] is [<exe> worker ...]; otherwise run
@@ -70,6 +69,6 @@ val hatch : unit -> unit
     PATH], [--auth-key KEY] defaulting to [OMN_SHARD_KEY],
     [--trace-cache DIR]; glued [--flag=VALUE] forms too) and exit with
     its typed code: 0 on [Ok], {!Omn_robust.Err.exit_code} otherwise
-    (2 with [E-USAGE] for a malformed [--id] or address). A test or
-    bench binary whose coordinator uses [Spawn_exec] calls this first,
-    so that re-executing it yields a worker. *)
+    (2 with [E-USAGE] for a malformed [--id] or address). A binary
+    other than the CLI that hosts a coordinator (the test suite) calls
+    this first, so that re-executing it yields a worker. *)

@@ -3,7 +3,9 @@
 #   1. robustness: fault-injected traces must fail strict ingestion,
 #      pass lenient ingestion with a repair report; diameter and
 #      delay-cdf must run on a window shorter than 1 s and fail with a
-#      typed E-WINDOW on one that spans no time;
+#      typed E-WINDOW on one that spans no time; a NaN or infinite
+#      horizon or rate, and a NaN epsilon, budget or task deadline,
+#      must exit 2 within 10 s with an E-USAGE error naming it;
 #   2. budget/resume: a delay-cdf run truncated by --budget-seconds must
 #      exit 124 with a PARTIAL banner, and resuming from its checkpoint
 #      must reproduce the uninterrupted run byte for byte;
@@ -108,6 +110,36 @@ for cmd in diameter delay-cdf; do
     exit 1
   fi
 done
+
+# NaN fails every comparison, so a guard written as `x <= 0` lets it
+# through into a generator loop or an assertion. Each line: the name
+# the error must carry, then the arguments.
+while IFS='|' read -r name args; do
+  rc=0
+  # shellcheck disable=SC2086
+  timeout 10 "$OMN" $args </dev/null >/dev/null 2>"$tmp/nonfinite.err" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -q "E-USAGE.*$name" "$tmp/nonfinite.err"; then
+    echo "smoke FAIL: 'omn $args' exited $rc, expected 2 with E-USAGE naming $name" >&2
+    cat "$tmp/nonfinite.err" >&2
+    exit 1
+  fi
+done <<CASES
+horizon|gen --preset random --hours inf
+window|gen --preset conference --hours inf
+horizon|gen --preset waypoint --hours inf
+lambda|gen --preset random --lambda inf
+window|gen --preset conference --hours nan
+horizon|gen --preset random --hours nan
+lambda|gen --preset random --lambda nan
+horizon|gen --preset waypoint --hours nan
+epsilon|diameter $tmp/clean.omn --epsilon nan
+budget|diameter $tmp/clean.omn --budget-seconds nan
+budget|delay-cdf $tmp/clean.omn --budget-seconds nan
+deadline|diameter $tmp/clean.omn --task-deadline nan
+deadline|delay-cdf $tmp/clean.omn --task-deadline nan
+deadline|delay-cdf $tmp/clean.omn --workers 2 --task-deadline nan
+lambda|theory --lambda nan
+CASES
 
 "$OMN" diameter "$tmp/clean.omn" --budget-seconds 5 --checkpoint "$tmp/ck" >/dev/null
 "$OMN" diameter "$tmp/clean.omn" --checkpoint "$tmp/ck" --resume >/dev/null

@@ -1,7 +1,5 @@
-(* The shard suite's [Spawn_exec] coordinator re-executes this binary
-   as a worker; [Spawn_fork] is unusable from the full suite, because
-   earlier suites create domains and OCaml 5 forbids [Unix.fork] in a
-   process with more than one domain. *)
+(* The shard suite's coordinator spawns its workers by re-executing
+   this binary as [<exe> worker ...]. *)
 let () = Omn_shard.Worker.hatch ()
 
 let () =

@@ -28,7 +28,19 @@ let duration_validation () =
   expect_invalid "exp mean 0" (fun () -> Duration.exponential ~mean:0.);
   expect_invalid "empty mixture" (fun () -> Duration.mixture []);
   expect_invalid "negative weight" (fun () ->
-      Duration.mixture [ (-1., Duration.constant 1.) ])
+      Duration.mixture [ (-1., Duration.constant 1.) ]);
+  (* the generators' time parameters: NaN and +inf are rejected, never
+     looped on *)
+  List.iter
+    (fun x ->
+      expect_invalid (Printf.sprintf "venue window end %g" x) (fun () ->
+          let rng = Rng.create 1 in
+          let p = Venue.conference_params ~rng ~n:4 ~days:0.1 in
+          Venue.generate rng ~n:4 ~name:"v" { p with Venue.t_end = x });
+      expect_invalid (Printf.sprintf "waypoint horizon %g" x) (fun () ->
+          Random_waypoint.generate (Rng.create 1)
+            { Random_waypoint.default with n = 4; horizon = x }))
+    [ Float.nan; infinity ]
 
 let duration_exponential_mean () =
   let rng = Rng.create 2 in

@@ -19,7 +19,22 @@ let domain_checks () =
   in
   expect_invalid "h outside" (fun () -> Theory.h 1.5);
   expect_invalid "g negative" (fun () -> Theory.g (-0.1));
-  expect_invalid "lambda 0" (fun () -> Theory.exponent Short ~lambda:0. ~gamma:0.5)
+  expect_invalid "lambda 0" (fun () -> Theory.exponent Short ~lambda:0. ~gamma:0.5);
+  (* NaN fails every comparison, so each guard must be written to fail
+     on it; a rate or a horizon must also be finite *)
+  List.iter
+    (fun lambda ->
+      expect_invalid (Printf.sprintf "lambda %g" lambda) (fun () ->
+          Theory.tau_critical Short ~lambda))
+    [ Float.nan; infinity ];
+  let continuous ~lambda ~horizon () =
+    Continuous.generate (Rng.create 1) { Continuous.n = 10; lambda; horizon }
+  in
+  List.iter
+    (fun x ->
+      expect_invalid (Printf.sprintf "continuous lambda %g" x) (continuous ~lambda:x ~horizon:10.);
+      expect_invalid (Printf.sprintf "continuous horizon %g" x) (continuous ~lambda:0.1 ~horizon:x))
+    [ Float.nan; infinity ]
 
 let lambda_gen = QCheck2.Gen.float_range 0.05 5.
 

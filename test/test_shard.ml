@@ -493,10 +493,8 @@ let partial_merge_bit_identity () =
 
 (* --- the coordinator, end to end --- *)
 
-(* [Spawn_exec] re-executes this test binary, which doubles as its own
-   worker ([Test_main] calls [Worker.hatch] first). [Spawn_fork] would be
-   cheaper but is illegal here: suites that ran earlier created domains,
-   and OCaml 5 forbids [Unix.fork] in a multi-domain process. *)
+(* The coordinator re-executes this test binary, which doubles as its
+   own worker ([Test_main] calls [Worker.hatch] first). *)
 (* max_inflight = 2 keeps dispatch behind the chaos schedules below: a
    victim is always killed while it still has undispatched sources, so
    failover is required for completion rather than a timing accident. *)
@@ -529,15 +527,43 @@ let run_ok ?(cfg = shard_cfg ~workers:3) () =
   | Ok v -> v
   | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
 
+(* The same fleet twice over one fresh trace store: the cold run ships
+   the trace and fills the store, the warm run's workers all read it
+   back from the store and nothing is shipped. The cold run's workers
+   share the store too, so one that asks after a sibling stored the
+   trace reads it from there: how many of them hit is a race, that each
+   got the trace exactly one way is not. *)
 let coord_bit_identity () =
-  let curves, p, st = run_ok () in
-  Alcotest.(check bool) "complete" false p.Delay_cdf.partial;
-  Alcotest.(check int) "every source accounted for" 10 p.Delay_cdf.sources_done;
-  Alcotest.(check (list int)) "nothing degraded" []
-    (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
-  Alcotest.(check bool) "bit-identical to single-process" true (curves_equal curves reference);
-  Alcotest.(check int) "exactly one spawn per worker" 3 st.Coord.spawns;
-  Alcotest.(check int) "hex shard map digest" 64 (String.length st.Coord.shard_map_sha256)
+  let store = Filename.temp_file "omn_store" ".d" in
+  Sys.remove store;
+  Fun.protect
+    ~finally:(fun () ->
+      (try
+         Array.iter (fun f -> Sys.remove (Filename.concat store f)) (Sys.readdir store)
+       with Sys_error _ -> ());
+      try Unix.rmdir store with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let cfg = { (shard_cfg ~workers:3) with Coord.worker_trace_cache = Some store } in
+  let run () =
+    let curves, p, st = run_ok ~cfg () in
+    Alcotest.(check bool) "complete" false p.Delay_cdf.partial;
+    Alcotest.(check int) "every source accounted for" 10 p.Delay_cdf.sources_done;
+    Alcotest.(check (list int)) "nothing degraded" []
+      (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+    Alcotest.(check bool) "bit-identical to single-process" true (curves_equal curves reference);
+    Alcotest.(check int) "exactly one spawn per worker" 3 st.Coord.spawns;
+    Alcotest.(check int) "hex shard map digest" 64 (String.length st.Coord.shard_map_sha256);
+    st
+  in
+  let trace_bytes = String.length (Trace_io.to_string trace) in
+  let cold = run () in
+  Alcotest.(check bool) "cold store: trace bytes shipped" true (cold.Coord.trace_ship_bytes > 0);
+  Alcotest.(check int) "cold store: every worker shipped the trace or hit the store"
+    (3 * trace_bytes)
+    (cold.Coord.trace_ship_bytes + (cold.Coord.trace_cache_hits * trace_bytes));
+  let warm = run () in
+  Alcotest.(check int) "warm store: no trace bytes shipped" 0 warm.Coord.trace_ship_bytes;
+  Alcotest.(check int) "warm store: one cache hit per worker" 3 warm.Coord.trace_cache_hits
 
 (* Kill ALL workers early in a 40-source run. With the 2-source
    in-flight window, at most 6 initial + 3 ack-freed dispatches can
