@@ -10,12 +10,12 @@
      omn corrupt trace.omn --fault nan -o bad.omn fault-injection harness
      omn theory --lambda 0.5                      closed-form results
 
-   Exit codes: 0 success; 1 computation error; 2 bad input or usage;
-   3 degraded-but-complete (supervision quarantined some source tasks —
-   every other result is exact, see --retries/--quarantine); 124
-   partial result (--budget-seconds expired before the run finished —
-   the timeout(1) convention, takes precedence over 3) and command-line
-   parse errors (Cmdliner convention). *)
+   Exit codes: 0 success; 1 computation error; 2 bad input or usage,
+   command-line parse errors included; 3 degraded-but-complete
+   (supervision quarantined some source tasks — every other result is
+   exact, see --retries/--quarantine); 124 partial result
+   (--budget-seconds expired before the run finished — the timeout(1)
+   convention, takes precedence over 3); 125 an uncaught exception. *)
 
 open Cmdliner
 module Err = Omn_robust.Err
@@ -632,13 +632,6 @@ let heartbeat_timeout_arg =
   in
   Arg.(value & opt float 5. & info [ "heartbeat-timeout" ] ~docv:"S" ~doc)
 
-let worker_ckpt_dir_arg =
-  let doc =
-    "Directory for per-worker shard checkpoints: a killed-and-respawned worker resumes \
-     its completed sources from here instead of recomputing them."
-  in
-  Arg.(value & opt (some string) None & info [ "worker-ckpt-dir" ] ~docv:"DIR" ~doc)
-
 let shard_fault_conv =
   let parse s =
     let err () =
@@ -982,7 +975,7 @@ let delay_cdf_cmd =
   in
   let run path preset seed ingest lenient max_hops domains checkpoint resume every budget
       metrics trace_out progress retries task_deadline quarantine workers hb_timeout
-      worker_ckpt_dir shard_faults listen auth_key worker_trace_cache stat_addr output =
+      shard_faults listen auth_key worker_trace_cache stat_addr output =
     protect_code @@ fun () ->
     if resume && checkpoint = None then usage_err "--resume requires --checkpoint FILE";
     if shard_faults <> [] && not (sharded workers) then
@@ -1022,7 +1015,6 @@ let delay_cdf_cmd =
                {
                  cfg with
                  Shard.heartbeat_timeout = hb_timeout;
-                 ckpt_dir = worker_ckpt_dir;
                  listen;
                  auth_key = auth_key_resolve auth_key;
                  worker_trace_cache;
@@ -1064,9 +1056,8 @@ let delay_cdf_cmd =
       const run $ trace_pos $ preset $ seed_arg $ ingest_arg $ lenient_arg $ max_hops_arg
       $ domains_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ budget_arg
       $ metrics_arg $ trace_out_arg $ progress_arg $ retries_arg $ task_deadline_arg
-      $ quarantine_arg $ workers_arg $ heartbeat_timeout_arg $ worker_ckpt_dir_arg
-      $ shard_fault_arg $ listen_arg $ auth_key_arg $ worker_trace_cache_arg
-      $ stat_addr_arg $ output_arg)
+      $ quarantine_arg $ workers_arg $ heartbeat_timeout_arg $ shard_fault_arg
+      $ listen_arg $ auth_key_arg $ worker_trace_cache_arg $ stat_addr_arg $ output_arg)
 
 (* --- delivery --- *)
 
@@ -1206,13 +1197,6 @@ let worker_cmd =
             "Dial the coordinator at $(docv) (a Unix-domain socket path or \
              $(b,host:port)) and redial on link loss.")
   in
-  let sock =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sock" ] ~docv:"PATH"
-          ~doc:"Compatibility alias for $(b,--connect) with a Unix-domain socket path.")
-  in
   let listen =
     Arg.(
       value
@@ -1248,15 +1232,14 @@ let worker_cmd =
       & info [ "once" ]
           ~doc:"With $(b,--listen): exit after the first cleanly shut-down session.")
   in
-  let run id connect sock listen auth_key trace_cache once =
+  let run id connect listen auth_key trace_cache once =
     protect @@ fun () ->
     let mode =
-      match (connect, sock, listen) with
-      | Some a, None, None -> Omn_shard.Worker.Dial a
-      | None, Some p, None -> Omn_shard.Worker.Dial (Transport.Unix_path p)
-      | None, None, Some a -> Omn_shard.Worker.Listen a
-      | None, None, None -> usage_err "need one of --connect, --sock or --listen"
-      | _ -> usage_err "give only one of --connect, --sock or --listen"
+      match (connect, listen) with
+      | Some a, None -> Omn_shard.Worker.Dial a
+      | None, Some a -> Omn_shard.Worker.Listen a
+      | None, None -> usage_err "need one of --connect or --listen"
+      | Some _, Some _ -> usage_err "give only one of --connect or --listen"
     in
     match
       Omn_shard.Worker.main ~worker:id ~mode
@@ -1275,7 +1258,7 @@ let worker_cmd =
           --workers host:port,...). Computes per-source partials on demand and ships \
           them back CRC-framed; authentication and protocol rejections exit 2 with a \
           typed $(b,E-AUTH)/$(b,E-PROTO) error.")
-    Term.(const run $ id $ connect $ sock $ listen $ auth_key $ trace_cache $ once)
+    Term.(const run $ id $ connect $ listen $ auth_key $ trace_cache $ once)
 
 (* --- chaos (resilience harness) --- *)
 
@@ -1399,7 +1382,7 @@ let chaos_cmd =
       let sgrid = Omn_stats.Grid.logarithmic ~lo:10. ~hi:3600. ~n:20 in
       let smax = 4 in
       let reference = Omn_core.Delay_cdf.compute ~max_hops:smax ~grid:sgrid strace in
-      let sh_cfg ?(workers = sh_workers) ?(chaos = []) ?ckpt_dir () =
+      let sh_cfg ?(workers = sh_workers) ?(chaos = []) () =
         {
           (Shard.default ~workers) with
           Shard.heartbeat_interval = 0.05;
@@ -1412,7 +1395,6 @@ let chaos_cmd =
              failover, never just draining the socket buffer *)
           max_inflight = 2;
           chaos;
-          ckpt_dir;
         }
       in
       let splan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops:smax ~grid:sgrid strace) in
@@ -1432,9 +1414,6 @@ let chaos_cmd =
       in
       let _ = run_shard "clean sharded run" (sh_cfg ()) in
       ok "sharded run bit-identical (3 workers)";
-      let dir = Filename.temp_file "omn-chaos-shard" "" in
-      Sys.remove dir;
-      Unix.mkdir dir 0o700;
       let kill_all =
         [
           { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_kill };
@@ -1442,24 +1421,20 @@ let chaos_cmd =
           { Faultgen.after_results = 3; victim = 2; shard_fault = Faultgen.Worker_kill };
         ]
       in
-      let st = run_shard "kill-every-worker run" (sh_cfg ~chaos:kill_all ~ckpt_dir:dir ()) in
+      let st = run_shard "kill-every-worker run" (sh_cfg ~chaos:kill_all ()) in
       if st.Shard.spawns <= sh_workers then
         fail "kill-every-worker run finished without a respawn";
       ok "every worker killed: respawn + failover, no source lost";
       let hang = [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_hang } ] in
-      let st = run_shard "hung-worker run" (sh_cfg ~workers:1 ~chaos:hang ~ckpt_dir:dir ()) in
+      let st = run_shard "hung-worker run" (sh_cfg ~workers:1 ~chaos:hang ()) in
       if st.Shard.heartbeat_misses < 1 then fail "hung worker was never detected";
       ok "hung worker detected by heartbeat and replaced";
       let corrupt =
         [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Sock_corrupt } ]
       in
-      let st = run_shard "corrupt-frame run" (sh_cfg ~workers:1 ~chaos:corrupt ~ckpt_dir:dir ()) in
+      let st = run_shard "corrupt-frame run" (sh_cfg ~workers:1 ~chaos:corrupt ()) in
       if st.Shard.frame_corrupts < 1 then fail "corrupt frame was never rejected";
       ok "corrupt frame rejected by CRC, connection replaced";
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      (try Unix.rmdir dir with Unix.Unix_error _ -> ());
       (* 9-15. Multi-machine shapes over loopback TCP: authenticated
          handshake on every link, link-level chaos, dynamic membership
          and the digest-addressed trace store. Identity with the
@@ -1791,14 +1766,22 @@ let glue_negative_optargs argv =
   done;
   Array.of_list (List.rev !out)
 
+(* A command-line parse error is a usage error (exit 2): Cmdliner's own
+   code for it, 124, is this tool's PARTIAL result. *)
 let () =
   let doc = "The diameter of opportunistic mobile networks — toolkit" in
   let info = Cmd.info "omn" ~version:omn_version ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        gen_cmd; stats_cmd; diameter_cmd; delay_cdf_cmd; delivery_cmd; transform_cmd;
+        corrupt_cmd; chaos_cmd; worker_cmd; forward_cmd; theory_cmd; report_cmd;
+        experiment_cmd;
+      ]
+  in
   exit
-    (Cmd.eval' ~argv:(glue_negative_optargs Sys.argv)
-       (Cmd.group info
-          [
-            gen_cmd; stats_cmd; diameter_cmd; delay_cdf_cmd; delivery_cmd; transform_cmd;
-            corrupt_cmd; chaos_cmd; worker_cmd; forward_cmd; theory_cmd; report_cmd;
-            experiment_cmd;
-          ]))
+    (match Cmd.eval_value ~argv:(glue_negative_optargs Sys.argv) cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> Err.exit_code Err.Usage
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -54,9 +54,9 @@ type event =
   | Reassign of { source : int; from_worker : int; to_worker : int }
       (** an unacknowledged source moved to its ring successor after
           its worker died *)
-  | Worker_rejoin of { worker : int; resumed : int }
-      (** a respawned worker came back up, with [resumed] results
-          recovered from its shard checkpoint *)
+  | Worker_rejoin of { worker : int }
+      (** a respawned or reconnected worker completed its handshake
+          again *)
   | Member_join of { worker : int }
       (** a new worker was admitted into the consistent-hash ring
           mid-run (dynamic membership) *)

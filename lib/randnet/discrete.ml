@@ -4,8 +4,9 @@ type params = { n : int; lambda : float }
 
 let check params =
   if params.n < 2 then invalid_arg "Discrete: n < 2";
-  if params.lambda <= 0. || params.lambda >= float_of_int params.n then
-    invalid_arg "Discrete: need 0 < lambda < n"
+  (* written so that NaN fails it *)
+  if not (params.lambda > 0. && params.lambda < float_of_int params.n) then
+    Printf.ksprintf invalid_arg "Discrete: lambda %g is not in (0, n)" params.lambda
 
 (* Enumerate Bernoulli successes over the n(n-1)/2 pair indices by
    geometric skipping, decoding (i, j) incrementally: pair index order is

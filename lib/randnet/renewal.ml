@@ -22,10 +22,14 @@ let sample_gap rng law ~mean =
 
 type params = { n : int; lambda : float; horizon : float; law : law }
 
+(* NaN fails both guards; an infinite horizon would never end
+   [generate]'s renewal loop. *)
 let check p =
   if p.n < 2 then invalid_arg "Renewal: n < 2";
-  if p.lambda <= 0. then invalid_arg "Renewal: lambda <= 0";
-  if p.horizon <= 0. then invalid_arg "Renewal: horizon <= 0"
+  if not (p.lambda > 0. && p.lambda < infinity) then
+    Printf.ksprintf invalid_arg "Renewal: lambda %g is not a positive finite rate" p.lambda;
+  if not (p.horizon > 0. && p.horizon < infinity) then
+    Printf.ksprintf invalid_arg "Renewal: horizon %g is not a positive finite time" p.horizon
 
 let generate rng p =
   check p;

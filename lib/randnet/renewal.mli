@@ -33,7 +33,8 @@ val generate : Omn_stats.Rng.t -> params -> Omn_temporal.Trace.t
     is drawn like every gap, from a uniformly random phase offset —
     adequate for horizon >> mean gap (documented simplification; exact
     stationarity would need the inspection-paradox forward-recurrence
-    law per gap distribution). *)
+    law per gap distribution). Raises [Invalid_argument] unless
+    [n >= 2] and [lambda] and [horizon] are positive and finite. *)
 
 type path_stats = {
   delay_mean : float;

@@ -34,7 +34,6 @@ type config = {
   heartbeat_timeout : float;
   respawn_backoff : float;
   supervise : Supervise.policy option;
-  ckpt_dir : string option;
   chaos : Faultgen.shard_event list;
   listen : Transport.addr option;
   peers : Transport.addr list;
@@ -55,7 +54,6 @@ let default ~workers =
     heartbeat_timeout = 5.;
     respawn_backoff = 0.1;
     supervise = None;
-    ckpt_dir = None;
     chaos = [];
     listen = None;
     peers = [];
@@ -186,18 +184,10 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
     Err.error Usage "shard: non-positive heartbeat parameters"
   else if cfg.max_inflight < 1 then Err.error Usage "shard: max_inflight < 1"
   else begin
-    match
-      (* workers checkpoint into cfg.ckpt_dir from their first batch on;
-         create it up front so a missing directory can't crash-loop them
-         through the whole respawn budget *)
-      match cfg.ckpt_dir with
-      | Some d when not (Sys.file_exists d) -> (
-        try Unix.mkdir d 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-      | _ -> ()
-    with
-    | exception Unix.Unix_error (e, _, _) ->
-      Err.errorf Io "shard: cannot create checkpoint dir: %s"
-        (Unix.error_message e)
+    (* every worker would fail each source on a malformed policy and
+       crash-loop through its respawn budget *)
+    match Option.iter Supervise.validate cfg.supervise with
+    | exception Invalid_argument msg -> Err.error Usage ("shard: " ^ msg)
     | () ->
     (* the job restates the plan for [Delay_cdf.source_partial] *)
     let max_hops = plan.max_hops and grid = Some plan.grid and windows = Some plan.windows in
@@ -386,11 +376,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
             grid;
             windows;
             supervise = cfg.supervise;
-            ckpt_path =
-              Option.map
-                (fun d -> Filename.concat d (Printf.sprintf "shard-worker-%d.ckpt" w))
-                cfg.ckpt_dir;
-            fingerprint;
             domains = cfg.worker_domains;
             telemetry = cfg.telemetry;
           }
@@ -650,7 +635,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
             ta.ta_rtt <- rtt;
             ta.ta_offset <- t_worker -. ((t_coord +. t_recv) /. 2.)
           end
-        | Ready { worker = _; resumed } ->
+        | Ready _ ->
           let rejoin = (not w.ready) && w.had_ready in
           if not w.shipped then begin
             incr st_cache_hits;
@@ -662,7 +647,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
           if rejoin then begin
             incr st_rejoins;
             Metrics.incr m_rejoins;
-            Timeline.record (Worker_rejoin { worker = w.id; resumed })
+            Timeline.record (Worker_rejoin { worker = w.id })
           end;
           dispatch_pending ()
         | Result { slot; source = _; partial } -> settle w slot (Acked partial)

@@ -32,7 +32,9 @@
     moved arc's {e pending} sources route to it; assigned sources are
     never recalled, so at-most-once merging is preserved at any
     membership schedule. The fleet lives for the whole session: later
-    batches reuse its workers, their trace and their result caches.
+    batches reuse its workers, their trace and their domain pools.
+    Workers keep no results: every partial is handed to the driver,
+    which owns the run's results and, with a checkpoint, its resume.
 
     Trace shipping is digest-addressed: the job carries the trace's
     SHA-256, and only a worker that cannot produce the bytes locally
@@ -46,9 +48,9 @@
       [SIGSTOP]ed — not dead) is [SIGKILL]ed and reaped; its
       {e unacknowledged} sources are reassigned to their ring
       successors; up to two respawns with exponential backoff bring
-      it back, and its shard checkpoint lets it resume rather than
-      recompute. Only time inside a batch counts as silence: the
-      heartbeat clock restarts with every batch;
+      it back, and it computes again whatever it is then asked for.
+      Only time inside a batch counts as silence: the heartbeat clock
+      restarts with every batch;
     - a dialed peer whose link drops is re-dialed under the same
       budget (two re-dials, exponential backoff); a peer that
       {e rejects} our credentials or speaks another protocol version
@@ -101,8 +103,6 @@ type config = {
       (** the supervision policy workers apply per source (retries,
           backoff, deadlines); [None] = one attempt. Pass the same
           policy to [Driver.run], which decides quarantine *)
-  ckpt_dir : string option;
-      (** directory for per-worker shard checkpoints; created if missing *)
   chaos : Omn_robust.Faultgen.shard_event list;  (** must be ascending *)
   listen : Transport.addr option;
       (** listener address; [Tcp (host, 0)] binds an ephemeral port
@@ -135,9 +135,9 @@ type config = {
 val default : workers:int -> config
 (** 1 domain per worker, a 32-source in-flight window, 0.25 s
     heartbeat interval, 5 s timeout, 0.1 s base respawn backoff, no
-    supervision retries, no checkpoints, no chaos, no peers, no auth,
-    Unix-domain listener, no telemetry (1 s pull interval when
-    enabled), no stat endpoint. *)
+    supervision retries, no chaos, no peers, no auth, Unix-domain
+    listener, no telemetry (1 s pull interval when enabled), no stat
+    endpoint. *)
 
 type telemetry = {
   tw_worker : int;
@@ -206,9 +206,10 @@ val with_fleet :
     an undecodable partial ([Compute]); [Driver.run] returns such an
     error as its own.
 
-    [Error] only when the session cannot start: [Usage] for a fleet
-    without workers, non-positive heartbeat parameters or
-    [max_inflight < 1]; [Io] for a listener, stat address or
-    checkpoint directory that cannot be set up. An exception from [f]
-    is re-raised after the teardown. [stats] covers the whole
-    session. *)
+    [Error] only when the session cannot start, before any listener is
+    bound or worker started: [Usage] for a fleet without workers,
+    non-positive heartbeat parameters, [max_inflight < 1] or a
+    [supervise] policy that {!Omn_parallel.Supervise.validate} rejects
+    (the message names the field); [Io] for a listener or stat address
+    that cannot be set up. An exception from [f] is re-raised after the
+    teardown. [stats] covers the whole session. *)

@@ -6,8 +6,6 @@ type job = {
   grid : float array option;
   windows : (float * float) list option;
   supervise : Omn_parallel.Supervise.policy option;
-  ckpt_path : string option;
-  fingerprint : string;
   domains : int;
   telemetry : bool;
 }
@@ -23,7 +21,7 @@ type to_worker =
 type from_worker =
   | Hello of { worker : int }
   | Need_trace of { digest : string }
-  | Ready of { worker : int; resumed : int }
+  | Ready of { worker : int }
   | Result of { slot : int; source : int; partial : string }
   | Failed of { slot : int; source : int; attempts : int; reason : string }
   | Stats_push of {

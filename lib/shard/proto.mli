@@ -17,10 +17,10 @@
     only; a worker that does not already hold those bytes (in memory
     from a previous session, or in its [--trace-cache] store) answers
     {!from_worker.Need_trace} and the coordinator ships one
-    {!to_worker.Trace_data}. The worker then loads its shard
-    checkpoint (if the fingerprint matches) and answers
-    {!from_worker.Ready} with the number of cached results it resumed;
-    only then does the coordinator stream [Compute] messages. *)
+    {!to_worker.Trace_data}. The worker then answers
+    {!from_worker.Ready}; only then does the coordinator stream
+    [Compute] messages. A worker keeps no results across sessions:
+    every source it is asked for, it computes. *)
 
 type job = {
   trace_digest : string;
@@ -41,10 +41,6 @@ type job = {
           worker never aborts on [quarantine = false]: whether a
           [Failed] source is quarantined or fails the run is the
           coordinator's decision *)
-  ckpt_path : string option;  (** per-worker shard checkpoint file *)
-  fingerprint : string;
-      (** digest of trace + parameters; a checkpoint from any other
-          fingerprint is ignored on rejoin *)
   domains : int;  (** size of the worker's own domain pool *)
   telemetry : bool;
       (** enable the worker's local metrics registry and timeline so
@@ -74,7 +70,7 @@ type from_worker =
       (** [worker = -1]: a joiner asking to be assigned an id *)
   | Need_trace of { digest : string }
       (** cache miss: please ship the bytes for this digest *)
-  | Ready of { worker : int; resumed : int }
+  | Ready of { worker : int }
   | Result of { slot : int; source : int; partial : string }
       (** [partial] is [Delay_cdf.partial_to_string] output — opaque
           here *)
@@ -111,6 +107,6 @@ val job_fingerprint :
   grid:float array option ->
   windows:(float * float) list option ->
   string
-(** The parameter digest embedded in {!job} and in worker checkpoints:
-    any change to the trace or to a result-affecting parameter changes
-    it, so stale shard checkpoints can never leak into a run. *)
+(** A digest of the trace and every result-affecting parameter: any
+    change to one of them changes it. The coordinator names its
+    session's Unix-domain socket after it. *)

@@ -2,12 +2,9 @@ module Delay_cdf = Omn_core.Delay_cdf
 module Trace_io = Omn_temporal.Trace_io
 module Supervise = Omn_parallel.Supervise
 module Pool = Omn_parallel.Pool
-module Checkpoint = Omn_robust.Checkpoint
 module Retry_io = Omn_robust.Retry_io
 module Err = Omn_robust.Err
 module Sha256 = Omn_obs.Sha256
-
-let ckpt_magic = "omn-shard-ckpt 1\n"
 
 type mode = Dial of Transport.addr | Listen of Transport.addr
 
@@ -16,29 +13,13 @@ type mode = Dial of Transport.addr | Listen of Transport.addr
    interval, so half a minute of silence means the link is gone. *)
 let read_deadline = 30.
 
-let load_cache ~path ~fingerprint =
-  let validate payload =
-    match (Marshal.from_string payload 0 : string * (int * string) list) with
-    | fp, entries when fp = fingerprint -> Ok entries
-    | _ -> Err.error Checkpoint "shard checkpoint fingerprint mismatch"
-    | exception _ -> Err.error Checkpoint "shard checkpoint undecodable"
-  in
-  match Checkpoint.load ~magic:ckpt_magic ~validate path with
-  | Ok (entries, _) -> entries
-  | Error _ -> []
-
-let save_cache ~path ~fingerprint cache =
-  let entries = Hashtbl.fold (fun s v acc -> (s, v) :: acc) cache [] in
-  let entries = List.sort compare entries in
-  Checkpoint.save ~magic:ckpt_magic ~path (Marshal.to_string (fingerprint, entries) [])
-
-(* State that outlives one coordinator session: traces by digest and
-   result caches by job fingerprint. A partitioned worker that redials
-   finds both intact, so a rejoin re-ships zero trace bytes and
-   recomputes zero sources even without --trace-cache. *)
+(* State that outlives one coordinator session: traces by digest. A
+   partitioned worker that redials finds its trace intact, so a rejoin
+   re-ships zero trace bytes even without --trace-cache. Results are
+   never kept: they live in the coordinator's driver, and a source asked
+   for again is computed again. *)
 type persist = {
-  traces : (string, Omn_temporal.Trace.t * string) Hashtbl.t;
-  results : (string, (int, string) Hashtbl.t) Hashtbl.t;
+  traces : (string, Omn_temporal.Trace.t) Hashtbl.t;
   watermarks : (int, int) Hashtbl.t;
       (** per-domain cumulative timeline events already shipped in a
           [Stats_push] (dropped + sent), so each push carries only the
@@ -143,12 +124,12 @@ let session ~persist ~trace_cache ~worker fd =
       end;
       let memoize text =
         let t = Trace_io.of_string text in
-        Hashtbl.replace persist.traces job.trace_digest (t, text);
+        Hashtbl.replace persist.traces job.trace_digest t;
         t
       in
       let trace =
         match Hashtbl.find_opt persist.traces job.trace_digest with
-        | Some (t, _) -> `Trace t
+        | Some t -> `Trace t
         | None -> (
           match
             Option.bind trace_cache (fun dir ->
@@ -190,21 +171,7 @@ let session ~persist ~trace_cache ~worker fd =
           | Some p -> { p with Supervise.quarantine = true }
           | None -> { Supervise.default with retries = 0 }
         in
-        let cache =
-          match Hashtbl.find_opt persist.results job.fingerprint with
-          | Some c -> c
-          | None ->
-            let c : (int, string) Hashtbl.t = Hashtbl.create 64 in
-            Hashtbl.replace persist.results job.fingerprint c;
-            c
-        in
-        (match job.ckpt_path with
-        | Some p ->
-          List.iter
-            (fun (s, v) -> if not (Hashtbl.mem cache s) then Hashtbl.replace cache s v)
-            (load_cache ~path:p ~fingerprint:job.fingerprint)
-        | None -> ());
-        send (Ready { worker = id; resumed = Hashtbl.length cache });
+        send (Ready { worker = id });
         let pool =
           if job.domains > 1 then Some (Pool.create ~domains:job.domains ()) else None
         in
@@ -219,43 +186,19 @@ let session ~persist ~trace_cache ~worker fd =
           if tl_on then Omn_obs.Timeline.record (Shard_compute { source; start });
           partial
         in
-        (* Batch order = arrival order; the cache is read-only during the
-           pool run and mutated only afterwards, on this domain. *)
+        (* Batch order = arrival order; replies go out on this domain
+           once the pool run is over. *)
         let run_batch batch =
-          let arr = Array.of_list batch in
-          let out =
-            Pool.run ?pool
-              (fun (slot, source) ->
-                match Hashtbl.find_opt cache source with
-                | Some s -> Ok (slot, source, s, true)
-                | None -> (
-                  match
-                    Supervise.run_task policy ~item:source (fun () ->
-                        compute_source source)
-                  with
-                  | Ok s -> Ok (slot, source, s, false)
-                  | Error f -> Error (slot, source, f)))
-              arr
-          in
-          let dirty = ref false in
-          Array.iter
-            (function
-              | Ok (_, source, s, false) ->
-                Hashtbl.replace cache source s;
-                dirty := true
-              | Ok _ | Error _ -> ())
-            out;
-          (match job.ckpt_path with
-          | Some p when !dirty -> save_cache ~path:p ~fingerprint:job.fingerprint cache
-          | _ -> ());
-          Array.iter
-            (fun r ->
-              send
-                (match r with
-                | Ok (slot, source, partial, _) -> Proto.Result { slot; source; partial }
-                | Error (slot, source, (f : Supervise.failure)) ->
-                  Failed { slot; source; attempts = f.attempts; reason = f.reason }))
-            out
+          Pool.run ?pool
+            (fun (slot, source) ->
+              match
+                Supervise.run_task policy ~item:source (fun () -> compute_source source)
+              with
+              | Ok partial -> Proto.Result { slot; source; partial }
+              | Error (f : Supervise.failure) ->
+                Proto.Failed { slot; source; attempts = f.attempts; reason = f.reason })
+            (Array.of_list batch)
+          |> Array.iter send
         in
         (* Cap batches so queued Pings are answered between pool runs — a
            worker deep in a huge batch must not look heartbeat-dead. *)
@@ -314,9 +257,7 @@ let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let main ~worker ~mode ?auth_key ?trace_cache ?(once = false) () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let persist =
-    { traces = Hashtbl.create 4; results = Hashtbl.create 4; watermarks = Hashtbl.create 8 }
-  in
+  let persist = { traces = Hashtbl.create 4; watermarks = Hashtbl.create 8 } in
   let id = ref worker in
   match mode with
   | Dial addr ->
@@ -408,10 +349,9 @@ let hatch () =
           | None -> Err.errorf Usage "worker: --id %S is not an integer" s)
       in
       let* mode =
-        match (arg "--connect", arg "--sock") with
-        | Some a, _ -> Result.map (fun addr -> Dial addr) (Transport.parse a)
-        | None, Some p -> Ok (Dial (Transport.Unix_path p))
-        | None, None -> Err.error Usage "worker: need --connect or --sock"
+        match arg "--connect" with
+        | Some a -> Result.map (fun addr -> Dial addr) (Transport.parse a)
+        | None -> Err.error Usage "worker: need --connect"
       in
       let auth_key =
         match arg "--auth-key" with Some _ as k -> k | None -> Sys.getenv_opt "OMN_SHARD_KEY"

@@ -9,16 +9,14 @@
     asks the coordinator to assign an id), receive the [Job], obtain
     the trace by digest (in-memory from a previous session, from the
     [--trace-cache] content store, or shipped once via
-    [Need_trace]/[Trace_data]), load the shard checkpoint when its
-    fingerprint matches, answer [Ready], then serve [Compute] requests
-    until [Shutdown] or the connection closes.
+    [Need_trace]/[Trace_data]), answer [Ready], then serve [Compute]
+    requests until [Shutdown] or the connection closes.
 
     Reconnection: a dialing worker that loses its link mid-session
     (partition, coordinator failover) redials with bounded
     exponential backoff and rejoins under its assigned id; its traces
-    and per-fingerprint result caches persist in memory across
-    sessions, so a rejoin re-ships zero trace bytes and recomputes
-    nothing. A listening worker simply accepts the next connection
+    persist in memory across sessions, so a rejoin re-ships zero trace
+    bytes. A listening worker simply accepts the next connection
     ([--once] exits after the first cleanly shut-down session).
 
     Batching: the worker drains every [Compute] already queued on the
@@ -27,11 +25,11 @@
     batch order. Merge order lives entirely on the coordinator, so
     worker-side parallelism cannot affect the final curves.
 
-    Checkpointing: every computed [(source, partial)] is cached and the
-    cache persisted (CRC-framed, rotated — {!Omn_robust.Checkpoint})
-    after each batch, so a worker that is killed and respawned {e
-    resumes}: re-requested sources are answered from the cache instead
-    of recomputed. A failing source is retried under the job's
+    Results: the worker keeps none. Every partial goes back to the
+    coordinator, whose {!Omn_core.Driver} owns the run's results and
+    its checkpoint; a respawned or rejoining worker, or a listening one
+    serving a later run of the same job, computes a source it is asked
+    for again. A failing source is retried under the job's
     supervision policy and, once exhausted, reported as [Failed] — the
     worker itself survives poison sources.
 
@@ -39,9 +37,6 @@
     coordinator is an orderly [Ok] exit, while an authentication or
     protocol rejection is a typed [E-AUTH]/[E-PROTO] error for the CLI
     to turn into exit 2. *)
-
-val ckpt_magic : string
-(** Framing magic of worker shard checkpoints. *)
 
 type mode =
   | Dial of Transport.addr  (** connect out to the coordinator *)
@@ -65,8 +60,8 @@ val main :
 
 val hatch : unit -> unit
 (** Return unless [Sys.argv] is [<exe> worker ...]; otherwise run
-    {!main} from that argv ([--id N], [--connect ADDR] or [--sock
-    PATH], [--auth-key KEY] defaulting to [OMN_SHARD_KEY],
+    {!main} from that argv ([--id N], [--connect ADDR], [--auth-key
+    KEY] defaulting to [OMN_SHARD_KEY],
     [--trace-cache DIR]; glued [--flag=VALUE] forms too) and exit with
     its typed code: 0 on [Ok], {!Omn_robust.Err.exit_code} otherwise
     (2 with [E-USAGE] for a malformed [--id] or address). A binary

@@ -5,7 +5,9 @@
 #      delay-cdf must run on a window shorter than 1 s and fail with a
 #      typed E-WINDOW on one that spans no time; a NaN or infinite
 #      horizon or rate, and a NaN epsilon, budget or task deadline,
-#      must exit 2 within 10 s with an E-USAGE error naming it;
+#      must exit 2 within 10 s with an E-USAGE error naming it; an
+#      unknown flag (the removed --worker-ckpt-dir too) must exit 2,
+#      never the 124 of a PARTIAL run;
 #   2. budget/resume: a delay-cdf run truncated by --budget-seconds must
 #      exit 124 with a PARTIAL banner, and resuming from its checkpoint
 #      must reproduce the uninterrupted run byte for byte;
@@ -140,6 +142,20 @@ deadline|delay-cdf $tmp/clean.omn --task-deadline nan
 deadline|delay-cdf $tmp/clean.omn --workers 2 --task-deadline nan
 lambda|theory --lambda nan
 CASES
+
+# A command-line parse error is a usage error: 124 means a
+# budget-truncated PARTIAL run, one to resume.
+for args in "diameter --no-such-flag $tmp/clean.omn" \
+  "delay-cdf --worker-ckpt-dir $tmp/d $tmp/clean.omn"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$OMN" $args >/dev/null 2>"$tmp/parse.err" || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "smoke FAIL: 'omn $args' exited $rc, expected 2" >&2
+    cat "$tmp/parse.err" >&2
+    exit 1
+  fi
+done
 
 "$OMN" diameter "$tmp/clean.omn" --budget-seconds 5 --checkpoint "$tmp/ck" >/dev/null
 "$OMN" diameter "$tmp/clean.omn" --checkpoint "$tmp/ck" --resume >/dev/null

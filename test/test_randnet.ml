@@ -34,6 +34,17 @@ let domain_checks () =
     (fun x ->
       expect_invalid (Printf.sprintf "continuous lambda %g" x) (continuous ~lambda:x ~horizon:10.);
       expect_invalid (Printf.sprintf "continuous horizon %g" x) (continuous ~lambda:0.1 ~horizon:x))
+    [ Float.nan; infinity ];
+  let discrete ~lambda () = Discrete.slot_edges (Rng.create 1) { Discrete.n = 10; lambda } in
+  let renewal ~lambda ~horizon () =
+    Renewal.generate (Rng.create 1) { Renewal.n = 10; lambda; horizon; law = Exponential }
+  in
+  List.iter
+    (fun x ->
+      expect_invalid (Printf.sprintf "discrete lambda %g" x) (discrete ~lambda:x);
+      expect_invalid (Printf.sprintf "renewal lambda %g" x) (renewal ~lambda:x ~horizon:10.);
+      (* an infinite horizon never ends the renewal loop *)
+      expect_invalid (Printf.sprintf "renewal horizon %g" x) (renewal ~lambda:0.1 ~horizon:x))
     [ Float.nan; infinity ]
 
 let lambda_gen = QCheck2.Gen.float_range 0.05 5.

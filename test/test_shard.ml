@@ -217,8 +217,8 @@ let proto_roundtrip () =
     {
       Proto.trace_digest = String.make 64 'a'; worker = 1; max_hops = 4;
       dests = Some [ 1; 2 ]; grid = Some [| 1.; 2. |]; windows = Some [ (0., 10.) ];
-      supervise = Some { S.default with task_deadline = Some 0.5 }; ckpt_path = None;
-      fingerprint = "fp"; domains = 2; telemetry = true;
+      supervise = Some { S.default with task_deadline = Some 0.5 }; domains = 2;
+      telemetry = true;
     }
   in
   List.iter
@@ -238,7 +238,7 @@ let proto_roundtrip () =
       | Error e -> Alcotest.failf "from_worker decode failed: %s" e)
     [
       Proto.Hello { worker = 1 }; Proto.Hello { worker = -1 };
-      Proto.Ready { worker = 1; resumed = 4 };
+      Proto.Ready { worker = 1 };
       Proto.Result { slot = 0; source = 5; partial = "bytes" };
       Proto.Failed { slot = 1; source = 6; attempts = 3; reason = "poison" }; Proto.Pong;
       Proto.Need_trace { digest = String.make 64 'c' }; Proto.Leave { worker = 2 };
@@ -579,16 +579,7 @@ let coord_kill_failover () =
       (fun v -> { Faultgen.after_results = 1 + v; victim = v; shard_fault = Faultgen.Worker_kill })
       [ 0; 1; 2 ]
   in
-  let ckpt_dir = Filename.temp_file "omn_shard" ".d" in
-  Sys.remove ckpt_dir;
-  Unix.mkdir ckpt_dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> try Sys.remove (Filename.concat ckpt_dir f) with Sys_error _ -> ())
-        (Sys.readdir ckpt_dir);
-      try Unix.rmdir ckpt_dir with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  let cfg = { (shard_cfg ~workers:3) with Coord.chaos; ckpt_dir = Some ckpt_dir } in
+  let cfg = { (shard_cfg ~workers:3) with Coord.chaos } in
   match fleet_run cfg (plan_of big_trace) with
   | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
   | Ok (curves, p, st) ->
@@ -796,6 +787,77 @@ let coord_task_deadline () =
     Alcotest.(check (list (pair int int))) "overrunning source attempted once" [ (poisoned, 1) ]
       (List.map (fun (f : S.failure) -> (f.S.item, f.S.attempts)) p.Delay_cdf.degraded)
 
+(* A malformed policy is refused before any worker starts. Shipped, it
+   fails every source on every worker; a caller that drives the
+   executor without [Driver.run] (which validates it first) would watch
+   the fleet crash through its respawn budget. *)
+let coord_rejects_bad_policy () =
+  let plan = plan_of trace in
+  let ran = ref false in
+  let cfg =
+    {
+      (shard_cfg ~workers:2) with
+      Coord.supervise = Some { S.default with task_deadline = Some (-1.) };
+    }
+  in
+  match
+    Coord.with_fleet cfg plan (fun partials_of ->
+        ran := true;
+        partials_of [ plan.sources.(0) ])
+  with
+  | Error { Err.code = Err.Usage; msg; _ } ->
+    Alcotest.(check bool) "the callback never ran" false !ran;
+    Alcotest.(check bool) "the error names the field" true
+      (Util.contains_substring msg "task deadline")
+  | Error e -> Alcotest.failf "wrong error: %s" (Err.to_string e)
+  | Ok _ -> Alcotest.fail "a negative task deadline was shipped"
+  | exception Err.Error e -> Alcotest.failf "the fleet ran the policy: %s" (Err.to_string e)
+
+(* The fleet's one resume path is the driver's checkpoint: a
+   zero-budget fleet run stops after its first batch, and a fresh fleet
+   resuming from the checkpoint is asked for exactly the unfinished
+   sources, ends with [compute]'s curves and removes both checkpoint
+   generations. *)
+let coord_resume_from_checkpoint () =
+  let plan = plan_of trace in
+  let checkpoint = Filename.temp_file "omn_shard" ".ckpt" in
+  let prev = Omn_robust.Checkpoint.prev_path checkpoint in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ checkpoint; prev ])
+  @@ fun () ->
+  let asked = ref [] in
+  let session ?budget_seconds ~resume () =
+    Coord.with_fleet (shard_cfg ~workers:3) plan (fun partials_of ->
+        let counted sources =
+          asked := !asked @ sources;
+          partials_of sources
+        in
+        Omn_core.Driver.run ~partials_of:counted ~checkpoint ~resume ~checkpoint_every:3
+          ?budget_seconds plan)
+  in
+  (match session ~budget_seconds:0. ~resume:false () with
+  | Error e | Ok (Error e, _) -> Alcotest.failf "zero-budget fleet run failed: %s" (Err.to_string e)
+  | Ok (Ok o, _) ->
+    Alcotest.(check bool) "partial" true o.progress.Delay_cdf.partial;
+    Alcotest.(check int) "one batch done" 3 o.progress.Delay_cdf.sources_done);
+  let done_first = !asked in
+  Alcotest.(check int) "the batch asked for 3 sources" 3 (List.length done_first);
+  asked := [];
+  match session ~resume:true () with
+  | Error e | Ok (Error e, _) -> Alcotest.failf "resumed fleet run failed: %s" (Err.to_string e)
+  | Ok (Ok o, _) ->
+    let unfinished =
+      List.filter (fun s -> not (List.mem s done_first)) (Array.to_list plan.sources)
+    in
+    Alcotest.(check (list int)) "asked for exactly the 7 unfinished sources, once each"
+      (List.sort compare unfinished) (List.sort compare !asked);
+    Alcotest.(check bool) "complete" false o.progress.Delay_cdf.partial;
+    Alcotest.(check int) "every source accounted for" 10 o.progress.Delay_cdf.sources_done;
+    Alcotest.(check bool) "bit-identical to compute" true (curves_equal o.curves reference);
+    Alcotest.(check bool) "both checkpoint generations removed" false
+      (Sys.file_exists checkpoint || Sys.file_exists prev)
+
 (* --- fleet telemetry --- *)
 
 (* A 2-worker telemetry run against a single-process reference: the
@@ -999,4 +1061,8 @@ let suite =
     Alcotest.test_case "worker Failed: quarantined or a Compute error, as in process" `Quick
       coord_failed_path;
     Alcotest.test_case "task deadline travels in the job" `Quick coord_task_deadline;
+    Alcotest.test_case "malformed policy refused before any worker starts" `Quick
+      coord_rejects_bad_policy;
+    Alcotest.test_case "fleet resumes from the driver's checkpoint" `Quick
+      coord_resume_from_checkpoint;
   ]
