@@ -19,8 +19,47 @@
     [s'] concatenates with [e] (its EA is no larger) and the compound
     dominates [s].
 
-    Per contact and per round the candidate set is pruned before frontier
-    insertion: from a bi-sorted delta [D] and a contact [[tb; te]], only
+    Each round extends the delta one of two ways, chosen once per round
+    for all its nodes, and costs the lesser of the two:
+
+    - a {e contact scan} visits all 2m contact directions in start order
+      and extends the delta of each contact's node across it (below);
+    - a {e point walk} extends each delta point along each pair of its
+      node, through {!Omn_temporal.Trace.time_csr}'s pair index. It
+      visits only the contacts a point can use, but pays a frontier
+      check and a binary search per (point, pair).
+
+    The round walks points when [4 * sum_u |D_u| * pairs(u) < 2m], the
+    sum running over the nodes with a non-empty delta; 4 is the measured
+    cost of a walk in scanned contacts (the constant's comment in
+    [journey.ml] has the measurement). Late rounds, where a few points
+    moved, walk; early rounds scan. The counter [journey.point_rounds]
+    tallies the walked rounds among those [journey.rounds] counts.
+
+    A point [(ld, ea)] of node [u] crosses a contact [[tb; te]] of a
+    pair [(u, v)] when [ea <= te], into [(min ld te, max ea tb)]. The
+    walk skips the pair outright when [v]'s frontier already dominates
+    [(ld, ea)]; otherwise it binary-searches the pair's run for the
+    first contact with [te >= ea], then offers each crossing in turn,
+    passing over a contact whose successor starts no later than the
+    crossing's arrival (the successor's crossing dominates it), and
+    stops after the first contact with [te >= ld] (every later crossing
+    arrives no earlier at the same departure bound). It never uses the
+    pair rule below, whose proof needs a start-order sweep.
+
+    Either way, a round's frontiers are the Pareto antichains of the
+    previous round's and of every crossing of last round's delta: the
+    same sets, in the same sorted order, whichever way the round ran, so
+    per-hop frontiers and curves do not depend on the choice. (Only the
+    sign of a zero time could: two equal points that differ in it keep
+    whichever came first.) What does depend on it is the order of
+    insertions, hence [round_info.changed], which counts the insertions
+    in the order the round made them (a point displaced later in the
+    same round still counts), the kept/pruned counters and the sweep's
+    own counters.
+
+    Per contact and per round the scan prunes the candidate set before
+    frontier insertion: from a bi-sorted delta [D] and a contact [[tb; te]], only
     (a) the first [P] in [D] with [ld >= te] (candidate [(te, max ea tb)]),
     (b) the last [P] with [ea <= tb] and [ld < te] (candidate [(ld, tb)]),
     (c) every [P] with [tb < ea <= te] and [ld < te] (candidate
@@ -41,13 +80,16 @@
     ({!Omn_temporal.Trace.time_csr}[.csr_prev]) already offered a point
     dominating it, i.e. when [P]'s [ea] and [ld] are both at most that
     contact's end. Pairs that meet again and again make this a large
-    share of all candidates (63 % on the Infocom05 preset); the counter
+    share of all candidates (53 % on the Infocom05 preset); the counter
     [journey.pair_repeats] tallies them. *)
 
 type round_info = {
   hop : int;  (** the round just completed; descriptors use <= [hop] contacts *)
   frontiers : Frontier.t array;  (** per destination; index [source] holds the identity *)
-  changed : int;  (** number of descriptors inserted during this round *)
+  changed : int;
+      (** number of descriptors inserted during this round, counted in
+          the order the round inserted them: it depends on whether the
+          round scanned contacts or walked points, the frontiers do not *)
 }
 
 type strategy =

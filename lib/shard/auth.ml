@@ -1,6 +1,14 @@
-(* Pre-shared-key authentication for shard connections.
+(* The opening handshake of every shard connection.
 
-   Three CRC-framed text messages, dialer (client) first:
+   Without a key, one CRC-framed text message each way, dialer
+   (client) first:
+
+     H   "omn-hello <ver> <build>"
+
+   and each side checks the other's version and build before any
+   Marshal-encoded record crosses the link.
+
+   With a pre-shared key, three messages, dialer first:
 
      A1  "omn-auth1 <ver> <build> <nonce_c>"
      A2  "omn-auth2 <ver> <build> <nonce_s> <mac_s>"
@@ -21,8 +29,9 @@ module Err = Omn_robust.Err
 module Sha256 = Omn_obs.Sha256
 
 (* Version of this handshake + the Proto framing it fronts. Bump when
-   the Marshal-encoded message set changes incompatibly. *)
-let protocol_version = 4
+   the Marshal-encoded message set or the handshake frames change
+   incompatibly. *)
+let protocol_version = 5
 
 (* Marshal requires both ends to agree on the runtime's value layout;
    refusing a different compiler version up front turns a would-be
@@ -114,16 +123,59 @@ let version_check ~mine ~theirs ~build_mine ~build_theirs =
 
 let ( let* ) = Result.bind
 
-(* Dialer side. *)
-let client ?(build = default_build) ~key fd =
+let send fd payload =
+  try
+    Frame.write fd payload;
+    Ok ()
+  with e -> Error (auth_err Auth ("send failed: " ^ Printexc.to_string e))
+
+(* The peer's version and build, checked; a mismatch is also shipped
+   to the peer. *)
+let check_peer fd ~build ~ver ~build_peer =
+  match
+    version_check ~mine:protocol_version ~theirs:ver ~build_mine:build ~build_theirs:build_peer
+  with
+  | Ok () -> Ok ()
+  | Error e ->
+    send_reject fd Err.Proto e.Err.msg;
+    Error e
+
+let hello_frame build = Printf.sprintf "omn-hello %d %s" protocol_version build
+
+let parse_hello payload =
+  match String.split_on_char ' ' payload with
+  | [ "omn-hello"; v; b ] -> Option.map (fun v -> (v, b)) (int_of_string_opt v)
+  | _ -> None
+
+let client_hello ~build fd =
+  let* () = send fd (hello_frame build) in
+  let* reply = read_frame fd in
+  let* () = match check_reject reply with Some e -> Error e | None -> Ok () in
+  match parse_hello reply with
+  | Some (ver, build_peer) -> check_peer fd ~build ~ver ~build_peer
+  | None ->
+    send_reject fd Err.Proto "expected omn-hello";
+    Error (auth_err Proto "expected omn-hello")
+
+let server_hello ~build fd =
+  let* payload = read_frame fd in
+  let* () = match check_reject payload with Some e -> Error e | None -> Ok () in
+  match parse_hello payload with
+  | Some (ver, build_peer) ->
+    let* () = check_peer fd ~build ~ver ~build_peer in
+    send fd (hello_frame build)
+  | None when String.starts_with ~prefix:"omn-auth1 " payload ->
+    (* an authenticating dialer knocked on a key-less listener *)
+    send_reject fd Err.Auth "listener has no key configured";
+    Error (auth_err Auth "peer attempted auth but no key is configured")
+  | None ->
+    send_reject fd Err.Proto "expected omn-hello";
+    Error (auth_err Proto "expected omn-hello")
+
+(* Dialer side, with a key. *)
+let client_keyed ~build ~key fd =
   let nonce_c = fresh_nonce () in
-  let* () =
-    try
-      Frame.write fd
-        (Printf.sprintf "omn-auth1 %d %s %s" protocol_version build nonce_c);
-      Ok ()
-    with e -> Error (auth_err Auth ("send failed: " ^ Printexc.to_string e))
-  in
+  let* () = send fd (Printf.sprintf "omn-auth1 %d %s %s" protocol_version build nonce_c) in
   let* a2 = read_frame fd in
   let* () = match check_reject a2 with Some e -> Error e | None -> Ok () in
   let* ver_s, build_s, nonce_s, mac_s =
@@ -146,15 +198,12 @@ let client ?(build = default_build) ~key fd =
     send_reject fd Err.Auth "bad server MAC";
     Error (auth_err Auth "server failed key proof (wrong key?)")
   end
-  else
-    try
-      Frame.write fd (Printf.sprintf "omn-auth3 %s" (hmac ~key ("client|" ^ tr)));
-      Ok ()
-    with e -> Error (auth_err Auth ("send failed: " ^ Printexc.to_string e))
+  else send fd (Printf.sprintf "omn-auth3 %s" (hmac ~key ("client|" ^ tr)))
 
-(* Listener side. [st] carries the accepted-nonce table for replay
-   rejection; share one state across all accepts of a listener. *)
-let server ?(build = default_build) ~state:st ~key fd =
+(* Listener side, with a key. [st] carries the accepted-nonce table
+   for replay rejection; share one state across all accepts of a
+   listener. *)
+let server_keyed ~build ~state:st ~key fd =
   let* a1 = read_frame fd in
   let* () = match check_reject a1 with Some e -> Error e | None -> Ok () in
   let* ver_c, build_c, nonce_c =
@@ -169,16 +218,7 @@ let server ?(build = default_build) ~state:st ~key fd =
       send_reject fd Err.Auth "authentication required";
       Error (auth_err Auth "peer did not authenticate")
   in
-  let* () =
-    match
-      version_check ~mine:protocol_version ~theirs:ver_c ~build_mine:build
-        ~build_theirs:build_c
-    with
-    | Ok () -> Ok ()
-    | Error e ->
-      send_reject fd Err.Proto e.Err.msg;
-      Error e
-  in
+  let* () = check_peer fd ~build ~ver:ver_c ~build_peer:build_c in
   if Hashtbl.mem st.seen nonce_c then begin
     send_reject fd Err.Auth "replayed nonce";
     Error (auth_err Auth "replayed client nonce")
@@ -191,12 +231,9 @@ let server ?(build = default_build) ~state:st ~key fd =
         ~nonce_s
     in
     let* () =
-      try
-        Frame.write fd
-          (Printf.sprintf "omn-auth2 %d %s %s %s" protocol_version build nonce_s
-             (hmac ~key ("server|" ^ tr)));
-        Ok ()
-      with e -> Error (auth_err Auth ("send failed: " ^ Printexc.to_string e))
+      send fd
+        (Printf.sprintf "omn-auth2 %d %s %s %s" protocol_version build nonce_s
+           (hmac ~key ("server|" ^ tr)))
     in
     let* a3 = read_frame fd in
     let* () = match check_reject a3 with Some e -> Error e | None -> Ok () in
@@ -213,3 +250,9 @@ let server ?(build = default_build) ~state:st ~key fd =
       Error (auth_err Auth "client failed key proof (wrong key?)")
     end
   end
+
+let client ?(build = default_build) ?key fd =
+  match key with Some key -> client_keyed ~build ~key fd | None -> client_hello ~build fd
+
+let server ?(build = default_build) ~state ?key fd =
+  match key with Some key -> server_keyed ~build ~state ~key fd | None -> server_hello ~build fd

@@ -722,28 +722,14 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
                   register_session w fd;
                   ignore (send_to w (job_for worker))
                 | _ -> close ())
-              | Ok _ -> close ()
-              | Error _
-                when String.length s >= 8
-                     && String.equal (String.sub s 0 8) "omn-auth" ->
-                (* an authenticating dialer knocked on a key-less
-                   coordinator: typed rejection, not a silent drop *)
-                (try
-                   Frame.write fd "omn-auth-err E-AUTH coordinator has no key configured"
-                 with _ -> ());
-                auth_reject "peer attempted auth but no key is configured";
-                close ()
-              | Error _ -> close ())
+              | Ok _ | Error _ -> close ())
             | Error _ -> close ()
           in
-          match cfg.auth_key with
-          | Some key -> (
-            match Auth.server ~state:auth_state ~key fd with
-            | Ok () -> hello ()
-            | Error e ->
-              auth_reject e.Err.msg;
-              close ())
-          | None -> hello ())
+          match Auth.server ~state:auth_state ?key:cfg.auth_key fd with
+          | Ok () -> hello ()
+          | Error e ->
+            auth_reject e.Err.msg;
+            close ())
       in
       let backoff_for w =
         cfg.respawn_backoff *. (2. ** float_of_int (max 0 w.respawns))
@@ -769,12 +755,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
                   | Ok fd -> (
                     (try Transport.set_deadline fd cfg.heartbeat_timeout
                      with Unix.Unix_error _ -> ());
-                    let authed =
-                      match cfg.auth_key with
-                      | Some key -> Auth.client ~key fd
-                      | None -> Ok ()
-                    in
-                    match authed with
+                    match Auth.client ?key:cfg.auth_key fd with
                     | Ok () ->
                       register_session w fd;
                       incr st_spawns;

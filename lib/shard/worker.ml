@@ -268,10 +268,7 @@ let main ~worker ~mode ?auth_key ?trace_cache ?(once = false) () =
       match Transport.dial ~attempts ~connect_timeout:10. addr with
       | Error e -> if dials = 0 then Error e else Ok ()
       | Ok fd -> (
-        let authed =
-          match auth_key with Some key -> Auth.client ~key fd | None -> Ok ()
-        in
-        match authed with
+        match Auth.client ?key:auth_key fd with
         | Error e ->
           close_noerr fd;
           Error e
@@ -295,12 +292,7 @@ let main ~worker ~mode ?auth_key ?trace_cache ?(once = false) () =
     let rec accept_loop () =
       let fd, _ = Retry_io.eintr (fun () -> Unix.accept lfd) in
       Transport.set_deadline fd read_deadline;
-      let authed =
-        match auth_key with
-        | Some key -> Auth.server ~state:auth_state ~key fd
-        | None -> Ok ()
-      in
-      match authed with
+      match Auth.server ~state:auth_state ?key:auth_key fd with
       | Error e ->
         (* typed rejection already shipped to the peer; this listener
            keeps serving *)

@@ -9,6 +9,9 @@ type time_csr = {
   csr_beg : float array;
   csr_end : float array;
   csr_prev : int array;
+  pair_runs : int array;
+  node_pair_off : int array;
+  node_pairs : int array;
 }
 
 (* The SoA arrays and the per-node index are the whole store: no
@@ -159,21 +162,100 @@ let build_index ~n_nodes csr_a csr_b =
    so far. Slots only grow from row to row, so one below the row's
    offset is stale, and the table needs no reset: O(n_nodes) scratch.
    A self-contact would meet itself in its own row; [create] rejects
-   those. *)
-let build_prev ~n_nodes ~off ~idx csr_a csr_b =
+   those.
+
+   The same walk numbers the pairs, in the order their first contacts
+   appear in the rows, and counts each pair's kept contacts: those
+   whose end exceeds every earlier end of the pair ([top.(v)] within
+   row [u]). A second walk, where [prev.(i) < 0] marks a pair's first
+   contact, writes the pair index of [time_csr]: each pair's run (its
+   count, then its kept contacts), and each node's list of run
+   positions. Scratch is three n-sized tables, a cursor per node and
+   the per-pair counts, which then serve as write cursors. *)
+let build_links ~n_nodes ~off ~idx csr_a csr_b csr_end =
   let prev = Array.make (Array.length csr_a) (-1) in
   let last = Array.make n_nodes (-1) in
+  let pid = Array.make n_nodes 0 and top = Array.make n_nodes 0. in
+  let kept = ref (Array.make (max 16 n_nodes) 0) and n_pairs = ref 0 in
+  let node_pair_off = Array.make (n_nodes + 1) 0 in
   for u = 0 to n_nodes - 1 do
     for k = off.(u) to off.(u + 1) - 1 do
       let i = idx.(k) in
       let v = csr_a.(i) + csr_b.(i) - u in
       if v > u then begin
-        if last.(v) >= off.(u) then prev.(i) <- idx.(last.(v));
+        if last.(v) >= off.(u) then begin
+          prev.(i) <- idx.(last.(v));
+          if csr_end.(i) > top.(v) then begin
+            top.(v) <- csr_end.(i);
+            !kept.(pid.(v)) <- !kept.(pid.(v)) + 1
+          end
+        end
+        else begin
+          let p = !n_pairs in
+          if p = Array.length !kept then begin
+            let grown = Array.make (2 * p) 0 in
+            Array.blit !kept 0 grown 0 p;
+            kept := grown
+          end;
+          !kept.(p) <- 1;
+          pid.(v) <- p;
+          top.(v) <- csr_end.(i);
+          n_pairs := p + 1;
+          node_pair_off.(u + 1) <- node_pair_off.(u + 1) + 1;
+          node_pair_off.(v + 1) <- node_pair_off.(v + 1) + 1
+        end;
         last.(v) <- k
       end
     done
   done;
-  prev
+  let kept = !kept and n_pairs = !n_pairs in
+  let runs_len = ref n_pairs in
+  for p = 0 to n_pairs - 1 do
+    runs_len := !runs_len + kept.(p)
+  done;
+  let pair_runs = Array.make !runs_len 0 and node_pairs = Array.make (2 * n_pairs) 0 in
+  (* Each run opens with its count; [kept.(p)] becomes the write
+     cursor of pair [p]'s run, just past that slot. *)
+  let run = ref 0 in
+  for p = 0 to n_pairs - 1 do
+    let len = kept.(p) in
+    pair_runs.(!run) <- len;
+    kept.(p) <- !run + 1;
+    run := !run + 1 + len
+  done;
+  for u = 1 to n_nodes do
+    node_pair_off.(u) <- node_pair_off.(u) + node_pair_off.(u - 1)
+  done;
+  let slot = Array.sub node_pair_off 0 n_nodes and next_pair = ref 0 in
+  let push p i =
+    pair_runs.(kept.(p)) <- i;
+    kept.(p) <- kept.(p) + 1
+  in
+  for u = 0 to n_nodes - 1 do
+    for k = off.(u) to off.(u + 1) - 1 do
+      let i = idx.(k) in
+      let v = csr_a.(i) + csr_b.(i) - u in
+      if v > u then begin
+        if prev.(i) < 0 then begin
+          let p = !next_pair in
+          next_pair := p + 1;
+          pid.(v) <- p;
+          top.(v) <- csr_end.(i);
+          let run = kept.(p) - 1 in
+          node_pairs.(slot.(u)) <- run;
+          slot.(u) <- slot.(u) + 1;
+          node_pairs.(slot.(v)) <- run;
+          slot.(v) <- slot.(v) + 1;
+          push p i
+        end
+        else if csr_end.(i) > top.(v) then begin
+          top.(v) <- csr_end.(i);
+          push pid.(v) i
+        end
+      end
+    done
+  done;
+  (prev, pair_runs, node_pair_off, node_pairs)
 
 let store_bytes t =
   let c = t.csr in
@@ -227,7 +309,9 @@ let of_builder_result ?(name = "trace") ~n_nodes ~t_start ~t_end (buf : Builder.
     buf.t_beg <- [||];
     buf.t_end <- [||];
     let adj_off, adj_idx = build_index ~n_nodes csr_a csr_b in
-    let csr_prev = build_prev ~n_nodes ~off:adj_off ~idx:adj_idx csr_a csr_b in
+    let csr_prev, pair_runs, node_pair_off, node_pairs =
+      build_links ~n_nodes ~off:adj_off ~idx:adj_idx csr_a csr_b csr_end
+    in
     let t =
       {
         label = name;
@@ -236,7 +320,8 @@ let of_builder_result ?(name = "trace") ~n_nodes ~t_start ~t_end (buf : Builder.
         t_end;
         adj_off;
         adj_idx;
-        csr = { csr_a; csr_b; csr_beg; csr_end; csr_prev };
+        csr =
+          { csr_a; csr_b; csr_beg; csr_end; csr_prev; pair_runs; node_pair_off; node_pairs };
       }
     in
     Omn_obs.Metrics.set g_store_bytes (float_of_int (store_bytes t));

@@ -12,7 +12,9 @@
     one per node, and no {!Contact.t} is kept: {!contacts}, {!contact},
     {!iter}, {!fold} and the per-node accessors build records on demand,
     so they allocate and are meant for cold paths; hot loops read
-    {!time_csr}.
+    {!time_csr}. Next to the store, a pair index lists each pair's
+    contacts and each node's pairs (see {!time_csr}): one word per kept
+    contact, three per pair and one per node.
 
     A trace is immutable: the store is built eagerly at creation, so a
     single trace value can be shared by any number of domains with no
@@ -32,8 +34,8 @@ val create : ?name:string -> n_nodes:int -> t_start:float -> t_end:float -> Cont
     if [n_nodes < 0].
 
     Every creation records a [trace.create] span and sets the
-    [trace.store_bytes] gauge (the store's array payload) when metrics
-    are on. *)
+    [trace.store_bytes] gauge (the store's array payload, the pair
+    index not included) when metrics are on. *)
 
 val create_result :
   ?name:string ->
@@ -142,6 +144,20 @@ type time_csr = private {
       (** the latest earlier contact between the same two nodes — the
           largest [p < i] with the same endpoints as [i] — or [-1] when
           [i] is the pair's first *)
+  pair_runs : int array;
+      (** the pair index: one run per pair of nodes that meet, its
+          length [r] followed by the [r] contacts of the pair that
+          are kept, in start order. A contact is left out when its
+          end does not exceed the end of an earlier contact of its
+          pair, so the kept ends strictly increase. *)
+  node_pair_off : int array;
+      (** length [n_nodes + 1]: node [u]'s pairs are entries
+          [node_pair_off.(u)] to [node_pair_off.(u + 1) - 1] of
+          [node_pairs] *)
+  node_pairs : int array;
+      (** for each node, the position in [pair_runs] of each of its
+          pairs' runs, one entry per peer; a run names the peer
+          through its first contact's endpoints *)
 }
 (** The store: the contact multiset as structure-of-arrays in
     start-time order, index [i] being {!contact}[ t i]. Flat arrays read
@@ -149,9 +165,21 @@ type time_csr = private {
     [Omn_core.Journey] iterates (a mixed int/float record would box its
     float fields and cost two heap pointers per contact), and
     [csr_prev] lets that sweep skip a candidate the pair's previous
-    contact already offered. [csr_prev] is derived here, never
-    serialised. Built eagerly at {!create}, immutable and safe to share
-    across domains. The arrays are owned by the trace: do not mutate. *)
+    contact already offered.
+
+    The pair index serves the sweep's rounds with few new descriptors,
+    which extend each descriptor along the contacts of each pair of
+    its node rather than scan every contact. A contact left out of its
+    run is nested in an earlier one of the same pair: it starts no
+    earlier (start order) and ends no later, so every descriptor that
+    can cross it can cross the earlier one too, into a descriptor that
+    departs no earlier and arrives no later. Dropping it keeps the
+    ends of a run strictly increasing, which lets a walk find the
+    first contact a descriptor can still catch by binary search.
+
+    [csr_prev] and the pair index are derived here, never serialised.
+    Built eagerly at {!create}, immutable and safe to share across
+    domains. The arrays are owned by the trace: do not mutate. *)
 
 val time_csr : t -> time_csr
 (** The trace's contact arrays. O(1), no allocation. *)

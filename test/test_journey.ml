@@ -210,9 +210,9 @@ module Metrics = Omn_obs.Metrics
    and the inline domination check: [extend] runs three binary searches
    over the delta per contact and hands every candidate to
    [insert_cand]. Kept verbatim as a differential oracle, minus
-   [stop_after] and [on_round] (it returns the per-round [changed]
-   list instead) and plus the [reference_case_a] tally, which lets the
-   generator families show that they reach case (a). *)
+   [stop_after] and [on_round] (it returns a snapshot of every round's
+   frontiers instead) and plus the [reference_case_a] tally, which lets
+   the generator families show that they reach case (a). *)
 let reference_case_a = ref 0
 
 let reference_run ~strategy trace ~source =
@@ -320,7 +320,9 @@ let reference_run ~strategy trace ~source =
     !changed
   in
   let rec loop acc =
-    match do_round () with 0 -> List.rev acc | c -> loop (c :: acc)
+    match do_round () with
+    | 0 -> List.rev acc
+    | _ -> loop (Array.map Frontier.copy frontiers :: acc)
   in
   let per_round = loop [] in
   (frontiers, per_round)
@@ -376,21 +378,11 @@ let oracle_families =
             (tb, tb + Rng.int rng 5)) );
   ]
 
-let frontier_counters () =
-  let snap = Metrics.snapshot () in
-  let get name = Option.value ~default:0 (Metrics.counter_total snap name) in
-  (get "frontier.points_kept", get "frontier.points_pruned")
-
-(* [f ()] with the default registry enabled, and the kept/pruned
-   counter deltas it caused. *)
-let with_frontier_counters f =
-  let was = Metrics.enabled () in
-  Metrics.set_enabled true;
-  let k0, p0 = frontier_counters () in
-  let v = Fun.protect ~finally:(fun () -> Metrics.set_enabled was) f in
-  let k1, p1 = frontier_counters () in
-  (v, (k1 - k0, p1 - p0))
-
+(* Each round's frontiers are the Pareto antichain of the previous
+   round's and of every crossing of last round's delta, whichever sweep
+   path produced them; only the insertion order, and with it [changed]
+   and the kept/pruned counters, depends on the path. So the oracle
+   compares every round's frontiers. *)
 let prop_cursor_sweep_matches_reference =
   QCheck2.Test.make ~count:400 ~name:"cursor sweep = three-search reference sweep"
     QCheck2.Gen.(triple (int_bound (List.length oracle_families - 1)) bool int)
@@ -399,31 +391,30 @@ let prop_cursor_sweep_matches_reference =
       let trace = build (Rng.create seed) in
       let strategy = if full then Journey.Full_recompute else Journey.Semi_naive in
       for source = 0 to Trace.n_nodes trace - 1 do
-        let (want, want_rounds), want_counts =
-          with_frontier_counters (fun () -> reference_run ~strategy trace ~source)
+        let want, want_rounds = reference_run ~strategy trace ~source in
+        let per_round = ref [] in
+        let on_round (r : Journey.round_info) =
+          per_round := Array.map Frontier.copy r.frontiers :: !per_round
         in
-        let (got, got_rounds), got_counts =
-          with_frontier_counters (fun () ->
-              let per_round = ref [] in
-              let on_round (r : Journey.round_info) = per_round := r.changed :: !per_round in
-              let frontiers, _ = Journey.run ~strategy ~on_round trace ~source in
-              (frontiers, List.rev !per_round))
-        in
+        let got, _ = Journey.run ~strategy ~on_round trace ~source in
+        let got_rounds = List.rev !per_round in
         let where = Printf.sprintf "%s seed %d full %b source %d" name seed full source in
-        if got_rounds <> want_rounds then
-          QCheck2.Test.fail_reportf "%s: per-round changed [%s], reference [%s]" where
-            (String.concat "; " (List.map string_of_int got_rounds))
-            (String.concat "; " (List.map string_of_int want_rounds));
-        Array.iteri
-          (fun dest f ->
-            if not (Frontier.equal f got.(dest)) then
-              QCheck2.Test.fail_reportf "%s dest %d:@ got %s@ reference %s" where dest
-                (Format.asprintf "%a" Frontier.pp got.(dest))
-                (Format.asprintf "%a" Frontier.pp f))
-          want;
-        if got_counts <> want_counts then
-          QCheck2.Test.fail_reportf "%s: kept/pruned (%d, %d), reference (%d, %d)" where
-            (fst got_counts) (snd got_counts) (fst want_counts) (snd want_counts)
+        if List.length got_rounds <> List.length want_rounds then
+          QCheck2.Test.fail_reportf "%s: %d rounds, reference %d" where (List.length got_rounds)
+            (List.length want_rounds);
+        let compare_frontiers label want got =
+          Array.iteri
+            (fun dest f ->
+              if not (Frontier.equal f got.(dest)) then
+                QCheck2.Test.fail_reportf "%s %s dest %d:@ got %s@ reference %s" where label dest
+                  (Format.asprintf "%a" Frontier.pp got.(dest))
+                  (Format.asprintf "%a" Frontier.pp f))
+            want
+        in
+        List.iteri
+          (fun k (w, g) -> compare_frontiers (Printf.sprintf "round %d" (k + 1)) w g)
+          (List.combine want_rounds got_rounds);
+        compare_frontiers "fixpoint" want got
       done;
       true)
 
@@ -484,6 +475,32 @@ let oracle_reaches_pair_rule () =
         true (got > 0))
     oracle_families
 
+(* The oracle above checks both sweep paths only if the families run
+   rounds on each: some on points, some on the contact scan. *)
+let oracle_reaches_both_paths () =
+  let total name =
+    Option.value ~default:0 (Metrics.counter_total (Metrics.snapshot ()) name)
+  in
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  List.iter
+    (fun (name, build) ->
+      let rounds0 = total "journey.rounds" and points0 = total "journey.point_rounds" in
+      for seed = 0 to 19 do
+        let trace = build (Rng.create seed) in
+        for source = 0 to Trace.n_nodes trace - 1 do
+          ignore (Journey.run trace ~source)
+        done
+      done;
+      let rounds = total "journey.rounds" - rounds0
+      and points = total "journey.point_rounds" - points0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: 0 < journey.point_rounds %d < journey.rounds %d" name points rounds)
+        true
+        (0 < points && points < rounds))
+    oracle_families
+
 let suite =
   [
     Alcotest.test_case "semi-naive = full recompute (30 random traces)" `Slow strategies_agree;
@@ -504,4 +521,6 @@ let suite =
     Alcotest.test_case "oracle families reach long frontiers" `Quick
       oracle_reaches_long_frontiers;
     QCheck_alcotest.to_alcotest prop_cursor_sweep_matches_reference;
+    Alcotest.test_case "oracle families reach both sweep paths" `Quick
+      oracle_reaches_both_paths;
   ]

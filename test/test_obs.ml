@@ -550,14 +550,15 @@ let test_bit_identity () =
 
 (* The journey sweep's and the accumulation's layer counters count
    work, not scheduling: the same totals at 1 and 2 domains, every
-   point a frontier kept was first emitted as a candidate, and every
-   candidate the pair rule rejected is also a pruned point. *)
+   point a frontier kept was first emitted as a candidate, every
+   candidate the pair rule rejected is also a pruned point, and some
+   but not all rounds walked points. *)
 let test_journey_counters () =
   let trace = Util.random_trace (Rng.create 0x5EE) ~n:10 ~m:150 ~horizon:60 in
   let names =
     [
       "journey.extends"; "journey.candidates"; "journey.pair_repeats"; "frontier.points_kept";
-      "frontier.points_pruned"; "journey.rounds"; "delay_cdf.segments";
+      "frontier.points_pruned"; "journey.rounds"; "journey.point_rounds"; "delay_cdf.segments";
     ]
   in
   let totals () =
@@ -584,6 +585,8 @@ let test_journey_counters () =
     (get "journey.candidates" >= get "frontier.points_kept");
   Alcotest.(check bool) "pair repeats counted" true (get "journey.pair_repeats" > 0);
   Alcotest.(check bool) "rounds counted" true (get "journey.rounds" > 0);
+  Alcotest.(check bool) "point rounds among the rounds" true
+    (0 < get "journey.point_rounds" && get "journey.point_rounds" < get "journey.rounds");
   Alcotest.(check bool) "segments counted" true (get "delay_cdf.segments" > 0);
   Alcotest.(check bool) "pair_repeats <= points_pruned" true
     (get "journey.pair_repeats" <= get "frontier.points_pruned")

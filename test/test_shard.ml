@@ -1020,6 +1020,47 @@ let shard_schedule_properties () =
       | None -> Alcotest.failf "%s not parsed" n)
     Faultgen.shard_fault_names
 
+(* Without a key the hello still checks version and build, on the
+   dialer's and the listener's side alike: a peer of another build is
+   a typed E-PROTO at both ends, and a keyed dialer at a key-less
+   listener a typed E-AUTH. The read deadline turns a side left
+   waiting into an error, not a hang. Then an unkeyed pair of one
+   build, the coordinator dialing a listening worker, serves the
+   single-process curves bit for bit. *)
+let unkeyed_hello () =
+  let handshake ?cbuild ?sbuild ?ckey () =
+    with_socketpair @@ fun c s ->
+    Transport.set_deadline c 5.;
+    Transport.set_deadline s 5.;
+    let srv = Domain.spawn (fun () -> Auth.server ?build:sbuild ~state:(Auth.state ()) s) in
+    let cli = Auth.client ?build:cbuild ?key:ckey c in
+    (cli, Domain.join srv)
+  in
+  let expect code what = function
+    | Error (e : Err.t) when e.code = code -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Err.to_string e)
+    | Ok () -> Alcotest.failf "%s: accepted" what
+  in
+  List.iter
+    (fun (label, (cli, srv)) ->
+      expect Err.Proto (label ^ ", dialer") cli;
+      expect Err.Proto (label ^ ", listener") srv)
+    [
+      ("listener of another build", handshake ~sbuild:"ocaml-other" ());
+      ("dialer of another build", handshake ~cbuild:"ocaml-other" ());
+    ];
+  let cli, srv = handshake ~ckey:"k" () in
+  expect Err.Auth "keyed dialer, key-less listener: dialer" cli;
+  expect Err.Auth "keyed dialer, key-less listener: listener" srv;
+  (match handshake () with
+  | Ok (), Ok () -> ()
+  | _ -> Alcotest.fail "unkeyed peers of one build refused");
+  match with_domain_worker (fun cfg -> fleet_run cfg (plan_of trace)) with
+  | Error e -> Alcotest.failf "unkeyed fleet run failed: %s" (Err.to_string e)
+  | Ok (curves, _, _) ->
+    Alcotest.(check bool) "unkeyed fleet: curves bit-identical to compute" true
+      (curves_equal curves reference)
+
 let suite =
   [
     Alcotest.test_case "ring assignment deterministic" `Quick ring_assign_deterministic;
@@ -1065,4 +1106,6 @@ let suite =
       coord_rejects_bad_policy;
     Alcotest.test_case "fleet resumes from the driver's checkpoint" `Quick
       coord_resume_from_checkpoint;
+    Alcotest.test_case "unkeyed peers: another build is E-PROTO, one build serves" `Quick
+      unkeyed_hello;
   ]

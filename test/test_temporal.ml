@@ -166,6 +166,105 @@ let trace_csr_prev =
       done;
       true)
 
+(* Same-pair contacts that overlap, nest, repeat exactly or have zero
+   length: starts in {0, 2, 5, 8}, lengths in {0, 0, 1, 3, 7}, and now
+   and then a copy of the previous contact. *)
+let pair_index_gen =
+  QCheck2.Gen.(
+    let* n = int_range 2 5 in
+    let* m = int_range 0 40 in
+    let* seed = int in
+    let rng = Rng.create seed in
+    let starts = [| 0; 2; 5; 8 |] and lengths = [| 0; 0; 1; 3; 7 |] in
+    let draw () =
+      let a = Rng.int rng n in
+      let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+      let tb = starts.(Rng.int rng 4) in
+      (min a b, max a b, float_of_int tb, float_of_int (tb + lengths.(Rng.int rng 5)))
+    in
+    let rec build k prev acc =
+      if k = 0 then List.rev acc
+      else
+        let c = match prev with Some c when Rng.int rng 4 = 0 -> c | _ -> draw () in
+        build (k - 1) (Some c) (c :: acc)
+    in
+    return (Util.trace_of_contacts ~n_nodes:n ~t_start:0. ~t_end:20. (build m None [])))
+
+(* The pair index against a scan of [Trace.contact]: node [u]'s runs
+   name each peer it meets once, and the run of the pair [{u, v}] is
+   its contacts in start order minus those whose end does not exceed
+   an earlier contact's, so the kept ends strictly increase. *)
+let trace_pair_index =
+  QCheck2.Test.make ~count:500 ~name:"pair index = each pair's contacts minus the nested ones"
+    pair_index_gen (fun trace ->
+      let csr = Trace.time_csr trace in
+      let n = Trace.n_nodes trace and m = Trace.n_contacts trace in
+      let runs = csr.pair_runs and off = csr.node_pair_off and entries = csr.node_pairs in
+      let meets u v =
+        let found = ref false in
+        for i = 0 to m - 1 do
+          let c = Trace.contact trace i in
+          if c.a = min u v && c.b = max u v then found := true
+        done;
+        !found
+      in
+      let expected u v =
+        let top = ref neg_infinity and acc = ref [] in
+        for i = 0 to m - 1 do
+          let c = Trace.contact trace i in
+          if c.a = min u v && c.b = max u v then begin
+            if c.t_end > !top then acc := i :: !acc;
+            top := Float.max !top c.t_end
+          end
+        done;
+        List.rev !acc
+      in
+      if Array.length off <> n + 1 then
+        QCheck2.Test.fail_reportf "node_pair_off has %d entries for %d nodes" (Array.length off) n;
+      let listed = ref 0 and run_words = ref 0 in
+      for u = 0 to n - 1 do
+        let peers = Array.make n false in
+        for k = off.(u) to off.(u + 1) - 1 do
+          let run = entries.(k) in
+          let got = List.init runs.(run) (fun j -> runs.(run + 1 + j)) in
+          let v =
+            match got with
+            | [] -> QCheck2.Test.fail_reportf "node %d: empty run at %d" u run
+            | i :: _ ->
+              let c = Trace.contact trace i in
+              if c.a = u then c.b
+              else if c.b = u then c.a
+              else QCheck2.Test.fail_reportf "node %d: run %d holds contact %d of (%d, %d)" u run i c.a c.b
+          in
+          if peers.(v) then QCheck2.Test.fail_reportf "node %d lists peer %d twice" u v;
+          peers.(v) <- true;
+          let want = expected u v in
+          if got <> want then
+            QCheck2.Test.fail_reportf "pair (%d, %d): run [%s], want [%s]" u v
+              (String.concat "; " (List.map string_of_int got))
+              (String.concat "; " (List.map string_of_int want));
+          ignore
+            (List.fold_left
+               (fun last i ->
+                 let te = (Trace.contact trace i).t_end in
+                 if not (te > last) then
+                   QCheck2.Test.fail_reportf "pair (%d, %d): end %g after %g" u v te last;
+                 te)
+               neg_infinity got);
+          incr listed;
+          run_words := !run_words + 1 + List.length got
+        done;
+        for v = 0 to n - 1 do
+          if v <> u && peers.(v) <> meets u v then
+            QCheck2.Test.fail_reportf "node %d: peer %d listed %b, meets %b" u v peers.(v)
+              (meets u v)
+        done
+      done;
+      if Array.length entries <> !listed || Array.length runs <> !run_words / 2 then
+        QCheck2.Test.fail_reportf "index arrays hold %d entries and %d run words, beyond the runs"
+          (Array.length entries) (Array.length runs);
+      true)
+
 let trace_contact_rate () =
   let trace =
     Util.trace_of_contacts ~n_nodes:4 ~t_start:0. ~t_end:100.
@@ -491,16 +590,32 @@ let store_order_is_record_sort =
         true)
 
 (* Seven words per contact (four field arrays, [csr_prev], two index
-   slots) and one per node, plus a constant: no record per contact. *)
+   slots) and one per node, plus a constant: no record per contact.
+   The pair index beside the store is bounded on its own: its arrays
+   hold at most one word per contact, three per pair and one per node,
+   plus one (a header word per array aside). *)
 let store_footprint () =
   let trace = Lazy.force infocom05 in
   let m = Trace.n_contacts trace and n = Trace.n_nodes trace in
-  let words = Obj.reachable_words (Obj.repr trace) in
+  let csr = Trace.time_csr trace in
+  let index = [ csr.pair_runs; csr.node_pair_off; csr.node_pairs ] in
+  let index_words =
+    List.fold_left (fun acc a -> acc + Obj.reachable_words (Obj.repr a)) 0 index
+  in
+  let words = Obj.reachable_words (Obj.repr trace) - index_words in
   let bound = (7 * m) + (n + 1) + 64 in
   if words > bound then
     Alcotest.failf "Infocom05 trace: %d words (%.1f per contact) > 7m + (n + 1) + 64 = %d" words
       (float_of_int words /. float_of_int m)
-      bound
+      bound;
+  let pairs = Hashtbl.create 1024 in
+  Trace.iter (fun c -> Hashtbl.replace pairs (c.a, c.b) ()) trace;
+  let pairs = Hashtbl.length pairs in
+  let payload = List.fold_left (fun acc a -> acc + Array.length a) 0 index in
+  let index_bound = m + (3 * pairs) + n + 1 in
+  if payload > index_bound then
+    Alcotest.failf "Infocom05 pair index: %d words > m + 3 pairs + n + 1 = %d (%d pairs)" payload
+      index_bound pairs
 
 (* The checkpoint fingerprint hashes the store: one contact's end moved
    by one ulp is another trace, while the same file read by either
@@ -612,4 +727,5 @@ let suite =
         trace_io_clean_repair;
         store_order_is_record_sort;
         stats_inter_contact_brute;
+        trace_pair_index;
       ]
