@@ -37,18 +37,35 @@ let create ~grid =
 
 let grid t = Array.copy t.grid_
 
+(* Unchecked array reads and writes, used only in [lower],
+   [add_segment] and [add_descriptors]; each use names what bounds its
+   index. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 (* First grid index with grid.(i) >= x, or n. A query at or below the
-   smallest budget, most of them on a dense trace, needs no search. *)
+   smallest budget, most of them on a dense trace, needs no search; a
+   query above the largest budget, or NaN, is n. Otherwise the answer
+   lies in [0, n) and a fixed halving loop narrows [base, base + len)
+   onto it: a step of [half] is taken when the last of the first [half]
+   candidates is still below [x]. The step is a mask of the comparison,
+   so the loop has no data-dependent branch; duplicate budgets keep the
+   first index, as a binary search on [>=] does. *)
 let[@inline] lower t x =
   let g = t.grid_ in
-  if x <= g.(0) then 0
+  let n = Array.length g in
+  (* [create] refuses an empty grid: n >= 1 *)
+  if x <= g.!(0) then 0
+  else if not (x <= g.!(n - 1)) then n
   else begin
-    let lo = ref 0 and hi = ref (Array.length g) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if g.(mid) >= x then hi := mid else lo := mid + 1
+    let base = ref 0 and len = ref n in
+    while !len > 1 do
+      let half = !len / 2 in
+      (* base <= base + half - 1 < base + len <= n *)
+      base := !base + (half land -Bool.to_int (g.!(!base + half - 1) < x));
+      len := !len - half
     done;
-    !lo
+    !base
   end
 
 (* One creation-time segment (a, b], a < b, governed by arrival [ea]:
@@ -58,29 +75,39 @@ let[@inline] lower t x =
 let[@inline] add_segment t ~a ~b ~ea =
   let i_lo = lower t (ea -. b) in
   let i_full = lower t (ea -. a) in
+  (* [lower] answers in [0, n]; the diff arrays have length n + 1 *)
   if i_full > i_lo then begin
-    t.slope_diff.(i_lo) <- t.slope_diff.(i_lo) +. 1.;
-    t.slope_diff.(i_full) <- t.slope_diff.(i_full) -. 1.;
-    t.const_diff.(i_lo) <- t.const_diff.(i_lo) +. (b -. ea);
-    t.const_diff.(i_full) <- t.const_diff.(i_full) -. (b -. ea)
+    t.slope_diff.!(i_lo) <- t.slope_diff.!(i_lo) +. 1.;
+    t.slope_diff.!(i_full) <- t.slope_diff.!(i_full) -. 1.;
+    t.const_diff.!(i_lo) <- t.const_diff.!(i_lo) +. (b -. ea);
+    t.const_diff.!(i_full) <- t.const_diff.!(i_full) -. (b -. ea)
   end;
-  t.full_diff.(i_full) <- t.full_diff.(i_full) +. (b -. a)
+  t.full_diff.!(i_full) <- t.full_diff.!(i_full) +. (b -. a)
 
 (* Descriptor i of a pair governs the creation times
    (max t_start ld.(i-1), min t_end ld.(i)]. Read off flat arrays, with
    [lower] and [add_segment] inlined and [inf_mass] summed in a local,
    the loop keeps its floats unboxed and allocates nothing per
    descriptor; every accumulator cell still sees the same float
-   operations in the same order. *)
+   operations in the same order. The clipping is two compares, not
+   [Float.max]/[Float.min] (each a C call, to order -0 below +0): the
+   two agree but on NaN, which the callers refuse, and on which zero a
+   tie of opposite zeros gives. That sign never reaches a cell. A kept
+   segment has b > a, so the other end is non-zero and [b -. a] is the
+   same float; [lower] compares -0 and +0 alike; and where [b -. ea]
+   turns into the other zero, adding or subtracting it leaves a cell
+   as it was, since a cell starts at +0 and so is never -0. *)
 let add_descriptors t ~t_start ~t_end ~n lds eas =
   t.total <- t.total +. (t_end -. t_start);
   let inf_mass = ref t.inf_mass and prev_ld = ref neg_infinity in
   for i = 0 to n - 1 do
-    let ld = lds.(i) in
-    let a = Float.max t_start !prev_ld in
-    let b = Float.min t_end ld in
+    (* the callers pass n <= the length of both arrays *)
+    let ld = lds.!(i) in
+    let pl = !prev_ld in
+    let a = if pl > t_start then pl else t_start in
+    let b = if ld < t_end then ld else t_end in
     if b > a then begin
-      add_segment t ~a ~b ~ea:eas.(i);
+      add_segment t ~a ~b ~ea:eas.!(i);
       inf_mass := !inf_mass +. (b -. a)
     end;
     prev_ld := ld
@@ -88,17 +115,25 @@ let add_descriptors t ~t_start ~t_end ~n lds eas =
   t.inf_mass <- !inf_mass;
   Metrics.add m_segments n
 
+let check_window fn ~t_start ~t_end =
+  if not (Float.is_finite t_start && Float.is_finite t_end) then
+    invalid_arg ("Delay_cdf." ^ fn ^ ": non-finite window");
+  if t_start > t_end then invalid_arg ("Delay_cdf." ^ fn ^ ": reversed window")
+
 let add_pair t ~t_start ~t_end (descriptors : Ld_ea.t array) =
-  if t_start > t_end then invalid_arg "Delay_cdf.add_pair: reversed window";
+  check_window "add_pair" ~t_start ~t_end;
+  if Array.exists (fun (p : Ld_ea.t) -> Float.is_nan p.ld || Float.is_nan p.ea) descriptors then
+    invalid_arg "Delay_cdf.add_pair: nan descriptor";
   add_descriptors t ~t_start ~t_end ~n:(Array.length descriptors)
     (Array.map (fun (p : Ld_ea.t) -> p.ld) descriptors)
     (Array.map (fun (p : Ld_ea.t) -> p.ea) descriptors)
 
 (* [add_pair] off a live frontier, minus the [Frontier.to_array]
    descriptor snapshot: the accumulation loop of [partial_of] reads the
-   frontier's SoA storage in place. *)
+   frontier's SoA storage in place. [Frontier.insert] refuses NaN, and
+   a frontier's size is at most the length of its arrays. *)
 let add_pair_frontier t ~t_start ~t_end frontier =
-  if t_start > t_end then invalid_arg "Delay_cdf.add_pair_frontier: reversed window";
+  check_window "add_pair_frontier" ~t_start ~t_end;
   add_descriptors t ~t_start ~t_end ~n:(Frontier.size frontier) (Frontier.ld_arr frontier)
     (Frontier.ea_arr frontier)
 

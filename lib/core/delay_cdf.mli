@@ -9,6 +9,11 @@
     (see {!Delivery.success_measure}). The accumulator below aggregates
     those contributions over pairs onto a fixed budget grid in
     O(log |grid|) per frontier descriptor, using difference arrays.
+    Each descriptor places its segment with two searches of the grid:
+    a query at or below the smallest budget, or above the largest,
+    answers at once, and the others run a fixed halving loop whose
+    step is a mask of one float comparison, so the search takes no
+    data-dependent branch.
     Accumulating a live frontier ({!add_pair_frontier}) allocates
     nothing per descriptor: a pair costs two boxed floats (the stored
     [total] and infinite-budget mass), whatever its frontier's
@@ -26,13 +31,15 @@ val add_pair : t -> t_start:float -> t_end:float -> Ld_ea.t array -> unit
 (** Accumulate one (source, destination) pair whose frontier snapshot is
     given, with creation times uniform on [[t_start, t_end]]. The pair
     contributes mass [t_end - t_start] to the denominator whether or not
-    it ever succeeds. *)
+    it ever succeeds. Raises [Invalid_argument] on a non-finite or
+    reversed window, or on a descriptor with a NaN coordinate. *)
 
 val add_pair_frontier : t -> t_start:float -> t_end:float -> Frontier.t -> unit
 (** {!add_pair} reading a live frontier's structure-of-arrays storage in
     place — same accumulation, same float-operation order (so results
     stay bit-identical), no descriptor snapshot. The whole-trace driver
-    uses this on the hot path. *)
+    uses this on the hot path. Raises [Invalid_argument] on a
+    non-finite or reversed window. *)
 
 val success : t -> float array
 (** [success t].(i) = empirical P(optimal delay <= grid.(i)). *)

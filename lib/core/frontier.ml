@@ -35,13 +35,23 @@ let get t i =
 
 let to_array t = Array.init t.size (fun i -> { Ld_ea.ld = t.ld.(i); ea = t.ea.(i) })
 
+(* Unchecked array reads and writes, used only in [search_ld],
+   [lower_ld_from] and [insert_raw]. Their indices stay below [size],
+   and [size] never exceeds the length of either array: only
+   [ensure_capacity] and [copy_into] replace the arrays, and both make
+   them at least [size] long. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 (* First index in [lo, hi) with d.(i) >= x, or hi. Every comparison is
-   [d.(i) >= x], false on a NaN [x], so a NaN query ends at [hi]. *)
+   [d.(i) >= x], false on a NaN [x], so a NaN query ends at [hi].
+   Callers pass 0 <= lo and hi <= size. *)
 let[@inline] search_ld (d : float array) (x : float) lo hi =
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if d.(mid) >= x then hi := mid else lo := mid + 1
+    (* lo <= mid < hi *)
+    if d.!(mid) >= x then hi := mid else lo := mid + 1
   done;
   !lo
 
@@ -56,10 +66,12 @@ let lower_ld t x = search_ld t.ld x 0 t.size
 let[@inline] lower_ld_from t ~hint x =
   let d = t.ld and size = t.size in
   let h = if hint < 0 then 0 else if hint > size then size else hint in
-  if h < size && not (d.(h) >= x) then begin
+  (* every probe below is guarded: 0 <= h < size, h + step < size,
+     0 <= h - step < h <= size *)
+  if h < size && not (d.!(h) >= x) then begin
     (* The answer is past [h]. *)
     let lo = ref (h + 1) and step = ref 1 in
-    while h + !step < size && not (d.(h + !step) >= x) do
+    while h + !step < size && not (d.!(h + !step) >= x) do
       lo := h + !step + 1;
       step := 2 * !step
     done;
@@ -68,7 +80,7 @@ let[@inline] lower_ld_from t ~hint x =
   else begin
     (* The answer is at or before [h]. *)
     let hi = ref h and step = ref 1 in
-    while h - !step >= 0 && d.(h - !step) >= x do
+    while h - !step >= 0 && d.!(h - !step) >= x do
       hi := h - !step;
       step := 2 * !step
     done;
@@ -104,8 +116,9 @@ let ensure_capacity t =
    the new point. Returns true iff the point became a member. *)
 let[@inline] insert_raw t ~ld ~ea =
   if Float.is_nan ld || Float.is_nan ea then invalid_arg "Frontier.insert: nan";
+  (* [lower_ld] answers in [0, size] *)
   let i = lower_ld t ld in
-  if i < t.size && t.ea.(i) <= ea then (-1)
+  if i < t.size && t.ea.!(i) <= ea then (-1)
   else begin
     (* Members dominated by the new point have ld' <= ld and ea' >= ea.
        Those with ld' < ld sit at indices < i; by ea-monotonicity they
@@ -116,23 +129,26 @@ let[@inline] insert_raw t ~ld ~ea =
       let lo = ref 0 and hi = ref i in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        if d.(mid) >= ea then hi := mid else lo := mid + 1
+        (* 0 <= mid < i <= size *)
+        if d.!(mid) >= ea then hi := mid else lo := mid + 1
       done;
       !lo
     in
-    let k = if i < t.size && t.ld.(i) = ld then i + 1 else i in
+    let k = if i < t.size && t.ld.!(i) = ld then i + 1 else i in
     let removed = k - j in
     if removed = 0 then begin
       ensure_capacity t;
       Array.blit t.ld j t.ld (j + 1) (t.size - j);
       Array.blit t.ea j t.ea (j + 1) (t.size - j);
-      t.ld.(j) <- ld;
-      t.ea.(j) <- ea;
+      (* j <= size < capacity after [ensure_capacity] *)
+      t.ld.!(j) <- ld;
+      t.ea.!(j) <- ea;
       t.size <- t.size + 1
     end
     else begin
-      t.ld.(j) <- ld;
-      t.ea.(j) <- ea;
+      (* j < k <= size *)
+      t.ld.!(j) <- ld;
+      t.ea.!(j) <- ea;
       if removed > 1 then begin
         Array.blit t.ld k t.ld (j + 1) (t.size - k);
         Array.blit t.ea k t.ea (j + 1) (t.size - k);

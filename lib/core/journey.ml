@@ -14,6 +14,16 @@ let m_pair_repeats = Omn_obs.Metrics.counter "journey.pair_repeats"
 let m_rounds = Omn_obs.Metrics.counter "journey.rounds"
 let m_point_rounds = Omn_obs.Metrics.counter "journey.point_rounds"
 
+(* Unchecked array reads and writes, used only in [dominated], [extend],
+   [walk] and the round loop. The indices there are node ids and
+   contact indices out of [Trace.time_csr], which [Trace.create]
+   validated and built (ids in [0, n), links and pair runs inside the
+   store), positions in a frontier below its size (at most the length
+   of its arrays), and the per-node tables below, all of length n (or
+   n + 1 for [node_pair_off]). Each use names its bound. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 (* Would [Frontier.insert_pt f ~ld ~ea] reject the point? Its own first
    test — the member with the least [ld' >= ld] has [ea' <= ea] — read
    straight off the SoA arrays. The member is found by a finger search
@@ -28,9 +38,11 @@ let m_point_rounds = Omn_obs.Metrics.counter "journey.point_rounds"
    Frontier's implementation at compile time, which the release
    profile has and the dev profile's [-opaque] hides. *)
 let[@inline] dominated f hint v ~ld ~ea =
-  let i = Frontier.lower_ld_from f ~hint:hint.(v) ld in
-  hint.(v) <- i;
-  i < Frontier.size f && (Frontier.ea_arr f).(i) <= ea
+  (* v: a node id, and [hint] has length n *)
+  let i = Frontier.lower_ld_from f ~hint:hint.!(v) ld in
+  hint.!(v) <- i;
+  (* i < size *)
+  i < Frontier.size f && (Frontier.ea_arr f).!(i) <= ea
 
 (* The round loop is written against the structure-of-arrays layers
    underneath it and allocates nothing per relaxation in the steady
@@ -115,39 +127,42 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
      searched for, within [0, hi); otherwise [hi] stands in for it,
      which neither case (a) nor the case (c) range can tell apart. *)
   let extend from_node to_node ci =
-    let d = !delta.(from_node) in
+    (* from_node, to_node: the ends of contact ci < m *)
+    let d = !delta.!(from_node) in
     let dn = Frontier.size d in
     if dn > 0 then begin
       incr extends;
-      let tb = cbeg.(ci) and te = cend.(ci) in
+      let tb = cbeg.!(ci) and te = cend.!(ci) in
       let dld = Frontier.ld_arr d and dea = Frontier.ea_arr d in
-      let j = ref cursor.(from_node) in
-      while !j + 1 < dn && dea.(!j + 1) <= tb do
+      (* the delta's positions below: -1 <= j < dn, j < hi <= dn,
+         lo <= mid < up < hi, i <= hi, and (c)'s j < k < i *)
+      let j = ref cursor.!(from_node) in
+      while !j + 1 < dn && dea.!(!j + 1) <= tb do
         incr j
       done;
       let j = !j in
-      cursor.(from_node) <- j;
+      cursor.!(from_node) <- j;
       let hi = ref (j + 1) in
-      while !hi < dn && dea.(!hi) <= te do
+      while !hi < dn && dea.!(!hi) <= te do
         incr hi
       done;
       let hi = !hi in
       if hi > 0 then begin
         let i =
-          if dld.(hi - 1) < te then hi
+          if dld.!(hi - 1) < te then hi
           else begin
             let lo = ref 0 and up = ref (hi - 1) in
             while !lo < !up do
               let mid = (!lo + !up) / 2 in
-              if dld.(mid) >= te then up := mid else lo := mid + 1
+              if dld.!(mid) >= te then up := mid else lo := mid + 1
             done;
             !lo
           end
         in
-        let dst = frontiers.(to_node) in
+        let dst = frontiers.!(to_node) in
         (* (a) the first point with ld >= te, if its ea <= te *)
         if i < hi then begin
-          let ea = if dea.(i) >= tb then dea.(i) else tb in
+          let ea = if dea.!(i) >= tb then dea.!(i) else tb in
           incr candidates;
           if dominated dst hint to_node ~ld:te ~ea then incr rejected
           else insert_cand to_node te ea
@@ -168,19 +183,20 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
            must drop the rule or prove it again. *)
         if j >= 0 && j < i then begin
           incr candidates;
-          let p = cprev.(ci) in
-          if p >= 0 && dea.(j) <= cend.(p) && dld.(j) <= cend.(p) then begin
+          (* [csr_prev] holds -1 or an earlier contact *)
+          let p = cprev.!(ci) in
+          if p >= 0 && dea.!(j) <= cend.!(p) && dld.!(j) <= cend.!(p) then begin
             incr rejected;
             incr repeats
           end
-          else if dominated dst hint to_node ~ld:dld.(j) ~ea:tb then incr rejected
-          else insert_cand to_node dld.(j) tb
+          else if dominated dst hint to_node ~ld:dld.!(j) ~ea:tb then incr rejected
+          else insert_cand to_node dld.!(j) tb
         end;
         (* (c) every point with tb < ea <= te and ld < te, verbatim *)
         for k = j + 1 to i - 1 do
           incr candidates;
-          if dominated dst hint to_node ~ld:dld.(k) ~ea:dea.(k) then incr rejected
-          else insert_cand to_node dld.(k) dea.(k)
+          if dominated dst hint to_node ~ld:dld.!(k) ~ea:dea.!(k) then incr rejected
+          else insert_cand to_node dld.!(k) dea.!(k)
         done
       end
     end
@@ -201,34 +217,41 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
      pair rule here: its proof needs every contact swept in start
      order. *)
   let walk u =
-    let d = !delta.(u) in
+    (* u: a touched node *)
+    let d = !delta.!(u) in
     let dn = Frontier.size d in
     let dld = Frontier.ld_arr d and dea = Frontier.ea_arr d in
-    for k = pair_off.(u) to pair_off.(u + 1) - 1 do
-      let run = pairs.(k) in
-      let e = run + 1 + runs.(run) in
-      let c0 = runs.(run + 1) in
-      let v = ca.(c0) + cb.(c0) - u in
-      let dst = frontiers.(v) in
+    (* [node_pair_off] has length n + 1; its entries delimit [node_pairs],
+       whose entries are the starts of runs in [pair_runs]. A run is its
+       length, then that many contact indices: the run's contacts sit at
+       run + 1 .. e - 1, and every position searched or walked below is
+       in [run + 1, e). Each is a contact between u and v. *)
+    for k = pair_off.!(u) to pair_off.!(u + 1) - 1 do
+      let run = pairs.!(k) in
+      let e = run + 1 + runs.!(run) in
+      let c0 = runs.!(run + 1) in
+      let v = ca.!(c0) + cb.!(c0) - u in
+      let dst = frontiers.!(v) in
       let first = ref (run + 1) in
       extends := !extends + dn;
       for q = 0 to dn - 1 do
-        let ld = dld.(q) and ea = dea.(q) in
+        (* q < dn, the delta's size *)
+        let ld = dld.!(q) and ea = dea.!(q) in
         if not (dominated dst hint v ~ld ~ea) then begin
           (* the first contact with te >= ea, at or after the previous
              point's *)
           let lo = ref !first and up = ref e in
           while !lo < !up do
             let mid = (!lo + !up) / 2 in
-            if cend.(runs.(mid)) >= ea then up := mid else lo := mid + 1
+            if cend.!(runs.!(mid)) >= ea then up := mid else lo := mid + 1
           done;
           first := !lo;
           let r = ref !lo in
           while !r < e do
-            let c = runs.(!r) in
-            let te = cend.(c) in
-            let cea = if ea >= cbeg.(c) then ea else cbeg.(c) in
-            if !r + 1 < e && cbeg.(runs.(!r + 1)) <= cea then incr r
+            let c = runs.!(!r) in
+            let te = cend.!(c) in
+            let cea = if ea >= cbeg.!(c) then ea else cbeg.!(c) in
+            if !r + 1 < e && cbeg.!(runs.!(!r + 1)) <= cea then incr r
             else begin
               let cld = if te <= ld then te else ld in
               incr candidates;
@@ -257,23 +280,25 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   let do_round () =
     changed := 0;
     next_touched_n := 0;
+    (* [touched] holds [touched_n] <= n node ids; m is the length of
+       the contact arrays *)
     for idx = 0 to !touched_n - 1 do
-      cursor.(!touched.(idx)) <- -1
+      cursor.!(!touched.!(idx)) <- -1
     done;
     let walks = ref 0 in
     for idx = 0 to !touched_n - 1 do
-      let u = !touched.(idx) in
-      walks := !walks + (Frontier.size !delta.(u) * (pair_off.(u + 1) - pair_off.(u)))
+      let u = !touched.!(idx) in
+      walks := !walks + (Frontier.size !delta.!(u) * (pair_off.!(u + 1) - pair_off.!(u)))
     done;
     let on_points = point_cost * !walks < 2 * m in
     if on_points then
       for idx = 0 to !touched_n - 1 do
-        walk !touched.(idx)
+        walk !touched.!(idx)
       done
     else
       for ci = 0 to m - 1 do
-        extend ca.(ci) cb.(ci) ci;
-        extend cb.(ci) ca.(ci) ci
+        extend ca.!(ci) cb.!(ci) ci;
+        extend cb.!(ci) ca.!(ci) ci
       done;
     Omn_obs.Metrics.add m_extends !extends;
     Omn_obs.Metrics.add m_candidates !candidates;

@@ -4,11 +4,8 @@ let make ~ld ~ea =
   if Float.is_nan ld || Float.is_nan ea then invalid_arg "Ld_ea.make: nan";
   { ld; ea }
 
-let of_contact (c : Omn_temporal.Contact.t) = { ld = c.t_end; ea = c.t_beg }
 let identity = { ld = infinity; ea = neg_infinity }
 let dominates p q = p.ld >= q.ld && p.ea <= q.ea
-
-let strictly_dominates p q = dominates p q && (p.ld > q.ld || p.ea < q.ea)
 
 let can_concat p q = p.ea <= q.ld
 

@@ -19,10 +19,6 @@ val make : ld:float -> ea:float -> t
 (** Plain constructor (any floats except nan are legal — infinite bounds
     appear in the identity descriptor). *)
 
-val of_contact : Omn_temporal.Contact.t -> t
-(** Descriptor of a single-contact sequence: [ld = t_end], [ea = t_beg]
-    — the only case where [ea <= ld] is guaranteed. *)
-
 val identity : t
 (** Descriptor of the empty sequence from a node to itself:
     [ld = +inf], [ea = -inf]. Left and right unit of {!concat}. *)
@@ -30,10 +26,6 @@ val identity : t
 val dominates : t -> t -> bool
 (** [dominates p q]: [p] departs no earlier and arrives no later —
     [p.ld >= q.ld && p.ea <= q.ea]. A reflexive partial order. *)
-
-val strictly_dominates : t -> t -> bool
-(** Domination with at least one strict inequality (the paper's
-    "strictly dominated" between optimal paths). *)
 
 val can_concat : t -> t -> bool
 (** [can_concat p q]: fact (iv) — the compound sequence [p] then [q] is

@@ -201,31 +201,125 @@ let accumulation_case_gen =
     in
     return (frontiers, grid, t_start, t_start +. len))
 
+(* [add_pair_frontier] and [add_pair] give the frozen accumulation's
+   bits on every curve cell, the infinite-budget mass and the total. *)
+let same_bits_as_frozen (frontiers, grid, t_start, t_end) =
+  let frozen = Frozen_accumulation.create ~grid in
+  let live = Delay_cdf.create ~grid and snapshot = Delay_cdf.create ~grid in
+  List.iter
+    (fun f ->
+      Frozen_accumulation.add_pair_frontier frozen ~t_start ~t_end f;
+      Delay_cdf.add_pair_frontier live ~t_start ~t_end f;
+      Delay_cdf.add_pair snapshot ~t_start ~t_end (Frontier.to_array f))
+    frontiers;
+  let bits = Array.map Int64.bits_of_float in
+  let want =
+    ( bits (Frozen_accumulation.success frozen),
+      Int64.bits_of_float (Frozen_accumulation.success_inf frozen),
+      Int64.bits_of_float frozen.total )
+  in
+  let got acc =
+    ( bits (Delay_cdf.success acc),
+      Int64.bits_of_float (Delay_cdf.success_inf acc),
+      Int64.bits_of_float (Delay_cdf.total_mass acc) )
+  in
+  if got live <> want then QCheck2.Test.fail_report "add_pair_frontier moved a bit";
+  if got snapshot <> want then QCheck2.Test.fail_report "add_pair moved a bit";
+  true
+
 let accumulation_bit_identical =
   QCheck2.Test.make ~count:500 ~name:"accumulation = frozen pre-inline accumulation, bit for bit"
-    accumulation_case_gen (fun (frontiers, grid, t_start, t_end) ->
-      let frozen = Frozen_accumulation.create ~grid in
-      let live = Delay_cdf.create ~grid and snapshot = Delay_cdf.create ~grid in
-      List.iter
+    accumulation_case_gen same_bits_as_frozen
+
+(* Edge inputs for the same bit comparison, which the generator above
+   rarely draws: coordinates from a small set with both zeros, so ties
+   are common; grids of 1-8 budgets with repeats whose first and last
+   budgets are [lower] arguments of some segment ([ea - b] or
+   [ea - a], where its shortcuts and the halving loop meet); window
+   bounds at a descriptor's [ld]; and a last descriptor arriving at
+   [infinity]. *)
+let edge_case_gen =
+  QCheck2.Gen.(
+    let coord = oneofl [ -0.; 0.; 0.37; 1.; 1.74; 2.; 3.11; 5. ] in
+    let frontier =
+      let* points = list_size (int_range 0 8) (pair coord coord) in
+      let* last = oneofl [ None; Some 9.; Some infinity ] in
+      let f = Frontier.create () in
+      List.iter (fun (ld, ea) -> ignore (Frontier.insert_pt f ~ld ~ea)) points;
+      Option.iter (fun ld -> ignore (Frontier.insert_pt f ~ld ~ea:infinity)) last;
+      return f
+    in
+    let* frontiers = list_size (int_range 1 4) frontier in
+    let lds =
+      List.concat_map (fun f -> Array.to_list (Array.sub (Frontier.ld_arr f) 0 (Frontier.size f)))
+        frontiers
+      |> List.filter Float.is_finite
+    in
+    let* w1 = oneofl (lds @ [ -0.; 0.; 1.; 2.; 5. ]) in
+    let* w2 = oneofl (lds @ [ -0.; 0.; 3.11; 9.; 12. ]) in
+    let t_start = Float.min w1 w2 and t_end = Float.max w1 w2 in
+    (* the [lower] arguments the accumulation will see *)
+    let args =
+      List.concat_map
         (fun f ->
-          Frozen_accumulation.add_pair_frontier frozen ~t_start ~t_end f;
-          Delay_cdf.add_pair_frontier live ~t_start ~t_end f;
-          Delay_cdf.add_pair snapshot ~t_start ~t_end (Frontier.to_array f))
-        frontiers;
-      let bits = Array.map Int64.bits_of_float in
-      let want =
-        ( bits (Frozen_accumulation.success frozen),
-          Int64.bits_of_float (Frozen_accumulation.success_inf frozen),
-          Int64.bits_of_float frozen.total )
-      in
-      let got acc =
-        ( bits (Delay_cdf.success acc),
-          Int64.bits_of_float (Delay_cdf.success_inf acc),
-          Int64.bits_of_float (Delay_cdf.total_mass acc) )
-      in
-      if got live <> want then QCheck2.Test.fail_report "add_pair_frontier moved a bit";
-      if got snapshot <> want then QCheck2.Test.fail_report "add_pair moved a bit";
-      true)
+          let out = ref [] and prev = ref neg_infinity in
+          for i = 0 to Frontier.size f - 1 do
+            let ld = (Frontier.ld_arr f).(i) and ea = (Frontier.ea_arr f).(i) in
+            let a = Float.max t_start !prev and b = Float.min t_end ld in
+            if b > a then out := (ea -. b) :: (ea -. a) :: !out;
+            prev := ld
+          done;
+          !out)
+        frontiers
+      |> List.filter (fun d -> Float.is_finite d && not (d < 0.))
+    in
+    let pool = args @ [ -0.; 0.; 1.; 2.5 ] in
+    let* inner = list_size (int_range 0 5) (oneofl pool) in
+    let* first = oneofl pool in
+    let* last = oneofl pool in
+    let* dup = bool in
+    let lo = Float.min first last and hi = Float.max first last in
+    let inner = List.filter (fun d -> d >= lo && d <= hi) inner in
+    let inner = if dup then lo :: inner else inner in
+    let grid =
+      Array.of_list (lo :: List.stable_sort Float.compare inner @ if hi = lo then [] else [ hi ])
+    in
+    return (frontiers, grid, t_start, t_end))
+
+let edge_accumulation_bit_identical =
+  QCheck2.Test.make ~count:2000 ~name:"accumulation = frozen accumulation on edge inputs, bit for bit"
+    edge_case_gen same_bits_as_frozen
+
+(* Window bounds and descriptor coordinates outside what the
+   accumulation's compare-based clipping handles are refused, before
+   the accumulator is touched. *)
+let rejects_non_finite_inputs () =
+  let f = Frontier.create () in
+  ignore (Frontier.insert_pt f ~ld:2. ~ea:1.);
+  ignore (Frontier.insert_pt f ~ld:6. ~ea:4.);
+  let acc = Delay_cdf.create ~grid:[| 1.; 5. |] in
+  let refused what msg call =
+    match call () with
+    | exception Invalid_argument m -> Alcotest.(check string) what msg m
+    | () -> Alcotest.failf "%s accepted" what
+  in
+  List.iter
+    (fun (t_start, t_end) ->
+      let what = Printf.sprintf "window (%h, %h)" t_start t_end in
+      refused ("add_pair_frontier " ^ what) "Delay_cdf.add_pair_frontier: non-finite window"
+        (fun () -> Delay_cdf.add_pair_frontier acc ~t_start ~t_end f);
+      refused ("add_pair " ^ what) "Delay_cdf.add_pair: non-finite window" (fun () ->
+          Delay_cdf.add_pair acc ~t_start ~t_end (Frontier.to_array f)))
+    [ (Float.nan, 10.); (0., Float.nan); (neg_infinity, 10.); (0., infinity); (infinity, infinity) ];
+  List.iter
+    (fun d ->
+      refused
+        (Printf.sprintf "descriptor (%h, %h)" d.Ld_ea.ld d.Ld_ea.ea)
+        "Delay_cdf.add_pair: nan descriptor"
+        (fun () -> Delay_cdf.add_pair acc ~t_start:0. ~t_end:10. [| Ld_ea.make ~ld:1. ~ea:0.; d |]))
+    [ { Ld_ea.ld = Float.nan; ea = 3. }; { Ld_ea.ld = 4.; ea = Float.nan } ];
+  Util.check_float "nothing accumulated" 0. (Delay_cdf.total_mass acc);
+  Alcotest.(check (array (float 0.))) "curve untouched" [| 0.; 0. |] (Delay_cdf.success acc)
 
 (* Accumulation allocates per pair, not per descriptor: the stored
    [total] and [inf_mass] box two floats (4 words); before [lower] and
@@ -416,3 +510,8 @@ let suite =
         compute_matches_journeys; parallel_matches_sequential; parallel_bit_identical;
         accumulation_bit_identical;
       ]
+  @ [
+      Alcotest.test_case "non-finite windows and NaN descriptors refused" `Quick
+        rejects_non_finite_inputs;
+      QCheck_alcotest.to_alcotest edge_accumulation_bit_identical;
+    ]
