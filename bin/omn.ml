@@ -567,16 +567,16 @@ let workers_conv =
 
 let workers_arg =
   let doc =
-    "Shard source nodes over worker processes (consistent hashing with \
-     successor-list failover, CRC-framed wire protocol). $(docv) is either a count — \
-     spawn that many local workers over a Unix-domain socket — or a comma-separated \
-     $(b,host:port) list of pre-started $(b,omn worker --listen) processes to dial \
-     over TCP. $(b,0) (default) computes in-process. Results are byte-identical to \
-     the in-process run at any worker count, even when workers are killed, \
-     partitioned or joined mid-run. With workers, $(b,--domains) sets each worker's \
-     own domain-pool size; $(b,--checkpoint)/$(b,--resume), $(b,--budget-seconds), \
-     $(b,--progress) and $(b,--sample) work as in process, over one fleet for the \
-     whole run."
+    "Shard source nodes over worker processes (each source to the worker with the \
+     fewest in flight, a lost worker's sources sent again, CRC-framed wire \
+     protocol). $(docv) is either a count — spawn that many local workers over a \
+     Unix-domain socket — or a comma-separated $(b,host:port) list of pre-started \
+     $(b,omn worker --listen) processes to dial over TCP. $(b,0) (default) computes \
+     in-process. Results are byte-identical to the in-process run at any worker \
+     count, even when workers are killed, partitioned or joined mid-run. With \
+     workers, $(b,--domains) sets each worker's own domain-pool size; \
+     $(b,--checkpoint)/$(b,--resume), $(b,--budget-seconds), $(b,--progress) and \
+     $(b,--sample) work as in process, over one fleet for the whole run."
   in
   Arg.(value & opt workers_conv (Wcount 0) & info [ "workers" ] ~docv:"W" ~doc)
 
@@ -694,11 +694,7 @@ let fleet_config ~domains ~supervise ~telemetry workers =
 let note_fleet (cfg : Shard.config) (st : Shard.stats) =
   fleet_telemetry := st.fleet;
   update_manifest (fun m ->
-      {
-        m with
-        Omn_obs.Manifest.workers = Some (cfg.workers + List.length cfg.peers);
-        shard_map_sha256 = Some st.shard_map_sha256;
-      });
+      { m with Omn_obs.Manifest.workers = Some (cfg.workers + List.length cfg.peers) });
   if st.reassigned > 0 || st.rejoins > 0 then
     Format.eprintf
       "omn: shard failover: %d source(s) reassigned, %d worker spawn(s), %d rejoin(s), %d \

@@ -18,8 +18,6 @@ let success_at (curves : Omn_core.Delay_cdf.curves) row delay =
   Array.iteri (fun i d -> if d <= delay then idx := i) curves.grid;
   row.(!idx)
 
-let pp_percent fmt v = Format.fprintf fmt "%.1f%%" (100. *. v)
-
 let pp_diameter fmt = function
   | Some d -> Format.pp_print_int fmt d
   | None -> Format.pp_print_string fmt ">K"

@@ -24,9 +24,6 @@ val success_at : Omn_core.Delay_cdf.curves -> float array -> float -> float
 (** [success_at curves row delay]: row value at the grid point closest
     below-or-equal to [delay]. *)
 
-val pp_percent : Format.formatter -> float -> unit
-(** ["12.3%"]. *)
-
 val pp_diameter : Format.formatter -> int option -> unit
 (** ["5"] or [">K"]. *)
 

@@ -12,7 +12,6 @@ type t = {
   ocaml_version : string;
   domains : int option;
   workers : int option;
-  shard_map_sha256 : string option;
   hostname : string;
   started : float;
   finished : float option;
@@ -35,7 +34,7 @@ let git_describe =
 let hostname () = try Unix.gethostname () with Unix.Unix_error _ -> "unknown"
 
 let create ?(config = []) ?seed ?trace_sha256 ?trace_name ?n_nodes ?n_contacts ?domains
-    ?workers ?shard_map_sha256 ?cmdline ~version () =
+    ?workers ?cmdline ~version () =
   {
     schema_version = schema;
     cmdline = (match cmdline with Some c -> c | None -> Array.to_list Sys.argv);
@@ -50,7 +49,6 @@ let create ?(config = []) ?seed ?trace_sha256 ?trace_name ?n_nodes ?n_contacts ?
     ocaml_version = Sys.ocaml_version;
     domains;
     workers;
-    shard_map_sha256;
     hostname = hostname ();
     started = Unix.gettimeofday ();
     finished = None;
@@ -82,7 +80,6 @@ let to_json m =
       ("ocaml_version", Json.String m.ocaml_version);
       ("domains", opt (fun d -> Json.Int d) m.domains);
       ("workers", opt (fun w -> Json.Int w) m.workers);
-      ("shard_map_sha256", opt (fun s -> Json.String s) m.shard_map_sha256);
       ("hostname", Json.String m.hostname);
       ("started_unix_s", Json.Float m.started);
       ("started", Json.String (iso8601 m.started));
@@ -132,7 +129,6 @@ let of_json j =
     let* ocaml_version = req "ocaml_version" Json.to_str in
     let* domains = optional "domains" Json.to_int in
     let* workers = optional "workers" Json.to_int in
-    let* shard_map_sha256 = optional "shard_map_sha256" Json.to_str in
     let* hostname = req "hostname" Json.to_str in
     let* started = req "started_unix_s" Json.to_float in
     let* finished = optional "finished_unix_s" Json.to_float in
@@ -151,7 +147,6 @@ let of_json j =
         ocaml_version;
         domains;
         workers;
-        shard_map_sha256;
         hostname;
         started;
         finished;

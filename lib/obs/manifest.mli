@@ -30,10 +30,6 @@ type t = {
   ocaml_version : string;
   domains : int option;
   workers : int option;  (** sharded runs: worker-process count *)
-  shard_map_sha256 : string option;
-      (** sharded runs: digest of the consistent-hash assignment
-          (source -> worker), so two runs can be checked for identical
-          placement *)
   hostname : string;
   started : float;  (** Unix epoch seconds *)
   finished : float option;
@@ -51,7 +47,6 @@ val create :
   ?n_contacts:int ->
   ?domains:int ->
   ?workers:int ->
-  ?shard_map_sha256:string ->
   ?cmdline:string list ->
   version:string ->
   unit ->
@@ -66,10 +61,10 @@ val finish : t -> t
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}: [of_json (to_json m) = Ok m]. *)
-
-val iso8601 : float -> string
-(** UTC, seconds precision — how timestamps render in reports. *)
+(** Inverse of {!to_json}: [of_json (to_json m) = Ok m]. Members are
+    read by name and unknown ones ignored, so a manifest that still
+    carries a member this version no longer writes (an older sharded
+    run's placement digest) loads. *)
 
 val git_describe : unit -> string option
 (** Best-effort [git describe --always --dirty] of the current

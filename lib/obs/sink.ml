@@ -2,19 +2,16 @@ type t =
   | Null
   | File of string
   | Channel of out_channel
-  | Custom of (Metrics.snapshot -> unit)
 
 let null = Null
 let file path = File path
 let channel oc = Channel oc
-let custom f = Custom f
 
 let render snap = Json.to_string ~pretty:true (Metrics.snapshot_to_json snap) ^ "\n"
 
 let write sink snap =
   match sink with
   | Null -> ()
-  | Custom f -> f snap
   | Channel oc ->
     output_string oc (render snap);
     flush oc

@@ -14,7 +14,6 @@ val file : string -> t
 (** Atomic JSON write (pretty-printed, trailing newline). *)
 
 val channel : out_channel -> t
-val custom : (Metrics.snapshot -> unit) -> t
 
 val write : t -> Metrics.snapshot -> unit
 

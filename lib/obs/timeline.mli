@@ -52,14 +52,16 @@ type event =
       (** a wire frame from this worker failed its CRC / framing check
           and the connection was dropped *)
   | Reassign of { source : int; from_worker : int; to_worker : int }
-      (** an unacknowledged source moved to its ring successor after
-          its worker died *)
+      (** an unacknowledged source went back to pending after its
+          worker died, was partitioned or left; [to_worker] is the
+          worker the dispatch then sent it to, or [-1] when every
+          ready worker was at its in-flight window *)
   | Worker_rejoin of { worker : int }
       (** a respawned or reconnected worker completed its handshake
           again *)
   | Member_join of { worker : int }
-      (** a new worker was admitted into the consistent-hash ring
-          mid-run (dynamic membership) *)
+      (** a new worker was admitted to the fleet mid-run (dynamic
+          membership); once ready it takes pending sources *)
   | Member_leave of { worker : int }
       (** a worker departed gracefully: its pending work was
           reassigned, no respawn attempted *)

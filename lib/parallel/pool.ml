@@ -218,9 +218,6 @@ let map pool f xs =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_supervised pool f xs =
-  map pool (fun x -> match f x with v -> Ok v | exception e -> Error e) xs
-
 let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
 
 let map_reduce pool ~map:f ~reduce ~init xs =

@@ -54,12 +54,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     by [f] is re-raised on the caller after all items finish or are
     abandoned. *)
 
-val map_supervised : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
-(** Like {!map}, but an item whose [f] raises fills its slot with
-    [Error exn] instead of poisoning the whole run — every other item
-    still completes and keeps the slot-[i] bit-identity contract.
-    The building block of {!Supervise}. *)
-
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} over lists (order preserved). *)
 

@@ -49,8 +49,6 @@ let hop_coefficient case ~lambda =
     else if lambda = 1. then infinity
     else 1. /. log lambda
 
-let delay_coefficient = tau_critical
-
 let expected_delay case ~lambda ~n =
   if n < 2 then invalid_arg "Theory.expected_delay: n < 2";
   tau_critical case ~lambda *. log (float_of_int n)

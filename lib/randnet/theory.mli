@@ -47,10 +47,6 @@ val hop_coefficient : contact_case -> lambda:float -> float
     [λ / ((1-λ) (-ln (1-λ)))] for λ < 1, [1 / ln λ] for λ > 1 and
     [+infinity] at λ = 1 (long, the singularity of Fig. 3). *)
 
-val delay_coefficient : contact_case -> lambda:float -> float
-(** Normalised delay [t / ln n] of the delay-optimal path — equals
-    {!tau_critical}. *)
-
 val expected_delay : contact_case -> lambda:float -> n:int -> float
 (** [tau_critical * ln n]: heuristic optimal delay in slots.
     Requires [n >= 2]. *)

@@ -18,11 +18,9 @@
     rejected by the caller's [validate] — losing at most one
     generation of work instead of the whole run. *)
 
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one). *)
-
 val crc32_hex : string -> string
-(** {!crc32} as 8 lowercase hex characters — the trailer format. *)
+(** CRC-32 (IEEE 802.3 polynomial, the zlib/PNG one) as 8 lowercase
+    hex characters — the trailer format. *)
 
 val prev_path : string -> string
 (** [path ^ ".prev"], the previous-generation file of [path]. *)

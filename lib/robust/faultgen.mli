@@ -89,14 +89,13 @@ type shard_fault =
       (** launch an extra joiner with a wrong pre-shared key — it must
           be rejected with a typed [E-AUTH] and leave the run's result
           untouched *)
-  | Worker_join  (** admit a brand-new worker into the ring mid-run *)
+  | Worker_join  (** admit a brand-new worker into the fleet mid-run *)
   | Worker_leave
       (** graceful departure of the victim: reassign its pending work,
           no respawn *)
 
 val shard_fault_name : shard_fault -> string
 val shard_fault_of_name : string -> shard_fault option
-val all_shard_faults : shard_fault list
 val shard_fault_names : string list
 
 type shard_event = { after_results : int; victim : int; shard_fault : shard_fault }
@@ -111,6 +110,7 @@ val shard_schedule :
 (** [shard_schedule ~seed ~workers ~results n]: [n] events at distinct
     trigger points within the first half of a [results]-source run (so
     failover still has work left to prove itself on), victims and kinds
-    drawn from the seeded stream. Deterministic in all arguments;
-    ascending by [after_results]. Raises [Invalid_argument] on
+    drawn from the seeded stream ([kinds] defaults to every shard
+    fault). Deterministic in all arguments; ascending by
+    [after_results]. Raises [Invalid_argument] on
     [workers < 1] or empty [kinds]. *)

@@ -2,13 +2,6 @@ type policy = Strict | Repair | Skip
 
 let policy_name = function Strict -> "strict" | Repair -> "repair" | Skip -> "skip"
 
-let policy_of_string s =
-  match String.lowercase_ascii s with
-  | "strict" -> Some Strict
-  | "repair" | "lenient" -> Some Repair
-  | "skip" -> Some Skip
-  | _ -> None
-
 type action =
   | Dropped_malformed
   | Dropped_self_loop

@@ -12,7 +12,6 @@ type policy =
   | Skip  (** drop every bad record, change nothing else *)
 
 val policy_name : policy -> string
-val policy_of_string : string -> policy option
 
 type action =
   | Dropped_malformed  (** unparsable line or field *)
@@ -27,12 +26,6 @@ type action =
   | Merged_duplicate  (** exact duplicate record merged away *)
   | Ignored_header  (** unreadable header directive treated as a comment *)
   | Widened_node_count  (** declared node count raised to fit the records *)
-
-val action_name : action -> string
-(** Stable kebab-case name, e.g. ["dropped-self-loop"]. *)
-
-val is_drop : action -> bool
-(** [true] when the action lost a record (as opposed to repairing it). *)
 
 type event = { line : int; action : action; detail : string }
 
@@ -49,9 +42,8 @@ val n_repaired : report -> int
 val is_clean : report -> bool
 (** No repair events: the input was already well-formed. *)
 
-val pp_event : Format.formatter -> event -> unit
-(** One line: [repair line=N action=NAME detail="..."]. *)
-
 val pp : Format.formatter -> report -> unit
 (** Machine-readable report: a [repair-report ...] summary line followed
-    by one {!pp_event} line per event. *)
+    by one [repair line=N action=NAME detail="..."] line per event,
+    [NAME] a stable kebab-case action name such as
+    ["dropped-self-loop"]. *)

@@ -97,7 +97,6 @@ type stats = {
   trace_cache_hits : int;
   joins : int;
   leaves : int;
-  shard_map_sha256 : string;
   fleet : telemetry list;
 }
 
@@ -176,6 +175,11 @@ type executor =
 
 let clock = Unix.gettimeofday
 
+(* Numbers this process's fleet sessions: two open at once (a nested
+   [with_fleet]) must not share a socket path, or the inner one would
+   unlink the outer's listener. *)
+let sessions = Atomic.make 0
+
 let with_fleet cfg (plan : Delay_cdf.plan) f =
   let n_initial = cfg.workers + List.length cfg.peers in
   if cfg.workers < 0 then Err.error Usage "shard: workers < 0"
@@ -198,13 +202,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
     in
     let trace_text = Trace_io.to_string plan.trace in
     let trace_digest = Sha256.string trace_text in
-    let fingerprint = Proto.job_fingerprint ~trace_text ~max_hops ~dests ~grid ~windows in
-    let ring = ref (Ring.create ~workers:n_initial ()) in
-    let all_workers = List.init n_initial Fun.id in
-    let shard_map_sha256 =
-      Ring.map_sha256 !ring ~alive:all_workers
-        ~sources:(Array.to_list (Array.map (fun i -> plan.sources.(i)) plan.order))
-    in
     let listen_addr =
       match cfg.listen with
       | Some a -> a
@@ -212,7 +209,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
         Transport.Unix_path
           (Filename.concat (Filename.get_temp_dir_name ())
              (Printf.sprintf "omn-shard-%d-%d.sock" (Unix.getpid ())
-                (Hashtbl.hash fingerprint)))
+                (Atomic.fetch_and_add sessions 1)))
     in
     (match listen_addr with
     | Transport.Unix_path p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
@@ -357,7 +354,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
           trace_cache_hits = !st_cache_hits;
           joins = !st_joins;
           leaves = !st_leaves;
-          shard_map_sha256;
           fleet = fleet_of ();
         }
       in
@@ -379,11 +375,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
             domains = cfg.worker_domains;
             telemetry = cfg.telemetry;
           }
-      in
-      let ready_ids () =
-        workers_sorted ()
-        |> List.filter_map (fun w ->
-               if w.ready && w.conn <> None && not w.left then Some w.id else None)
       in
       let close_conn w =
         match w.conn with
@@ -413,9 +404,31 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
           with Unix.Unix_error _ ->
             handle_death w;
             false)
-      (* move this worker's unacknowledged sources to ring successors;
-         a successor at its in-flight window keeps the slot Pending and
-         the main loop's dispatch_pending sends it as acks free space *)
+      (* The one sender of [Compute]: slot [i] goes to the ready worker
+         with the fewest sources in flight, below the window, ties to
+         the lowest id. Answers that worker's id, or -1 when none has
+         room and the slot stays Pending. A send that fails kills its
+         worker, and the next one is tried. *)
+      and dispatch i =
+        let has_room w =
+          w.ready && w.conn <> None && (not w.left) && w.inflight < cfg.max_inflight
+        in
+        let fewer w = function
+          | None -> true
+          | Some b -> w.inflight < b.inflight || (w.inflight = b.inflight && w.id < b.id)
+        in
+        let pick _ w best = if has_room w && fewer w best then Some w else best in
+        match Hashtbl.fold pick ws None with
+        | None -> -1
+        | Some w ->
+          if send_to w (Proto.Compute { slot = !base + i; source = !slots.(i) }) then begin
+            !slot_state.(i) <- Assigned w.id;
+            w.inflight <- w.inflight + 1;
+            w.id
+          end
+          else dispatch i
+      (* this worker's unacknowledged sources go back to Pending, and
+         each is dispatched again at once if some worker has room *)
       and reassign_assigned w =
         w.inflight <- 0;
         Array.iteri
@@ -425,20 +438,8 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
               incr st_reassigned;
               Metrics.incr m_reassigned;
               !slot_state.(i) <- Pending;
-              let targets = ready_ids () in
-              if targets <> [] then begin
-                let source = !slots.(i) in
-                let to_worker = Ring.assign !ring ~alive:targets source in
-                Timeline.record (Reassign { source; from_worker = w.id; to_worker });
-                let succ = Hashtbl.find ws to_worker in
-                if
-                  succ.inflight < cfg.max_inflight
-                  && send_to succ (Proto.Compute { slot = !base + i; source })
-                then begin
-                  !slot_state.(i) <- Assigned to_worker;
-                  succ.inflight <- succ.inflight + 1
-                end
-              end
+              let to_worker = dispatch i in
+              Timeline.record (Reassign { source = !slots.(i); from_worker = w.id; to_worker })
             | _ -> ())
           !slot_state
       and handle_death w =
@@ -483,7 +484,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
       let admit_join ~kind id =
         let w = new_wstate ~kind ~initial:false id in
         Hashtbl.replace ws id w;
-        ring := Ring.add !ring id;
         incr st_joins;
         Metrics.incr m_joins;
         Timeline.record (Member_join { worker = id });
@@ -496,26 +496,14 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
               (fun w -> (not w.initial) || w.gone || w.left || w.ready)
               (workers_sorted ())
             && List.exists (fun w -> w.ready) (workers_sorted ());
-        if !dispatched then begin
-          let targets = ready_ids () in
-          if targets <> [] then
-            Array.iteri
-              (fun i st ->
-                match st with
-                | Pending ->
-                  let source = !slots.(i) in
-                  let to_worker = Ring.assign !ring ~alive:targets source in
-                  let owner = Hashtbl.find ws to_worker in
-                  if
-                    owner.inflight < cfg.max_inflight
-                    && send_to owner (Proto.Compute { slot = !base + i; source })
-                  then begin
-                    !slot_state.(i) <- Assigned to_worker;
-                    owner.inflight <- owner.inflight + 1
-                  end
-                | _ -> ())
-              !slot_state
-        end
+        (* in batch order, until no worker has room *)
+        let rec go i =
+          if i < Array.length !slot_state then
+            match !slot_state.(i) with
+            | Pending -> if dispatch i >= 0 then go (i + 1)
+            | _ -> go (i + 1)
+        in
+        if !dispatched then go 0
       in
       let fire_chaos () =
         let rec go () =
@@ -710,7 +698,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
               match Proto.decode_from_worker s with
               | Ok (Hello { worker = -1 }) ->
                 (* authenticated joiner: assign the next id and admit
-                   it into the ring *)
+                   it to the fleet *)
                 let id = !next_id in
                 incr next_id;
                 let w = admit_join ~kind:Spawned id in

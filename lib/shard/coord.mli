@@ -4,13 +4,13 @@
     [with_fleet cfg plan f] starts one fleet session for a
     {!Omn_core.Delay_cdf.plan} and hands [f] an executor for
     [Driver.run]'s [partials_of]. Every batch the driver passes it is
-    served to completion: its sources are consistent-hashed over the
-    fleet ({!Ring}, 64 points per worker) in the batch's order,
-    [Compute] requests stream over CRC-framed connections
-    ({!Frame}/{!Proto}) — Unix-domain sockets for spawned same-host
-    workers, authenticated TCP ({!Transport}, {!Auth}) for
-    multi-machine fleets — and one result per source comes back, in
-    order. The session keeps no budget, merge or plan of its own:
+    served to completion: in the batch's order, each source goes to the
+    ready worker with the fewest sources in flight (below
+    [max_inflight], ties to the lowest id), [Compute] requests stream
+    over CRC-framed connections ({!Frame}/{!Proto}) — Unix-domain
+    sockets for spawned same-host workers, authenticated TCP
+    ({!Transport}, {!Auth}) for multi-machine fleets — and one result
+    per source comes back, in order. The session keeps no budget, merge or plan of its own:
     batching, budget, checkpoint/resume, progress, sampling and the
     ascending-position {!Omn_core.Delay_cdf.fold} are the driver's,
     so the curves are bit-identical to {!Omn_core.Delay_cdf.compute}
@@ -28,11 +28,11 @@
     Both are part of the initial fleet the first batch's dispatch
     barrier waits for. Additional members may join mid-run: an
     authenticated connection whose [Hello] carries [worker = -1] is
-    admitted, assigned the next id, and added to the ring — only the
-    moved arc's {e pending} sources route to it; assigned sources are
-    never recalled, so at-most-once merging is preserved at any
-    membership schedule. The fleet lives for the whole session: later
-    batches reuse its workers, their trace and their domain pools.
+    admitted and assigned the next id, and takes pending sources once
+    ready; assigned sources are never recalled, so at-most-once
+    merging is preserved at any membership schedule. The fleet lives
+    for the whole session: later batches reuse its workers, their
+    trace and their domain pools.
     Workers keep no results: every partial is handed to the driver,
     which owns the run's results and, with a checkpoint, its resume.
 
@@ -46,9 +46,10 @@
     - a spawned worker that closes its connection, sends a corrupt
       frame, or misses the heartbeat timeout (it may be hung —
       [SIGSTOP]ed — not dead) is [SIGKILL]ed and reaped; its
-      {e unacknowledged} sources are reassigned to their ring
-      successors; up to two respawns with exponential backoff bring
-      it back, and it computes again whatever it is then asked for.
+      {e unacknowledged} sources go back to pending and are dispatched
+      again at once to whichever workers have room; up to two
+      respawns with exponential backoff bring it back, and it computes
+      again whatever it is then asked for.
       Only time inside a batch counts as silence: the heartbeat clock
       restarts with every batch;
     - a dialed peer whose link drops is re-dialed under the same
@@ -176,8 +177,6 @@ type stats = {
       (** sessions that reached [Ready] without any trace shipping *)
   joins : int;  (** members admitted mid-run *)
   leaves : int;  (** members departed gracefully mid-run *)
-  shard_map_sha256 : string;
-      (** digest of the initial source->worker assignment *)
   fleet : telemetry list;
       (** per-worker telemetry, ascending worker id; empty when
           [config.telemetry] is off *)

@@ -20,10 +20,6 @@ val version : char
 (** Wire protocol version, currently ['\001']. A reader rejects frames
     from any other version as [`Corrupt]. *)
 
-val max_payload : int
-(** Upper bound on a payload (guards against a mangled length prefix
-    allocating gigabytes). *)
-
 val write : Unix.file_descr -> string -> unit
 (** Send one frame, handling partial writes. Raises [Unix.Unix_error]
     (e.g. [EPIPE] on a dead peer — callers must have [SIGPIPE]

@@ -99,14 +99,3 @@ val encode_to_worker : to_worker -> string
 val decode_to_worker : string -> (to_worker, string) result
 val encode_from_worker : from_worker -> string
 val decode_from_worker : string -> (from_worker, string) result
-
-val job_fingerprint :
-  trace_text:string ->
-  max_hops:int ->
-  dests:int list option ->
-  grid:float array option ->
-  windows:(float * float) list option ->
-  string
-(** A digest of the trace and every result-affecting parameter: any
-    change to one of them changes it. The coordinator names its
-    session's Unix-domain socket after it. *)

@@ -42,7 +42,6 @@ let build pairs extra_inf =
 let of_weighted ?(extra_infinite_mass = 0.) pairs = build pairs extra_infinite_mass
 let of_array a = build (Array.map (fun v -> (v, 1.)) a) 0.
 let total_mass t = t.total
-let infinite_mass t = t.infinite
 let count t = Array.length t.values + if t.infinite > 0. then 1 else 0
 
 (* Index of the last value <= x, or -1. *)

@@ -23,8 +23,6 @@ val of_weighted : ?extra_infinite_mass:float -> (float * float) array -> t
 val total_mass : t -> float
 (** Total weight, including the infinite-value mass. *)
 
-val infinite_mass : t -> float
-
 val cdf : t -> float -> float
 (** [cdf t x] = P(X <= x), with the infinite mass in the denominator;
     hence [cdf t infinity < 1.] whenever some observations failed.

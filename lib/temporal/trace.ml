@@ -387,14 +387,6 @@ let iter_node_contacts f t u =
     f (contact t t.adj_idx.(k))
   done
 
-let fold_node_contacts f init t u =
-  check_node t u "fold_node_contacts";
-  let acc = ref init in
-  for k = t.adj_off.(u) to t.adj_off.(u + 1) - 1 do
-    acc := f !acc (contact t t.adj_idx.(k))
-  done;
-  !acc
-
 let pair_contacts t u v =
   let u, v = if u < v then (u, v) else (v, u) in
   check_node t u "pair_contacts";

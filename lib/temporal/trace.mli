@@ -125,10 +125,6 @@ val iter_node_contacts : (Contact.t -> unit) -> t -> Node.t -> unit
 (** Visit a node's contacts in start order, through the per-node index;
     builds one record per contact. *)
 
-val fold_node_contacts : ('acc -> Contact.t -> 'acc) -> 'acc -> t -> Node.t -> 'acc
-(** Fold over a node's contacts in start order; builds one record per
-    contact. *)
-
 val pair_contacts : t -> Node.t -> Node.t -> Contact.t list
 (** Contacts between an unordered pair, sorted by start time. *)
 

@@ -297,7 +297,7 @@ fi
 
 # Results must not depend on how the work is placed: a 3-worker sharded
 # run is the same bytes as the single-process run, and the manifest
-# records the worker count and the placement digest.
+# records the worker count.
 "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --workers 3 \
   -o "$tmp/sharded.json" >/dev/null
 same_result "$tmp/full.json" "$tmp/sharded.json" || {
@@ -308,14 +308,10 @@ grep -q '"workers": 3' "$tmp/sharded.json" || {
   echo "smoke FAIL: sharded manifest lacks the worker count" >&2
   exit 1
 }
-grep -q '"shard_map_sha256"' "$tmp/sharded.json" || {
-  echo "smoke FAIL: sharded manifest lacks the shard map digest" >&2
-  exit 1
-}
 
 # Killing a worker mid-run must not cost a source, a byte of output, or
-# the exit code: its unacknowledged sources fail over to ring
-# successors and the worker is respawned.
+# the exit code: its unacknowledged sources go to the workers that have
+# room and the worker is respawned.
 rc=0
 "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --workers 3 \
   --shard-fault worker-kill:2:1 --trace-out "$SMOKE_SHARD_TRACE" \
@@ -437,8 +433,11 @@ fi
 
 # One telemetry-on fleet run: 2 spawned workers over loopback TCP, the
 # net-slow fault stretching the run enough to scrape the live stats
-# endpoint mid-flight. The stat port is announced on stderr.
+# endpoint mid-flight. The stat port is announced on stderr, a file
+# created here first: the backgrounded redirect may open it only after
+# the first read below, which under set -e would end the script.
 rc=0
+: >"$tmp/fleet.err"
 OMN_SHARD_KEY="$SHARD_KEY" "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
   --workers 2 --listen 127.0.0.1:0 --stat-addr 127.0.0.1:0 \
   --shard-fault net-slow:1:0 \

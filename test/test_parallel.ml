@@ -84,22 +84,6 @@ let nested_map_detected () =
           Alcotest.(check (array int)) "different pool allowed" [| 6; 9 |]
             (Pool.map pool g [| 0; 1 |])))
 
-let map_supervised_isolates_failures () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      let f x = if x mod 5 = 2 then failwith (string_of_int x) else x * x in
-      let results = Pool.map_supervised pool f (Array.init 20 Fun.id) in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok v ->
-            Alcotest.(check bool) "slot not poisoned" true (i mod 5 <> 2);
-            Alcotest.(check int) "slot value" (i * i) v
-          | Error (Failure msg) ->
-            Alcotest.(check bool) "failing slot" true (i mod 5 = 2);
-            Alcotest.(check string) "failure payload" (string_of_int i) msg
-          | Error e -> raise e)
-        results)
-
 let map_list_and_reduce () =
   Pool.with_pool ~domains:2 (fun pool ->
       Alcotest.(check (list int)) "map_list" [ 2; 3; 4 ] (Pool.map_list pool succ [ 1; 2; 3 ]);
@@ -180,7 +164,6 @@ let suite =
     Alcotest.test_case "shutdown idempotent; bad sizes rejected" `Quick shutdown_idempotent;
     Alcotest.test_case "map after shutdown raises" `Quick map_after_shutdown_raises;
     Alcotest.test_case "nested map on same pool detected" `Quick nested_map_detected;
-    Alcotest.test_case "map_supervised isolates failures" `Quick map_supervised_isolates_failures;
     Alcotest.test_case "map_list and map_reduce" `Quick map_list_and_reduce;
     Alcotest.test_case "run dispatches on pool/domains" `Quick run_dispatch;
     Alcotest.test_case "--domains spec parsing" `Quick spec_parsing;

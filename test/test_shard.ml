@@ -1,11 +1,10 @@
-(* The multi-process shard layer: ring placement, wire framing, the
-   protocol round-trip, the per-source partial merge, and the
+(* The multi-process shard layer: least-loaded dispatch, wire framing,
+   the protocol round-trip, the per-source partial merge, and the
    coordinator's end-to-end guarantees — a 3-worker run is
    bit-identical to the single-process driver, and stays bit-identical
    (with every source accounted for exactly once) under any single
    worker-kill/restart schedule. *)
 
-module Ring = Omn_shard.Ring
 module Frame = Omn_shard.Frame
 module Proto = Omn_shard.Proto
 module Coord = Omn_shard.Coord
@@ -23,92 +22,6 @@ let curves_equal (a : Delay_cdf.curves) (b : Delay_cdf.curves) =
   a.grid = b.grid && a.hop_success = b.hop_success && a.hop_success_inf = b.hop_success_inf
   && a.flood_success = b.flood_success && a.flood_success_inf = b.flood_success_inf
   && a.max_rounds_used = b.max_rounds_used
-
-(* --- Ring --- *)
-
-let ring_assign_deterministic () =
-  let r = Ring.create ~workers:4 () in
-  let alive = [ 0; 1; 2; 3 ] in
-  let sources = List.init 50 Fun.id in
-  let m1 = List.map (Ring.assign r ~alive) sources in
-  let m2 = List.map (Ring.assign (Ring.create ~workers:4 ()) ~alive) sources in
-  Alcotest.(check (list int)) "same assignment from a fresh ring" m1 m2;
-  List.iter
-    (fun w -> Alcotest.(check bool) "owner is a live worker" true (w >= 0 && w < 4))
-    m1;
-  (* every worker owns something at 50 sources and 64 vnodes *)
-  List.iter
-    (fun w -> Alcotest.(check bool) (Printf.sprintf "worker %d owns sources" w) true (List.mem w m1))
-    alive
-
-let ring_successor_moves_only_dead () =
-  let r = Ring.create ~workers:4 () in
-  let all = [ 0; 1; 2; 3 ] in
-  let sources = List.init 80 Fun.id in
-  let dead = 2 in
-  let alive = List.filter (fun w -> w <> dead) all in
-  List.iter
-    (fun s ->
-      let before = Ring.assign r ~alive:all s in
-      let after = Ring.assign r ~alive s in
-      if before <> dead then
-        Alcotest.(check int) (Printf.sprintf "source %d stays put" s) before after
-      else Alcotest.(check bool) "moved to a survivor" true (List.mem after alive))
-    sources;
-  (* the dead worker's sources spread over more than one successor *)
-  let moved =
-    List.filter_map
-      (fun s -> if Ring.assign r ~alive:all s = dead then Some (Ring.assign r ~alive s) else None)
-      sources
-  in
-  Alcotest.(check bool) "vnodes spread the failover load" true
-    (List.length (List.sort_uniq compare moved) > 1)
-
-let ring_validation () =
-  (match Ring.create ~workers:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "workers=0 accepted");
-  let r = Ring.create ~workers:2 () in
-  (match Ring.assign r ~alive:[] 0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty alive accepted");
-  match Ring.assign r ~alive:[ 0; 5 ] 0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "unknown worker accepted"
-
-let ring_map_digest () =
-  let r = Ring.create ~workers:3 () in
-  let sources = List.init 20 Fun.id in
-  let d1 = Ring.map_sha256 r ~alive:[ 0; 1; 2 ] ~sources in
-  let d2 = Ring.map_sha256 r ~alive:[ 0; 1; 2 ] ~sources in
-  Alcotest.(check string) "digest stable" d1 d2;
-  Alcotest.(check int) "hex sha256" 64 (String.length d1);
-  let d3 = Ring.map_sha256 r ~alive:[ 0; 1 ] ~sources in
-  Alcotest.(check bool) "digest tracks the assignment" true (d1 <> d3)
-
-let ring_dynamic_membership () =
-  let r = Ring.create ~workers:3 () in
-  let sources = List.init 100 Fun.id in
-  let before = List.map (Ring.assign r ~alive:[ 0; 1; 2 ]) sources in
-  let r4 = Ring.add r 3 in
-  Alcotest.(check (list int)) "members after join" [ 0; 1; 2; 3 ] (Ring.members r4);
-  let after = List.map (Ring.assign r4 ~alive:[ 0; 1; 2; 3 ]) sources in
-  List.iter2
-    (fun b a -> if a <> 3 then Alcotest.(check int) "unmoved source keeps its owner" b a)
-    before after;
-  Alcotest.(check bool) "the joiner owns something at 100 sources" true (List.mem 3 after);
-  let restored = List.map (Ring.assign (Ring.remove r4 3) ~alive:[ 0; 1; 2 ]) sources in
-  Alcotest.(check (list int)) "leave restores the pre-join assignment" before restored;
-  Alcotest.(check (list int)) "re-adding a member is a no-op" after
-    (List.map (Ring.assign (Ring.add r4 3) ~alive:[ 0; 1; 2; 3 ]) sources);
-  Alcotest.(check (list int)) "removing an absent member is a no-op" before
-    (List.map (Ring.assign (Ring.remove r 7) ~alive:[ 0; 1; 2 ]) sources);
-  (match Ring.add r (-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative id accepted");
-  match Ring.remove (Ring.create ~workers:1 ()) 0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "removed the last member"
 
 (* --- Frame --- *)
 
@@ -256,20 +169,6 @@ let proto_roundtrip () =
   match Proto.decode_to_worker "not a marshal payload" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage decoded"
-
-let fingerprint_sensitivity () =
-  let fp ?(trace = "t") ?(max_hops = 10) ?dests ?grid ?windows () =
-    Proto.job_fingerprint ~trace_text:trace ~max_hops ~dests ~grid ~windows
-  in
-  let base = fp () in
-  Alcotest.(check string) "deterministic" base (fp ());
-  List.iter
-    (fun (what, other) -> Alcotest.(check bool) (what ^ " changes it") true (other <> base))
-    [
-      ("trace", fp ~trace:"u" ()); ("max_hops", fp ~max_hops:9 ());
-      ("dests", fp ~dests:[ 0 ] ()); ("grid", fp ~grid:[| 1. |] ());
-      ("windows", fp ~windows:[ (0., 1.) ] ());
-    ]
 
 (* --- Transport --- *)
 
@@ -527,6 +426,54 @@ let run_ok ?(cfg = shard_cfg ~workers:3) () =
   | Ok v -> v
   | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
 
+(* Least-loaded dispatch: with a window wider than the batch, the whole
+   batch leaves at the barrier, each source to the worker with the
+   fewest in flight, ties to the lowest id. So the 10 sources split
+   evenly, the extras going to the lowest ids, and each worker's
+   [Shard_compute] events count exactly its share. *)
+let dispatch_splits_evenly () =
+  List.iter
+    (fun (workers, expected) ->
+      let cfg = { (shard_cfg ~workers) with Coord.max_inflight = 32; telemetry = true } in
+      let curves, _, st = run_ok ~cfg () in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d workers: bit-identical to single-process" workers)
+        true (curves_equal curves reference);
+      let computed (t : Coord.telemetry) =
+        List.length
+          (List.filter
+             (fun (_, (e : Omn_obs.Timeline.entry)) ->
+               match e.ev with Omn_obs.Timeline.Shard_compute _ -> true | _ -> false)
+             t.tw_events)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "%d workers: sources computed per worker" workers)
+        expected
+        (List.map computed st.Coord.fleet))
+    [ (2, [ 5; 5 ]); (3, [ 4; 3; 3 ]); (4, [ 3; 3; 2; 2 ]) ]
+
+(* Two sessions open at once in one process, over the same plan: the
+   inner one runs inside the outer one before its first batch, so a
+   shared socket path would be unlinked under the outer listener and
+   its workers could never connect. Both must serve [compute]'s
+   curves. *)
+let coord_nested_sessions () =
+  let plan = plan_of trace in
+  match
+    Coord.with_fleet (shard_cfg ~workers:2) plan (fun outer ->
+        let inner = fleet_run (shard_cfg ~workers:2) plan in
+        (inner, Omn_core.Driver.run ~partials_of:outer plan))
+  with
+  | Error e | Ok ((_, Error e), _) -> Alcotest.failf "outer session failed: %s" (Err.to_string e)
+  | Ok ((inner, Ok outer), _) -> (
+    Alcotest.(check bool) "outer session: bit-identical to single-process" true
+      (curves_equal outer.curves reference);
+    match inner with
+    | Error e -> Alcotest.failf "inner session failed: %s" (Err.to_string e)
+    | Ok (curves, _, _) ->
+      Alcotest.(check bool) "inner session: bit-identical to single-process" true
+        (curves_equal curves reference))
+
 (* The same fleet twice over one fresh trace store: the cold run ships
    the trace and fills the store, the warm run's workers all read it
    back from the store and nothing is shipped. The cold run's workers
@@ -552,7 +499,6 @@ let coord_bit_identity () =
       (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
     Alcotest.(check bool) "bit-identical to single-process" true (curves_equal curves reference);
     Alcotest.(check int) "exactly one spawn per worker" 3 st.Coord.spawns;
-    Alcotest.(check int) "hex shard map digest" 64 (String.length st.Coord.shard_map_sha256);
     st
   in
   let trace_bytes = String.length (Trace_io.to_string trace) in
@@ -1063,19 +1009,15 @@ let unkeyed_hello () =
 
 let suite =
   [
-    Alcotest.test_case "ring assignment deterministic" `Quick ring_assign_deterministic;
-    Alcotest.test_case "ring death moves only the dead worker's sources" `Quick
-      ring_successor_moves_only_dead;
-    Alcotest.test_case "ring rejects malformed arguments" `Quick ring_validation;
-    Alcotest.test_case "ring map digest tracks the assignment" `Quick ring_map_digest;
-    Alcotest.test_case "ring membership: join/leave move only the member's arcs" `Quick
-      ring_dynamic_membership;
+    Alcotest.test_case "dispatch: one batch splits evenly, extras to the lowest ids" `Quick
+      dispatch_splits_evenly;
     Alcotest.test_case "frame round-trip" `Quick frame_roundtrip;
     Alcotest.test_case "frame CRC rejects corruption; Eof on close" `Quick frame_corrupt_and_eof;
     QCheck_alcotest.to_alcotest prop_frame_decode_fuzz;
     QCheck_alcotest.to_alcotest prop_proto_decode_fuzz;
     Alcotest.test_case "protocol messages round-trip" `Quick proto_roundtrip;
-    Alcotest.test_case "job fingerprint tracks every parameter" `Quick fingerprint_sensitivity;
+    Alcotest.test_case "two sessions at once: distinct sockets, both serve" `Quick
+      coord_nested_sessions;
     Alcotest.test_case "transport address parsing" `Quick transport_parse;
     Alcotest.test_case "transport TCP listen/dial/frame; typed dial failure" `Quick
       transport_tcp_dial;

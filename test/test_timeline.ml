@@ -357,9 +357,61 @@ let test_manifest_roundtrip () =
   | Error e -> Alcotest.failf "of_json: %s" e);
   (* unfinished manifests round-trip their None through null *)
   let m0 = Manifest.create ~cmdline:[ "x" ] ~version:"v" () in
-  match Manifest.of_json (Manifest.to_json m0) with
+  (match Manifest.of_json (Manifest.to_json m0) with
   | Ok m0' -> Alcotest.(check bool) "unfinished round-trips" true (m0 = m0')
-  | Error e -> Alcotest.failf "of_json unfinished: %s" e
+  | Error e -> Alcotest.failf "of_json unfinished: %s" e);
+  (* a sharded run's manifest as written before the placement digest
+     was dropped: the stale member is ignored, every other field kept *)
+  let older =
+    {|{
+  "schema": "omn-manifest 1",
+  "cmdline": ["omn", "delay-cdf", "c.omn", "--max-hops", "4", "--workers", "2"],
+  "config": {"max_hops": 4, "checkpoint_every": 8, "budget_seconds": null, "supervised": false},
+  "seed": 1,
+  "trace_sha256": "f20f9751713167b8fd22ff6af22a6bc082ea016454584b354b3be89780ba207b",
+  "trace_name": "continuous-random-temporal",
+  "n_nodes": 12,
+  "n_contacts": 17,
+  "omn_version": "1.0.0",
+  "git_describe": null,
+  "ocaml_version": "5.1.1",
+  "domains": 1,
+  "workers": 2,
+  "shard_map_sha256": "d5a349dc7dbe3db1a6cd288367271ad6358f5388c8c9a51b1186412451808df9",
+  "hostname": "vm",
+  "started_unix_s": 1792392223.982531,
+  "started": "2026-10-19T06:43:43Z",
+  "finished_unix_s": 1792392224.003165,
+  "finished": "2026-10-19T06:43:44Z"
+}|}
+  in
+  let expected =
+    {
+      Manifest.schema_version = "omn-manifest 1";
+      cmdline = [ "omn"; "delay-cdf"; "c.omn"; "--max-hops"; "4"; "--workers"; "2" ];
+      config =
+        [
+          ("max_hops", Json.Int 4); ("checkpoint_every", Json.Int 8); ("budget_seconds", Json.Null);
+          ("supervised", Json.Bool false);
+        ];
+      seed = Some 1;
+      trace_sha256 = Some "f20f9751713167b8fd22ff6af22a6bc082ea016454584b354b3be89780ba207b";
+      trace_name = Some "continuous-random-temporal";
+      n_nodes = Some 12;
+      n_contacts = Some 17;
+      omn_version = "1.0.0";
+      git_describe = None;
+      ocaml_version = "5.1.1";
+      domains = Some 1;
+      workers = Some 2;
+      hostname = "vm";
+      started = 1792392223.982531;
+      finished = Some 1792392224.003165;
+    }
+  in
+  match Result.bind (Json.of_string older) Manifest.of_json with
+  | Ok m -> Alcotest.(check bool) "older sharded manifest loads, fields intact" true (m = expected)
+  | Error e -> Alcotest.failf "older sharded manifest rejected: %s" e
 
 let test_manifest_window () =
   (* Regression: the committed bench artifact once showed [finished] five
