@@ -49,11 +49,6 @@ let protect f =
       f ();
       0)
 
-(* The partial (124) / degraded (3) precedence itself lives in
-   [Supervise.exit_code]; this constant only labels the chaos
-   harness's own deliberate exit. *)
-let exit_degraded = Omn_parallel.Supervise.exit_code ~partial:false ~degraded:true
-
 let usage_err fmt = Format.kasprintf (fun msg -> raise (Err.Error (Err.v Err.Usage msg))) fmt
 
 let trace_arg =
@@ -1024,7 +1019,7 @@ let delay_cdf_cmd =
              (* a fault schedule needs the victim to still hold
                 undispatched work when the fault fires, or failover
                 degenerates into a socket-buffer race; pin the
-                flow-control window like the chaos harness does *)
+                flow-control window like the shard suite does *)
              if shard_faults = [] then cfg else { cfg with Shard.max_inflight = 2 })
     in
     let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid trace) in
@@ -1255,265 +1250,6 @@ let worker_cmd =
           them back CRC-framed; authentication and protocol rejections exit 2 with a \
           typed $(b,E-AUTH)/$(b,E-PROTO) error.")
     Term.(const run $ id $ connect $ listen $ auth_key $ trace_cache $ once)
-
-(* --- chaos (resilience harness) --- *)
-
-let chaos_cmd =
-  let fail fmt = Format.kasprintf (fun msg -> raise (Err.Error (Err.v Err.Compute msg))) fmt in
-  let ok what = Format.printf "chaos: %-46s OK@." what in
-  let run seed domains shard metrics =
-    protect_code @@ fun () ->
-    let domains = Omn_parallel.Pool.resolve domains in
-    with_obs ?metrics @@ fun () ->
-    let module RI = Omn_robust.Retry_io in
-    let horizon = 4. *. 3600. in
-    let trace =
-      Omn_randnet.Continuous.generate (Omn_stats.Rng.create seed)
-        { n = 24; lambda = 3. /. 3600.; horizon }
-    in
-    let grid = Omn_stats.Grid.logarithmic ~lo:10. ~hi:horizon ~n:40 in
-    let max_hops = 6 in
-    Fun.protect
-      ~finally:(fun () ->
-        RI.set_inject None;
-        Supervise.set_task_fault None)
-    @@ fun () ->
-    (* 1. Transient I/O faults: a trace read that fails twice with
-       injected faults still succeeds through the retry wrapper. *)
-    let tmp = Filename.temp_file "omn-chaos" ".omn" in
-    Omn_temporal.Trace_io.save trace tmp;
-    let remaining = Atomic.make 2 in
-    RI.set_inject
-      (Some
-         (fun ~op ~path ->
-           if op = "read" && path = tmp && Atomic.fetch_and_add remaining (-1) > 0 then
-             raise (RI.Injected "chaos read fault")));
-    (match Omn_temporal.Trace_io.load_result tmp with
-    | Ok _ -> ok "transient read faults retried"
-    | Error e -> fail "retried read still failed: %s" (Err.to_string e));
-    RI.set_inject None;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    (* 2. Supervised degraded run: poisoned sources fail every attempt
-       and must be quarantined exactly; flaky sources fail once and must
-       recover; the surviving curves must be bit-identical to a
-       fault-free run over the surviving sources. *)
-    let n = Omn_temporal.Trace.n_nodes trace in
-    let poisoned = [ 3; 11 ] and flaky = [ 5; 17 ] in
-    Supervise.set_task_fault
-      (Some
-         (fun ~item ~attempt ->
-           if List.mem item poisoned then failwith "chaos: poisoned source"
-           else if List.mem item flaky && attempt = 0 then failwith "chaos: flaky source"));
-    let policy = { Supervise.default with backoff = 1e-4; backoff_max = 1e-3 } in
-    let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid trace) in
-    let degraded_run =
-      Omn_core.Driver.run ~domains ~supervise:policy ~clock:Unix.gettimeofday plan
-    in
-    Supervise.set_task_fault None;
-    (match degraded_run with
-    | Error e -> raise (Err.Error e)
-    | Ok { curves; progress = p; _ } ->
-      if p.partial then fail "degraded run did not complete";
-      let quarantined =
-        List.sort compare (List.map (fun (f : Supervise.failure) -> f.item) p.degraded)
-      in
-      if quarantined <> List.sort compare poisoned then
-        fail "expected quarantined {%s}, got {%s}"
-          (String.concat "," (List.map string_of_int poisoned))
-          (String.concat "," (List.map string_of_int quarantined));
-      ok "poisoned sources quarantined exactly";
-      let survivors = List.filter (fun s -> not (List.mem s poisoned)) (List.init n Fun.id) in
-      let reference = Omn_core.Delay_cdf.compute ~max_hops ~grid ~sources:survivors trace in
-      if curves <> reference then
-        fail "degraded curves differ from the fault-free run over surviving sources";
-      ok "surviving results bit-identical");
-    (* 3. Checkpoint corruption: build two generations with budgeted
-       runs, flip a payload byte in the current one; resume must fall
-       back to .prev and still finish bit-identical to an uninterrupted
-       run. *)
-    let ckpt = Filename.temp_file "omn-chaos" ".ckpt" in
-    let step ?(resume = false) ?budget_seconds ?checkpoint label =
-      match
-        Omn_core.Driver.run ~domains ?checkpoint ~resume ~checkpoint_every:4 ?budget_seconds
-          ~clock:Unix.gettimeofday plan
-      with
-      | Error e -> fail "%s: %s" label (Err.to_string e)
-      | Ok o -> o
-    in
-    let r1 = step ~checkpoint:ckpt ~budget_seconds:0. "budgeted run 1" in
-    if not r1.progress.partial then fail "budgeted run 1 unexpectedly completed";
-    ignore (step ~checkpoint:ckpt ~resume:true ~budget_seconds:0. "budgeted run 2");
-    let data = RI.read_to_string ckpt in
-    RI.write_string ckpt (Faultgen.apply ~seed Faultgen.Ckpt_flip data);
-    let r3 = step ~checkpoint:ckpt ~resume:true "resumed run" in
-    if not r3.progress.ckpt_fallback then fail "corrupt checkpoint did not fall back to .prev";
-    if r3.progress.partial then fail "resumed run did not complete";
-    ok "corrupt checkpoint fell back to .prev";
-    if r3.curves <> Omn_core.Delay_cdf.compute ~max_hops ~grid trace then
-      fail "resumed-after-corruption result differs from the uninterrupted run";
-    if Sys.file_exists ckpt || Sys.file_exists (Omn_robust.Checkpoint.prev_path ckpt) then
-      fail "completed run left checkpoint generations behind";
-    ok "post-fallback result bit-identical";
-    (* 4. The forwarding pipeline still runs to completion in the same
-       process after all that fault injection. *)
-    let stats =
-      Omn_forwarding.Sim.evaluate ~domains (Omn_stats.Rng.create seed) trace
-        ~protocols:[ Omn_forwarding.Protocol.Direct; Omn_forwarding.Protocol.Two_hop ]
-        ~messages:40 ~deadline:3600.
-    in
-    if stats = [] then fail "forwarding simulation returned no stats";
-    ok "forwarding pipeline completed";
-    (* 5-8. Sharded execution under process-level faults (--shard):
-       worker crashes, hangs and corrupted frames must never lose or
-       double-count a source, and the merged curves must stay
-       byte-identical to the single-process run. *)
-    if shard then begin
-      let sh_workers = 3 in
-      let sh_n = 12 in
-      let strace =
-        Omn_randnet.Continuous.generate
-          (Omn_stats.Rng.create (seed + 1))
-          { n = sh_n; lambda = 6. /. 3600.; horizon = 3600. }
-      in
-      let sgrid = Omn_stats.Grid.logarithmic ~lo:10. ~hi:3600. ~n:20 in
-      let smax = 4 in
-      let reference = Omn_core.Delay_cdf.compute ~max_hops:smax ~grid:sgrid strace in
-      let sh_cfg ?(workers = sh_workers) ?(chaos = []) () =
-        {
-          (Shard.default ~workers) with
-          Shard.heartbeat_interval = 0.05;
-          heartbeat_timeout = 2.;
-          respawn_backoff = 0.05;
-          (* a 2-source in-flight window makes every fault observable by
-             construction: at most 6 initial + 3 ack-freed dispatches can
-             precede the last chaos event, so a killed or hung victim
-             always strands undispatched work — completion then requires
-             failover, never just draining the socket buffer *)
-          max_inflight = 2;
-          chaos;
-        }
-      in
-      let splan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops:smax ~grid:sgrid strace) in
-      let run_shard label cfg =
-        match
-          Shard.with_fleet cfg splan (fun partials_of -> Omn_core.Driver.run ~partials_of splan)
-        with
-        | Error e | Ok (Error e, _) -> fail "%s: %s" label (Err.to_string e)
-        | Ok (Ok { curves; progress = p; _ }, st) ->
-          if p.Omn_core.Delay_cdf.partial then fail "%s: unexpectedly partial" label;
-          if p.degraded <> [] then fail "%s: unexpectedly degraded" label;
-          if p.sources_done <> sh_n then
-            fail "%s: %d of %d sources acknowledged" label p.sources_done sh_n;
-          if curves <> reference then
-            fail "%s: curves differ from the single-process run" label;
-          st
-      in
-      let _ = run_shard "clean sharded run" (sh_cfg ()) in
-      ok "sharded run bit-identical (3 workers)";
-      let kill_all =
-        [
-          { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_kill };
-          { Faultgen.after_results = 2; victim = 1; shard_fault = Faultgen.Worker_kill };
-          { Faultgen.after_results = 3; victim = 2; shard_fault = Faultgen.Worker_kill };
-        ]
-      in
-      let st = run_shard "kill-every-worker run" (sh_cfg ~chaos:kill_all ()) in
-      if st.Shard.spawns <= sh_workers then
-        fail "kill-every-worker run finished without a respawn";
-      ok "every worker killed: respawn + failover, no source lost";
-      let hang = [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_hang } ] in
-      let st = run_shard "hung-worker run" (sh_cfg ~workers:1 ~chaos:hang ()) in
-      if st.Shard.heartbeat_misses < 1 then fail "hung worker was never detected";
-      ok "hung worker detected by heartbeat and replaced";
-      let corrupt =
-        [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Sock_corrupt } ]
-      in
-      let st = run_shard "corrupt-frame run" (sh_cfg ~workers:1 ~chaos:corrupt ()) in
-      if st.Shard.frame_corrupts < 1 then fail "corrupt frame was never rejected";
-      ok "corrupt frame rejected by CRC, connection replaced";
-      (* 9-15. Multi-machine shapes over loopback TCP: authenticated
-         handshake on every link, link-level chaos, dynamic membership
-         and the digest-addressed trace store. Identity with the
-         single-process run is asserted by [run_shard] every time. *)
-      let key = "chaos-preshared-key" in
-      let tcp_cfg ?(workers = sh_workers) ?(chaos = []) ?worker_trace_cache () =
-        {
-          (sh_cfg ~workers ~chaos ()) with
-          Shard.listen = Some (Transport.Tcp ("127.0.0.1", 0));
-          auth_key = Some key;
-          worker_trace_cache;
-        }
-      in
-      let _ = run_shard "clean TCP run" (tcp_cfg ()) in
-      ok "TCP fleet bit-identical (auth on every link)";
-      let partition =
-        [ { Faultgen.after_results = 2; victim = 0; shard_fault = Faultgen.Net_partition } ]
-      in
-      let st = run_shard "net-partition run" (tcp_cfg ~chaos:partition ()) in
-      if st.Shard.partitions < 1 then fail "partition was never injected";
-      ok "partitioned link: no acked progress lost, merge identical";
-      let slow =
-        [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Net_slow } ]
-      in
-      let st = run_shard "net-slow run" (tcp_cfg ~chaos:slow ()) in
-      if st.Shard.heartbeat_misses > 0 then fail "slow link was declared dead";
-      ok "slow link delayed within bound, never declared dead";
-      let dup =
-        [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Net_dup } ]
-      in
-      let st = run_shard "net-dup run" (tcp_cfg ~chaos:dup ()) in
-      if st.Shard.duplicates < 1 then fail "duplicated result was not dropped";
-      ok "duplicated result dropped by at-most-once merge";
-      let bad =
-        [ { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Auth_bad } ]
-      in
-      let st = run_shard "auth-bad run" (tcp_cfg ~chaos:bad ()) in
-      if st.Shard.auth_rejects < 1 then fail "wrong-key joiner was not rejected";
-      ok "wrong-key joiner rejected typed (E-AUTH), run unaffected";
-      let membership =
-        [
-          { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_join };
-          { Faultgen.after_results = 4; victim = 1; shard_fault = Faultgen.Worker_leave };
-        ]
-      in
-      let st = run_shard "membership run" (tcp_cfg ~chaos:membership ()) in
-      if st.Shard.joins < 1 then fail "worker-join was never admitted";
-      if st.Shard.leaves < 1 then fail "worker-leave never departed";
-      ok "join + leave mid-run, merge identical";
-      let store = Filename.temp_file "omn-chaos-store" "" in
-      Sys.remove store;
-      Unix.mkdir store 0o700;
-      let st = run_shard "cold-store run" (tcp_cfg ~worker_trace_cache:store ()) in
-      if st.Shard.trace_ship_bytes <= 0 then fail "cold store shipped no trace bytes";
-      let st = run_shard "warm-store run" (tcp_cfg ~worker_trace_cache:store ()) in
-      if st.Shard.trace_ship_bytes <> 0 then
-        fail "warm digest cache still shipped %d byte(s)" st.Shard.trace_ship_bytes;
-      if st.Shard.trace_cache_hits < sh_workers then fail "warm store missed a cache hit";
-      ok "digest store: warm workers re-ship zero trace bytes";
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat store f) with Sys_error _ -> ())
-        (Sys.readdir store);
-      try Unix.rmdir store with Unix.Unix_error _ -> ()
-    end;
-    Format.printf "chaos: all scenarios passed; exit %d (degraded-but-complete)@." exit_degraded;
-    exit_degraded
-  in
-  let shard_flag =
-    let doc =
-      "Also run the sharded-execution scenarios: worker-kill, worker-hang and \
-       sock-corrupt faults against multi-process runs, plus the loopback-TCP fleet \
-       under net-partition, net-slow, net-dup, auth-bad, membership changes and the \
-       digest-addressed trace store (spawns real worker processes)."
-    in
-    Arg.(value & flag & info [ "shard" ] ~doc)
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run the delay-cdf / diameter / forwarding pipeline under injected faults and \
-          assert the resilience guarantees (internal testing harness). Exits with code 3: \
-          the run completes degraded by construction.")
-    Term.(const run $ seed_arg $ domains_arg $ shard_flag $ metrics_arg)
 
 (* --- forward --- *)
 
@@ -1771,7 +1507,7 @@ let () =
     Cmd.group info
       [
         gen_cmd; stats_cmd; diameter_cmd; delay_cdf_cmd; delivery_cmd; transform_cmd;
-        corrupt_cmd; chaos_cmd; worker_cmd; forward_cmd; theory_cmd; report_cmd;
+        corrupt_cmd; worker_cmd; forward_cmd; theory_cmd; report_cmd;
         experiment_cmd;
       ]
   in

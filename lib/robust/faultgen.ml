@@ -321,29 +321,6 @@ let pp_shard_event ppf e =
   Format.fprintf ppf "%s worker %d after %d result(s)" (shard_fault_name e.shard_fault) e.victim
     e.after_results
 
-(* [n] events over the first half of the run (so failover has work left
-   to prove itself on), at distinct trigger points, victims and kinds
-   drawn from the seeded stream — a given (seed, workers, results,
-   kinds, n) always yields the same schedule. *)
-let shard_schedule ~seed ~workers ~results ?(kinds = all_shard_faults) n =
-  if workers < 1 then invalid_arg "Faultgen.shard_schedule: workers < 1";
-  if kinds = [] then invalid_arg "Faultgen.shard_schedule: empty kinds";
-  let rng = Rng.create (0x5ad lxor seed) in
-  let horizon = max 1 (results / 2) in
-  let n = min n horizon in
-  let kinds = Array.of_list kinds in
-  let points = Array.init horizon (fun i -> i) in
-  Rng.shuffle rng points;
-  let triggers = Array.sub points 0 n in
-  Array.sort compare triggers;
-  Array.to_list triggers
-  |> List.map (fun after_results ->
-         {
-           after_results;
-           victim = Rng.int rng workers;
-           shard_fault = kinds.(Rng.int rng (Array.length kinds));
-         })
-
 let corpus ?(seed = 1) text =
   [
     Truncate 0.5; Mangle 0.25; Nan_times 0.25; Self_loop 0.25; Negative_id 0.25;

@@ -104,13 +104,3 @@ type shard_event = { after_results : int; victim : int; shard_fault : shard_faul
     results have been acknowledged. *)
 
 val pp_shard_event : Format.formatter -> shard_event -> unit
-
-val shard_schedule :
-  seed:int -> workers:int -> results:int -> ?kinds:shard_fault list -> int -> shard_event list
-(** [shard_schedule ~seed ~workers ~results n]: [n] events at distinct
-    trigger points within the first half of a [results]-source run (so
-    failover still has work left to prove itself on), victims and kinds
-    drawn from the seeded stream ([kinds] defaults to every shard
-    fault). Deterministic in all arguments; ascending by
-    [after_results]. Raises [Invalid_argument] on
-    [workers < 1] or empty [kinds]. *)

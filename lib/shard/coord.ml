@@ -646,12 +646,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
         match w.conn with
         | None -> ()
         | Some fd -> (
-          (* net-slow: delay processing of this worker's frames for a
-             bounded window strictly below the heartbeat timeout — a
-             slow link must never be declared dead *)
-          let now = clock () in
-          if now < w.slow_until then
-            Unix.sleepf (Float.min 0.2 (w.slow_until -. now));
           let mangle = w.mangle_next in
           w.mangle_next <- false;
           match Frame.read ~mangle fd with
@@ -955,7 +949,15 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
                        sources unaccounted"
                       (Hashtbl.length ws) (n - !settled) n));
             respawn_due ();
-            let conns = workers_sorted () |> List.filter_map (fun w -> w.conn) in
+            (* net-slow: a slowed worker's frames wait in its socket
+               until its window closes, strictly below the heartbeat
+               timeout (a slow link is never declared dead); every
+               other link is served meanwhile *)
+            let now = clock () in
+            let conns =
+              workers_sorted ()
+              |> List.filter_map (fun w -> if now < w.slow_until then None else w.conn)
+            in
             let stat_fds = match stat_fd with Some fd -> [ fd ] | None -> [] in
             let readable =
               (* EINTR must retry, not skip the poll: dropping a

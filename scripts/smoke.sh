@@ -6,8 +6,8 @@
 #      typed E-WINDOW on one that spans no time; a NaN or infinite
 #      horizon or rate, and a NaN epsilon, budget or task deadline,
 #      must exit 2 within 10 s with an E-USAGE error naming it; an
-#      unknown flag (the removed --worker-ckpt-dir too) must exit 2,
-#      never the 124 of a PARTIAL run;
+#      unknown flag (the removed --worker-ckpt-dir too) or a removed
+#      command (chaos) must exit 2, never the 124 of a PARTIAL run;
 #   2. budget/resume: a delay-cdf run truncated by --budget-seconds must
 #      exit 124 with a PARTIAL banner, and resuming from its checkpoint
 #      must reproduce the uninterrupted run byte for byte;
@@ -16,8 +16,7 @@
 #   4. resilience: a fault-free supervised run must match the
 #      unsupervised run byte for byte; a corrupted checkpoint must fall
 #      back to the rotated .prev generation and still reproduce the
-#      uninterrupted output; the chaos harness must complete with the
-#      degraded-but-complete exit code 3;
+#      uninterrupted output;
 #   5. timeline: --trace-out must emit a Chrome trace with per-domain
 #      tracks and chunk/pool duration events, and `omn report
 #      --fail-dropped` must digest it with zero dropped events;
@@ -146,7 +145,7 @@ CASES
 # A command-line parse error is a usage error: 124 means a
 # budget-truncated PARTIAL run, one to resume.
 for args in "diameter --no-such-flag $tmp/clean.omn" \
-  "delay-cdf --worker-ckpt-dir $tmp/d $tmp/clean.omn"; do
+  "delay-cdf --worker-ckpt-dir $tmp/d $tmp/clean.omn" "chaos --shard"; do
   rc=0
   # shellcheck disable=SC2086
   "$OMN" $args >/dev/null 2>"$tmp/parse.err" || rc=$?
@@ -283,15 +282,6 @@ for key in '"omn-report 1"' '"dropped_events": 0' '"domains"' '"chunks"' '"manif
     exit 1
   }
 done
-
-# The chaos harness injects read faults, poisoned sources and checkpoint
-# corruption; it must complete degraded (exit 3), not crash (1) or hang.
-rc=0
-"$OMN" chaos --domains 2 >/dev/null || rc=$?
-if [ "$rc" -ne 3 ]; then
-  echo "smoke FAIL: omn chaos exited $rc, expected 3" >&2
-  exit 1
-fi
 
 # --- 6. sharded execution -----------------------------------------------------
 

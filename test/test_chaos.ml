@@ -14,6 +14,7 @@ module Err = Omn_robust.Err
 module Metrics = Omn_obs.Metrics
 module Pool = Omn_parallel.Pool
 module Trace = Omn_temporal.Trace
+module Trace_io = Omn_temporal.Trace_io
 module Delay_cdf = Omn_core.Delay_cdf
 module Diameter = Omn_core.Diameter
 module Driver = Omn_core.Driver
@@ -212,6 +213,30 @@ let retry_io_injected_faults () =
          if op = "write" && Atomic.fetch_and_add fails (-1) > 0 then raise (RI.Injected "io")));
   RI.write_string ~attempts:2 path "second";
   Alcotest.(check string) "retried write landed" "second" (RI.read_to_string path);
+  RI.set_inject None;
+  (* a trace load reads through the same wrapper: two faults are retried
+     away, and faults that outlast the 3 default attempts come back as a
+     typed Io error naming the file, never as an exception *)
+  let trace = Util.random_trace ~scale:0.37 (Rng.create 23) ~n:12 ~m:60 ~horizon:100 in
+  Trace_io.save trace path;
+  let fails = Atomic.make 2 in
+  RI.set_inject
+    (Some
+       (fun ~op ~path:p ->
+         if op = "read" && p = path && Atomic.fetch_and_add fails (-1) > 0 then
+           raise (RI.Injected "io")));
+  (match Trace_io.load_result path with
+  | Ok (t, _) ->
+    Alcotest.(check string) "trace loads through two faults, unchanged" (Trace_io.to_string trace)
+      (Trace_io.to_string t)
+  | Error e -> Alcotest.failf "retried trace load failed: %s" (Err.to_string e));
+  Atomic.set fails 3;
+  (match Trace_io.load_result path with
+  | Error { Err.code = Err.Io; file; _ } ->
+    Alcotest.(check (option string)) "exhausted load names the file" (Some path) file
+  | Error e -> Alcotest.failf "exhausted load: wrong error %s" (Err.to_string e)
+  | Ok _ -> Alcotest.fail "faults past the 3 attempts still loaded"
+  | exception e -> Alcotest.failf "exhausted load raised %s" (Printexc.to_string e));
   RI.set_inject None;
   (* non-transient exceptions are not retried *)
   let calls = ref 0 in

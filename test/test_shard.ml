@@ -426,6 +426,37 @@ let run_ok ?(cfg = shard_cfg ~workers:3) () =
   | Ok v -> v
   | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
 
+(* Sources each worker computed, ascending worker id: its
+   [Shard_compute] events (the config must turn telemetry on). *)
+let computed_per_worker (st : Coord.stats) =
+  List.map
+    (fun (t : Coord.telemetry) ->
+      List.length
+        (List.filter
+           (fun (_, (e : Omn_obs.Timeline.entry)) ->
+             match e.ev with Omn_obs.Timeline.Shard_compute _ -> true | _ -> false)
+           t.tw_events))
+    st.Coord.fleet
+
+(* One fault row: the run completes, nothing is degraded, every source
+   is merged once and the curves are [compute]'s. The session's stats
+   come back for the row's own counter. *)
+let fault_row ?(t = trace) ?(reference = reference) label cfg =
+  let plan = plan_of t in
+  match fleet_run cfg plan with
+  | Error e -> Alcotest.failf "%s: run failed: %s" label (Err.to_string e)
+  | Ok (curves, p, st) ->
+    Alcotest.(check bool) (label ^ ": complete") false p.Delay_cdf.partial;
+    Alcotest.(check (list int)) (label ^ ": nothing degraded") []
+      (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+    Alcotest.(check int) (label ^ ": every source merged once") (Array.length plan.sources)
+      p.Delay_cdf.sources_done;
+    Alcotest.(check bool) (label ^ ": compute's curves") true (curves_equal curves reference);
+    st
+
+let fault_at ?(after = 1) shard_fault =
+  [ { Faultgen.after_results = after; victim = 0; shard_fault } ]
+
 (* Least-loaded dispatch: with a window wider than the batch, the whole
    batch leaves at the barrier, each source to the worker with the
    fewest in flight, ties to the lowest id. So the 10 sources split
@@ -439,17 +470,9 @@ let dispatch_splits_evenly () =
       Alcotest.(check bool)
         (Printf.sprintf "%d workers: bit-identical to single-process" workers)
         true (curves_equal curves reference);
-      let computed (t : Coord.telemetry) =
-        List.length
-          (List.filter
-             (fun (_, (e : Omn_obs.Timeline.entry)) ->
-               match e.ev with Omn_obs.Timeline.Shard_compute _ -> true | _ -> false)
-             t.tw_events)
-      in
       Alcotest.(check (list int))
         (Printf.sprintf "%d workers: sources computed per worker" workers)
-        expected
-        (List.map computed st.Coord.fleet))
+        expected (computed_per_worker st))
     [ (2, [ 5; 5 ]); (3, [ 4; 3; 3 ]); (4, [ 3; 3; 2; 2 ]) ]
 
 (* Two sessions open at once in one process, over the same plan: the
@@ -511,6 +534,9 @@ let coord_bit_identity () =
   Alcotest.(check int) "warm store: no trace bytes shipped" 0 warm.Coord.trace_ship_bytes;
   Alcotest.(check int) "warm store: one cache hit per worker" 3 warm.Coord.trace_cache_hits
 
+let big_trace = Util.random_trace ~scale:0.37 (Rng.create 97) ~n:40 ~m:200 ~horizon:200
+let big_reference = Delay_cdf.compute ~max_hops ~grid big_trace
+
 (* Kill ALL workers early in a 40-source run. With the 2-source
    in-flight window, at most 6 initial + 3 ack-freed dispatches can
    precede the last kill, so every victim strands undispatched work —
@@ -518,23 +544,18 @@ let coord_bit_identity () =
    deterministically (a lone kill can be absorbed by results already in
    the socket buffer, which is correct but unobservable). *)
 let coord_kill_failover () =
-  let big_trace = Util.random_trace ~scale:0.37 (Rng.create 97) ~n:40 ~m:200 ~horizon:200 in
-  let big_reference = Delay_cdf.compute ~max_hops ~grid big_trace in
   let chaos =
     List.map
       (fun v -> { Faultgen.after_results = 1 + v; victim = v; shard_fault = Faultgen.Worker_kill })
       [ 0; 1; 2 ]
   in
-  let cfg = { (shard_cfg ~workers:3) with Coord.chaos } in
-  match fleet_run cfg (plan_of big_trace) with
-  | Error e -> Alcotest.failf "sharded run failed: %s" (Omn_robust.Err.to_string e)
-  | Ok (curves, p, st) ->
-    Alcotest.(check bool) "complete despite every worker dying" false p.Delay_cdf.partial;
-    Alcotest.(check int) "no source lost" 40 p.Delay_cdf.sources_done;
-    Alcotest.(check bool) "bit-identical after failover" true (curves_equal curves big_reference);
-    Alcotest.(check bool) "respawn happened" true (st.Coord.spawns > 3);
-    Alcotest.(check bool) "reassignment recorded" true (st.Coord.reassigned > 0);
-    Alcotest.(check bool) "a respawned worker rejoined" true (st.Coord.rejoins > 0)
+  let st =
+    fault_row ~t:big_trace ~reference:big_reference "every worker killed"
+      { (shard_cfg ~workers:3) with Coord.chaos }
+  in
+  Alcotest.(check bool) "respawn happened" true (st.Coord.spawns > 3);
+  Alcotest.(check bool) "reassignment recorded" true (st.Coord.reassigned > 0);
+  Alcotest.(check bool) "a respawned worker rejoined" true (st.Coord.rejoins > 0)
 
 (* Deterministic membership schedules: a join mid-run, a leave mid-run,
    and a join followed by killing the joiner all keep the merge
@@ -543,30 +564,23 @@ let coord_kill_failover () =
 let coord_membership () =
   let m_trace = Util.random_trace ~scale:0.37 (Rng.create 311) ~n:24 ~m:140 ~horizon:160 in
   let m_reference = Delay_cdf.compute ~max_hops ~grid m_trace in
-  let run ~workers chaos =
-    match fleet_run { (shard_cfg ~workers) with Coord.chaos } (plan_of m_trace) with
-    | Error e -> Alcotest.failf "membership run failed: %s" (Omn_robust.Err.to_string e)
-    | Ok (curves, p, st) ->
-      Alcotest.(check bool) "complete" false p.Delay_cdf.partial;
-      Alcotest.(check int) "every source accounted for" 24 p.Delay_cdf.sources_done;
-      Alcotest.(check bool) "bit-identical under membership churn" true
-        (curves_equal curves m_reference);
-      st
+  let run label ~workers chaos =
+    fault_row ~t:m_trace ~reference:m_reference label { (shard_cfg ~workers) with Coord.chaos }
   in
   let st =
-    run ~workers:2
+    run "join mid-run" ~workers:2
       [ { Faultgen.after_results = 2; victim = 0; shard_fault = Faultgen.Worker_join } ]
   in
   Alcotest.(check int) "join mid-run: one member joined" 1 st.Coord.joins;
   let st =
-    run ~workers:3
+    run "leave mid-run" ~workers:3
       [ { Faultgen.after_results = 2; victim = 1; shard_fault = Faultgen.Worker_leave } ]
   in
   Alcotest.(check int) "leave mid-run: one member left" 1 st.Coord.leaves;
   Alcotest.(check bool) "the leaver's sources were reassigned" true (st.Coord.reassigned > 0);
   (* victim 2 of the second event is the joiner (members 0,1 + joined 2) *)
   let st =
-    run ~workers:2
+    run "join-then-kill" ~workers:2
       [
         { Faultgen.after_results = 1; victim = 0; shard_fault = Faultgen.Worker_join };
         { Faultgen.after_results = 4; victim = 2; shard_fault = Faultgen.Worker_kill };
@@ -934,31 +948,10 @@ let exit_code_precedence () =
   Alcotest.(check int) "degraded-but-complete" 3 (S.exit_code ~partial:false ~degraded:true);
   Alcotest.(check int) "clean" 0 (S.exit_code ~partial:false ~degraded:false)
 
-(* --- Faultgen shard schedules --- *)
+(* --- Faultgen shard fault names --- *)
 
-let shard_schedule_properties () =
-  let sched = Faultgen.shard_schedule ~seed:9 ~workers:3 ~results:20 4 in
-  Alcotest.(check int) "requested length" 4 (List.length sched);
-  Alcotest.(check bool) "deterministic" true
-    (sched = Faultgen.shard_schedule ~seed:9 ~workers:3 ~results:20 4);
-  Alcotest.(check bool) "seed matters" true
-    (sched <> Faultgen.shard_schedule ~seed:10 ~workers:3 ~results:20 4);
-  let points = List.map (fun (e : Faultgen.shard_event) -> e.Faultgen.after_results) sched in
-  Alcotest.(check (list int)) "ascending distinct trigger points" (List.sort_uniq compare points)
-    points;
-  List.iter
-    (fun (e : Faultgen.shard_event) ->
-      Alcotest.(check bool) "in the first half" true
-        (e.Faultgen.after_results >= 0 && e.Faultgen.after_results <= 10);
-      Alcotest.(check bool) "victim in range" true
-        (e.Faultgen.victim >= 0 && e.Faultgen.victim < 3))
-    sched;
-  (match Faultgen.shard_schedule ~seed:1 ~workers:0 ~results:10 1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "workers=0 accepted");
-  (match Faultgen.shard_schedule ~seed:1 ~workers:2 ~results:10 ~kinds:[] 1 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "empty kinds accepted");
+(* The [--shard-fault] parser reads every kind by its name. *)
+let shard_fault_names_roundtrip () =
   List.iter
     (fun n ->
       match Faultgen.shard_fault_of_name n with
@@ -1007,6 +1000,56 @@ let unkeyed_hello () =
     Alcotest.(check bool) "unkeyed fleet: curves bit-identical to compute" true
       (curves_equal curves reference)
 
+(* --- fleet faults --- *)
+
+(* A lone worker, so only its replacement can finish the run: SIGSTOPped
+   it is caught by the heartbeat, and a result frame with a flipped byte
+   fails the CRC. A 0.5 s timeout keeps the hang row short. *)
+let socket_faults () =
+  let cfg chaos = { (shard_cfg ~workers:1) with Coord.heartbeat_timeout = 0.5; chaos } in
+  let st = fault_row "hung worker" (cfg (fault_at Faultgen.Worker_hang)) in
+  Alcotest.(check bool) "hung worker: heartbeat miss" true (st.Coord.heartbeat_misses >= 1);
+  let st = fault_row "corrupt frame" (cfg (fault_at Faultgen.Sock_corrupt)) in
+  Alcotest.(check bool) "corrupt frame: CRC rejected it" true (st.Coord.frame_corrupts >= 1)
+
+(* Three workers over loopback TCP with a key, so every link runs the
+   authenticated handshake. A dropped link reconnects, a retransmitted
+   result dies in the at-most-once merge, and a joiner with the wrong
+   key is refused without touching the run. *)
+let keyed_tcp_fleet () =
+  let cfg chaos =
+    {
+      (shard_cfg ~workers:3) with
+      Coord.listen = Some (Transport.Tcp ("127.0.0.1", 0));
+      auth_key = Some "test-preshared-key";
+      chaos;
+    }
+  in
+  let st = fault_row "clean" (cfg []) in
+  Alcotest.(check int) "clean: one spawn per worker" 3 st.Coord.spawns;
+  let st = fault_row "partition" (cfg (fault_at ~after:2 Faultgen.Net_partition)) in
+  Alcotest.(check bool) "partition: a link dropped" true (st.Coord.partitions >= 1);
+  let st = fault_row "duplicate" (cfg (fault_at Faultgen.Net_dup)) in
+  Alcotest.(check bool) "duplicate: second delivery dropped" true (st.Coord.duplicates >= 1);
+  let st = fault_row "wrong-key joiner" (cfg (fault_at Faultgen.Auth_bad)) in
+  Alcotest.(check bool) "wrong-key joiner: refused" true (st.Coord.auth_rejects >= 1)
+
+(* A slowed link holds only its own frames: while the window lasts the
+   coordinator leaves that worker's socket unread, so its in-flight
+   results wait and it gets nothing new, and the other worker computes
+   the rest. The window stays below the heartbeat timeout. *)
+let slow_link () =
+  let cfg =
+    { (shard_cfg ~workers:2) with Coord.telemetry = true; chaos = fault_at Faultgen.Net_slow }
+  in
+  let st = fault_row ~t:big_trace ~reference:big_reference "slow link" cfg in
+  Alcotest.(check int) "slow link: never declared dead" 0 st.Coord.heartbeat_misses;
+  match computed_per_worker st with
+  | [ victim; other ] ->
+    if victim > 10 then
+      Alcotest.failf "slowed worker computed %d of 40 sources (the other %d)" victim other
+  | l -> Alcotest.failf "telemetry from %d workers, expected 2" (List.length l)
+
 let suite =
   [
     Alcotest.test_case "dispatch: one batch splits evenly, extras to the lowest ids" `Quick
@@ -1038,7 +1081,7 @@ let suite =
     Alcotest.test_case "fleet telemetry: merged totals, segments, live scrape" `Quick
       coord_fleet_telemetry;
     Alcotest.test_case "exit-code precedence 124 > 3 > 0" `Quick exit_code_precedence;
-    Alcotest.test_case "shard fault schedules deterministic" `Quick shard_schedule_properties;
+    Alcotest.test_case "shard fault names round-trip" `Quick shard_fault_names_roundtrip;
     Alcotest.test_case "idle between batches is not worker silence" `Quick
       coord_idle_between_batches;
     Alcotest.test_case "worker Failed: quarantined or a Compute error, as in process" `Quick
@@ -1050,4 +1093,12 @@ let suite =
       coord_resume_from_checkpoint;
     Alcotest.test_case "unkeyed peers: another build is E-PROTO, one build serves" `Quick
       unkeyed_hello;
+    Alcotest.test_case
+      "socket faults: a hung worker and a corrupt frame are replaced, merge identical" `Quick
+      socket_faults;
+    Alcotest.test_case
+      "keyed TCP fleet: clean, partition, duplicate and a wrong-key joiner keep the merge" `Quick
+      keyed_tcp_fleet;
+    Alcotest.test_case "slow link: only its own frames wait, its worker computes fewer sources"
+      `Quick slow_link;
   ]
