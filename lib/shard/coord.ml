@@ -187,6 +187,12 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
   else if cfg.heartbeat_timeout <= 0. || cfg.heartbeat_interval <= 0. then
     Err.error Usage "shard: non-positive heartbeat parameters"
   else if cfg.max_inflight < 1 then Err.error Usage "shard: max_inflight < 1"
+  else if
+    cfg.auth_key = None
+    && List.exists (fun e -> e.Faultgen.shard_fault = Faultgen.Auth_bad) cfg.chaos
+  then
+    (* the wrong key is derived from the fleet's own *)
+    Err.error Usage "shard: auth-bad needs a key (--auth-key or OMN_SHARD_KEY)"
   else begin
     (* every worker would fail each source on a malformed policy and
        crash-loop through its respawn budget *)
@@ -539,14 +545,12 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
                        (4. *. cfg.heartbeat_interval)
                        (cfg.heartbeat_timeout /. 4.)
               | Faultgen.Net_dup -> w.dup_next <- true
-              | Faultgen.Auth_bad -> (
-                match cfg.auth_key with
-                | None -> () (* nothing to prove without a key *)
-                | Some key ->
-                  bad_pids :=
-                    spawn_worker ~key:(key ^ "-wrong") cfg ~connect:connect_addr
-                      ~id:(-1)
-                    :: !bad_pids)
+              | Faultgen.Auth_bad ->
+                (* [with_fleet] refused the fault without a key *)
+                let key = Option.get cfg.auth_key in
+                bad_pids :=
+                  spawn_worker ~key:(key ^ "-wrong") cfg ~connect:connect_addr ~id:(-1)
+                  :: !bad_pids
               | Faultgen.Worker_join ->
                 let id = !next_id in
                 incr next_id;

@@ -75,14 +75,18 @@ module Builder = struct
     buf.len <- i + 1
 end
 
-(* The buffer's contacts in start order, as four exact-length arrays.
-   The key is [Contact.compare_by_start]'s (t_beg, t_end, a, b) read
-   from the buffer, and [Array.sort] (a heap sort) places elements by
-   comparison outcomes alone, so sorting the index permutation gives
-   the order sorting the records gave, ties included. Input already in
-   that order is taken as is, but only if every tie is bit-identical:
-   [Float.compare (-0.) 0. = 0], and the sort could swap such a tie,
-   which prints differently. The bounds are validated, so no NaN. *)
+(* The buffer's contacts in start order, as four exact-length arrays,
+   keyed by [Contact.compare_by_start]'s (t_beg, t_end, a, b). The
+   bounds are validated (no NaN), so when no time is -0, keys that
+   compare equal belong to bit-identical contacts and every sort by the
+   key gives the same arrays. If moreover the starts never decrease,
+   only the runs of equal starts can be out of order, and each one that
+   is gets sorted where it lies, in O(L log L) for a run of L (a trace
+   whose contacts all start at 0 is one run). Otherwise the whole
+   buffer goes through [Array.sort] (a heap sort) on an index
+   permutation. It places elements by comparison outcomes alone, so
+   -0/+0 ties (equal keys, printed differently) land where sorting the
+   records put them. *)
 let in_start_order (buf : Builder.t) =
   let m = buf.len in
   let ba = buf.a and bb = buf.b and bbeg = buf.t_beg and bend = buf.t_end in
@@ -98,17 +102,37 @@ let in_start_order (buf : Builder.t) =
       end
     end
   in
-  let rec ordered i =
+  let neg_zero x = x = 0. && Float.sign_bit x in
+  let rec runs_only i =
     i >= m
-    ||
-    let c = cmp (i - 1) i in
-    (c < 0
-    || c = 0
-       && Float.sign_bit bbeg.(i - 1) = Float.sign_bit bbeg.(i)
-       && Float.sign_bit bend.(i - 1) = Float.sign_bit bend.(i))
-    && ordered (i + 1)
+    || (not (neg_zero bbeg.(i)))
+       && (not (neg_zero bend.(i)))
+       && (i = 0 || bbeg.(i - 1) <= bbeg.(i))
+       && runs_only (i + 1)
   in
-  if ordered 1 then begin
+  if runs_only 0 then begin
+    (* Within a run only (t_end, a, b) moves: a run out of order is
+       sorted through a permutation of its own slots. *)
+    let permuted lo hi =
+      let perm = Array.init (hi - lo) (fun k -> lo + k) in
+      Array.stable_sort cmp perm;
+      let e = Array.map (Array.get bend) perm
+      and a = Array.map (Array.get ba) perm
+      and b = Array.map (Array.get bb) perm in
+      Array.blit e 0 bend lo (hi - lo);
+      Array.blit a 0 ba lo (hi - lo);
+      Array.blit b 0 bb lo (hi - lo)
+    in
+    let rec sorted i hi = i >= hi || (cmp (i - 1) i <= 0 && sorted (i + 1) hi) in
+    let rec run_end i j = if j < m && bbeg.(j) = bbeg.(i) then run_end i (j + 1) else j in
+    let rec runs lo =
+      if lo < m then begin
+        let hi = run_end lo (lo + 1) in
+        if not (sorted (lo + 1) hi) then permuted lo hi;
+        runs hi
+      end
+    in
+    runs 0;
     let trim arr = if Array.length arr = m then arr else Array.sub arr 0 m in
     (trim ba, trim bb, trim bbeg, trim bend)
   end

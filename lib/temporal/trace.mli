@@ -86,9 +86,14 @@ val of_builder_result :
   Builder.t ->
   (t, Omn_robust.Err.t) result
 (** {!create_result} on the buffer's contacts, in the order they were
-    added. The trace takes over the buffer's arrays where it can (input
-    already in start order, buffer full), so the buffer is left empty
-    and must not be reused. *)
+    added. The sort is [Contact.compare_by_start]'s, and it places
+    [-0]/[+0] ties as [Array.sort] on the contacts would. When the
+    starts never decrease and no time is [-0], only the runs of equal
+    starts are sorted, in the buffer's own arrays (ties are then
+    bit-identical, so their order cannot show); otherwise the whole
+    buffer is heap-sorted through an index permutation and copied. The
+    trace takes over the buffer's arrays where it can (no global sort,
+    buffer full), so the buffer is left empty and must not be reused. *)
 
 val name : t -> string
 (** Dataset label (defaults to ["trace"]). *)

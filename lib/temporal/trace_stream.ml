@@ -11,9 +11,28 @@ let m_dropped = Omn_obs.Metrics.counter "ingest.lines_dropped"
 let shard_magic = "# omn-shards 1"
 let chunk = 64 * 1024
 
-(* A record that passed the line checks, held by the in-memory reader
-   until EOF. *)
-type held = { ln : int; a : int; b : int; t_beg : float; t_end : float }
+(* The records that passed the line checks, held flat by the in-memory
+   reader until EOF: the first [len] slots, in file order. A line holds
+   at most one record, so the text's line count sizes the arrays once
+   (the streaming reader holds none). *)
+type held = {
+  mutable len : int;
+  ln : int array;
+  a : int array;
+  b : int array;
+  t_beg : float array;
+  t_end : float array;
+}
+
+let make_held cap =
+  {
+    len = 0;
+    ln = Array.make cap 0;
+    a = Array.make cap 0;
+    b = Array.make cap 0;
+    t_beg = Array.make cap 0.;
+    t_end = Array.make cap 0.;
+  }
 
 (* One parser for both readers. Lines are checked as they arrive (fields,
    contact sanity, headers); a record that passes goes through the
@@ -50,7 +69,9 @@ type state = {
   mutable h_nodes : (int * int) option;  (* value, line *)
   mutable h_window : (float * float * int) option;  (* lo, hi, line *)
   mutable saw_record : bool;  (* a record reached the record stage *)
-  mutable held : held list;  (* in-memory reader, newest first *)
+  mutable held : held;  (* in-memory reader *)
+  mutable pos : int;  (* the line scan: where the last field read ended *)
+  mutable bad_field : bool;  (* a field of the current line did not convert *)
   (* per-stage event lists, newest first *)
   mutable ev_parse : Repair.event list;
   mutable ev_window : Repair.event list;
@@ -69,7 +90,7 @@ type state = {
   buf : Trace.Builder.t;  (* the kept records, never boxed *)
 }
 
-let create ~policy ~ordered =
+let create ~policy ~ordered ~hold =
   {
     policy;
     strict = policy = Repair.Strict;
@@ -82,7 +103,9 @@ let create ~policy ~ordered =
     h_nodes = None;
     h_window = None;
     saw_record = false;
-    held = [];
+    held = make_held hold;
+    pos = 0;
+    bad_field = false;
     ev_parse = [];
     ev_window = [];
     ev_range = [];
@@ -284,8 +307,12 @@ let record st ln a b t_beg t_end =
       in
       if not dup then begin
         st.kept <- st.kept + 1;
-        if t_beg < st.min_beg then st.min_beg <- t_beg;
-        if t_end > st.max_end then st.max_end <- t_end;
+        (* [Float.min] / [Float.max], which put -0 below +0: the sign
+           is read only on a tie *)
+        if t_beg < st.min_beg || (t_beg = st.min_beg && Float.sign_bit t_beg) then
+          st.min_beg <- t_beg;
+        if t_end > st.max_end || (t_end = st.max_end && not (Float.sign_bit t_end)) then
+          st.max_end <- t_end;
         (* canonical [a < b], as [Contact.make] makes it *)
         if a < b then Trace.Builder.add st.buf ~a ~b ~t_beg ~t_end
         else Trace.Builder.add st.buf ~a:b ~b:a ~t_beg ~t_end
@@ -295,73 +322,142 @@ let record st ln a b t_beg t_end =
 
 let accept st ln a b t_beg t_end =
   if st.ordered then record st ln a b t_beg t_end
-  else st.held <- { ln; a; b; t_beg; t_end } :: st.held
-
-let handle_record_line st lineno line =
-  match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-  | [ a; b; t_beg; t_end ] -> (
-    match
-      (int_of_string_opt a, int_of_string_opt b, float_of_string_opt t_beg,
-       float_of_string_opt t_end)
-    with
-    | Some a, Some b, Some t_beg, Some t_end ->
-      if not (Float.is_finite t_beg && Float.is_finite t_end) then begin
-        if st.strict then err st ~line:lineno Err.Contact "non-finite contact time"
-        else
-          st.ev_parse <-
-            { Repair.line = lineno; action = Repair.Dropped_nonfinite; detail = line }
-            :: st.ev_parse
-      end
-      else if a < 0 || b < 0 then begin
-        if st.strict then err st ~line:lineno Err.Contact "negative node id"
-        else
-          st.ev_parse <-
-            { Repair.line = lineno; action = Repair.Dropped_negative_id; detail = line }
-            :: st.ev_parse
-      end
-      else if a = b then begin
-        if st.strict then err st ~line:lineno Err.Contact "self-contact (%d %d)" a b
-        else
-          st.ev_parse <-
-            { Repair.line = lineno; action = Repair.Dropped_self_loop; detail = line }
-            :: st.ev_parse
-      end
-      else if t_beg > t_end then begin
-        match st.policy with
-        | Repair.Strict ->
-          err st ~line:lineno Err.Contact "reversed interval [%g; %g]" t_beg t_end
-        | Repair.Repair ->
-          st.ev_parse <-
-            { Repair.line = lineno; action = Repair.Swapped_interval; detail = line }
-            :: st.ev_parse;
-          accept st lineno a b t_end t_beg
-        | Repair.Skip ->
-          st.ev_parse <-
-            { Repair.line = lineno; action = Repair.Dropped_malformed; detail = line }
-            :: st.ev_parse
-      end
-      else accept st lineno a b t_beg t_end
-    | _ ->
-      if st.strict then err st ~line:lineno Err.Parse "bad field"
-      else
-        st.ev_parse <-
-          { Repair.line = lineno; action = Repair.Dropped_malformed; detail = line }
-          :: st.ev_parse)
-  | _ ->
-    if st.strict then err st ~line:lineno Err.Parse "expected 4 fields: a b t_beg t_end"
-    else
-      st.ev_parse <-
-        { Repair.line = lineno; action = Repair.Dropped_malformed; detail = line }
-        :: st.ev_parse
-
-let process_line st raw =
-  st.lineno <- st.lineno + 1;
-  let line = String.trim raw in
-  if line = "" then ()
   else begin
+    let h = st.held in
+    let i = h.len in
+    h.ln.(i) <- ln;
+    h.a.(i) <- a;
+    h.b.(i) <- b;
+    h.t_beg.(i) <- t_beg;
+    h.t_end.(i) <- t_end;
+    h.len <- i + 1
+  end
+
+(* --- the line scan ---
+
+   A line is the bytes [lo, hi) of the text, read where they lie. The
+   reference trims each line with [String.trim], splits it on [' '] and
+   drops the empty pieces, then converts the fields with
+   [int_of_string_opt] / [float_of_string_opt]. The scan makes the same
+   cuts and reaches the same values in one pass over each field, and
+   builds a string only for a header, an event, an error or a field
+   that needs the library converter. *)
+
+(* [String.trim]'s whitespace *)
+let is_blank = function ' ' | '\t' | '\r' | '\n' | '\012' -> true | _ -> false
+
+let rec skip_blanks s i hi = if i < hi && is_blank s.[i] then skip_blanks s (i + 1) hi else i
+let rec trim_end s lo j = if j > lo && is_blank s.[j - 1] then trim_end s lo (j - 1) else j
+
+(* A field is a maximal run of bytes other than [' ']: a tab inside a
+   line belongs to a field, which then fails to convert. Each
+   converter below reads the field that starts at [i] and leaves its
+   end in [st.pos]. *)
+let rec skip_spaces s i hi = if i < hi && s.[i] = ' ' then skip_spaces s (i + 1) hi else i
+let rec field_end s i hi = if i < hi && s.[i] <> ' ' then field_end s (i + 1) hi else i
+
+(* The field's value if it is all decimal digits (its end in
+   [st.pos]), else -1. *)
+let rec digits st s k hi acc =
+  if k < hi && s.[k] <> ' ' then begin
+    let d = Char.code s.[k] - 48 in
+    if d >= 0 && d <= 9 then digits st s (k + 1) hi ((10 * acc) + d) else -1
+  end
+  else begin
+    st.pos <- k;
+    acc
+  end
+
+(* A node id: 1 to 18 decimal digits are read in place (below
+   [max_int]); any other form is [int_of_string_opt] of the field. *)
+let node st s i hi =
+  let v = digits st s i hi 0 in
+  if v >= 0 && st.pos - i <= 18 then v
+  else begin
+    let j = field_end s i hi in
+    st.pos <- j;
+    match int_of_string_opt (String.sub s i (j - i)) with
+    | Some v -> v
+    | None ->
+      st.bad_field <- true;
+      0
+  end
+
+(* A contact time, bit for bit what [float_of_string] (a correctly
+   rounded [strtod]) returns. 1 to 18 decimal digits are an integer
+   below 10^18 (an OCaml int), and [float_of_int] rounds it once, to
+   nearest even, as [strtod] rounds the same number: every
+   integer-second trace takes this path. Any other form (a point, a
+   sign, an exponent, [_], hex, [inf], [nan], more digits) is
+   [float_of_string_opt] of the field, which raises nothing on a field
+   that converts. *)
+let time st s i hi =
+  let v = digits st s i hi 0 in
+  if v >= 0 && st.pos - i <= 18 then float_of_int v
+  else begin
+    let j = field_end s i hi in
+    st.pos <- j;
+    match float_of_string_opt (String.sub s i (j - i)) with
+    | Some t -> t
+    | None ->
+      st.bad_field <- true;
+      nan
+  end
+
+let line_event st lineno action s lo hi =
+  st.ev_parse <- { Repair.line = lineno; action; detail = String.sub s lo (hi - lo) } :: st.ev_parse
+
+(* [lo] and [hi - 1] are not blank. Every field is read before the count
+   is checked; a read has no effect but [st.pos] and [st.bad_field], so
+   a wrong count still outranks a bad field, as in the reference. *)
+let handle_record_line st lineno s lo hi =
+  st.bad_field <- false;
+  let a = node st s lo hi in
+  let b0 = skip_spaces s st.pos hi in
+  let b = node st s b0 hi in
+  let c0 = skip_spaces s st.pos hi in
+  let t_beg = time st s c0 hi in
+  let d0 = skip_spaces s st.pos hi in
+  let t_end = time st s d0 hi in
+  if d0 = hi || st.pos < hi then begin
+    if st.strict then err st ~line:lineno Err.Parse "expected 4 fields: a b t_beg t_end"
+    else line_event st lineno Repair.Dropped_malformed s lo hi
+  end
+  else if st.bad_field then begin
+    if st.strict then err st ~line:lineno Err.Parse "bad field"
+    else line_event st lineno Repair.Dropped_malformed s lo hi
+  end
+  else if not (Float.is_finite t_beg && Float.is_finite t_end) then begin
+    if st.strict then err st ~line:lineno Err.Contact "non-finite contact time"
+    else line_event st lineno Repair.Dropped_nonfinite s lo hi
+  end
+  else if a < 0 || b < 0 then begin
+    if st.strict then err st ~line:lineno Err.Contact "negative node id"
+    else line_event st lineno Repair.Dropped_negative_id s lo hi
+  end
+  else if a = b then begin
+    if st.strict then err st ~line:lineno Err.Contact "self-contact (%d %d)" a b
+    else line_event st lineno Repair.Dropped_self_loop s lo hi
+  end
+  else if t_beg > t_end then begin
+    match st.policy with
+    | Repair.Strict -> err st ~line:lineno Err.Contact "reversed interval [%g; %g]" t_beg t_end
+    | Repair.Repair ->
+      line_event st lineno Repair.Swapped_interval s lo hi;
+      accept st lineno a b t_end t_beg
+    | Repair.Skip -> line_event st lineno Repair.Dropped_malformed s lo hi
+  end
+  else accept st lineno a b t_beg t_end
+
+(* The line [lo, hi) of [s], without its newline. *)
+let process_line st s lo hi =
+  st.lineno <- st.lineno + 1;
+  let lo = skip_blanks s lo hi in
+  let hi = trim_end s lo hi in
+  if lo < hi then begin
     st.n_lines <- st.n_lines + 1;
-    if line.[0] = '#' then handle_header st st.lineno line
-    else handle_record_line st st.lineno line
+    if s.[lo] = '#' then handle_header st st.lineno (String.sub s lo (hi - lo))
+    else handle_record_line st st.lineno s lo hi
   end
 
 (* Feed a chunk of bytes; a partial trailing line is carried into the
@@ -374,7 +470,7 @@ let feed st chunk =
   (try
      while true do
        let i = String.index_from data !start '\n' in
-       process_line st (String.sub data !start (i - !start));
+       process_line st data !start i;
        start := i + 1
      done
    with Not_found -> ());
@@ -385,15 +481,17 @@ let feed st chunk =
 let eof_file st =
   let last = st.carry in
   st.carry <- "";
-  process_line st last
+  process_line st last 0 (String.length last)
 
 let finalize st =
-  let held = st.held in
-  st.held <- [];
+  let h = st.held in
+  st.held <- make_held 0;
   (* At most every held record is kept: sized once, exactly, the
      buffers become the trace's arrays without a trimming copy. *)
-  Trace.Builder.reserve st.buf (List.length held);
-  List.iter (fun r -> record st r.ln r.a r.b r.t_beg r.t_end) (List.rev held);
+  Trace.Builder.reserve st.buf h.len;
+  for i = 0 to h.len - 1 do
+    record st h.ln.(i) h.a.(i) h.b.(i) h.t_beg.(i) h.t_end.(i)
+  done;
   (match st.strict_window with Some e -> raise (Err.Error e) | None -> ());
   let n_nodes =
     match st.h_nodes with
@@ -464,7 +562,7 @@ let shard_list ~index_path text =
 
 (* Raises [Err.Error]; [Sys_error] is mapped by the public wrappers. *)
 let run ~policy path =
-  let st = create ~policy ~ordered:true in
+  let st = create ~policy ~ordered:true ~hold:0 in
   st.file <- Some path;
   let buf = Bytes.create chunk in
   let mode =
@@ -489,29 +587,45 @@ let run ~policy path =
     st.file <- Some path);
   st
 
-let build_trace ?file st =
-  match finalize st with
-  | exception Err.Error e -> Error e
-  | name, n_nodes, (t_start, t_end), report -> (
-    match Trace.of_builder_result ~name ~n_nodes ~t_start ~t_end st.buf with
-    | Ok t -> Ok (t, report)
-    | Error e -> Error (match file with Some f -> Err.in_file f e | None -> e))
+(* One [ingest.parse] span per load: the scan and the record stage (and
+   the streaming reader's reads). It closes before [Trace.create], whose
+   span stays a root. *)
+let ingest f = Omn_obs.Span.with_ ~name:"ingest.parse" f
+
+let build_trace ?file st (name, n_nodes, (t_start, t_end), report) =
+  match Trace.of_builder_result ~name ~n_nodes ~t_start ~t_end st.buf with
+  | Ok t -> Ok (t, report)
+  | Error e -> Error (match file with Some f -> Err.in_file f e | None -> e)
 
 let load_result ?(policy = Repair.Strict) path =
-  match run ~policy path with
-  | exception Err.Error e -> Error e
-  | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg)
-  | st -> build_trace ~file:path st
-
-let parse_text ~ordered ?(policy = Repair.Strict) ?file chunks =
-  let st = create ~policy ~ordered in
-  st.file <- file;
   match
-    List.iter (feed st) chunks;
-    eof_file st
+    ingest (fun () ->
+      let st = run ~policy path in
+      (st, finalize st))
   with
   | exception Err.Error e -> Error e
-  | () -> build_trace ?file st
+  | exception Sys_error msg -> Error (Err.v ~file:path Err.Io msg)
+  | st, parsed -> build_trace ~file:path st parsed
+
+let parse_text ~ordered ?(policy = Repair.Strict) ?file chunks =
+  (* the in-memory reader holds at most one record per line *)
+  let lines text =
+    let rec go n i =
+      match String.index_from_opt text i '\n' with Some j -> go (n + 1) (j + 1) | None -> n
+    in
+    go 0 0
+  in
+  let hold = if ordered then 0 else List.fold_left (fun n c -> n + lines c) 1 chunks in
+  let st = create ~policy ~ordered ~hold in
+  st.file <- file;
+  match
+    ingest (fun () ->
+      List.iter (feed st) chunks;
+      eof_file st;
+      finalize st)
+  with
+  | exception Err.Error e -> Error e
+  | parsed -> build_trace ?file st parsed
 
 let parse_chunks ?policy ?file chunks = parse_text ~ordered:true ?policy ?file chunks
 let parse ?policy ?file text = parse_chunks ?policy ?file [ text ]

@@ -11,6 +11,21 @@
       peak memory is the contact storage itself;
     - the in-memory reader ({!parse_whole}, i.e. {!Trace_io.parse})
       holds the records until EOF and then drains them in file order.
+      It holds them flat: the line number and the four fields in five
+      arrays (5 words a record), sized once from the text's line count.
+
+    Record lines are scanned where they lie in the text: a string is
+    built only for a header, an event, an error or a field the stdlib
+    must convert. A field is a maximal run of bytes other than [' '],
+    after [String.trim]'s whitespace is skipped at both ends of the
+    line (so a tab inside a line is part of a field, which then fails
+    to convert). A node id or a time of 1 to 18 decimal digits is read
+    in place (a time by [float_of_int], which rounds as [strtod] does).
+    Every other field goes to [int_of_string_opt] or
+    [float_of_string_opt], so each field converts to what those give.
+    Each load records one [ingest.parse] span (the scan and the record
+    stage, and the streaming reader's reads); it closes before
+    [trace.create].
 
     The streaming reader returns the byte-identical trace {e and}
     repair report as the in-memory one on any {e time-ordered,

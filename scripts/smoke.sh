@@ -4,8 +4,9 @@
 #      pass lenient ingestion with a repair report; diameter and
 #      delay-cdf must run on a window shorter than 1 s and fail with a
 #      typed E-WINDOW on one that spans no time; a NaN or infinite
-#      horizon or rate, and a NaN epsilon, budget or task deadline,
-#      must exit 2 within 10 s with an E-USAGE error naming it; an
+#      horizon or rate, a NaN epsilon, budget or task deadline, and an
+#      auth-bad shard fault without a key must exit 2 within 10 s with
+#      an E-USAGE error naming it; an
 #      unknown flag (the removed --worker-ckpt-dir too) or a removed
 #      command (chaos) must exit 2, never the 124 of a PARTIAL run;
 #   2. budget/resume: a delay-cdf run truncated by --budget-seconds must
@@ -113,12 +114,13 @@ for cmd in diameter delay-cdf; do
 done
 
 # NaN fails every comparison, so a guard written as `x <= 0` lets it
-# through into a generator loop or an assertion. Each line: the name
-# the error must carry, then the arguments.
+# through into a generator loop or an assertion; an auth-bad fault
+# without a shard key cannot be injected. Each line: the name the error
+# must carry, then the arguments, run with no OMN_SHARD_KEY.
 while IFS='|' read -r name args; do
   rc=0
   # shellcheck disable=SC2086
-  timeout 10 "$OMN" $args </dev/null >/dev/null 2>"$tmp/nonfinite.err" || rc=$?
+  timeout 10 env -u OMN_SHARD_KEY "$OMN" $args </dev/null >/dev/null 2>"$tmp/nonfinite.err" || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q "E-USAGE.*$name" "$tmp/nonfinite.err"; then
     echo "smoke FAIL: 'omn $args' exited $rc, expected 2 with E-USAGE naming $name" >&2
     cat "$tmp/nonfinite.err" >&2
@@ -140,6 +142,7 @@ deadline|diameter $tmp/clean.omn --task-deadline nan
 deadline|delay-cdf $tmp/clean.omn --task-deadline nan
 deadline|delay-cdf $tmp/clean.omn --workers 2 --task-deadline nan
 lambda|theory --lambda nan
+auth-bad|delay-cdf $tmp/clean.omn --workers 2 --shard-fault auth-bad:1:0
 CASES
 
 # A command-line parse error is a usage error: 124 means a

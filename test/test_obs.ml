@@ -631,6 +631,43 @@ let test_trace_create_layer () =
           ("Trace_stream", Omn_temporal.Trace_stream.load_result ?policy:None);
         ])
 
+(* Ingest is its own layer: one [ingest.parse] span per load, through
+   either reader and both in-memory entry points, closed before
+   [trace.create], which stays a root path. *)
+let test_ingest_parse_layer () =
+  let trace = Util.random_trace ~scale:0.37 (Rng.create 0x71) ~n:7 ~m:80 ~horizon:60 in
+  let path = Filename.temp_file "omn_obs" ".omn" in
+  let was = Metrics.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled was;
+      Sys.remove path)
+    (fun () ->
+      Omn_temporal.Trace_io.save trace path;
+      let text = Omn_temporal.Trace_io.to_string trace in
+      List.iter
+        (fun (reader, load) ->
+          Metrics.reset ();
+          Metrics.set_enabled true;
+          (match load () with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s: %s" reader (Omn_robust.Err.to_string e));
+          Metrics.set_enabled false;
+          let snap = Metrics.snapshot () in
+          let count path =
+            match Metrics.find_span snap path with Some v -> v.sv_count | None -> 0
+          in
+          Alcotest.(check int) (reader ^ ": one ingest.parse span") 1 (count "ingest.parse");
+          Alcotest.(check int) (reader ^ ": trace.create a root") 1 (count "trace.create");
+          Alcotest.(check int) (reader ^ ": nothing nested") 0
+            (count "ingest.parse/trace.create"))
+        [
+          ("Trace_io.load_result", fun () -> Omn_temporal.Trace_io.load_result path);
+          ("Trace_io.parse", fun () -> Omn_temporal.Trace_io.parse text);
+          ("Trace_stream.load_result", fun () -> Omn_temporal.Trace_stream.load_result path);
+          ("Trace_stream.parse", fun () -> Omn_temporal.Trace_stream.parse text);
+        ])
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -655,3 +692,7 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_merge_assoc_comm; prop_merge_order_insensitive; prop_prometheus_totals ]
+  @ [
+      Alcotest.test_case "ingest.parse span per load, trace.create a root" `Quick
+        test_ingest_parse_layer;
+    ]

@@ -1050,6 +1050,28 @@ let slow_link () =
       Alcotest.failf "slowed worker computed %d of 40 sources (the other %d)" victim other
   | l -> Alcotest.failf "telemetry from %d workers, expected 2" (List.length l)
 
+(* The wrong key of an auth-bad fault is derived from the fleet's own,
+   so without a key the fault cannot be injected: the session refuses it
+   as a usage error before any worker starts, naming the fault and where
+   a key comes from, instead of reporting a clean run. *)
+let coord_auth_bad_needs_key () =
+  let plan = plan_of trace in
+  let ran = ref false in
+  let cfg = { (shard_cfg ~workers:2) with Coord.chaos = fault_at Faultgen.Auth_bad } in
+  match
+    Coord.with_fleet cfg plan (fun partials_of ->
+        ran := true;
+        partials_of [ plan.sources.(0) ])
+  with
+  | Error { Err.code = Err.Usage; msg; _ } ->
+    Alcotest.(check bool) "the callback never ran" false !ran;
+    List.iter
+      (fun word ->
+        Alcotest.(check bool) ("the error names " ^ word) true (Util.contains_substring msg word))
+      [ "auth-bad"; "--auth-key"; "OMN_SHARD_KEY" ]
+  | Error e -> Alcotest.failf "wrong error: %s" (Err.to_string e)
+  | Ok _ -> Alcotest.fail "auth-bad without a key ran as a clean fleet"
+
 let suite =
   [
     Alcotest.test_case "dispatch: one batch splits evenly, extras to the lowest ids" `Quick
@@ -1101,4 +1123,6 @@ let suite =
       keyed_tcp_fleet;
     Alcotest.test_case "slow link: only its own frames wait, its worker computes fewer sources"
       `Quick slow_link;
+    Alcotest.test_case "auth-bad without a key refused before any worker starts" `Quick
+      coord_auth_bad_needs_key;
   ]

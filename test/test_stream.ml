@@ -25,7 +25,13 @@
      cannot sort);
    - a [Shard_sink] write-out streams back byte-identical to the
      in-memory generator that fed it, and an index is recognised
-     however the reads split its first line. *)
+     however the reads split its first line;
+   - 3,000 texts of odd field forms (blanks around and between fields,
+     signed, hex, underscored and overflowing ids, every rendering of a
+     time the converters tell apart) through all three readers under
+     every policy, against the reference;
+   - over a million time fields read bit for bit as [float_of_string]
+     reads them. *)
 
 module Rng = Omn_stats.Rng
 module Trace = Omn_temporal.Trace
@@ -391,6 +397,178 @@ let test_index_magic_split_read () =
         Alcotest.(check string) "index streams its shard" (Trace_io.to_string trace)
           (Trace_io.to_string t))
 
+(* Field forms. The readers scan each line in place and convert the
+   common forms without the library converters; every other form must
+   still come out as the reference's [String.trim] / split /
+   [*_of_string_opt] reads it. A text is 1-8 record lines under
+   [# nodes 7] with no window, so the inferred window (signed zeros
+   included) is compared too. Times mostly rise from line to line, so
+   the streaming readers are compared as well; they may only add their
+   documented out-of-order rejection, and rarely. *)
+let odd_ids = [| "07"; "+5"; "-3"; "0x1f"; "1_2"; "5_"; "2.0"; "12345678901234567890" |]
+
+let odd_times =
+  [|
+    "5."; ".5"; "1e1"; "inf"; "nan"; "-0"; "0"; "00012.500"; "1_0.5"; "0x1p3";
+    "9007199254740993"; "9007199254740993.0";
+  |]
+
+let render_time rng v =
+  (* a zero is often -0: records at both -0 and 0 set the inferred
+     window's sign *)
+  if v = 0. && Rng.int rng 3 = 0 then "-0"
+  else
+    match Rng.int rng 10 with
+    | 0 -> Printf.sprintf "%.15g" v
+    | 1 -> Printf.sprintf "%.16g" v
+    | 2 -> Printf.sprintf "%.17g" v
+    | 3 -> Printf.sprintf "%.18g" v
+    | 4 -> Printf.sprintf "%.25f" v
+    | 5 -> Printf.sprintf "%.3f" v
+    | 6 -> odd_times.(Rng.int rng (Array.length odd_times))
+    | _ -> if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.17g" v
+
+let blanks rng = [| ""; ""; " "; "\t"; "\r"; " \t"; "\t "; "  " |].(Rng.int rng 8)
+
+(* between two fields: mostly spaces; a tab, [\r] or form feed joins
+   its neighbours into one field (or, between spaces, is one) *)
+let gap rng = [| " "; " "; "  "; "   "; "\t"; " \t "; "\r"; " \012 " |].(Rng.int rng 8)
+
+let field_text rng =
+  let t = ref (float_of_int (Rng.int rng 4 - 1) *. [| 0.; 1.; 0.5; 0.37 |].(Rng.int rng 4)) in
+  let lines =
+    List.init
+      (1 + Rng.int rng 8)
+      (fun _ ->
+        if Rng.int rng 12 = 0 then blanks rng
+        else begin
+          t := !t +. [| 0.; 0.; 1.; 0.25; Rng.float rng |].(Rng.int rng 5);
+          let id () =
+            if Rng.int rng 6 = 0 then odd_ids.(Rng.int rng (Array.length odd_ids))
+            else string_of_int (Rng.int rng 7)
+          in
+          let t_end = !t +. float_of_int (Rng.int rng 3) in
+          let fields = [ id (); id (); render_time rng !t; render_time rng t_end ] in
+          let fields = if Rng.int rng 15 = 0 then fields @ [ id () ] else fields in
+          let fields = if Rng.int rng 15 = 0 then List.tl fields else fields in
+          blanks rng
+          ^ List.fold_left (fun acc f -> if acc = "" then f else acc ^ gap rng ^ f) "" fields
+          ^ blanks rng
+        end)
+  in
+  String.concat "\n" ("# nodes 7" :: lines) ^ if Rng.bool rng then "\n" else ""
+
+let test_field_forms () =
+  let errs = ref [] and accepted = ref 0 and compared = ref 0 and out_of_order = ref 0 in
+  for seed = 1 to 3000 do
+    let rng = Rng.create (7919 * seed) in
+    let text = field_text rng in
+    List.iter
+      (fun policy ->
+        let reference = Reference.parse ~policy ~file:"f" text in
+        if Result.is_ok reference then incr accepted;
+        let reference = show reference in
+        let check reader got =
+          incr compared;
+          if reader <> "in-memory" && is_out_of_order got then incr out_of_order
+          else if show got <> reference then
+            errs :=
+              Printf.sprintf "seed %d (%s), %s:\n%S\n--- got:\n%s\n=== reference:\n%s" seed
+                (policy_name policy) reader text (show got) reference
+              :: !errs
+        in
+        check "in-memory" (Trace_io.parse ~policy ~file:"f" text);
+        check "streamed" (Stream.parse ~policy ~file:"f" text);
+        check "chunked" (Stream.parse_chunks ~policy ~file:"f" (chop rng text)))
+      policies
+  done;
+  (match List.rev !errs with
+  | [] -> ()
+  | first :: _ ->
+    Alcotest.failf "%d mismatch(es) across 3000 field-form texts; first:\n%s" (List.length !errs)
+      first);
+  if !accepted * 4 < 9000 || !out_of_order * 10 > !compared then
+    Alcotest.failf "degenerate texts: %d of 9000 parses accepted, %d of %d out of order" !accepted
+      !out_of_order !compared
+
+(* Times bit for bit: every time field the readers convert, in place or
+   not, is the double [float_of_string] gives its token. Tokens:
+   [%.15g] to [%.18g], [%.12f] and [%.3f] renderings of uniform and
+   2^k-scaled doubles and of the doubles within 50 ulps of a power of
+   two, integers around 2^53 and 2^54 (halfway ties among them), and
+   integers of 19 and 20 digits, one past the in-place path's 18 and
+   mostly past [max_int]. Each line is [0 1 lo hi]; the trace sorts, so its two time columns
+   are compared as sorted multisets with the tokens' values. *)
+let test_times_bit_exact () =
+  let rng = Rng.create 0x7135 in
+  let formats =
+    Printf.
+      [|
+        sprintf "%.15g"; sprintf "%.16g"; sprintf "%.17g"; sprintf "%.18g"; sprintf "%.12f";
+        sprintf "%.3f";
+      |]
+  in
+  let value () =
+    match Rng.int rng 4 with
+    | 0 -> Rng.float rng *. 86400.
+    | 1 -> Rng.float rng *. Float.ldexp 1. (Rng.int rng 90 - 30)
+    | _ ->
+      let x = ref (Float.ldexp 1. (Rng.int rng 80 - 20)) in
+      let up = Rng.bool rng in
+      for _ = 1 to 1 + Rng.int rng 50 do
+        x := if up then Float.succ !x else Float.pred !x
+      done;
+      !x
+  in
+  let token () =
+    match Rng.int rng 16 with
+    | 0 | 1 ->
+      let base = if Rng.bool rng then 9007199254740992 else 18014398509481984 in
+      string_of_int (base + Rng.int rng 101 - 50)
+    | 2 ->
+      String.init
+        (19 + Rng.int rng 2)
+        (fun k -> Char.chr (48 + if k = 0 then 1 + Rng.int rng 9 else Rng.int rng 10))
+    | _ -> formats.(Rng.int rng (Array.length formats)) (value ())
+  in
+  let bits x = Int64.bits_of_float x in
+  let fields = ref 0 and mismatches = ref 0 and first = ref "" in
+  for _batch = 1 to 5 do
+    let lines = 100_000 in
+    let lo = Array.make lines 0. and hi = Array.make lines 0. in
+    let text = Buffer.create (lines * 48) in
+    Buffer.add_string text "# nodes 2\n";
+    for k = 0 to lines - 1 do
+      let s1 = token () and s2 = token () in
+      let v1 = float_of_string s1 and v2 = float_of_string s2 in
+      let (s1, v1), (s2, v2) = if v1 <= v2 then ((s1, v1), (s2, v2)) else ((s2, v2), (s1, v1)) in
+      lo.(k) <- v1;
+      hi.(k) <- v2;
+      Printf.bprintf text "0 1 %s %s\n" s1 s2
+    done;
+    match Trace_io.parse (Buffer.contents text) with
+    | Error e -> Alcotest.failf "times text refused: %a" Err.pp e
+    | Ok (t, _) ->
+      let csr = Trace.time_csr t in
+      let got_lo = Array.copy csr.csr_beg and got_hi = Array.copy csr.csr_end in
+      List.iter
+        (fun (want, got) ->
+          Array.sort Float.compare want;
+          Array.sort Float.compare got;
+          fields := !fields + Array.length want;
+          Array.iteri
+            (fun k w ->
+              if bits w <> bits got.(k) then begin
+                if !mismatches = 0 then first := Printf.sprintf "%h read as %h" w got.(k);
+                incr mismatches
+              end)
+            want)
+        [ (lo, got_lo); (hi, got_hi) ]
+  done;
+  if !mismatches > 0 then
+    Alcotest.failf "%d of %d time fields differ from float_of_string; first: %s" !mismatches
+      !fields !first
+
 let suite =
   [
     Alcotest.test_case "out-of-order input: typed Contact error" `Quick
@@ -406,3 +584,9 @@ let suite =
       test_unordered_differential;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ test_chunk_invariance ]
+  @ [
+      Alcotest.test_case "field forms: 3000 texts x 3 readers x 3 policies vs reference" `Slow
+        test_field_forms;
+      Alcotest.test_case "times bit for bit as float_of_string (1 M fields)" `Slow
+        test_times_bit_exact;
+    ]

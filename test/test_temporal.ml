@@ -589,6 +589,97 @@ let store_order_is_record_sort =
         if got <> want then QCheck2.Test.fail_reportf "got:\n%s\nwant:\n%s" got want;
         true)
 
+(* Start order against the frozen global sort
+   ([Start_order_reference]), bit for bit, sign of zero included. The
+   inputs are runs of equal starts, 1 to 300 contacts each, whose ends
+   and endpoints come in random order from small sets (so duplicates and
+   ties on every key prefix are common); starts mostly rise from run to
+   run, sometimes fall, may be negative, and a zero start or end is
+   sometimes -0. *)
+let start_order_gen =
+  QCheck2.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* n_runs = int_range 1 6 in
+    let* falls = bool in
+    let* neg_zero = bool in
+    return
+      (let rng = Rng.create seed in
+       let start = ref (float_of_int (Rng.int rng 5 - 2)) in
+       let runs =
+         List.init n_runs (fun r ->
+           if r > 0 then
+             start :=
+               if falls && Rng.int rng 3 = 0 then !start -. float_of_int (1 + Rng.int rng 3)
+               else !start +. [| 1.; 0.5; 2.; 0.25 |].(Rng.int rng 4);
+           let len = if Rng.int rng 4 = 0 then 1 + Rng.int rng 300 else 1 + Rng.int rng 12 in
+           List.init len (fun _ ->
+             let a = Rng.int rng 4 in
+             let b = a + 1 + Rng.int rng 2 in
+             let t_beg = !start in
+             let t_end = t_beg +. [| 0.; 1.; 0.5; 2. |].(Rng.int rng 4) in
+             let flip x = if neg_zero && x = 0. && Rng.bool rng then -0. else x in
+             (a, b, flip t_beg, flip t_end)))
+       in
+       Array.of_list (List.concat runs)))
+
+let start_order_is_frozen_sort =
+  QCheck2.Test.make ~count:300 ~name:"start order = frozen global sort, bit for bit"
+    start_order_gen (fun input ->
+      let buf = Trace.Builder.create 0 in
+      Array.iter (fun (a, b, t_beg, t_end) -> Trace.Builder.add buf ~a ~b ~t_beg ~t_end) input;
+      let col f = Array.map f input in
+      let want =
+        Start_order_reference.in_start_order
+          (col (fun (a, _, _, _) -> a))
+          (col (fun (_, b, _, _) -> b))
+          (col (fun (_, _, t, _) -> t))
+          (col (fun (_, _, _, t) -> t))
+      in
+      match Trace.of_builder_result ~n_nodes:6 ~t_start:(-20.) ~t_end:20. buf with
+      | Error e -> QCheck2.Test.fail_reportf "rejected: %s" (Omn_robust.Err.to_string e)
+      | Ok trace ->
+        let c = Trace.time_csr trace in
+        let wa, wb, wbeg, wend = want in
+        let bits = Array.map Int64.bits_of_float in
+        if
+          not
+            (c.csr_a = wa && c.csr_b = wb && bits c.csr_beg = bits wbeg
+           && bits c.csr_end = bits wend)
+        then
+          QCheck2.Test.fail_reportf "got:\n%s\nwant:\n%s" (Trace_io.to_string trace)
+            (String.concat "\n"
+               (List.init (Array.length wa) (fun k ->
+                  Printf.sprintf "%d %d %.17g %.17g" wa.(k) wb.(k) wbeg.(k) wend.(k))));
+        true)
+
+(* One run of 200,000 contacts (all start at 0, a valid streamed trace)
+   sorts in O(m log m). An insertion sort of it makes about 10^10
+   moves, many seconds; the 10 s bound catches that and leaves a loaded
+   machine room. *)
+let start_order_one_long_run () =
+  let rng = Rng.create 0x5707 in
+  let m = 200_000 in
+  let buf = Trace.Builder.create m in
+  for _ = 1 to m do
+    let a = Rng.int rng 299 in
+    Trace.Builder.add buf ~a ~b:(a + 1 + Rng.int rng (299 - a)) ~t_beg:0.
+      ~t_end:(float_of_int (Rng.int rng 1000))
+  done;
+  let t0 = Sys.time () in
+  let trace =
+    match Trace.of_builder_result ~n_nodes:300 ~t_start:0. ~t_end:1000. buf with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "rejected: %s" (Omn_robust.Err.to_string e)
+  in
+  let cpu = Sys.time () -. t0 in
+  let c = Trace.time_csr trace in
+  for i = 1 to m - 1 do
+    let key k = (c.csr_end.(k), c.csr_a.(k), c.csr_b.(k)) in
+    if compare (key (i - 1)) (key i) > 0 then
+      Alcotest.failf "contacts %d and %d out of order" (i - 1) i
+  done;
+  if cpu > 10. then Alcotest.failf "200,000 contacts starting at 0 took %.2f s of CPU to build" cpu
+
 (* Seven words per contact (four field arrays, [csr_prev], two index
    slots) and one per node, plus a constant: no record per contact.
    The pair index beside the store is bounded on its own: its arrays
@@ -729,3 +820,9 @@ let suite =
         stats_inter_contact_brute;
         trace_pair_index;
       ]
+  @ [
+      Alcotest.test_case "start order: frozen global sort; one 200,000-contact run" `Quick
+        (fun () ->
+          QCheck2.Test.check_exn ~rand:(Random.State.make [| 30 |]) start_order_is_frozen_sort;
+          start_order_one_long_run ());
+    ]
