@@ -13,6 +13,15 @@
     {!save}; {!load} accepts files without them by inferring the node
     count and window from the records.
 
+    Writing is byte-exact: {!save}, {!output} and {!to_string} write
+    what [Printf] would print for the header lines and, per contact in
+    start order, ["%d %d %.17g %.17g\n"] ([%.17g] reads back as the
+    same double). This module is the only writer of the format, and it
+    does not go through [Printf]: ids, and times that are integers of
+    magnitude below 10^15 other than -0, are printed by a digit loop
+    (the digits [%.17g] prints for them); every other time goes
+    through the C conversion [Printf] itself calls for [%.17g].
+
     This is the in-memory reader: it reads the whole text, so records
     may come in any order and [nodes] / [window] headers are last-wins.
     It runs {!Trace_stream}'s parser ({!Trace_stream.parse_whole});

@@ -34,9 +34,11 @@
 #      result byte-identical (modulo manifest) to the single-process
 #      run, and render the per-worker table under `omn report --fleet
 #      --fail-dropped`; a bare `omn worker --id -1` must parse;
-#   8. streaming + sampling: a sharded on-disk generation streamed back
-#      through the sampled estimator with the sample covering every
-#      source must be byte-identical (modulo manifest and the sample
+#   8. streaming + sampling: a sharded on-disk generation must hold the
+#      records of the same generation written as one flat file, in
+#      order, under the flat file's header in every shard; streamed
+#      back through the sampled estimator with the sample covering every
+#      source it must be byte-identical (modulo manifest and the sample
 #      block) to the exact in-memory engine, and every malformed
 #      sampling flag must be rejected with the usage exit code 2;
 #   9. cross-driver identity: on a trace with fractional contact times,
@@ -519,6 +521,32 @@ done
   echo "smoke FAIL: sharded gen left no index or shards" >&2
   exit 1
 }
+
+# The shards cut the flat file by start time: generated with the same
+# preset and flags as one flat file, their records, concatenated in
+# index order, are its records, and every shard has its header lines.
+# Checked on the run above and on a random-preset run whose fractional
+# times fill every shard.
+shards_equal_flat() {
+  sed -n '/^#/p' "$2" >"$2.head"
+  : >"$2.records"
+  for s in $(sed '/^#/d' "$1"); do
+    sed -n '/^#/p' "$(dirname "$1")/$s" | cmp -s - "$2.head" || {
+      echo "smoke FAIL: shard $s header differs from the flat file's" >&2
+      exit 1
+    }
+    sed '/^#/d' "$(dirname "$1")/$s" >>"$2.records"
+  done
+  sed '/^#/d' "$2" | cmp -s - "$2.records" || {
+    echo "smoke FAIL: the records of $1's shards differ from those of $2" >&2
+    exit 1
+  }
+}
+"$OMN" gen --preset conference --nodes 20 --hours 3 --seed 11 -o "$tmp/conf.omn" >/dev/null
+shards_equal_flat "$tmp/conf.idx" "$tmp/conf.omn"
+"$OMN" gen --preset random --nodes 30 --hours 6 --seed 11 --shards 4 -o "$tmp/rnd.idx" >/dev/null
+"$OMN" gen --preset random --nodes 30 --hours 6 --seed 11 -o "$tmp/rnd.omn" >/dev/null
+shards_equal_flat "$tmp/rnd.idx" "$tmp/rnd.omn"
 
 # The exact engine over the streamed trace is the reference.
 "$OMN" diameter "$tmp/conf.idx" --stream -o "$tmp/exact.json" >/dev/null

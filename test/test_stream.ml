@@ -23,9 +23,10 @@
    - out-of-order input is rejected by the streaming reader with a typed
      [Contact] error under every policy (the documented divergence: it
      cannot sort);
-   - a [Shard_sink] write-out streams back byte-identical to the
-     in-memory generator that fed it, and an index is recognised
-     however the reads split its first line;
+   - a [Shard_sink] write-out has pinned bytes and streams back
+     byte-identical to the in-memory generator that fed it, a spill
+     that cannot be opened leaves no spill behind, and an index is
+     recognised however the reads split its first line;
    - 3,000 texts of odd field forms (blanks around and between fields,
      signed, hex, underscored and overflowing ids, every rendering of a
      time the converters tell apart) through all three readers under
@@ -363,12 +364,45 @@ let test_shard_sink_roundtrip () =
       let p = Omn_mobility.Venue.conference_params ~rng ~n ~days:0.15 in
       Omn_mobility.Venue.iter_contacts rng ~n p (Omn_mobility.Shard_sink.add sink);
       Omn_mobility.Shard_sink.finish sink;
+      (* The sink's own bytes: a header or record byte that moves fails
+         here even where the streamed trace still matches. *)
+      List.iter
+        (fun (file, want) ->
+          Alcotest.(check string) (file ^ " SHA-256") want
+            (Omn_obs.Sha256.string
+               (In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all)))
+        [
+          ("trace.idx", "71678c7c0d1cc7714a669ccf3932be5f9cb01ad33d9979324bb0fa6ad7ec6b05");
+          ("trace.idx.0000", "e2f6708a3525d91c39f0441cab9dbe92c5ac31785bd0eab956d2325737db1060");
+          ("trace.idx.0001", "1b7cc187fbf2b320045920b268a883d81c3e50695cf8459844c30c0058e410f9");
+          ("trace.idx.0002", "1b7cc187fbf2b320045920b268a883d81c3e50695cf8459844c30c0058e410f9");
+          ("trace.idx.0003", "1b7cc187fbf2b320045920b268a883d81c3e50695cf8459844c30c0058e410f9");
+          ("trace.idx.0004", "1b7cc187fbf2b320045920b268a883d81c3e50695cf8459844c30c0058e410f9");
+        ];
       match Stream.load_result index with
       | Error e -> Alcotest.failf "streaming the index failed: %a" Err.pp e
       | Ok (streamed, _report) ->
         Alcotest.(check string)
           "sink -> stream = in-memory generator" (Trace_io.to_string in_memory)
           (Trace_io.to_string streamed))
+
+(* A spill that cannot be opened leaves none behind: [create] closes
+   and removes the spills it opened before it re-raises. *)
+let test_shard_sink_failed_open () =
+  with_temp_dir (fun dir ->
+      let index = Filename.concat dir "trace.idx" in
+      let planted = index ^ ".spill.0003" in
+      Unix.mkdir planted 0o700;
+      (match
+         Omn_mobility.Shard_sink.create ~shards:8 ~name:"x" ~n_nodes:2 ~t_start:0. ~t_end:1. index
+       with
+      | exception Sys_error _ -> ()
+      | sink ->
+        Omn_mobility.Shard_sink.abort sink;
+        Alcotest.fail "create opened a spill over a directory");
+      let left = Sys.readdir dir |> Array.to_list |> List.sort compare in
+      Unix.rmdir planted;
+      Alcotest.(check (list string)) "spill entries left" [ "trace.idx.spill.0003" ] left)
 
 (* The first line decides between a trace and a shard index, whatever
    sizes the reads come back in: a pipe that delivers the magic line in
@@ -589,4 +623,6 @@ let suite =
         test_field_forms;
       Alcotest.test_case "times bit for bit as float_of_string (1 M fields)" `Slow
         test_times_bit_exact;
+      Alcotest.test_case "shard sink: a failed spill open leaves no spill" `Quick
+        test_shard_sink_failed_open;
     ]

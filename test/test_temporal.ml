@@ -543,10 +543,10 @@ let store_byte_pins () =
     pins
 
 (* The writer's format, fed from a test-side record sort. *)
-let render ~n_nodes ~t_end (contacts : Contact.t array) =
+let render ?(t_start = 0.) ~n_nodes ~t_end (contacts : Contact.t array) =
   let b = Buffer.create 256 in
-  Printf.bprintf b "# omn-trace 1\n# name trace\n# nodes %d\n# window %.17g %.17g\n" n_nodes 0.
-    t_end;
+  Printf.bprintf b "# omn-trace 1\n# name trace\n# nodes %d\n# window %.17g %.17g\n" n_nodes
+    t_start t_end;
   Array.iter
     (fun (c : Contact.t) -> Printf.bprintf b "%d %d %.17g %.17g\n" c.a c.b c.t_beg c.t_end)
     contacts;
@@ -586,6 +586,74 @@ let store_order_is_record_sort =
         if not (Array.for_all2 ( == ) before input) then
           QCheck2.Test.fail_report "create_array_result modified its argument";
         let got = Trace_io.to_string trace and want = render ~n_nodes ~t_end:20. expected in
+        if got <> want then QCheck2.Test.fail_reportf "got:\n%s\nwant:\n%s" got want;
+        true)
+
+(* The writer prints integer times below 10^15 with its own digit
+   loop and every other time through the C conversion [Printf] uses:
+   both must give [Printf]'s bytes. Times come from a pool around the
+   edges of the two paths: integers at and around 10^15, 10^16, 10^17,
+   2^53 and 2^53 + 2, one ulp either side of each, both zeros,
+   subnormals and 17-digit fractions, all with both signs; the window
+   bounds are pool values too. Ids have 1 to 7 digits, including the
+   all-nines ones; wide ids are drawn less often, as the trace's node
+   index costs a word per node. *)
+let time_pool =
+  let around v = List.map (fun k -> v +. float_of_int k) [ -2; -1; 0; 1; 2 ] in
+  let integers = List.concat_map around [ 1e15; 1e16; 1e17; 0x1p53; 0x1p53 +. 2. ] in
+  let fractions =
+    [
+      0.1; 1. /. 3.; 2. /. 3.; 17160.685338739098; 123456789012345.67; 999999999999999.9;
+      1000000000000000.5; 0.0001; 0.00001; 1.2345678901234567e-7;
+    ]
+  in
+  let subnormals = [ Float.succ 0.; 1e-310; Float.pred Float.min_float ] in
+  let magnitudes =
+    integers
+    @ List.concat_map (fun v -> [ Float.pred v; Float.succ v ]) integers
+    @ fractions @ subnormals @ [ 0.; 1.; 7.; 10.; 999999999999999. ]
+  in
+  Array.of_list (-0. :: List.concat_map (fun v -> [ v; -.v ]) magnitudes)
+
+let writer_edges_gen =
+  QCheck2.Gen.(
+    let* width = frequency [ (6, int_range 1 5); (1, int_range 6 7) ] in
+    let* m = int_range 1 8 in
+    let* seed = int in
+    let rng = Rng.create seed in
+    (* ids of 1 to [width] digits: small ones, and those either side of
+       each power of ten up to 10^(width - 1) *)
+    let top = int_of_float (10. ** float_of_int (width - 1)) in
+    let n_nodes = top + 16 in
+    let id () =
+      let p = int_of_float (10. ** float_of_int (Rng.int rng width)) in
+      if Rng.int rng 4 = 0 then Rng.int rng 16 else max 0 (p - 2 + Rng.int rng 18)
+    in
+    let time () = time_pool.(Rng.int rng (Array.length time_pool)) in
+    let contacts =
+      Array.init m (fun _ ->
+          let a = id () in
+          let b = if Rng.bool rng then (a + 1) mod n_nodes else (a + n_nodes - 1) mod n_nodes in
+          let t1 = time () and t2 = time () in
+          let t_beg, t_end = if t1 <= t2 then (t1, t2) else (t2, t1) in
+          Contact.make ~a ~b ~t_beg ~t_end)
+    in
+    let t_start =
+      Array.fold_left (fun w (c : Contact.t) -> if c.t_beg < w then c.t_beg else w) (time ()) contacts
+    and t_end =
+      Array.fold_left (fun w (c : Contact.t) -> if c.t_end > w then c.t_end else w) (time ()) contacts
+    in
+    return (n_nodes, t_start, t_end, contacts))
+
+let writer_matches_printf =
+  QCheck2.Test.make ~count:300 ~name:"to_string = Printf render at the writer's edges"
+    writer_edges_gen (fun (n_nodes, t_start, t_end, input) ->
+      let expected = Array.copy input in
+      Array.sort Contact.compare_by_start expected;
+      match Trace.create_array_result ~n_nodes ~t_start ~t_end input with
+      | Error e -> QCheck2.Test.fail_reportf "rejected: %s" (Omn_robust.Err.to_string e)
+      | Ok trace ->
+        let got = Trace_io.to_string trace and want = render ~t_start ~n_nodes ~t_end expected in
         if got <> want then QCheck2.Test.fail_reportf "got:\n%s\nwant:\n%s" got want;
         true)
 
@@ -826,3 +894,4 @@ let suite =
           QCheck2.Test.check_exn ~rand:(Random.State.make [| 30 |]) start_order_is_frozen_sort;
           start_order_one_long_run ());
     ]
+  @ List.map QCheck_alcotest.to_alcotest [ writer_matches_printf ]
