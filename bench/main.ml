@@ -484,7 +484,10 @@ let () =
   end;
   (match metrics with
   | Some path ->
-    Omn_obs.Sink.emit (Omn_obs.Sink.file path);
+    Omn_robust.Retry_io.write_string path
+      (Omn_obs.Json.to_string ~pretty:true
+         (Omn_obs.Metrics.snapshot_to_json (Omn_obs.Metrics.snapshot ()))
+      ^ "\n");
     Format.fprintf fmt "wrote %s@." path
   | None -> ());
   Format.fprintf fmt "@.total: %.1fs@." (Unix.gettimeofday () -. t0)

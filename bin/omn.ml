@@ -3,8 +3,7 @@
 
      omn gen --preset infocom05 -o trace.omn      synthesise a trace
      omn stats trace.omn                          Table-1-style summary
-     omn diameter trace.omn                       (1-eps)-diameter + CDF
-     omn delay-cdf trace.omn --metrics m.json     per-hop curves + metrics snapshot
+     omn diameter trace.omn -o r.json             (1-eps)-diameter + per-hop CDFs
      omn delivery trace.omn -s 0 -d 5             one pair's delivery fn
      omn transform trace.omn --drop-prob 0.9 -o thinned.omn
      omn corrupt trace.omn --fault nan -o bad.omn fault-injection harness
@@ -98,7 +97,7 @@ let load_trace ?(stream = false) ~policy ~lenient path =
     if policy <> Repair.Strict then Format.eprintf "%a@." Repair.pp report;
     trace
 
-(* The budget grid of `omn diameter' and `omn delay-cdf': 100
+(* The budget grid of `omn diameter': 100
    log-spaced budgets up to the trace's span, starting at span / 5000
    but at least 1 s — or at the span itself, when it is shorter. A
    window that spans no time has no delays to grid. *)
@@ -163,17 +162,13 @@ let manifest_json ?(final = true) () =
   if final then manifest := Some m;
   Omn_obs.Manifest.to_json m
 
-(* Digest the input bytes for file traces, the canonical serialisation
-   for synthesised ones — either way the digest pins the exact contact
-   set the numbers were computed from. *)
-let trace_manifest ?config ?seed ?domains ?path trace =
-  let trace_sha256 =
-    match path with
-    | Some p -> Omn_obs.Sha256.file p
-    | None -> Omn_obs.Sha256.string (Omn_temporal.Trace_io.to_string trace)
-  in
+(* The digest covers the bytes of the file named on the command line.
+   For a trace file that pins the contact set the numbers were computed
+   from; for a `# omn-shards 1' index (--stream) it pins the shards'
+   names and order, not their bytes. *)
+let trace_manifest ?config ?seed ?domains ~path trace =
   set_manifest
-    (Omn_obs.Manifest.create ?config ?seed ?domains ~trace_sha256
+    (Omn_obs.Manifest.create ?config ?seed ?domains ~trace_sha256:(Omn_obs.Sha256.file path)
        ~trace_name:(Omn_temporal.Trace.name trace)
        ~n_nodes:(Omn_temporal.Trace.n_nodes trace)
        ~n_contacts:(Omn_temporal.Trace.n_contacts trace) ~version:omn_version ())
@@ -623,9 +618,10 @@ let auth_key_resolve key =
 let heartbeat_timeout_arg =
   let doc =
     "Declare a worker dead (and reassign its shard) after $(docv) seconds of silence. \
-     Must exceed the longest single-source compute time."
+     Must exceed the longest single-source compute time. Requires $(b,--workers)."
   in
-  Arg.(value & opt float 5. & info [ "heartbeat-timeout" ] ~docv:"S" ~doc)
+  Arg.(
+    value & opt (some float) None & info [ "heartbeat-timeout" ] ~docv:"S" ~absent:"5" ~doc)
 
 let shard_fault_conv =
   let parse s =
@@ -665,20 +661,45 @@ let shard_fault_arg =
   in
   Arg.(value & opt_all shard_fault_conv [] & info [ "shard-fault" ] ~docv:"SPEC" ~doc)
 
-(* One fleet per run, set up the same way for `omn diameter' and
-   `omn delay-cdf'; delay-cdf adds its own shard flags on top. *)
-let fleet_config ~domains ~supervise ~telemetry workers =
-  if not (sharded workers) then None
+(* One fleet per run: --workers picks its shape, the fleet flags the
+   rest, and --stat-addr turns telemetry on. Without --workers there is
+   no fleet for a fleet flag to shape. *)
+let fleet_config ~domains ~supervise ~telemetry ~heartbeat_timeout ~shard_faults ~listen
+    ~auth_key ~worker_trace_cache ~stat_addr workers =
+  if not (sharded workers) then begin
+    List.iter
+      (fun (flag, given) -> if given then usage_err "%s requires --workers" flag)
+      [
+        ("--heartbeat-timeout", heartbeat_timeout <> None); ("--shard-fault", shard_faults <> []);
+        ("--listen", listen <> None); ("--auth-key", auth_key <> None);
+        ("--worker-trace-cache", worker_trace_cache <> None); ("--stat-addr", stat_addr <> None);
+      ];
+    None
+  end
   else
     let count, peers = match workers with Wcount n -> (n, []) | Wpeers l -> (0, l) in
+    let d = Shard.default ~workers:count in
     Some
       {
-        (Shard.default ~workers:count) with
+        d with
         Shard.worker_domains = domains;
-        peers;
+        (* a fault schedule needs the victim to still hold undispatched
+           work when the fault fires, or failover degenerates into a
+           socket-buffer race; pin the flow-control window like the
+           shard suite does *)
+        max_inflight = (if shard_faults = [] then d.max_inflight else 2);
+        heartbeat_timeout = Option.value heartbeat_timeout ~default:d.heartbeat_timeout;
         supervise;
-        auth_key = auth_key_resolve None;
-        telemetry;
+        chaos =
+          List.sort
+            (fun (a : Faultgen.shard_event) b -> compare a.after_results b.after_results)
+            shard_faults;
+        listen;
+        peers;
+        auth_key = auth_key_resolve auth_key;
+        worker_trace_cache;
+        telemetry = telemetry || stat_addr <> None;
+        stat_addr;
         on_stat_bound =
           Some (fun a -> Format.eprintf "omn: fleet stats on %s@." (Transport.to_string a));
       }
@@ -714,9 +735,9 @@ let resilience_exit ~partial ~ckpt_fallback degraded =
     List.iter (fun f -> Format.printf "  %a@." Supervise.pp_failure f) fs);
   Supervise.exit_code ~partial ~degraded:(degraded <> [])
 
-(* `omn diameter' and `omn delay-cdf' both run the one driver: the
-   flags pick its policies, --progress its reporter, --workers its
-   executor (the fleet serves every batch). *)
+(* `omn diameter' runs the one driver: the flags pick its policies,
+   --progress its reporter, --workers its executor (the fleet serves
+   every batch). *)
 let drive ~progress ~label ~domains ?fleet ?supervise ?checkpoint ~resume ~every ?budget
     ?sampling plan =
   let report, finish = progress_reporter ~enabled:progress label in
@@ -814,7 +835,8 @@ let heap_cap_arg =
 let diameter_cmd =
   let run path ingest lenient epsilon max_hops domains checkpoint resume every budget metrics
       trace_out progress retries task_deadline quarantine sample ci_width confidence bootstrap
-      sample_seed stream workers heap_cap output =
+      sample_seed stream workers heartbeat_timeout shard_faults listen auth_key worker_trace_cache
+      stat_addr heap_cap output =
     protect_code @@ fun () ->
     if resume && checkpoint = None then usage_err "--resume requires --checkpoint FILE";
     if not (epsilon > 0. && epsilon < 1.) then usage_err "--epsilon %g out of (0,1)" epsilon;
@@ -829,6 +851,10 @@ let diameter_cmd =
     let supervise = supervise_policy retries task_deadline quarantine in
     if sample <> None && supervise <> None then
       usage_err "--retries/--task-deadline/--quarantine are not supported with --sample";
+    let fleet =
+      fleet_config ~domains ~supervise ~telemetry:(metrics <> None || trace_out <> None)
+        ~heartbeat_timeout ~shard_faults ~listen ~auth_key ~worker_trace_cache ~stat_addr workers
+    in
     with_obs ?metrics ?trace_out @@ fun () ->
     (* The heap alarm must be armed before ingestion starts: the cap is
        a statement about the loader's transient structures, which are
@@ -883,9 +909,6 @@ let diameter_cmd =
     in
     let sample_seed = Option.value sample_seed ~default:0 in
     let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid ~seed:sample_seed trace) in
-    let fleet =
-      fleet_config ~domains ~supervise ~telemetry:(metrics <> None || trace_out <> None) workers
-    in
     let o =
       drive ~progress
         ~label:(if sampling = None then "sources" else "sampled sources")
@@ -945,110 +968,18 @@ let diameter_cmd =
     resilience_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback p.degraded
   in
   Cmd.v
-    (Cmd.info "diameter" ~doc:"Measure the (1-eps)-diameter of a trace, exactly or by sampling")
+    (Cmd.info "diameter"
+       ~doc:
+         "Measure the (1-eps)-diameter of a trace and its per-hop-bound delay-CDF curves \
+          (Figs. 9-11), exactly or by sampling")
     Term.(
       const run $ trace_arg $ ingest_arg $ lenient_arg $ epsilon_arg $ max_hops_arg
       $ domains_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ budget_arg
       $ metrics_arg $ trace_out_arg $ progress_arg $ retries_arg $ task_deadline_arg
       $ quarantine_arg $ sample_arg $ ci_width_arg $ confidence_arg $ bootstrap_arg
-      $ sample_seed_arg $ stream_arg $ workers_arg $ heap_cap_arg $ output_arg)
-
-(* --- delay-cdf --- *)
-
-let delay_cdf_cmd =
-  let trace_pos =
-    let doc = "Input trace file (omit when using $(b,--preset))." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
-  in
-  let preset =
-    let doc = "Synthesise the workload instead of reading a file (same names as `omn gen')." in
-    Arg.(value & opt (some preset_conv) None & info [ "preset" ] ~docv:"NAME" ~doc)
-  in
-  let run path preset seed ingest lenient max_hops domains checkpoint resume every budget
-      metrics trace_out progress retries task_deadline quarantine workers hb_timeout
-      shard_faults listen auth_key worker_trace_cache stat_addr output =
-    protect_code @@ fun () ->
-    if resume && checkpoint = None then usage_err "--resume requires --checkpoint FILE";
-    if shard_faults <> [] && not (sharded workers) then
-      usage_err "--shard-fault requires --workers";
-    if (listen <> None || auth_key <> None || worker_trace_cache <> None
-       || stat_addr <> None)
-       && not (sharded workers)
-    then
-      usage_err "--listen/--auth-key/--worker-trace-cache/--stat-addr require --workers";
-    let domains = Omn_parallel.Pool.resolve domains in
-    let supervise = supervise_policy retries task_deadline quarantine in
-    with_obs ?metrics ?trace_out @@ fun () ->
-    let trace =
-      match (path, preset) with
-      | Some _, Some _ -> usage_err "give either TRACE or --preset, not both"
-      | Some p, None -> load_trace ~policy:ingest ~lenient p
-      | None, Some pr -> preset_trace pr ~seed ~nodes:40 ~lambda:2. ~hours:6.
-      | None, None -> usage_err "need a TRACE file or --preset NAME"
-    in
-    let grid = delay_grid trace in
-    trace_manifest ?path ~seed ~domains
-      ~config:
-        Omn_obs.Json.
-          [
-            ("max_hops", Int max_hops); ("checkpoint_every", Int every);
-            ("budget_seconds", match budget with Some b -> Float b | None -> Null);
-            ("supervised", Bool (supervise <> None));
-          ]
-      trace;
-    write_checkpoint_sidecar checkpoint;
-    let fleet =
-      fleet_config ~domains ~supervise
-        ~telemetry:(metrics <> None || trace_out <> None || stat_addr <> None)
-        workers
-      |> Option.map (fun cfg ->
-             let cfg =
-               {
-                 cfg with
-                 Shard.heartbeat_timeout = hb_timeout;
-                 listen;
-                 auth_key = auth_key_resolve auth_key;
-                 worker_trace_cache;
-                 chaos =
-                   List.sort
-                     (fun (a : Faultgen.shard_event) b -> compare a.after_results b.after_results)
-                     shard_faults;
-                 stat_addr;
-               }
-             in
-             (* a fault schedule needs the victim to still hold
-                undispatched work when the fault fires, or failover
-                degenerates into a socket-buffer race; pin the
-                flow-control window like the shard suite does *)
-             if shard_faults = [] then cfg else { cfg with Shard.max_inflight = 2 })
-    in
-    let plan = Err.get_exn (Omn_core.Delay_cdf.plan ~max_hops ~grid trace) in
-    let { Omn_core.Driver.curves; progress = p; _ } =
-      drive ~progress ~label:"sources" ~domains ?fleet ?supervise ?checkpoint ~resume ~every
-        ?budget plan
-    in
-    partial_banner p;
-    (match output with
-    | Some f ->
-      write_json f (json_with_manifest (curve_fields curves));
-      Format.printf "wrote %s@." f
-    | None ->
-      print_curve_table curves;
-      Format.printf "flood success at unlimited delay: %.3f (max fixpoint rounds: %d)@."
-        curves.flood_success_inf curves.max_rounds_used);
-    resilience_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback p.degraded
-  in
-  Cmd.v
-    (Cmd.info "delay-cdf"
-       ~doc:
-         "Compute the per-hop-bound delay-CDF curves of a trace (Figs. 9-11 without the \
-          diameter extraction)")
-    Term.(
-      const run $ trace_pos $ preset $ seed_arg $ ingest_arg $ lenient_arg $ max_hops_arg
-      $ domains_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ budget_arg
-      $ metrics_arg $ trace_out_arg $ progress_arg $ retries_arg $ task_deadline_arg
-      $ quarantine_arg $ workers_arg $ heartbeat_timeout_arg $ shard_fault_arg
-      $ listen_arg $ auth_key_arg $ worker_trace_cache_arg $ stat_addr_arg $ output_arg)
+      $ sample_seed_arg $ stream_arg $ workers_arg $ heartbeat_timeout_arg $ shard_fault_arg
+      $ listen_arg $ auth_key_arg $ worker_trace_cache_arg $ stat_addr_arg $ heap_cap_arg
+      $ output_arg)
 
 (* --- delivery --- *)
 
@@ -1196,7 +1127,7 @@ let worker_cmd =
           ~doc:
             "Listen on $(docv) ($(b,host:port), port $(b,0) picks a free one and \
              prints it) and serve coordinator connections — the multi-machine worker \
-             shape ($(b,delay-cdf --workers host:port,...)).")
+             shape ($(b,diameter --workers host:port,...)).")
   in
   let auth_key =
     Arg.(
@@ -1243,9 +1174,9 @@ let worker_cmd =
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Shard worker process. Either spawned by the coordinator behind $(b,delay-cdf \
+         "Shard worker process. Either spawned by the coordinator behind $(b,diameter \
           --workers N) (it dials back over the coordinator's socket), or pre-started \
-          with $(b,--listen host:port) on another machine and named in $(b,delay-cdf \
+          with $(b,--listen host:port) on another machine and named in $(b,diameter \
           --workers host:port,...). Computes per-source partials on demand and ships \
           them back CRC-framed; authentication and protocol rejections exit 2 with a \
           typed $(b,E-AUTH)/$(b,E-PROTO) error.")
@@ -1373,7 +1304,7 @@ let theory_cmd =
 
 let report_cmd =
   let result_pos =
-    let doc = "A result JSON written by $(b,omn delay-cdf/diameter/forward -o) (manifest echo)." in
+    let doc = "A result JSON written by $(b,omn diameter/forward -o) (manifest echo)." in
     Arg.(value & pos 0 (some file) None & info [] ~docv:"RESULT" ~doc)
   in
   let metrics_in =
@@ -1506,9 +1437,8 @@ let () =
   let cmd =
     Cmd.group info
       [
-        gen_cmd; stats_cmd; diameter_cmd; delay_cdf_cmd; delivery_cmd; transform_cmd;
-        corrupt_cmd; worker_cmd; forward_cmd; theory_cmd; report_cmd;
-        experiment_cmd;
+        gen_cmd; stats_cmd; diameter_cmd; delivery_cmd; transform_cmd; corrupt_cmd;
+        worker_cmd; forward_cmd; theory_cmd; report_cmd; experiment_cmd;
       ]
   in
   exit

@@ -3,10 +3,10 @@
     Every result, metrics, bench and checkpoint-sidecar JSON the toolkit
     writes is stamped with the facts needed to reproduce (or distrust)
     it: the exact command line, the configuration knobs, the RNG seed,
-    a SHA-256 of the input trace plus its node/contact counts, the
-    toolkit and compiler versions (with [git describe] when the binary
-    runs inside a checkout), the domain count, the host, and the run's
-    wall-clock window. DTN results are notoriously sensitive to dataset
+    a SHA-256 of the input file plus the trace's node/contact counts,
+    the toolkit and compiler versions (with [git describe] when the
+    binary runs inside a checkout), the domain count, the host, and the
+    run's wall-clock window. DTN results are notoriously sensitive to dataset
     and configuration provenance; the manifest makes both part of the
     artifact itself.
 
@@ -20,8 +20,11 @@ type t = {
   config : (string * Json.t) list;  (** command-specific knobs *)
   seed : int option;
   trace_sha256 : string option;
-      (** digest of the input file's bytes, or of the canonical
-          serialisation for synthesised traces *)
+      (** digest of the bytes of the input file named on the command
+          line, or of the canonical serialisation of a trace the bench
+          synthesised. For a [# omn-shards 1] index those are the
+          index's bytes: they fix the shards' names and order, not the
+          shards' contents. *)
   trace_name : string option;
   n_nodes : int option;
   n_contacts : int option;

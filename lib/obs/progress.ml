@@ -1,8 +1,6 @@
 type t = {
   label : string;
   total : int option;
-  out : out_channel;
-  min_interval : float;
   tty : bool;
   mutable count : int;
   mutable degraded : int;
@@ -16,15 +14,15 @@ type t = {
   lock : Mutex.t;  (* updates may arrive from pool worker domains *)
 }
 
-let create ?(out = stderr) ?(min_interval = 0.5) ?total ~label () =
+let min_interval = 0.5
+
+let create ?total ~label () =
   let tty =
-    try Unix.isatty (Unix.descr_of_out_channel out) with Unix.Unix_error _ | Sys_error _ -> false
+    try Unix.isatty (Unix.descr_of_out_channel stderr) with Unix.Unix_error _ | Sys_error _ -> false
   in
   {
     label;
     total;
-    out;
-    min_interval;
     tty;
     count = 0;
     degraded = 0;
@@ -74,13 +72,13 @@ let render t =
 let print t ~force =
   let now = Unix.gettimeofday () in
   update_rate t now;
-  if (force || now -. t.last_print >= t.min_interval) && not t.finished then begin
+  if (force || now -. t.last_print >= min_interval) && not t.finished then begin
     t.last_print <- now;
     if t.tty then begin
-      Printf.fprintf t.out "\r%s%!" (render t);
+      Printf.fprintf stderr "\r%s%!" (render t);
       t.open_line <- true
     end
-    else Printf.fprintf t.out "%s\n%!" (render t)
+    else Printf.fprintf stderr "%s\n%!" (render t)
   end
 
 let locked t f =
@@ -107,6 +105,6 @@ let finish t =
   locked t @@ fun () ->
   if not t.finished then begin
     print t ~force:true;
-    if t.open_line then Printf.fprintf t.out "\n%!";
+    if t.open_line then Printf.fprintf stderr "\n%!";
     t.finished <- true
   end

@@ -1,8 +1,8 @@
 (** Line-rate-limited progress reporting for long sweeps.
 
-    Prints at most one update per [min_interval] seconds (default 0.5)
-    to [out] (default stderr): carriage-return style on a tty, one
-    plain line per update otherwise (so logs stay readable). Purely
+    Prints at most one update per half second to stderr:
+    carriage-return style on a tty, one plain line per update
+    otherwise (so logs stay readable). Purely
     cosmetic — never touches the metrics registry and works whether or
     not metrics are enabled. Safe to update from multiple domains
     (pool workers report concurrently); [set] keeps the maximum, so
@@ -17,7 +17,7 @@
 
 type t
 
-val create : ?out:out_channel -> ?min_interval:float -> ?total:int -> label:string -> unit -> t
+val create : ?total:int -> label:string -> unit -> t
 
 val set : t -> int -> unit
 (** Raise the completed count to [k] (monotone); prints if the rate

@@ -19,9 +19,9 @@ let recommended () = max 1 (Domain.recommended_domain_count ())
    heap). [Gc.set] applies the new size to the calling domain and to
    domains spawned afterwards, so [create] tunes the submitter before
    spawning and every worker re-applies it on startup. *)
-let default_minor_heap_words = 1 lsl 22 (* 4M words = 32 MB per domain *)
+let minor_heap_words = 1 lsl 22 (* 4M words = 32 MB per domain *)
 
-let tune_gc minor_heap_words =
+let tune_gc () =
   let g = Gc.get () in
   if g.Gc.minor_heap_size < minor_heap_words then
     Gc.set { g with Gc.minor_heap_size = minor_heap_words }
@@ -52,8 +52,8 @@ let spec_to_string = function Auto -> "auto" | Fixed k -> string_of_int k
    down. Job exceptions are the submitter's concern ([map] funnels them
    back to the caller); the belt-and-braces handler here only keeps a
    misbehaving job from killing the worker. *)
-let worker_loop ~minor_heap_words pool () =
-  tune_gc minor_heap_words;
+let worker_loop pool () =
+  tune_gc ();
   let rec next () =
     Mutex.lock pool.lock;
     let rec await () =
@@ -79,10 +79,10 @@ let worker_loop ~minor_heap_words pool () =
   in
   next ()
 
-let create ?domains ?(minor_heap_words = default_minor_heap_words) () =
+let create ?domains () =
   let domains = match domains with None -> recommended () | Some d -> d in
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
-  if domains > 1 then tune_gc minor_heap_words;
+  if domains > 1 then tune_gc ();
   let pool =
     {
       domains;
@@ -93,8 +93,7 @@ let create ?domains ?(minor_heap_words = default_minor_heap_words) () =
       stopping = false;
     }
   in
-  pool.workers <-
-    Array.init (domains - 1) (fun _ -> Domain.spawn (worker_loop ~minor_heap_words pool));
+  pool.workers <- Array.init (domains - 1) (fun _ -> Domain.spawn (worker_loop pool));
   pool
 
 let domains pool = pool.domains
@@ -217,11 +216,6 @@ let map pool f xs =
     (match Atomic.get error with Some e -> raise e | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
-
-let map_list pool f xs = Array.to_list (map pool f (Array.of_list xs))
-
-let map_reduce pool ~map:f ~reduce ~init xs =
-  Array.fold_left reduce init (map pool f xs)
 
 let run ?pool ?(domains = 1) f xs =
   match pool with

@@ -18,18 +18,17 @@
 type t
 (** A pool of [domains - 1] worker domains plus the calling domain. *)
 
-val create : ?domains:int -> ?minor_heap_words:int -> unit -> t
+val create : ?domains:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] workers ([domains]
     defaults to {!recommended}). Raises [Invalid_argument] if
     [domains < 1]. A pool with [domains = 1] spawns nothing and runs
     everything on the caller.
 
     Multi-domain pools also size every participating domain's minor
-    heap up to [minor_heap_words] (default 4M words, 32 MB): OCaml 5
-    minor collections are stop-the-world across domains, and the
-    default ~256k-word minor heap turns allocation-heavy workloads into
-    a synchronisation treadmill that gets {e slower} as domains are
-    added. The setting is never shrunk below what the process already
+    heap up to 4M words (32 MB): OCaml 5 minor collections are
+    stop-the-world across domains, and the default ~256k-word minor
+    heap turns allocation-heavy workloads into a synchronisation
+    treadmill that gets {e slower} as domains are added. The setting is never shrunk below what the process already
     uses, and a [domains = 1] pool leaves the GC untouched. *)
 
 val domains : t -> int
@@ -53,13 +52,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     [Invalid_argument] after {!shutdown}. The first exception raised
     by [f] is re-raised on the caller after all items finish or are
     abandoned. *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over lists (order preserved). *)
-
-val map_reduce : t -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a array -> 'acc
-(** Parallel map, then a sequential in-index-order fold on the caller —
-    the deterministic-reduction pattern in one call. *)
 
 val run : ?pool:t -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Convenience front end for APIs that accept both an optional shared

@@ -24,7 +24,6 @@ type policy = {
   backoff_max : float;
   jitter_seed : int;
   task_deadline : float option;
-  run_deadline : float option;
   quarantine : bool;
 }
 
@@ -35,7 +34,6 @@ let default =
     backoff_max = 1.;
     jitter_seed = 0;
     task_deadline = None;
-    run_deadline = None;
     quarantine = true;
   }
 
@@ -65,16 +63,12 @@ let validate policy =
   if policy.retries < 0 then invalid_arg "Supervise: retries < 0";
   if not (policy.backoff >= 0. && policy.backoff_max >= 0.) then
     invalid_arg "Supervise: negative backoff";
-  let deadline name = function
-    | Some d when not (d >= 0.) ->
-      Printf.ksprintf invalid_arg "Supervise: %s deadline %g is not >= 0" name d
-    | _ -> ()
-  in
-  deadline "task" policy.task_deadline;
-  deadline "run" policy.run_deadline
+  match policy.task_deadline with
+  | Some d when not (d >= 0.) ->
+    Printf.ksprintf invalid_arg "Supervise: task deadline %g is not >= 0" d
+  | _ -> ()
 
-let run_task ?(clock = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?(give_up = fun () -> false)
-    policy ~item f =
+let run_task ?(clock = Unix.gettimeofday) ?(sleep = Unix.sleepf) policy ~item f =
   validate policy;
   let attempt_once a =
     (match Atomic.get task_fault with Some h -> h ~item ~attempt:a | None -> ());
@@ -90,7 +84,7 @@ let run_task ?(clock = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?(give_up = fun
         match policy.task_deadline with Some d -> clock () -. t0 > d | None -> false
       in
       if overran then Metrics.incr m_deadline;
-      if overran || a >= policy.retries || give_up () then
+      if overran || a >= policy.retries then
         if policy.quarantine then begin
           Metrics.incr m_quarantined;
           Timeline.record (Quarantine { item; attempts = a + 1 });
@@ -108,15 +102,11 @@ let run_task ?(clock = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?(give_up = fun
 
 let map ?pool ?(domains = 1) ?(clock = Unix.gettimeofday) ?(sleep = Unix.sleepf) ?id policy f xs =
   validate policy;
-  let start = clock () in
-  let give_up () =
-    match policy.run_deadline with Some d -> clock () -. start > d | None -> false
-  in
   let tagged = Array.mapi (fun i x -> (i, x)) xs in
   Pool.run ?pool ~domains
     (fun (i, x) ->
       let item = match id with Some g -> g x | None -> i in
-      run_task ~clock ~sleep ~give_up policy ~item (fun () -> f x))
+      run_task ~clock ~sleep policy ~item (fun () -> f x))
     tagged
 
 let failures results =

@@ -28,11 +28,6 @@ type policy = {
           re-run a task that already demonstrated it overruns).
           Attempts cannot be pre-empted mid-flight; a {e successful}
           overrun is kept. *)
-  run_deadline : float option;
-      (** wall-clock budget for a whole {!map}: once exceeded, failing
-          tasks are no longer retried (quarantined on their next
-          failure) so the run converges quickly. Successful tasks are
-          unaffected — determinism of successful slots is preserved. *)
   quarantine : bool;
       (** [true]: a task that exhausts its retries yields
           [Error failure]; [false]: its exception is re-raised (the
@@ -40,8 +35,8 @@ type policy = {
 }
 
 val default : policy
-(** 2 retries, 50 ms base backoff capped at 1 s, seed 0, no deadlines,
-    quarantine on. *)
+(** 2 retries, 50 ms base backoff capped at 1 s, seed 0, no task
+    deadline, quarantine on. *)
 
 type failure = {
   item : int;  (** caller-assigned id (see [map]'s [id]), default index *)
@@ -79,26 +74,22 @@ val backoff_delay : policy -> item:int -> attempt:int -> float
 
 val validate : policy -> unit
 (** Raises [Invalid_argument] naming the field on a malformed policy:
-    negative [retries], a backoff or deadline that is negative or NaN.
-    An infinite deadline is no limit. {!run_task} and {!map} call it;
-    an executor that ships the policy elsewhere calls it first. *)
+    negative [retries], a backoff or task deadline that is negative or
+    NaN. An infinite deadline is no limit. {!run_task} and {!map} call
+    it; an executor that ships the policy elsewhere calls it first. *)
 
 val run_task :
   ?clock:(unit -> float) ->
   ?sleep:(float -> unit) ->
-  ?give_up:(unit -> bool) ->
   policy ->
   item:int ->
   (unit -> 'b) ->
   ('b, failure) result
 (** Run one task under the policy. [clock] defaults to
     [Unix.gettimeofday], [sleep] to [Unix.sleepf] (tests pass a no-op
-    to run instantly). [give_up] is polled after each failure; when it
-    returns [true], remaining retries are forfeited ({!map} wires the
-    [run_deadline] through it). Raises [Invalid_argument] on a
-    malformed policy ({!validate}). With
-    [quarantine = false] the final exception is re-raised instead of
-    returned. *)
+    to run instantly). Raises [Invalid_argument] on a malformed policy
+    ({!validate}). With [quarantine = false] the final exception is
+    re-raised instead of returned. *)
 
 val map :
   ?pool:Pool.t ->

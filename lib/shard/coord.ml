@@ -184,8 +184,9 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
   let n_initial = cfg.workers + List.length cfg.peers in
   if cfg.workers < 0 then Err.error Usage "shard: workers < 0"
   else if n_initial < 1 then Err.error Usage "shard: no workers (spawned or peers)"
-  else if cfg.heartbeat_timeout <= 0. || cfg.heartbeat_interval <= 0. then
-    Err.error Usage "shard: non-positive heartbeat parameters"
+  else if not (cfg.heartbeat_timeout > 0. && cfg.heartbeat_interval > 0.) then
+    (* NaN fails every [> 0.]; a NaN timeout would never fire *)
+    Err.error Usage "shard: heartbeat timeout and interval must be > 0"
   else if cfg.max_inflight < 1 then Err.error Usage "shard: max_inflight < 1"
   else if
     cfg.auth_key = None

@@ -207,9 +207,10 @@ val with_fleet :
 
     [Error] only when the session cannot start, before any listener is
     bound or worker started: [Usage] for a fleet without workers,
-    non-positive heartbeat parameters, [max_inflight < 1] or a
-    [supervise] policy that {!Omn_parallel.Supervise.validate} rejects
-    (the message names the field), or an auth-bad fault without an
+    heartbeat parameters that are not > 0 (NaN included),
+    [max_inflight < 1] or a [supervise] policy that
+    {!Omn_parallel.Supervise.validate} rejects (the message names the
+    field), or an auth-bad fault without an
     [auth_key] (its wrong key is derived from the fleet's); [Io] for a listener or stat address
     that cannot be set up. An exception from [f] is re-raised after the
     teardown. [stats] covers the whole session. *)

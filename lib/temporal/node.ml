@@ -3,27 +3,3 @@ type t = int
 let compare = Int.compare
 let equal = Int.equal
 let pp fmt n = Format.fprintf fmt "n%d" n
-
-type naming = { forward : (string, int) Hashtbl.t; mutable backward : string array; mutable next : int }
-
-let naming_create () = { forward = Hashtbl.create 64; backward = [||]; next = 0 }
-
-let intern naming name =
-  match Hashtbl.find_opt naming.forward name with
-  | Some id -> id
-  | None ->
-    let id = naming.next in
-    Hashtbl.add naming.forward name id;
-    let cap = Array.length naming.backward in
-    if id >= cap then begin
-      let fresh = Array.make (max 8 (2 * cap)) "" in
-      Array.blit naming.backward 0 fresh 0 cap;
-      naming.backward <- fresh
-    end;
-    naming.backward.(id) <- name;
-    naming.next <- id + 1;
-    id
-
-let find naming name = Hashtbl.find_opt naming.forward name
-let name naming id = if id >= 0 && id < naming.next then Some naming.backward.(id) else None
-let size naming = naming.next

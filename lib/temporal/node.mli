@@ -1,22 +1,8 @@
-(** Node (device) identifiers.
-
-    Nodes of a temporal network are dense integers [0 .. n-1]; datasets
-    that name their devices keep the mapping in a {!naming}. *)
+(** Node (device) identifiers: the dense integers [0 .. n-1] of a
+    temporal network. *)
 
 type t = int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-type naming
-(** Bidirectional map between external device names and dense ids. *)
-
-val naming_create : unit -> naming
-
-val intern : naming -> string -> t
-(** Id for [name], allocating the next dense id on first sight. *)
-
-val find : naming -> string -> t option
-val name : naming -> t -> string option
-val size : naming -> int

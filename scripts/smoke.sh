@@ -1,39 +1,44 @@
 #!/bin/sh
 # End-to-end smoke test. Three layers:
 #   1. robustness: fault-injected traces must fail strict ingestion,
-#      pass lenient ingestion with a repair report; diameter and
-#      delay-cdf must run on a window shorter than 1 s and fail with a
-#      typed E-WINDOW on one that spans no time; a NaN or infinite
-#      horizon or rate, a NaN epsilon, budget or task deadline, and an
-#      auth-bad shard fault without a key must exit 2 within 10 s with
-#      an E-USAGE error naming it; an
-#      unknown flag (the removed --worker-ckpt-dir too) or a removed
-#      command (chaos) must exit 2, never the 124 of a PARTIAL run;
-#   2. budget/resume: a delay-cdf run truncated by --budget-seconds must
+#      pass lenient ingestion with a repair report; diameter must run
+#      on a window shorter than 1 s and fail with a typed E-WINDOW on
+#      one that spans no time; a NaN or infinite horizon or rate, a NaN
+#      epsilon, budget, task deadline or heartbeat timeout, an auth-bad
+#      shard fault without a key, and each of the six fleet flags
+#      without --workers (refused before the trace is read) must exit
+#      2 within 10 s with an E-USAGE error naming it; an unknown flag
+#      (the removed --worker-ckpt-dir too) or a removed command (chaos,
+#      delay-cdf) must exit 2, never the 124 of a PARTIAL run;
+#   2. budget/resume: a diameter run truncated by --budget-seconds must
 #      exit 124 with a PARTIAL banner, and resuming from its checkpoint
 #      must reproduce the uninterrupted run byte for byte;
 #   3. observability: --metrics must emit a snapshot containing frontier
 #      prune counters, per-domain pool busy time and the span tree;
 #   4. resilience: a fault-free supervised run must match the
 #      unsupervised run byte for byte; a corrupted checkpoint must fall
-#      back to the rotated .prev generation and still reproduce the
+#      back to the rotated .prev generation, say so in its run status
+#      ("ckpt_fallback": true) and otherwise reproduce the
 #      uninterrupted output;
 #   5. timeline: --trace-out must emit a Chrome trace with per-domain
 #      tracks and chunk/pool duration events, and `omn report
 #      --fail-dropped` must digest it with zero dropped events;
 #   6. sharding: a 3-worker sharded run must be byte-identical (modulo
 #      manifest) to the single-process run, and must stay byte-identical
-#      with exit 0 when a worker is killed mid-run (failover); a
-#      two-"machine" loopback-TCP fleet of pre-started authenticated
-#      workers must survive an induced network partition with identical
-#      bytes, and a wrong-key coordinator must exit 2 with E-AUTH;
+#      with exit 0 when a worker is killed mid-run (failover), also
+#      with all six fleet flags given at once; a two-"machine"
+#      loopback-TCP fleet of pre-started authenticated workers must
+#      survive an induced network partition with identical bytes, a
+#      wrong key (--auth-key or OMN_SHARD_KEY) must exit 2 with E-AUTH,
+#      and no worker may outlive the section;
 #   7. fleet telemetry: a 2-worker loopback-TCP run with --stat-addr,
 #      --metrics and --trace-out must serve a live Prometheus
-#      exposition mid-run, emit one merged Perfetto trace with
-#      offset-corrected per-worker tracks and a fleet footer, keep the
-#      result byte-identical (modulo manifest) to the single-process
-#      run, and render the per-worker table under `omn report --fleet
-#      --fail-dropped`; a bare `omn worker --id -1` must parse;
+#      exposition with the worker-spawn counter mid-run, emit one
+#      merged Perfetto trace with offset-corrected per-worker tracks
+#      and a fleet footer, keep the result byte-identical (modulo
+#      manifest) to the single-process run, and render the per-worker
+#      table under `omn report --fleet --fail-dropped`; a bare
+#      `omn worker --id -1` must parse;
 #   8. streaming + sampling: a sharded on-disk generation must hold the
 #      records of the same generation written as one flat file, in
 #      order, under the flat file's header in every shard; streamed
@@ -43,10 +48,9 @@
 #      sampling flag must be rejected with the usage exit code 2;
 #   9. cross-driver identity: on a trace with fractional contact times,
 #      every way of running the driver (plain, --progress, --checkpoint,
-#      budget-truncated and resumed, delay-cdf in process and on two
-#      workers, a budget-truncated two-worker run resumed on two
-#      workers, exact diameter on two workers, an exhaustive --sample)
-#      must print the same curves.
+#      budget-truncated and resumed, a budget-truncated two-worker run
+#      resumed on two workers, exact on two workers, an exhaustive
+#      --sample) must print the same curves.
 # Run via `make check`. CI uploads $SMOKE_METRICS, $SMOKE_TRACE,
 # $SMOKE_REPORT, $SMOKE_SHARD_TRACE, $SMOKE_SHARD_REPORT,
 # $SMOKE_FLEET_TRACE, $SMOKE_FLEET_METRICS and $SMOKE_FLEET_REPORT as
@@ -98,27 +102,28 @@ done
 # time has no delays at all, which is a typed window error.
 printf '# window 0 0.5\n0 1 0 0.2\n1 2 0.3 0.4\n' >"$tmp/short.omn"
 printf '# window 5 5\n0 1 5 5\n' >"$tmp/instant.omn"
-for cmd in diameter delay-cdf; do
-  rc=0
-  "$OMN" "$cmd" "$tmp/short.omn" >/dev/null 2>"$tmp/short.err" || rc=$?
-  if [ "$rc" -ne 0 ]; then
-    echo "smoke FAIL: 'omn $cmd' on a 0.5 s window exited $rc" >&2
-    cat "$tmp/short.err" >&2
-    exit 1
-  fi
-  rc=0
-  "$OMN" "$cmd" "$tmp/instant.omn" >/dev/null 2>"$tmp/instant.err" || rc=$?
-  if [ "$rc" -ne 2 ] || ! grep -q 'E-WINDOW' "$tmp/instant.err"; then
-    echo "smoke FAIL: 'omn $cmd' on a zero-span window exited $rc, expected 2 with E-WINDOW" >&2
-    cat "$tmp/instant.err" >&2
-    exit 1
-  fi
-done
+rc=0
+"$OMN" diameter "$tmp/short.omn" >/dev/null 2>"$tmp/short.err" || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "smoke FAIL: 'omn diameter' on a 0.5 s window exited $rc" >&2
+  cat "$tmp/short.err" >&2
+  exit 1
+fi
+rc=0
+"$OMN" diameter "$tmp/instant.omn" >/dev/null 2>"$tmp/instant.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'E-WINDOW' "$tmp/instant.err"; then
+  echo "smoke FAIL: 'omn diameter' on a zero-span window exited $rc, expected 2 with E-WINDOW" >&2
+  cat "$tmp/instant.err" >&2
+  exit 1
+fi
 
 # NaN fails every comparison, so a guard written as `x <= 0` lets it
 # through into a generator loop or an assertion; an auth-bad fault
-# without a shard key cannot be injected. Each line: the name the error
-# must carry, then the arguments, run with no OMN_SHARD_KEY.
+# without a shard key cannot be injected; a fleet flag without
+# --workers has no fleet to shape, and is refused before the trace is
+# read (mangled.omn fails strict ingestion). Each line: the name the
+# error must carry, then the arguments, run with no OMN_SHARD_KEY.
+"$OMN" corrupt "$tmp/clean.omn" --fault mangle --seed 3 -o "$tmp/mangled.omn" >/dev/null
 while IFS='|' read -r name args; do
   rc=0
   # shellcheck disable=SC2086
@@ -139,18 +144,24 @@ lambda|gen --preset random --lambda nan
 horizon|gen --preset waypoint --hours nan
 epsilon|diameter $tmp/clean.omn --epsilon nan
 budget|diameter $tmp/clean.omn --budget-seconds nan
-budget|delay-cdf $tmp/clean.omn --budget-seconds nan
 deadline|diameter $tmp/clean.omn --task-deadline nan
-deadline|delay-cdf $tmp/clean.omn --task-deadline nan
-deadline|delay-cdf $tmp/clean.omn --workers 2 --task-deadline nan
+deadline|diameter $tmp/clean.omn --workers 2 --task-deadline nan
+heartbeat|diameter $tmp/clean.omn --workers 2 --heartbeat-timeout nan
 lambda|theory --lambda nan
-auth-bad|delay-cdf $tmp/clean.omn --workers 2 --shard-fault auth-bad:1:0
+auth-bad|diameter $tmp/clean.omn --workers 2 --shard-fault auth-bad:1:0
+--heartbeat-timeout|diameter $tmp/mangled.omn --heartbeat-timeout 30
+--shard-fault|diameter $tmp/mangled.omn --shard-fault worker-kill:2:1
+--listen|diameter $tmp/mangled.omn --listen 127.0.0.1:0
+--auth-key|diameter $tmp/mangled.omn --auth-key smoke-key
+--worker-trace-cache|diameter $tmp/mangled.omn --worker-trace-cache $tmp/wtc
+--stat-addr|diameter $tmp/mangled.omn --workers 0 --stat-addr 127.0.0.1:0
 CASES
 
 # A command-line parse error is a usage error: 124 means a
 # budget-truncated PARTIAL run, one to resume.
 for args in "diameter --no-such-flag $tmp/clean.omn" \
-  "delay-cdf --worker-ckpt-dir $tmp/d $tmp/clean.omn" "chaos --shard"; do
+  "diameter --worker-ckpt-dir $tmp/d $tmp/clean.omn" "chaos --shard" \
+  "delay-cdf $tmp/clean.omn --max-hops 6"; do
   rc=0
   # shellcheck disable=SC2086
   "$OMN" $args >/dev/null 2>"$tmp/parse.err" || rc=$?
@@ -167,31 +178,31 @@ done
 # --- 2. budget expiry (exit 124) and resume ---------------------------------
 
 # The reference: one uninterrupted run.
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 -o "$tmp/full.json" >/dev/null
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 -o "$tmp/full.json" >/dev/null
 
 # A zero budget must stop after the first chunk with the partial exit code.
 rc=0
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 \
   --budget-seconds 0 --checkpoint-every 1 --checkpoint "$tmp/cdf.ck" \
   -o "$tmp/partial.json" >"$tmp/partial.out" 2>&1 || rc=$?
 if [ "$rc" -ne 124 ]; then
-  echo "smoke FAIL: budget-truncated delay-cdf exited $rc, expected 124" >&2
+  echo "smoke FAIL: budget-truncated diameter exited $rc, expected 124" >&2
   exit 1
 fi
 grep -q 'PARTIAL' "$tmp/partial.out" || {
-  echo "smoke FAIL: truncated delay-cdf printed no PARTIAL banner" >&2
+  echo "smoke FAIL: truncated diameter printed no PARTIAL banner" >&2
   exit 1
 }
 [ -f "$tmp/cdf.ck" ] || {
-  echo "smoke FAIL: truncated delay-cdf left no checkpoint" >&2
+  echo "smoke FAIL: truncated diameter left no checkpoint" >&2
   exit 1
 }
 
 # Resuming from that checkpoint must complete and agree exactly.
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 \
   --checkpoint-every 1 --checkpoint "$tmp/cdf.ck" --resume -o "$tmp/resumed.json" >/dev/null
 same_result "$tmp/full.json" "$tmp/resumed.json" || {
-  echo "smoke FAIL: resumed delay-cdf differs from uninterrupted run" >&2
+  echo "smoke FAIL: resumed diameter differs from uninterrupted run" >&2
   exit 1
 }
 if [ -f "$tmp/cdf.ck" ]; then
@@ -201,7 +212,7 @@ fi
 
 # --- 3. observability -------------------------------------------------------
 
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --domains 2 --progress \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --domains 2 --progress \
   --metrics "$SMOKE_METRICS" >/dev/null 2>"$tmp/progress.out"
 for key in '"schema": "omn-metrics 1"' 'frontier.points_pruned' 'frontier.points_kept' \
   'pool.busy_seconds' 'delay_cdf.pairs_done' '"spans"' 'driver.run'; do
@@ -218,7 +229,7 @@ grep -q 'sources' "$tmp/progress.out" || {
 # --- 4. resilience -----------------------------------------------------------
 
 # Fault-free supervision is pure bookkeeping: same bytes, exit 0.
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --retries 2 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --retries 2 \
   -o "$tmp/supervised.json" >/dev/null
 same_result "$tmp/full.json" "$tmp/supervised.json" || {
   echo "smoke FAIL: fault-free supervised run differs from unsupervised run" >&2
@@ -228,7 +239,7 @@ same_result "$tmp/full.json" "$tmp/supervised.json" || {
 # Two zero-budget runs leave two checkpoint generations on disk.
 for flag in "" "--resume"; do
   rc=0
-  "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --budget-seconds 0 --checkpoint-every 1 \
+  "$OMN" diameter "$tmp/clean.omn" --max-hops 6 --budget-seconds 0 --checkpoint-every 1 \
     --checkpoint "$tmp/res.ck" $flag >/dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 124 ]; then
     echo "smoke FAIL: zero-budget run exited $rc, expected 124" >&2
@@ -241,15 +252,23 @@ done
 }
 
 # Corrupt the current generation: resume must detect the bad CRC, fall
-# back to .prev, redo the lost chunk, and agree byte for byte.
+# back to .prev, redo the lost chunk, and agree byte for byte — except
+# for the run status, which records the fallback.
 "$OMN" corrupt "$tmp/res.ck" --fault ckpt-flip --seed 3 -o "$tmp/res.ck" >/dev/null
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --checkpoint-every 1 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --checkpoint-every 1 \
   --checkpoint "$tmp/res.ck" --resume -o "$tmp/fallback.json" >/dev/null 2>"$tmp/fallback.err"
 grep -q 'previous generation' "$tmp/fallback.err" || {
   echo "smoke FAIL: corrupt checkpoint produced no fallback notice" >&2
   exit 1
 }
-same_result "$tmp/full.json" "$tmp/fallback.json" || {
+grep -q '^  "ckpt_fallback": true,$' "$tmp/fallback.json" || {
+  echo "smoke FAIL: post-fallback result does not record ckpt_fallback true" >&2
+  exit 1
+}
+but_fallback() {
+  strip_manifest "$1" | sed '/^  "ckpt_fallback": /d'
+}
+[ "$(but_fallback "$tmp/full.json")" = "$(but_fallback "$tmp/fallback.json")" ] || {
   echo "smoke FAIL: post-fallback output differs from uninterrupted run" >&2
   exit 1
 }
@@ -263,7 +282,7 @@ fi
 # One traced run, then the report analyzer over its trace + metrics.
 # --fail-dropped turns any ring overflow into a failing exit code, so a
 # trace too small for its run can never pass silently.
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --domains 2 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --domains 2 \
   --trace-out "$SMOKE_TRACE" --metrics "$SMOKE_METRICS" -o "$tmp/traced.json" >/dev/null
 for key in '"omn-timeline 1"' 'traceEvents' 'thread_name' '"chunk"' 'pool.work' \
   '"manifest"' 'trace_sha256'; do
@@ -293,7 +312,7 @@ done
 # Results must not depend on how the work is placed: a 3-worker sharded
 # run is the same bytes as the single-process run, and the manifest
 # records the worker count.
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --workers 3 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --workers 3 \
   -o "$tmp/sharded.json" >/dev/null
 same_result "$tmp/full.json" "$tmp/sharded.json" || {
   echo "smoke FAIL: 3-worker sharded run differs from single-process run" >&2
@@ -308,7 +327,7 @@ grep -q '"workers": 3' "$tmp/sharded.json" || {
 # the exit code: its unacknowledged sources go to the workers that have
 # room and the worker is respawned.
 rc=0
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 --workers 3 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --workers 3 \
   --shard-fault worker-kill:2:1 --trace-out "$SMOKE_SHARD_TRACE" \
   -o "$tmp/sharded-kill.json" >/dev/null 2>"$tmp/shard.err" || rc=$?
 if [ "$rc" -ne 0 ]; then
@@ -338,6 +357,32 @@ for key in '"shard"' '"worker_spawns"' '"reassigned_sources"'; do
     exit 1
   }
 done
+
+# All six fleet flags at once reach the fleet: keyed workers spawned
+# with a trace store, dialling a TCP listener, under their own heartbeat
+# timeout and a kill, with a stats endpoint up — and the same bytes.
+rc=0
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --workers 2 --heartbeat-timeout 30 \
+  --shard-fault worker-kill:2:1 --listen 127.0.0.1:0 --auth-key smoke-flag-key \
+  --worker-trace-cache "$tmp/wstore" --stat-addr 127.0.0.1:0 \
+  -o "$tmp/flags.json" >/dev/null 2>"$tmp/flags.err" || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "smoke FAIL: run with every fleet flag exited $rc, expected 0" >&2
+  cat "$tmp/flags.err" >&2
+  exit 1
+fi
+same_result "$tmp/full.json" "$tmp/flags.json" || {
+  echo "smoke FAIL: run with every fleet flag differs from single-process run" >&2
+  exit 1
+}
+grep -q 'shard failover' "$tmp/flags.err" && grep -q 'fleet stats on' "$tmp/flags.err" || {
+  echo "smoke FAIL: run with every fleet flag reported no failover or stats endpoint" >&2
+  exit 1
+}
+[ -n "$(ls -A "$tmp/wstore" 2>/dev/null)" ] || {
+  echo "smoke FAIL: --worker-trace-cache left the workers' store empty" >&2
+  exit 1
+}
 
 # --- 6b. multi-machine sharding over loopback TCP -----------------------------
 
@@ -375,7 +420,7 @@ p1=$(port_of "$tmp/w1.log")
 p2=$(port_of "$tmp/w2.log")
 
 rc=0
-OMN_SHARD_KEY="$SHARD_KEY" "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
+OMN_SHARD_KEY="$SHARD_KEY" "$OMN" diameter "$tmp/clean.omn" --max-hops 6 \
   --workers 127.0.0.1:"$p1",127.0.0.1:"$p2" --shard-fault net-partition:2:0 \
   -o "$tmp/tcp.json" >/dev/null 2>"$tmp/tcp.err" || rc=$?
 if [ "$rc" -ne 0 ]; then
@@ -391,7 +436,7 @@ same_result "$tmp/full.json" "$tmp/tcp.json" || {
 # A coordinator with the wrong key must be turned away with a typed
 # E-AUTH error (exit 2) — never a hang, a crash, or a silent accept.
 rc=0
-"$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 \
   --workers 127.0.0.1:"$p1",127.0.0.1:"$p2" --auth-key wrong-key \
   -o "$tmp/tcp-bad.json" >/dev/null 2>"$tmp/auth.err" || rc=$?
 if [ "$rc" -ne 2 ]; then
@@ -402,16 +447,33 @@ grep -q 'E-AUTH' "$tmp/auth.err" || {
   echo "smoke FAIL: wrong-key rejection carried no E-AUTH code" >&2
   exit 1
 }
+# The same through the environment, the way spawned workers get the key.
+rc=0
+OMN_SHARD_KEY=wrong-key "$OMN" diameter "$tmp/clean.omn" --max-hops 6 \
+  --workers 127.0.0.1:"$p1",127.0.0.1:"$p2" \
+  -o "$tmp/tcp-badenv.json" >/dev/null 2>"$tmp/auth-env.err" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'E-AUTH' "$tmp/auth-env.err"; then
+  echo "smoke FAIL: OMN_SHARD_KEY=wrong-key coordinator exited $rc, expected 2 with E-AUTH" >&2
+  cat "$tmp/auth-env.err" >&2
+  exit 1
+fi
 
 # The workers must have kept serving: a correct run still completes
 # after the rejected one, now warm (trace held by digest on both ends).
-OMN_SHARD_KEY="$SHARD_KEY" "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
+OMN_SHARD_KEY="$SHARD_KEY" "$OMN" diameter "$tmp/clean.omn" --max-hops 6 \
   --workers 127.0.0.1:"$p1",127.0.0.1:"$p2" -o "$tmp/tcp2.json" >/dev/null
 same_result "$tmp/full.json" "$tmp/tcp2.json" || {
   echo "smoke FAIL: post-rejection TCP run differs from single-process run" >&2
   exit 1
 }
 kill "$w1" "$w2" 2>/dev/null || true
+wait "$w1" "$w2" 2>/dev/null || true
+for w in "$w1" "$w2"; do
+  if kill -0 "$w" 2>/dev/null; then
+    echo "smoke FAIL: omn worker $w outlived its section" >&2
+    exit 1
+  fi
+done
 
 # --- 7. fleet telemetry --------------------------------------------------------
 
@@ -433,7 +495,7 @@ fi
 # the first read below, which under set -e would end the script.
 rc=0
 : >"$tmp/fleet.err"
-OMN_SHARD_KEY="$SHARD_KEY" "$OMN" delay-cdf "$tmp/clean.omn" --max-hops 6 \
+OMN_SHARD_KEY="$SHARD_KEY" "$OMN" diameter "$tmp/clean.omn" --max-hops 6 \
   --workers 2 --listen 127.0.0.1:0 --stat-addr 127.0.0.1:0 \
   --shard-fault net-slow:1:0 \
   --metrics "$SMOKE_FLEET_METRICS" --trace-out "$SMOKE_FLEET_TRACE" \
@@ -464,9 +526,9 @@ wait "$fleet" || {
 }
 if command -v curl >/dev/null 2>&1; then
   case "$scrape" in
-  *"# TYPE omn_"*) : ;;
+  *"# TYPE omn_shard_worker_spawns counter"*) : ;;
   *)
-    echo "smoke FAIL: live stats endpoint served no Prometheus exposition" >&2
+    echo "smoke FAIL: live stats endpoint served no worker-spawn counter" >&2
     exit 1
     ;;
   esac
@@ -614,23 +676,21 @@ fi
 # of the checkpoint
 "$OMN" diameter "$tmp/x.omn" --checkpoint "$tmp/x-budget.ck" --resume \
   -o "$tmp/x-resumed.json" >/dev/null
-"$OMN" delay-cdf "$tmp/x.omn" -o "$tmp/x-cdf.json" >/dev/null
-"$OMN" delay-cdf "$tmp/x.omn" --workers 2 -o "$tmp/x-workers.json" >/dev/null
 # the fleet is one more executor of the driver: a zero budget still
 # completes a batch and checkpoints it, and the resume finishes on the
 # fleet
 rc=0
-"$OMN" delay-cdf "$tmp/x.omn" --workers 2 --budget-seconds 0 --checkpoint-every 1 \
+"$OMN" diameter "$tmp/x.omn" --workers 2 --budget-seconds 0 --checkpoint-every 1 \
   --checkpoint "$tmp/x-fleet.ck" -o "$tmp/x-fleet-partial.json" >"$tmp/x-fleet.out" || rc=$?
 if [ "$rc" -ne 124 ]; then
-  echo "smoke FAIL: zero-budget fleet delay-cdf exited $rc, expected 124" >&2
+  echo "smoke FAIL: zero-budget fleet diameter exited $rc, expected 124" >&2
   exit 1
 fi
 if grep -q 'after 0 of' "$tmp/x-fleet.out"; then
   echo "smoke FAIL: zero-budget fleet run completed no source" >&2
   exit 1
 fi
-"$OMN" delay-cdf "$tmp/x.omn" --workers 2 --checkpoint "$tmp/x-fleet.ck" --resume \
+"$OMN" diameter "$tmp/x.omn" --workers 2 --checkpoint "$tmp/x-fleet.ck" --resume \
   -o "$tmp/x-fleetresumed.json" >/dev/null
 "$OMN" diameter "$tmp/x.omn" --workers 2 -o "$tmp/x-diamworkers.json" >/dev/null
 "$OMN" diameter "$tmp/x.omn" --sample 1000 -o "$tmp/x-sample.json" >/dev/null
@@ -639,7 +699,7 @@ curve_fields "$tmp/x-plain.json" >"$tmp/x-plain.curves"
   echo "smoke FAIL: no curve fields in the plain diameter output" >&2
   exit 1
 }
-for run in progress ckpt resumed cdf workers fleetresumed diamworkers sample; do
+for run in progress ckpt resumed fleetresumed diamworkers sample; do
   curve_fields "$tmp/x-$run.json" | cmp -s - "$tmp/x-plain.curves" || {
     echo "smoke FAIL: $run curves differ from plain omn diameter" >&2
     exit 1

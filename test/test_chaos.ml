@@ -105,40 +105,10 @@ let run_task_deadlines () =
   | Error fl -> Alcotest.(check int) "overrun not retried" 1 fl.S.attempts
   | Ok _ -> Alcotest.fail "must fail");
   Alcotest.(check int) "one call" 1 !calls;
-  (* give_up forfeits the remaining retries *)
-  let calls = ref 0 in
-  let f () =
-    incr calls;
-    failwith "x"
-  in
-  (match
-     S.run_task ~sleep:no_sleep ~give_up:(fun () -> true) { fast with S.retries = 5 } ~item:0 f
-   with
-  | Error fl -> Alcotest.(check int) "gave up after first failure" 1 fl.S.attempts
-  | Ok _ -> Alcotest.fail "must fail");
   (* malformed policies are rejected up front *)
   match S.run_task ~sleep:no_sleep { fast with S.retries = -1 } ~item:0 (fun () -> ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative retries accepted"
-
-let map_run_deadline () =
-  let now = ref 0. in
-  let clock () = !now in
-  let f _ =
-    now := !now +. 100.;
-    failwith "always"
-  in
-  let results =
-    S.map ~clock ~sleep:no_sleep
-      { fast with S.retries = 5; run_deadline = Some 50. }
-      f (Array.init 4 Fun.id)
-  in
-  Alcotest.(check int) "all slots failed" 4 (List.length (S.failures results));
-  List.iter
-    (fun (fl : S.failure) ->
-      Alcotest.(check bool) "retries forfeited once the run deadline passed" true
-        (fl.S.attempts <= 2))
-    (S.failures results)
 
 let supervised_map_bit_identity () =
   let xs = Array.init 60 Fun.id in
@@ -609,7 +579,6 @@ let suite =
     Alcotest.test_case "run_task retries then succeeds" `Quick run_task_retries_then_succeeds;
     Alcotest.test_case "run_task quarantines / re-raises" `Quick run_task_quarantines;
     Alcotest.test_case "task deadline and give_up" `Quick run_task_deadlines;
-    Alcotest.test_case "run deadline stops retrying" `Quick map_run_deadline;
     Alcotest.test_case "supervised map keeps slot identity" `Quick supervised_map_bit_identity;
     Alcotest.test_case "task-fault hook targets items" `Quick task_fault_hook_targets_items;
     Alcotest.test_case "transient error classification" `Quick transient_classification;

@@ -2,19 +2,6 @@
 
 module Rng = Omn_stats.Rng
 
-let node_naming () =
-  let naming = Omn_temporal.Node.naming_create () in
-  let a = Omn_temporal.Node.intern naming "imote-07" in
-  let b = Omn_temporal.Node.intern naming "imote-12" in
-  let a' = Omn_temporal.Node.intern naming "imote-07" in
-  Alcotest.(check int) "dense ids" 0 a;
-  Alcotest.(check int) "next id" 1 b;
-  Alcotest.(check int) "stable" a a';
-  Alcotest.(check int) "size" 2 (Omn_temporal.Node.size naming);
-  Alcotest.(check (option string)) "reverse" (Some "imote-12") (Omn_temporal.Node.name naming b);
-  Alcotest.(check (option int)) "find" (Some 0) (Omn_temporal.Node.find naming "imote-07");
-  Alcotest.(check (option string)) "unknown id" None (Omn_temporal.Node.name naming 9)
-
 let trace_with_name () =
   let trace = Util.trace_of_contacts [ (0, 1, 0., 1.) ] in
   let renamed = Omn_temporal.Trace.with_name trace "renamed" in
@@ -124,7 +111,6 @@ let spray_hop_bounds () =
 
 let suite =
   [
-    Alcotest.test_case "node naming" `Quick node_naming;
     Alcotest.test_case "trace rename" `Quick trace_with_name;
     Alcotest.test_case "merge node-count mismatch" `Quick merge_rejects_mismatch;
     Alcotest.test_case "empirical support/variance" `Quick empirical_support_and_variance;

@@ -1,11 +1,8 @@
-(* The omn_parallel pool and chunking helpers: determinism (results in
-   input order regardless of domain count), exception propagation, pool
-   reuse, and the tail-recursion guarantee of Chunk.split_at — the old
-   non-tail split_at in Delay_cdf overflowed the stack on large
-   checkpoint chunks. *)
+(* The omn_parallel pool: determinism (results in input order
+   regardless of domain count), exception propagation and pool
+   reuse. *)
 
 module Pool = Omn_parallel.Pool
-module Chunk = Omn_parallel.Chunk
 
 let map_matches_sequential () =
   Pool.with_pool ~domains:4 (fun pool ->
@@ -84,14 +81,6 @@ let nested_map_detected () =
           Alcotest.(check (array int)) "different pool allowed" [| 6; 9 |]
             (Pool.map pool g [| 0; 1 |])))
 
-let map_list_and_reduce () =
-  Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.(check (list int)) "map_list" [ 2; 3; 4 ] (Pool.map_list pool succ [ 1; 2; 3 ]);
-      let total =
-        Pool.map_reduce pool ~map:(fun x -> 2 * x) ~reduce:( + ) ~init:0 (Array.init 100 Fun.id)
-      in
-      Alcotest.(check int) "map_reduce" 9900 total)
-
 let run_dispatch () =
   let xs = Array.init 50 (fun i -> i) in
   let f x = (3 * x) + 1 in
@@ -115,48 +104,6 @@ let spec_parsing () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "Fixed 0 resolved"
 
-(* Regression: the old Delay_cdf split_at recursed once per element and
-   blew the stack around a few hundred thousand elements. *)
-let split_at_million () =
-  let m = 1_000_000 in
-  let xs = List.init m Fun.id in
-  let prefix, rest = Chunk.split_at (m - 1) xs in
-  Alcotest.(check int) "prefix length" (m - 1) (List.length prefix);
-  Alcotest.(check (list int)) "rest" [ m - 1 ] rest;
-  Alcotest.(check int) "prefix head" 0 (List.hd prefix);
-  let all, none = Chunk.split_at (2 * m) xs in
-  Alcotest.(check int) "over-length prefix" m (List.length all);
-  Alcotest.(check (list int)) "over-length rest" [] none;
-  Alcotest.(check int) "drop length" 1 (List.length (Chunk.drop (m - 1) xs));
-  match Chunk.split_at (-1) xs with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative count accepted"
-
-let chunks_and_ranges () =
-  Alcotest.(check (list (list int))) "chunks"
-    [ [ 1; 2; 3 ]; [ 4; 5; 6 ]; [ 7; 8 ] ]
-    (Chunk.chunks ~size:3 [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
-  Alcotest.(check (list (list int))) "chunks empty" [] (Chunk.chunks ~size:4 []);
-  (match Chunk.chunks ~size:0 [ 1 ] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "size 0 accepted");
-  let check_cover ~n ~pieces =
-    let spans = Chunk.ranges ~n ~pieces in
-    let covered = ref 0 in
-    Array.iter
-      (fun (start, len) ->
-        Alcotest.(check int) "contiguous" !covered start;
-        Alcotest.(check bool) "non-empty span" true (len > 0);
-        covered := !covered + len)
-      spans;
-    Alcotest.(check int) "covers 0..n-1" n !covered;
-    Alcotest.(check bool) "at most pieces" true (Array.length spans <= pieces)
-  in
-  check_cover ~n:10 ~pieces:3;
-  check_cover ~n:3 ~pieces:8;
-  check_cover ~n:16 ~pieces:4;
-  Alcotest.(check int) "n = 0" 0 (Array.length (Chunk.ranges ~n:0 ~pieces:4))
-
 let suite =
   [
     Alcotest.test_case "map = Array.map, order kept, pool reusable" `Quick map_matches_sequential;
@@ -164,9 +111,6 @@ let suite =
     Alcotest.test_case "shutdown idempotent; bad sizes rejected" `Quick shutdown_idempotent;
     Alcotest.test_case "map after shutdown raises" `Quick map_after_shutdown_raises;
     Alcotest.test_case "nested map on same pool detected" `Quick nested_map_detected;
-    Alcotest.test_case "map_list and map_reduce" `Quick map_list_and_reduce;
     Alcotest.test_case "run dispatches on pool/domains" `Quick run_dispatch;
     Alcotest.test_case "--domains spec parsing" `Quick spec_parsing;
-    Alcotest.test_case "split_at is tail-recursive (1M elements)" `Quick split_at_million;
-    Alcotest.test_case "chunks and ranges partition correctly" `Quick chunks_and_ranges;
   ]
