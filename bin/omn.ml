@@ -11,8 +11,8 @@
 
    Exit codes: 0 success; 1 computation error; 2 bad input or usage,
    command-line parse errors included; 3 degraded-but-complete
-   (supervision quarantined some source tasks — every other result is
-   exact, see --retries/--quarantine); 124 partial result
+   (--quarantine kept the run going past failed sources — every other
+   result is exact); 124 partial result
    (--budget-seconds expired before the run finished — the timeout(1)
    convention, takes precedence over 3); 125 an uncaught exception. *)
 
@@ -133,9 +133,9 @@ let trace_out_arg =
     "Enable the event timeline and export it as Chrome trace-event JSON to $(docv) when \
      the command finishes (even if it fails midway). Open the file in Perfetto \
      (ui.perfetto.dev) or chrome://tracing: one track per OCaml domain, duration events \
-     for driver chunks and pool work, instants for steals, retries and checkpoint \
-     operations, and a GC counter track. Enabling the timeline never changes computed \
-     results."
+     for driver chunks and pool work, instants for steals, quarantines, I/O retries \
+     and checkpoint operations, and a GC counter track. Enabling the timeline never \
+     changes computed results."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
@@ -476,45 +476,13 @@ let budget_arg =
   in
   Arg.(value & opt (some float) None & info [ "budget-seconds" ] ~docv:"S" ~doc)
 
-(* --- supervision --- *)
-
-module Supervise = Omn_parallel.Supervise
-
-let retries_arg =
-  let doc =
-    "Supervise per-source tasks: retry a failing task up to $(docv) extra times with \
-     capped exponential backoff before quarantining it. Giving any supervision flag \
-     enables supervision; quarantined sources are listed and the run exits with \
-     code 3 (degraded but complete)."
-  in
-  Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc)
-
-let task_deadline_arg =
-  let doc =
-    "Per-attempt wall-clock deadline in seconds: a task attempt that fails after \
-     overrunning $(docv) is not retried (implies supervision)."
-  in
-  Arg.(value & opt (some float) None & info [ "task-deadline" ] ~docv:"S" ~doc)
-
 let quarantine_arg =
   let doc =
-    "With supervision on, whether a task that exhausts its retries is quarantined \
-     ($(b,true), default — the run completes degraded) or aborts the run ($(b,false))."
+    "Quarantine a source whose computation fails: the run completes over the other \
+     sources, lists the quarantined ones and exits with code 3. Without this flag a \
+     failed source fails the run (exit 1). Not supported with $(b,--sample)."
   in
-  Arg.(value & opt (some bool) None & info [ "quarantine" ] ~docv:"BOOL" ~doc)
-
-let supervise_policy retries task_deadline quarantine =
-  match (retries, task_deadline, quarantine) with
-  | None, None, None -> None
-  | _ ->
-    let d = Supervise.default in
-    Some
-      {
-        d with
-        Supervise.retries = Option.value retries ~default:d.Supervise.retries;
-        task_deadline;
-        quarantine = Option.value quarantine ~default:d.Supervise.quarantine;
-      }
+  Arg.(value & flag & info [ "quarantine" ] ~doc)
 
 (* --- sharded execution (omn_shard) --- *)
 
@@ -664,7 +632,7 @@ let shard_fault_arg =
 (* One fleet per run: --workers picks its shape, the fleet flags the
    rest, and --stat-addr turns telemetry on. Without --workers there is
    no fleet for a fleet flag to shape. *)
-let fleet_config ~domains ~supervise ~telemetry ~heartbeat_timeout ~shard_faults ~listen
+let fleet_config ~domains ~telemetry ~heartbeat_timeout ~shard_faults ~listen
     ~auth_key ~worker_trace_cache ~stat_addr workers =
   if not (sharded workers) then begin
     List.iter
@@ -689,7 +657,6 @@ let fleet_config ~domains ~supervise ~telemetry ~heartbeat_timeout ~shard_faults
            shard suite does *)
         max_inflight = (if shard_faults = [] then d.max_inflight else 2);
         heartbeat_timeout = Option.value heartbeat_timeout ~default:d.heartbeat_timeout;
-        supervise;
         chaos =
           List.sort
             (fun (a : Faultgen.shard_event) b -> compare a.after_results b.after_results)
@@ -722,9 +689,8 @@ let note_fleet (cfg : Shard.config) (st : Shard.stats) =
     Format.eprintf "omn: shard membership: %d join(s), %d leave(s)@." st.joins st.leaves
 
 (* Report fallback/quarantine outcomes and pick the documented exit
-   code via the one shared precedence rule: partial (124) beats
-   degraded (3) beats success (0) — [Supervise.exit_code], so the
-   single-process and sharded drivers can never drift apart. *)
+   code by [Err.run_exit_code]: partial (124) beats degraded (3) beats
+   success (0), whichever executor ran the sources. *)
 let resilience_exit ~partial ~ckpt_fallback degraded =
   if ckpt_fallback then
     Format.eprintf "omn: checkpoint was corrupt; resumed from the previous generation@.";
@@ -732,13 +698,15 @@ let resilience_exit ~partial ~ckpt_fallback degraded =
   | [] -> ()
   | fs ->
     Format.printf "DEGRADED result: %d source task(s) quarantined@." (List.length fs);
-    List.iter (fun f -> Format.printf "  %a@." Supervise.pp_failure f) fs);
-  Supervise.exit_code ~partial ~degraded:(degraded <> [])
+    List.iter
+      (fun (f : Omn_core.Delay_cdf.failure) -> Format.printf "  source %d: %s@." f.source f.reason)
+      fs);
+  Err.run_exit_code ~partial ~degraded:(degraded <> [])
 
 (* `omn diameter' runs the one driver: the flags pick its policies,
    --progress its reporter, --workers its executor (the fleet serves
    every batch). *)
-let drive ~progress ~label ~domains ?fleet ?supervise ?checkpoint ~resume ~every ?budget
+let drive ~progress ~label ~domains ?fleet ~quarantine ?checkpoint ~resume ~every ?budget
     ?sampling plan =
   let report, finish = progress_reporter ~enabled:progress label in
   let report =
@@ -750,7 +718,7 @@ let drive ~progress ~label ~domains ?fleet ?supervise ?checkpoint ~resume ~every
   in
   let run ?partials_of () =
     let outcome =
-      Omn_core.Driver.run ~domains ?partials_of ?supervise ?checkpoint ~resume
+      Omn_core.Driver.run ~domains ?partials_of ~quarantine ?checkpoint ~resume
         ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday ?report
         ?sampling plan
     in
@@ -775,14 +743,15 @@ let partial_banner (p : Omn_core.Delay_cdf.progress) =
       p.sources_done p.sources_total
 
 let print_curve_table (c : Omn_core.Delay_cdf.curves) =
+  let hops = List.init (min 4 (Array.length c.hop_success)) succ in
   Format.printf "delay        ";
-  List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) [ 1; 2; 3; 4 ];
+  List.iter (fun k -> Format.printf "%7s" (Printf.sprintf "%dh" k)) hops;
   Format.printf "   flood@.";
   Array.iteri
     (fun i d ->
       if i mod 12 = 0 then begin
         Format.printf "%-12s " (Omn_stats.Timefmt.axis_seconds d);
-        List.iter (fun k -> Format.printf "%7.3f" c.hop_success.(k - 1).(i)) [ 1; 2; 3; 4 ];
+        List.iter (fun k -> Format.printf "%7.3f" c.hop_success.(k - 1).(i)) hops;
         Format.printf "%8.3f@." c.flood_success.(i)
       end)
     c.grid
@@ -834,9 +803,9 @@ let heap_cap_arg =
 
 let diameter_cmd =
   let run path ingest lenient epsilon max_hops domains checkpoint resume every budget metrics
-      trace_out progress retries task_deadline quarantine sample ci_width confidence bootstrap
-      sample_seed stream workers heartbeat_timeout shard_faults listen auth_key worker_trace_cache
-      stat_addr heap_cap output =
+      trace_out progress quarantine sample ci_width confidence bootstrap sample_seed stream
+      workers heartbeat_timeout shard_faults listen auth_key worker_trace_cache stat_addr
+      heap_cap output =
     protect_code @@ fun () ->
     if resume && checkpoint = None then usage_err "--resume requires --checkpoint FILE";
     if not (epsilon > 0. && epsilon < 1.) then usage_err "--epsilon %g out of (0,1)" epsilon;
@@ -848,11 +817,9 @@ let diameter_cmd =
       if sample_seed <> None then reject "--sample-seed"
     end;
     let domains = Omn_parallel.Pool.resolve domains in
-    let supervise = supervise_policy retries task_deadline quarantine in
-    if sample <> None && supervise <> None then
-      usage_err "--retries/--task-deadline/--quarantine are not supported with --sample";
+    if sample <> None && quarantine then usage_err "--quarantine is not supported with --sample";
     let fleet =
-      fleet_config ~domains ~supervise ~telemetry:(metrics <> None || trace_out <> None)
+      fleet_config ~domains ~telemetry:(metrics <> None || trace_out <> None)
         ~heartbeat_timeout ~shard_faults ~listen ~auth_key ~worker_trace_cache ~stat_addr workers
     in
     with_obs ?metrics ?trace_out @@ fun () ->
@@ -887,7 +854,7 @@ let diameter_cmd =
             ("epsilon", Float epsilon); ("max_hops", Int max_hops);
             ("checkpoint_every", Int every);
             ("budget_seconds", match budget with Some b -> Float b | None -> Null);
-            ("supervised", Bool (supervise <> None));
+            ("quarantine", Bool quarantine);
             ("sample", match sample with Some k -> Int k | None -> Null);
             ("streamed", Bool stream);
           ]
@@ -912,7 +879,7 @@ let diameter_cmd =
     let o =
       drive ~progress
         ~label:(if sampling = None then "sources" else "sampled sources")
-        ~domains ?fleet ?supervise ?checkpoint ~resume ~every ?budget ?sampling plan
+        ~domains ?fleet ~quarantine ?checkpoint ~resume ~every ?budget ?sampling plan
     in
     let p = o.progress in
     let diameter =
@@ -975,11 +942,10 @@ let diameter_cmd =
     Term.(
       const run $ trace_arg $ ingest_arg $ lenient_arg $ epsilon_arg $ max_hops_arg
       $ domains_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ budget_arg
-      $ metrics_arg $ trace_out_arg $ progress_arg $ retries_arg $ task_deadline_arg
-      $ quarantine_arg $ sample_arg $ ci_width_arg $ confidence_arg $ bootstrap_arg
-      $ sample_seed_arg $ stream_arg $ workers_arg $ heartbeat_timeout_arg $ shard_fault_arg
-      $ listen_arg $ auth_key_arg $ worker_trace_cache_arg $ stat_addr_arg $ heap_cap_arg
-      $ output_arg)
+      $ metrics_arg $ trace_out_arg $ progress_arg $ quarantine_arg $ sample_arg
+      $ ci_width_arg $ confidence_arg $ bootstrap_arg $ sample_seed_arg $ stream_arg
+      $ workers_arg $ heartbeat_timeout_arg $ shard_fault_arg $ listen_arg $ auth_key_arg
+      $ worker_trace_cache_arg $ stat_addr_arg $ heap_cap_arg $ output_arg)
 
 (* --- delivery --- *)
 
@@ -1219,7 +1185,7 @@ let forward_cmd =
       |> List.sort_uniq compare
     in
     let report, finish = progress_reporter ~enabled:progress "messages" in
-    (* Sim reports only counts; forwarding has no supervision layer. *)
+    (* Sim reports only counts; forwarding quarantines nothing. *)
     let report =
       Option.map (fun r ~done_ ~total -> r ~done_ ~total ~degraded:0 ~fallback:false) report
     in
@@ -1382,7 +1348,7 @@ let report_cmd =
        ~doc:
          "Analyse a finished run from its artifacts: manifest echo, per-domain busy/idle \
           breakdown, straggler and load-imbalance detection, checkpoint latency, \
-          retry/quarantine summary")
+          quarantine/I/O-retry/fallback summary")
     Term.(
       const run $ result_pos $ metrics_in $ timeline_in $ json_flag $ fail_dropped
       $ fleet_flag $ output_arg)

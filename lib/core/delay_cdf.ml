@@ -344,10 +344,12 @@ let compute ?max_hops ?sources ?dests ?grid ?pool ?(domains = 1) ?windows trace 
   let parts = Pool.run ?pool ~domains (partial_of plan) plan.sources in
   fold plan (List.mapi (fun i p -> (i, p)) (Array.to_list parts))
 
+type failure = { source : Omn_temporal.Node.t; reason : string }
+
 type progress = {
   sources_done : int;
   sources_total : int;
   partial : bool;
-  degraded : Omn_parallel.Supervise.failure list;
+  degraded : failure list;
   ckpt_fallback : bool;
 }

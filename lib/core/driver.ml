@@ -1,6 +1,5 @@
 module Trace = Omn_temporal.Trace
 module Pool = Omn_parallel.Pool
-module Supervise = Omn_parallel.Supervise
 module Metrics = Omn_obs.Metrics
 module Timeline = Omn_obs.Timeline
 module Err = Omn_robust.Err
@@ -10,10 +9,21 @@ let m_batch_s = Metrics.histogram "delay_cdf.chunk_seconds"
 let m_ckpt_s = Metrics.histogram "delay_cdf.checkpoint_seconds"
 let m_ckpt_fallback = Metrics.counter "delay_cdf.ckpt_fallbacks"
 let m_quarantined = Metrics.counter "delay_cdf.sources_quarantined"
+let m_io_retries = Metrics.counter "resilience.io_retries"
 let m_rounds = Metrics.counter "sample.rounds"
 let m_sampled = Metrics.counter "sample.sources_sampled"
 let m_boot = Metrics.counter "sample.bootstrap_resamples"
 let g_width = Metrics.gauge "sample.ci_width"
+
+(* Retry_io and Checkpoint sit below the metrics/timeline registry in
+   the dependency order, so their hooks are wired up here, where both
+   sides are visible and the checkpoints are written. *)
+let () =
+  Omn_robust.Retry_io.on_retry :=
+    (fun ~op ->
+      Metrics.incr m_io_retries;
+      Timeline.record (Io_retry { op }));
+  Checkpoint.on_rotate := fun ~path -> Timeline.record (Ckpt_rotate { path })
 
 type sampling = {
   sample : int;
@@ -51,10 +61,10 @@ type snapshot = {
   snap_fingerprint : string;
   snap_batches : int;
   snap_done : (int * Delay_cdf.partial) list;  (* (position, partial), latest first *)
-  snap_degraded : (int * int * string) list;  (* [Supervise.failure_to_tuple], latest first *)
+  snap_degraded : Delay_cdf.failure list;  (* latest first *)
 }
 
-let ckpt_magic = "omn-ckpt 4\n"
+let ckpt_magic = "omn-ckpt 5\n"
 
 (* The trace enters through its store's arrays, which marshal flat;
    [csr_prev] is derived from them. *)
@@ -126,7 +136,7 @@ let assess (plan : Delay_cdf.plan) (s : sampling) ~round ~total completed =
 
 (* --- the loop --- *)
 
-let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = false)
+let run ?pool ?(domains = 1) ?partials_of ?(quarantine = false) ?checkpoint ?(resume = false)
     ?(checkpoint_every = 8) ?budget_seconds ?(clock = Sys.time) ?report ?sampling
     (plan : Delay_cdf.plan) =
   try
@@ -137,11 +147,7 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
     if checkpoint_every < 1 then usage "checkpoint_every %d < 1" checkpoint_every;
     (* an infinite budget is no limit; NaN fails the comparison *)
     Option.iter (fun b -> if not (b >= 0.) then usage "budget %g is not >= 0" b) budget_seconds;
-    (* before the first batch: a fleet would ship the policy to workers
-       that each fail on it *)
-    Option.iter Supervise.validate supervise;
-    if supervise <> None && sampling <> None then
-      usage "supervision does not combine with sampling";
+    if quarantine && sampling <> None then usage "quarantine does not combine with sampling";
     Option.iter
       (fun (s : sampling) ->
         if s.sample < 1 then usage "sample %d must be at least 1" s.sample;
@@ -168,7 +174,7 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
     in
     let total = Array.length plan.order in
     let completed = ref start.snap_done in
-    let degraded = ref (List.map Supervise.failure_of_tuple start.snap_degraded) in
+    let degraded = ref start.snap_degraded in
     let batches = ref start.snap_batches in
     let processed = ref (List.length !completed + List.length !degraded) in
     (* One pool for the whole run; a borrowed pool is left to its owner. *)
@@ -179,38 +185,41 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
     let pool = match pool with Some _ -> pool | None -> owned in
     Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown owned) @@ fun () ->
     Omn_obs.Span.with_ ~name:"driver.run" @@ fun () ->
+    (* Each executor runs a source once and returns its exception as
+       a failure: computing it again would raise again. *)
+    let run_source node =
+      match Delay_cdf.partial_of plan node with
+      | p -> Ok p
+      | exception e -> Error { Delay_cdf.source = node; reason = Printexc.to_string e }
+    in
     let execute positions =
       let nodes = Array.map (fun i -> plan.sources.(i)) positions in
-      let keep j p = completed := (positions.(j), p) :: !completed in
-      (* A failed source is quarantined only under a quarantining
-         policy; otherwise it fails the run, whichever executor ran it. *)
-      let settle j = function
-        | Ok p -> keep j p
-        | Error (f : Supervise.failure) -> (
-          match supervise with
-          | Some { Supervise.quarantine = true; _ } ->
-            Metrics.incr m_quarantined;
-            degraded := f :: !degraded
-          | _ ->
+      let results =
+        match partials_of with
+        | Some f ->
+          let rs = Array.of_list (f (Array.to_list nodes)) in
+          if Array.length rs <> Array.length nodes then
             raise
               (Err.Error
-                 (Err.errf Err.Compute "source task failed: source %d after %d attempt(s): %s"
-                    f.item f.attempts f.reason)))
+                 (Err.errf Err.Compute "Driver.run: partials_of returned %d results for %d sources"
+                    (Array.length rs) (Array.length nodes)));
+          rs
+        | None -> Pool.run ?pool ~domains run_source nodes
       in
-      (match (partials_of, supervise) with
-      | Some f, _ ->
-        let rs = f (Array.to_list nodes) in
-        if List.length rs <> Array.length nodes then
-          raise
-            (Err.Error
-               (Err.v Err.Compute
-                  (Printf.sprintf "Driver.run: partials_of returned %d results for %d sources"
-                     (List.length rs) (Array.length nodes))));
-        List.iteri settle rs
-      | None, Some policy ->
-        Array.iteri settle
-          (Supervise.map ?pool ~domains ~id:Fun.id policy (Delay_cdf.partial_of plan) nodes)
-      | None, None -> Array.iteri keep (Pool.run ?pool ~domains (Delay_cdf.partial_of plan) nodes));
+      (* One rule, in batch order, whichever executor ran the batch: a
+         failed source is quarantined, or it fails the run. *)
+      Array.iteri
+        (fun j -> function
+          | Ok p -> completed := (positions.(j), p) :: !completed
+          | Error (f : Delay_cdf.failure) ->
+            if not quarantine then
+              raise
+                (Err.Error
+                   (Err.errf Err.Compute "source task failed: source %d: %s" f.source f.reason));
+            Metrics.incr m_quarantined;
+            Timeline.record (Quarantine { source = f.source });
+            degraded := f :: !degraded)
+        results;
       processed := !processed + Array.length positions
     in
     (* Sampling rounds double the sample; otherwise a run is one batch
@@ -247,7 +256,7 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
              snap_fingerprint = Lazy.force fp;
              snap_batches = !batches;
              snap_done = !completed;
-             snap_degraded = List.map Supervise.failure_to_tuple !degraded;
+             snap_degraded = !degraded;
            }
            []);
       if timed then begin
@@ -306,8 +315,4 @@ let run ?pool ?(domains = 1) ?partials_of ?supervise ?checkpoint ?(resume = fals
   | Err.Error e -> Error e
   | Invalid_argument msg -> Error (Err.v Err.Usage msg)
   | Sys_error msg -> Error (Err.v Err.Io msg)
-  | Failure msg ->
-    (* A source task failed with supervision off (or quarantine
-       disabled): fail the whole run with a typed error rather than
-       leaking the worker's exception through the result API. *)
-    Error (Err.v Err.Compute ("source task failed: " ^ msg))
+  | Failure msg -> Error (Err.v Err.Compute msg)

@@ -3,18 +3,21 @@
 
     Policies are optional and compose in one loop:
     - {b executor}: the inline / domain-pool {!Delay_cdf.partial_of}
-      (default), under a {!Omn_parallel.Supervise.policy}
-      ([supervise]), or a caller's [partials_of] hook (the shard
-      fleet's session, [Omn_shard.Coord.with_fleet]). Every executor
-      returns one result per source; a failed source joins
-      [progress.degraded] only when [supervise] quarantines, and fails
-      the run otherwise;
+      (default) or a caller's [partials_of] hook (the shard fleet's
+      session, [Omn_shard.Coord.with_fleet]). Every executor runs each
+      source once and returns one result per source, a raised
+      exception as a {!Delay_cdf.failure};
+    - {b quarantine}: the driver settles each batch in batch order. A
+      failed source joins [progress.degraded] under [quarantine]
+      (counted in [delay_cdf.sources_quarantined], one [Quarantine]
+      timeline event), and otherwise fails the run with one [Compute]
+      error that names it;
     - {b checkpoint}: after every batch, the completed partials and the
       quarantined sources are written CRC-framed with generation
-      rotation ({!Omn_robust.Checkpoint}); [resume] continues from
-      them, falling back to the previous generation when the current
-      one is corrupt. Both generations are removed when the run
-      finishes;
+      rotation ({!Omn_robust.Checkpoint}, magic [omn-ckpt 5]);
+      [resume] continues from them, falling back to the previous
+      generation when the current one is corrupt. Both generations are
+      removed when the run finishes;
     - {b budget}: stop after the first batch that exhausts
       [budget_seconds] (of [clock], default [Sys.time]), returning a
       labelled partial result over a near-uniform subset of the
@@ -34,9 +37,14 @@
     Contract: the curves depend only on which sources completed. A run
     that covers every source (killed and resumed or not, batched or
     not, sampled exhaustively or not, at any domain count) returns
-    exactly {!Delay_cdf.compute}'s curves; a supervised run that
-    quarantined sources returns {!Delay_cdf.compute}'s curves over the
-    surviving sources. *)
+    exactly {!Delay_cdf.compute}'s curves; a run that quarantined
+    sources returns {!Delay_cdf.compute}'s curves over the surviving
+    sources.
+
+    This module also points {!Omn_robust.Retry_io.on_retry} (counter
+    [resilience.io_retries], timeline [Io_retry]) and
+    {!Omn_robust.Checkpoint.on_rotate} (timeline [Ckpt_rotate]) at the
+    observability registry when it is linked. *)
 
 type sampling = {
   sample : int;  (** first round's sample size; doubles every round *)
@@ -71,9 +79,8 @@ val run :
   ?pool:Omn_parallel.Pool.t ->
   ?domains:int ->
   ?partials_of:
-    (Omn_temporal.Node.t list ->
-    (Delay_cdf.partial, Omn_parallel.Supervise.failure) result list) ->
-  ?supervise:Omn_parallel.Supervise.policy ->
+    (Omn_temporal.Node.t list -> (Delay_cdf.partial, Delay_cdf.failure) result list) ->
+  ?quarantine:bool ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?checkpoint_every:int ->
@@ -88,8 +95,8 @@ val run :
     and [domains > 1], one pool is created for the whole run.
     [partials_of] receives each batch's sources and must return one
     result per source, in order: a {!Delay_cdf.source_partial}-
-    equivalent partial, or the failure of a source the executor gave
-    up on (after the retries of its own copy of [supervise], if any).
+    equivalent partial, or the failure of a source whose computation
+    raised. [quarantine] defaults to [false].
 
     The checkpoint embeds a fingerprint of the trace, the plan and the
     sampling schedule, computed only when [checkpoint] is given;
@@ -97,10 +104,11 @@ val run :
     file of another format.
 
     Typed errors: [Usage] for [domains < 1], [checkpoint_every < 1], a
-    negative budget, a sampling parameter out of range, or [supervise]
-    combined with [sampling]; [Compute] when a source task fails
-    unsupervised (or with quarantine off), or [partials_of] returns
-    the wrong number of results; [Io] for file-system failures. An
+    negative budget, a sampling parameter out of range, or
+    [quarantine] combined with [sampling]; [Compute] for the first
+    failed source of a batch without [quarantine] (["source task
+    failed: source N: REASON"]), or when [partials_of] returns the
+    wrong number of results; [Io] for file-system failures. An
     exception [partials_of] raises as [Omn_robust.Err.Error] is
     returned as that error. *)
 

@@ -33,7 +33,6 @@ type tally = {
   mutable ckpt_us : float list;
   mutable rotates : int;
   mutable fallbacks : int;
-  mutable retries : int;
   mutable quarantines : int;
   mutable io_retries : int;
   mutable gc_samples : int;
@@ -81,7 +80,6 @@ let tally_event t ev =
     | _, "steal" -> (dom_of t tid).steals <- (dom_of t tid).steals + 1
     | _, "checkpoint.rotate" -> t.rotates <- t.rotates + 1
     | _, "checkpoint.fallback" -> t.fallbacks <- t.fallbacks + 1
-    | _, "retry" -> t.retries <- t.retries + 1
     | _, "quarantine" -> t.quarantines <- t.quarantines + 1
     | _, "io.retry" -> t.io_retries <- t.io_retries + 1
     | _, "worker.spawn" -> t.spawns <- t.spawns + 1
@@ -100,7 +98,6 @@ let tally_timeline tl =
       ckpt_us = [];
       rotates = 0;
       fallbacks = 0;
-      retries = 0;
       quarantines = 0;
       io_retries = 0;
       gc_samples = 0;
@@ -247,10 +244,8 @@ let resilience_section t counters =
      drop. Report whichever saw more. *)
   Json.Obj
     [
-      ("retries", Json.Int (max t.retries (c "supervise.retries")));
-      ("quarantined", Json.Int (max t.quarantines (c "supervise.quarantined")));
+      ("quarantined", Json.Int (max t.quarantines (c "delay_cdf.sources_quarantined")));
       ("io_retries", Json.Int (max t.io_retries (c "resilience.io_retries")));
-      ("degraded_sources", Json.Int (c "delay_cdf.sources_quarantined"));
       ("checkpoint_fallbacks", Json.Int (max t.fallbacks (c "delay_cdf.ckpt_fallbacks")));
     ]
 
@@ -498,9 +493,9 @@ let pp ppf report =
   | _ -> ());
   (match Json.member "resilience" report with
   | Some (Json.Obj _ as r) ->
-    line "  resil.   : %a retries, %a quarantined, %a io retries, %a degraded, %a ckpt fallbacks@."
-      pp_float (get "retries" r) pp_float (get "quarantined" r) pp_float (get "io_retries" r)
-      pp_float (get "degraded_sources" r) pp_float (get "checkpoint_fallbacks" r)
+    line "  resil.   : %a quarantined, %a io retries, %a ckpt fallbacks@." pp_float
+      (get "quarantined" r) pp_float (get "io_retries" r) pp_float
+      (get "checkpoint_fallbacks" r)
   | _ -> ());
   (match Json.member "shard" report with
   | Some (Json.Obj _ as s) ->

@@ -13,8 +13,7 @@ type event =
   | Ckpt_write of { path : string; seconds : float }
   | Ckpt_rotate of { path : string }
   | Ckpt_fallback of { path : string }
-  | Retry of { item : int; attempt : int }
-  | Quarantine of { item : int; attempts : int }
+  | Quarantine of { source : int }
   | Io_retry of { op : string }
   | Gc_sample of { minor : int; major : int; heap_words : int }
   | Mark of { name : string }

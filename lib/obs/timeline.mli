@@ -2,7 +2,7 @@
 
     The timeline answers the question the aggregate {!Metrics} registry
     cannot: {e when} did each chunk run, on {e which} domain, and what
-    (steals, checkpoint writes, retries, GC pressure) happened around
+    (steals, checkpoint writes, I/O retries, GC pressure) happened around
     it. Events are recorded into a fixed-capacity ring buffer owned by
     the recording domain — no locks, no shared mutable state on the hot
     path — and merged into one time-ordered view on {!snapshot}. When a
@@ -37,8 +37,8 @@ type event =
       (** the previous checkpoint generation was promoted to [*.prev] *)
   | Ckpt_fallback of { path : string }
       (** resume found the current generation corrupt and fell back *)
-  | Retry of { item : int; attempt : int }
-  | Quarantine of { item : int; attempts : int }
+  | Quarantine of { source : int }
+      (** the driver quarantined a source whose computation raised *)
   | Io_retry of { op : string }
   | Gc_sample of { minor : int; major : int; heap_words : int }
       (** cumulative collection counts and major-heap words *)

@@ -39,8 +39,8 @@ let decode ~magic ~path data =
 
 (* Observability hook: invoked after a current generation is promoted
    to .prev. This library sits below the metrics/timeline registry in
-   the dependency order, so the journal wires itself in from above
-   (see Supervise), mirroring Retry_io.on_retry. *)
+   the dependency order, so the journal is wired in from above (see
+   Omn_core.Driver), mirroring Retry_io.on_retry. *)
 let on_rotate : (path:string -> unit) ref = ref (fun ~path:_ -> ())
 
 (* Promote the current generation only if it still decodes — rotating a

@@ -39,6 +39,13 @@ val exit_code : code -> int
     errors ({!Compute}), 2 for bad input or usage (everything else).
     0 is success and never produced here. *)
 
+val run_exit_code : partial:bool -> degraded:bool -> int
+(** Exit status of a run that finished without an error: a partial
+    result (124, the [timeout(1)] convention) beats a complete one
+    with quarantined sources (3), which beats success (0). Every
+    executor, in process or on a fleet, reports through this one
+    rule. *)
+
 val in_file : string -> t -> t
 (** Attach a file name if the error does not carry one yet. *)
 

@@ -30,10 +30,10 @@ val transient : exn -> bool
     conditions. Everything else is permanent. *)
 
 val on_retry : (op:string -> unit) ref
-(** Called once per retry (not per attempt). [Omn_parallel.Supervise]
-    points this at the ["resilience.io_retries"] metrics counter; the
-    default is a no-op because this library sits below the metrics
-    registry in the dependency order. *)
+(** Called once per retry (not per attempt). [Omn_core.Driver] points
+    this at the ["resilience.io_retries"] metrics counter and the
+    timeline's [Io_retry] event; the default is a no-op because this
+    library sits below the metrics registry in the dependency order. *)
 
 val with_retries :
   ?attempts:int ->

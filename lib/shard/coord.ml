@@ -1,7 +1,6 @@
 module Delay_cdf = Omn_core.Delay_cdf
 module Trace = Omn_temporal.Trace
 module Trace_io = Omn_temporal.Trace_io
-module Supervise = Omn_parallel.Supervise
 module Faultgen = Omn_robust.Faultgen
 module Err = Omn_robust.Err
 module Retry_io = Omn_robust.Retry_io
@@ -33,7 +32,6 @@ type config = {
   heartbeat_interval : float;
   heartbeat_timeout : float;
   respawn_backoff : float;
-  supervise : Supervise.policy option;
   chaos : Faultgen.shard_event list;
   listen : Transport.addr option;
   peers : Transport.addr list;
@@ -53,7 +51,6 @@ let default ~workers =
     heartbeat_interval = 0.25;
     heartbeat_timeout = 5.;
     respawn_backoff = 0.1;
-    supervise = None;
     chaos = [];
     listen = None;
     peers = [];
@@ -127,7 +124,7 @@ type sstate =
   | Pending
   | Assigned of int
   | Acked of string
-  | Degr of Supervise.failure
+  | Degr of Delay_cdf.failure
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -170,8 +167,7 @@ let spawn_worker ?key cfg ~connect ~id =
       Unix.stderr
   | None -> Unix.create_process Sys.executable_name argv Unix.stdin Unix.stdout Unix.stderr
 
-type executor =
-  Omn_temporal.Node.t list -> (Delay_cdf.partial, Supervise.failure) result list
+type executor = Omn_temporal.Node.t list -> (Delay_cdf.partial, Delay_cdf.failure) result list
 
 let clock = Unix.gettimeofday
 
@@ -195,11 +191,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
     (* the wrong key is derived from the fleet's own *)
     Err.error Usage "shard: auth-bad needs a key (--auth-key or OMN_SHARD_KEY)"
   else begin
-    (* every worker would fail each source on a malformed policy and
-       crash-loop through its respawn budget *)
-    match Option.iter Supervise.validate cfg.supervise with
-    | exception Invalid_argument msg -> Err.error Usage ("shard: " ^ msg)
-    | () ->
     (* the job restates the plan for [Delay_cdf.source_partial] *)
     let max_hops = plan.max_hops and grid = Some plan.grid and windows = Some plan.windows in
     let n_nodes = Array.length plan.is_dest in
@@ -378,7 +369,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
             dests;
             grid;
             windows;
-            supervise = cfg.supervise;
             domains = cfg.worker_domains;
             telemetry = cfg.telemetry;
           }
@@ -644,8 +634,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
           end;
           dispatch_pending ()
         | Result { slot; source = _; partial } -> settle w slot (Acked partial)
-        | Failed { slot; source; attempts; reason } ->
-          settle w slot (Degr { Supervise.item = source; attempts; reason })
+        | Failed { slot; source; reason } -> settle w slot (Degr { Delay_cdf.source; reason })
       in
       let handle_fd w =
         match w.conn with

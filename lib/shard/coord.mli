@@ -63,13 +63,12 @@
     - duplicate results (a reassignment race, net-dup chaos, or a late
       answer to an earlier batch) are dropped at the accounting table
       — a source is merged {e at most once};
-    - a source that exhausts the worker-side supervision policy
-      ([supervise], shipped whole in the job) comes back as
-      [Error failure]. [Driver.run] applies the in-process rule: the
-      source joins [progress.degraded] (CLI exit 3) when the driver's
-      policy quarantines, and the run fails with a [Compute] error
-      (CLI exit 1) otherwise — with [quarantine = false], without a
-      policy, and under sampling;
+    - a source whose computation raises is computed once: the worker
+      reports it as [Failed] and survives, and it comes back as
+      [Error failure]. [Driver.run] settles it by the in-process rule:
+      the source joins [progress.degraded] (CLI exit 3) under
+      [~quarantine:true], and the run fails with a [Compute] error
+      naming it (CLI exit 1) otherwise, sampling included;
     - when every worker has exhausted its respawns and sources remain,
       the executor raises a [Compute] error (CLI exit 1), which
       [Driver.run] returns: results are never silently incomplete.
@@ -100,10 +99,6 @@ type config = {
       (** silence past this declares a worker dead; must exceed the
           longest single-source compute time *)
   respawn_backoff : float;  (** base respawn delay, doubled per respawn *)
-  supervise : Omn_parallel.Supervise.policy option;
-      (** the supervision policy workers apply per source (retries,
-          backoff, deadlines); [None] = one attempt. Pass the same
-          policy to [Driver.run], which decides quarantine *)
   chaos : Omn_robust.Faultgen.shard_event list;  (** must be ascending *)
   listen : Transport.addr option;
       (** listener address; [Tcp (host, 0)] binds an ephemeral port
@@ -136,7 +131,7 @@ type config = {
 val default : workers:int -> config
 (** 1 domain per worker, a 32-source in-flight window, 0.25 s
     heartbeat interval, 5 s timeout, 0.1 s base respawn backoff, no
-    supervision retries, no chaos, no peers, no auth, Unix-domain
+    chaos, no peers, no auth, Unix-domain
     listener, no telemetry (1 s pull interval when enabled), no stat
     endpoint. *)
 
@@ -184,7 +179,7 @@ type stats = {
 
 type executor =
   Omn_temporal.Node.t list ->
-  (Omn_core.Delay_cdf.partial, Omn_parallel.Supervise.failure) result list
+  (Omn_core.Delay_cdf.partial, Omn_core.Delay_cdf.failure) result list
 (** [Driver.run]'s [partials_of]: one result per source, in order. *)
 
 val with_fleet :
@@ -208,9 +203,7 @@ val with_fleet :
     [Error] only when the session cannot start, before any listener is
     bound or worker started: [Usage] for a fleet without workers,
     heartbeat parameters that are not > 0 (NaN included),
-    [max_inflight < 1] or a [supervise] policy that
-    {!Omn_parallel.Supervise.validate} rejects (the message names the
-    field), or an auth-bad fault without an
+    [max_inflight < 1], or an auth-bad fault without an
     [auth_key] (its wrong key is derived from the fleet's); [Io] for a listener or stat address
     that cannot be set up. An exception from [f] is re-raised after the
     teardown. [stats] covers the whole session. *)

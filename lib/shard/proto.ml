@@ -5,7 +5,6 @@ type job = {
   dests : int list option;
   grid : float array option;
   windows : (float * float) list option;
-  supervise : Omn_parallel.Supervise.policy option;
   domains : int;
   telemetry : bool;
 }
@@ -23,7 +22,7 @@ type from_worker =
   | Need_trace of { digest : string }
   | Ready of { worker : int }
   | Result of { slot : int; source : int; partial : string }
-  | Failed of { slot : int; source : int; attempts : int; reason : string }
+  | Failed of { slot : int; source : int; reason : string }
   | Stats_push of {
       worker : int;
       t_coord : float;

@@ -33,14 +33,6 @@ type job = {
   dests : int list option;
   grid : float array option;
   windows : (float * float) list option;
-  supervise : Omn_parallel.Supervise.policy option;
-      (** the run's whole supervision policy (a plain record, so it
-          Marshals like the rest of the frame); the worker applies its
-          retries, backoff and deadlines and reports a source that
-          exhausts them as [Failed]. [None] means one attempt. The
-          worker never aborts on [quarantine = false]: whether a
-          [Failed] source is quarantined or fails the run is the
-          coordinator's decision *)
   domains : int;  (** size of the worker's own domain pool *)
   telemetry : bool;
       (** enable the worker's local metrics registry and timeline so
@@ -74,8 +66,12 @@ type from_worker =
   | Result of { slot : int; source : int; partial : string }
       (** [partial] is [Delay_cdf.partial_to_string] output — opaque
           here *)
-  | Failed of { slot : int; source : int; attempts : int; reason : string }
-      (** worker-side supervision exhausted its retries on this source *)
+  | Failed of { slot : int; source : int; reason : string }
+      (** computing this source raised; [reason] is
+          [Printexc.to_string] of the exception. The worker runs each
+          source once and survives it: whether the source is
+          quarantined or fails the run is the coordinator's driver's
+          decision *)
   | Stats_push of {
       worker : int;
       t_coord : float;  (** echo of the pull's send stamp *)

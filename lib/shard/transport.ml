@@ -74,9 +74,8 @@ let bound_addr fd addr =
   | Tcp (h, _), Unix.ADDR_INET (_, p) -> Tcp (h, p)
   | a, _ -> a
 
-(* Capped-exponential dial with deterministic jitter — the same
-   discipline as [Supervise.backoff_delay], so a flapping link retries
-   on the familiar schedule instead of hammering or hanging. *)
+(* Capped-exponential dial with deterministic jitter: a flapping link
+   is retried on a fixed schedule instead of hammered or hung on. *)
 let dial ?(attempts = 100) ?(backoff = 0.05) ?(backoff_max = 1.0) ?(seed = 0)
     ?connect_timeout addr =
   let rng = Omn_stats.Rng.create (seed lxor Hashtbl.hash (to_string addr)) in

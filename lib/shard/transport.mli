@@ -5,9 +5,9 @@
     knows whether that stream is a same-host Unix-domain socket or a
     TCP connection to another machine. Addresses parse from the CLI
     (["/tmp/omn.sock"] vs ["host:port"]), listeners bind either family,
-    and {!dial} retries with the same capped-exponential,
-    deterministically-jittered backoff as [Supervise] so a flapping
-    link degrades gracefully instead of hanging the caller. *)
+    and {!dial} retries with capped-exponential, deterministically
+    jittered backoff so a flapping link degrades gracefully instead of
+    hanging the caller. *)
 
 type addr =
   | Unix_path of string  (** same-host Unix-domain socket path *)

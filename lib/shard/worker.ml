@@ -1,6 +1,5 @@
 module Delay_cdf = Omn_core.Delay_cdf
 module Trace_io = Omn_temporal.Trace_io
-module Supervise = Omn_parallel.Supervise
 module Pool = Omn_parallel.Pool
 module Retry_io = Omn_robust.Retry_io
 module Err = Omn_robust.Err
@@ -164,13 +163,6 @@ let session ~persist ~trace_cache ~worker fd =
       | `Done -> `Done
       | `Lost -> `Lost
       | `Trace trace ->
-        (* a source that exhausts the policy is reported, never raised:
-           quarantine is decided by the coordinator's driver *)
-        let policy =
-          match job.supervise with
-          | Some p -> { p with Supervise.quarantine = true }
-          | None -> { Supervise.default with retries = 0 }
-        in
         send (Ready { worker = id });
         let pool =
           if job.domains > 1 then Some (Pool.create ~domains:job.domains ()) else None
@@ -187,16 +179,15 @@ let session ~persist ~trace_cache ~worker fd =
           partial
         in
         (* Batch order = arrival order; replies go out on this domain
-           once the pool run is over. *)
+           once the pool run is over. A source is computed once and a
+           raising one is reported, never raised: quarantine is the
+           coordinator's driver's decision. *)
         let run_batch batch =
           Pool.run ?pool
             (fun (slot, source) ->
-              match
-                Supervise.run_task policy ~item:source (fun () -> compute_source source)
-              with
-              | Ok partial -> Proto.Result { slot; source; partial }
-              | Error (f : Supervise.failure) ->
-                Proto.Failed { slot; source; attempts = f.attempts; reason = f.reason })
+              match compute_source source with
+              | partial -> Proto.Result { slot; source; partial }
+              | exception e -> Proto.Failed { slot; source; reason = Printexc.to_string e })
             (Array.of_list batch)
           |> Array.iter send
         in

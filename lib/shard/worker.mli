@@ -29,9 +29,9 @@
     coordinator, whose {!Omn_core.Driver} owns the run's results and
     its checkpoint; a respawned or rejoining worker, or a listening one
     serving a later run of the same job, computes a source it is asked
-    for again. A failing source is retried under the job's
-    supervision policy and, once exhausted, reported as [Failed] — the
-    worker itself survives poison sources.
+    for again. A source whose computation raises is computed once and
+    reported as [Failed] with its exception's text — the worker itself
+    survives it.
 
     The worker ignores [SIGPIPE]; a permanently unreachable
     coordinator is an orderly [Ok] exit, while an authentication or

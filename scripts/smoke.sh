@@ -3,21 +3,27 @@
 #   1. robustness: fault-injected traces must fail strict ingestion,
 #      pass lenient ingestion with a repair report; diameter must run
 #      on a window shorter than 1 s and fail with a typed E-WINDOW on
-#      one that spans no time; a NaN or infinite horizon or rate, a NaN
-#      epsilon, budget, task deadline or heartbeat timeout, an auth-bad
-#      shard fault without a key, and each of the six fleet flags
-#      without --workers (refused before the trace is read) must exit
-#      2 within 10 s with an E-USAGE error naming it; an unknown flag
-#      (the removed --worker-ckpt-dir too) or a removed command (chaos,
-#      delay-cdf) must exit 2, never the 124 of a PARTIAL run;
+#      one that spans no time; --max-hops 2 must print a two-column
+#      curve table; a NaN or infinite horizon or rate, a NaN epsilon,
+#      budget or heartbeat timeout, an auth-bad shard fault without a
+#      key, and each of the six fleet flags without --workers (refused
+#      before the trace is read) must exit 2 within 10 s with an
+#      E-USAGE error naming it; an unknown flag (the removed
+#      --worker-ckpt-dir, --retries and --task-deadline too) or a
+#      removed command (chaos, delay-cdf) must exit 2, never the 124 of
+#      a PARTIAL run;
 #   2. budget/resume: a diameter run truncated by --budget-seconds must
 #      exit 124 with a PARTIAL banner, and resuming from its checkpoint
 #      must reproduce the uninterrupted run byte for byte;
 #   3. observability: --metrics must emit a snapshot containing frontier
 #      prune counters, per-domain pool busy time and the span tree;
-#   4. resilience: a fault-free supervised run must match the
-#      unsupervised run byte for byte; a corrupted checkpoint must fall
-#      back to the rotated .prev generation, say so in its run status
+#   4. resilience: a fault-free --quarantine run must match the plain
+#      run byte for byte; on a chain whose sources 0-5 exceed the
+#      journey round cap, a run must exit 1 with the same one-line
+#      E-COMPUTE error at 1 and 2 domains and on 2 workers, and with
+#      --quarantine exit 3, list sources 0-5 and write the same result
+#      on all three; a corrupted checkpoint must fall back to the
+#      rotated .prev generation, say so in its run status
 #      ("ckpt_fallback": true) and otherwise reproduce the
 #      uninterrupted output;
 #   5. timeline: --trace-out must emit a Chrome trace with per-domain
@@ -117,6 +123,15 @@ if [ "$rc" -ne 2 ] || ! grep -q 'E-WINDOW' "$tmp/instant.err"; then
   exit 1
 fi
 
+# The curve table prints hop columns 1 to min(4, --max-hops).
+rc=0
+"$OMN" diameter "$tmp/clean.omn" --max-hops 2 >"$tmp/hops2.out" 2>&1 || rc=$?
+if [ "$rc" -ne 0 ] || ! grep -Eq '^delay +1h +2h +flood$' "$tmp/hops2.out"; then
+  echo "smoke FAIL: 'omn diameter --max-hops 2' exited $rc, expected 0 with a two-column table" >&2
+  cat "$tmp/hops2.out" >&2
+  exit 1
+fi
+
 # NaN fails every comparison, so a guard written as `x <= 0` lets it
 # through into a generator loop or an assertion; an auth-bad fault
 # without a shard key cannot be injected; a fleet flag without
@@ -144,8 +159,6 @@ lambda|gen --preset random --lambda nan
 horizon|gen --preset waypoint --hours nan
 epsilon|diameter $tmp/clean.omn --epsilon nan
 budget|diameter $tmp/clean.omn --budget-seconds nan
-deadline|diameter $tmp/clean.omn --task-deadline nan
-deadline|diameter $tmp/clean.omn --workers 2 --task-deadline nan
 heartbeat|diameter $tmp/clean.omn --workers 2 --heartbeat-timeout nan
 lambda|theory --lambda nan
 auth-bad|diameter $tmp/clean.omn --workers 2 --shard-fault auth-bad:1:0
@@ -161,7 +174,8 @@ CASES
 # budget-truncated PARTIAL run, one to resume.
 for args in "diameter --no-such-flag $tmp/clean.omn" \
   "diameter --worker-ckpt-dir $tmp/d $tmp/clean.omn" "chaos --shard" \
-  "delay-cdf $tmp/clean.omn --max-hops 6"; do
+  "delay-cdf $tmp/clean.omn --max-hops 6" "diameter --retries 2 $tmp/clean.omn" \
+  "diameter --task-deadline 1 $tmp/clean.omn"; do
   rc=0
   # shellcheck disable=SC2086
   "$OMN" $args >/dev/null 2>"$tmp/parse.err" || rc=$?
@@ -228,13 +242,61 @@ grep -q 'sources' "$tmp/progress.out" || {
 
 # --- 4. resilience -----------------------------------------------------------
 
-# Fault-free supervision is pure bookkeeping: same bytes, exit 0.
-"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --retries 2 \
-  -o "$tmp/supervised.json" >/dev/null
-same_result "$tmp/full.json" "$tmp/supervised.json" || {
-  echo "smoke FAIL: fault-free supervised run differs from unsupervised run" >&2
+# Without a failed source, --quarantine changes nothing: same bytes, exit 0.
+"$OMN" diameter "$tmp/clean.omn" --max-hops 6 --quarantine \
+  -o "$tmp/quarantine.json" >/dev/null
+same_result "$tmp/full.json" "$tmp/quarantine.json" || {
+  echo "smoke FAIL: fault-free --quarantine run differs from the plain run" >&2
   exit 1
 }
+
+# The chain: contact i-(i+1) at time i over 1,030 nodes. Flooding from
+# source s takes 1,029 - s hops, so sources 0-5 exceed the journey's
+# 1,024-round cap; each is computed once, wherever it runs. Without
+# --quarantine the run fails with one E-COMPUTE line naming a source,
+# the same on every executor; with it the run completes degraded.
+{
+  printf '# nodes 1030\n'
+  i=0
+  while [ "$i" -lt 1029 ]; do
+    printf '%d %d %d %d\n' "$i" "$((i + 1))" "$i" "$i"
+    i=$((i + 1))
+  done
+} >"$tmp/chain.omn"
+for ex in "--domains 1" "--domains 2" "--workers 2"; do
+  tag=$(printf '%s' "$ex" | tr -d ' -')
+  rc=0
+  # shellcheck disable=SC2086
+  "$OMN" diameter "$tmp/chain.omn" --max-hops 4 $ex >/dev/null 2>"$tmp/chain.$tag.err" || rc=$?
+  if [ "$rc" -ne 1 ] || [ "$(wc -l <"$tmp/chain.$tag.err")" -ne 1 ] ||
+    ! grep -q '^omn: \[E-COMPUTE\] source task failed: source [0-5]: ' "$tmp/chain.$tag.err"; then
+    echo "smoke FAIL: chain run ($ex) exited $rc, expected 1 with one E-COMPUTE line naming a source" >&2
+    cat "$tmp/chain.$tag.err" >&2
+    exit 1
+  fi
+  cmp -s "$tmp/chain.domains1.err" "$tmp/chain.$tag.err" || {
+    echo "smoke FAIL: chain run ($ex) failed differently from --domains 1" >&2
+    exit 1
+  }
+  rc=0
+  # shellcheck disable=SC2086
+  "$OMN" diameter "$tmp/chain.omn" --max-hops 4 $ex --quarantine \
+    -o "$tmp/chain.$tag.json" >"$tmp/chain.$tag.out" 2>&1 || rc=$?
+  if [ "$rc" -ne 3 ] || ! grep -q '^DEGRADED result: 6 source task(s) quarantined$' "$tmp/chain.$tag.out"; then
+    echo "smoke FAIL: quarantined chain run ($ex) exited $rc, expected 3 with a DEGRADED banner" >&2
+    cat "$tmp/chain.$tag.out" >&2
+    exit 1
+  fi
+  listed=$(sed -n 's/^  source \([0-9]*\): .*/\1/p' "$tmp/chain.$tag.out" | sort -n | tr '\n' ' ')
+  [ "$listed" = "0 1 2 3 4 5 " ] || {
+    echo "smoke FAIL: quarantined chain run ($ex) listed sources '$listed', expected 0-5 once each" >&2
+    exit 1
+  }
+  same_result "$tmp/chain.domains1.json" "$tmp/chain.$tag.json" || {
+    echo "smoke FAIL: quarantined chain result ($ex) differs from --domains 1" >&2
+    exit 1
+  }
+done
 
 # Two zero-budget runs leave two checkpoint generations on disk.
 for flag in "" "--resume"; do

@@ -1,11 +1,11 @@
-(* Chaos harness for the resilience layer: supervised retries and
-   quarantine (Supervise), retrying I/O (Retry_io), CRC-framed rotated
-   checkpoints (Checkpoint), the checkpoint faults of Faultgen, and the
-   end-to-end guarantees on the delay-CDF pipeline — a degraded run
-   completes, reports its quarantined sources exactly, and every
-   surviving result is bit-identical to a fault-free run. *)
+(* Chaos harness for the resilience layer: retrying I/O (Retry_io),
+   CRC-framed rotated checkpoints (Checkpoint), the checkpoint faults
+   of Faultgen, and the end-to-end guarantees on the delay-CDF pipeline
+   — a run over sources that fail (the chain of [Util]) either fails
+   with a typed error naming one, or, under quarantine, completes,
+   reports its quarantined sources exactly, and every surviving result
+   is bit-identical to a fault-free run. *)
 
-module S = Omn_parallel.Supervise
 module RI = Omn_robust.Retry_io
 module Checkpoint = Omn_robust.Checkpoint
 module Faultgen = Omn_robust.Faultgen
@@ -26,9 +26,6 @@ let get_ok = function
 
 let no_sleep (_ : float) = ()
 
-(* Backoffs of microseconds keep the retry paths fast under test. *)
-let fast = { S.default with S.backoff = 1e-6; backoff_max = 1e-5 }
-
 let with_ckpt f =
   let path = Filename.temp_file "omn_chaos" ".ckpt" in
   Sys.remove path;
@@ -37,113 +34,6 @@ let with_ckpt f =
 let flip_file ?(seed = 1) path =
   let data = Atomic_file.read_to_string path in
   Atomic_file.write_string path (Faultgen.apply ~seed Faultgen.Ckpt_flip data)
-
-(* --- Supervise --- *)
-
-let backoff_deterministic () =
-  let p = { S.default with S.backoff = 0.1; backoff_max = 0.3; jitter_seed = 7 } in
-  for attempt = 0 to 4 do
-    for item = 0 to 3 do
-      let d = S.backoff_delay p ~item ~attempt in
-      Alcotest.(check (float 0.)) "deterministic" d (S.backoff_delay p ~item ~attempt);
-      let base = Float.min p.S.backoff_max (p.S.backoff *. (2. ** float_of_int attempt)) in
-      Alcotest.(check bool)
-        (Printf.sprintf "attempt %d within [base/2, base)" attempt)
-        true
-        (d >= 0.5 *. base && d < base)
-    done
-  done;
-  let ds = List.init 8 (fun item -> S.backoff_delay p ~item ~attempt:0) in
-  Alcotest.(check bool) "jitter varies across items" true
-    (List.exists (fun d -> d <> List.hd ds) ds)
-
-let run_task_retries_then_succeeds () =
-  let calls = ref 0 and slept = ref 0 in
-  let f () =
-    incr calls;
-    if !calls <= 2 then failwith "flaky" else 42
-  in
-  match S.run_task ~sleep:(fun _ -> incr slept) { fast with S.retries = 3 } ~item:0 f with
-  | Ok v ->
-    Alcotest.(check int) "value" 42 v;
-    Alcotest.(check int) "attempts made" 3 !calls;
-    Alcotest.(check int) "backoffs slept" 2 !slept
-  | Error fl -> Alcotest.failf "unexpected quarantine: %a" S.pp_failure fl
-
-let run_task_quarantines () =
-  let f () = failwith "poison" in
-  (match S.run_task ~sleep:no_sleep { fast with S.retries = 2 } ~item:9 f with
-  | Ok _ -> Alcotest.fail "poisoned task succeeded"
-  | Error fl ->
-    Alcotest.(check int) "item recorded" 9 fl.S.item;
-    Alcotest.(check int) "attempts = retries + 1" 3 fl.S.attempts;
-    Alcotest.(check bool) "reason kept" true (Util.contains_substring fl.S.reason "poison");
-    let s = Format.asprintf "%a" S.pp_failure fl in
-    Alcotest.(check bool) "pp mentions the item" true (Util.contains_substring s "item 9"));
-  (* quarantine = false re-raises the final exception *)
-  match
-    S.run_task ~sleep:no_sleep { fast with S.retries = 1; quarantine = false } ~item:0 f
-  with
-  | exception Failure _ -> ()
-  | Ok _ | Error _ -> Alcotest.fail "quarantine=false must re-raise"
-
-let run_task_deadlines () =
-  (* per-task deadline: a failing attempt that overran it is not retried *)
-  let now = ref 0. in
-  let clock () = !now in
-  let calls = ref 0 in
-  let f () =
-    incr calls;
-    now := !now +. 10.;
-    failwith "slow"
-  in
-  (match
-     S.run_task ~clock ~sleep:no_sleep
-       { fast with S.retries = 5; task_deadline = Some 1. }
-       ~item:0 f
-   with
-  | Error fl -> Alcotest.(check int) "overrun not retried" 1 fl.S.attempts
-  | Ok _ -> Alcotest.fail "must fail");
-  Alcotest.(check int) "one call" 1 !calls;
-  (* malformed policies are rejected up front *)
-  match S.run_task ~sleep:no_sleep { fast with S.retries = -1 } ~item:0 (fun () -> ()) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "negative retries accepted"
-
-let supervised_map_bit_identity () =
-  let xs = Array.init 60 Fun.id in
-  let f x = (x * x) + 1 in
-  List.iter
-    (fun domains ->
-      let rs = S.map ~domains ~sleep:no_sleep S.default f xs in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d at %d domains" i domains) (f i) v
-          | Error fl -> Alcotest.failf "spurious failure: %a" S.pp_failure fl)
-        rs)
-    [ 1; 2; 4 ]
-
-let task_fault_hook_targets_items () =
-  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
-  let xs = [| 100; 101; 102; 103; 104 |] in
-  (* a transient fault (first attempt only) is retried away *)
-  S.set_task_fault
-    (Some (fun ~item ~attempt -> if item = 103 && attempt = 0 then failwith "transient"));
-  let rs = S.map ~sleep:no_sleep ~id:(fun x -> x) { fast with S.retries = 1 } Fun.id xs in
-  Alcotest.(check (list int)) "no quarantine for transient faults" []
-    (List.map (fun (f : S.failure) -> f.S.item) (S.failures rs));
-  (* a persistent fault quarantines exactly its item *)
-  S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 101 then failwith "dead"));
-  let rs = S.map ~sleep:no_sleep ~id:(fun x -> x) { fast with S.retries = 1 } Fun.id xs in
-  Alcotest.(check (list int)) "exact quarantine" [ 101 ]
-    (List.map (fun (f : S.failure) -> f.S.item) (S.failures rs));
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> Alcotest.(check int) "surviving slots intact" xs.(i) v
-      | Error fl -> Alcotest.(check int) "only 101 failed" 101 fl.S.item)
-    rs
 
 (* --- Retry_io --- *)
 
@@ -337,55 +227,68 @@ let curves_equal (a : Delay_cdf.curves) (b : Delay_cdf.curves) =
   && a.flood_success = b.flood_success && a.flood_success_inf = b.flood_success_inf
   && a.max_rounds_used = b.max_rounds_used
 
+(* The chain's first 12 sources: 0–5 fail, 6–11 complete. Processing
+   order is 0, 7, 2, 9, 4, 11, 6, 1, 8, 3, 10, 5. *)
+let chain = Util.chain_trace ~scale:0.37 ()
+let chain_grid = [| 1.; 5.; 20.; 100.; 400. |]
+let chain_sources = List.init 12 Fun.id
+let chain_plan = get_ok (Delay_cdf.plan ~max_hops:3 ~grid:chain_grid ~sources:chain_sources chain)
+let chain_failed_in_order = [ 0; 2; 4; 1; 3; 5 ]
+let chain_survivors = List.filter (fun s -> not (List.mem s Util.chain_failing)) chain_sources
+let sources_of (p : Delay_cdf.progress) =
+  List.map (fun (f : Delay_cdf.failure) -> f.source) p.degraded
+
 let degraded_bit_identity () =
-  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
-  let poisoned = [ 2; 9 ] and flaky = [ 4 ] in
-  S.set_task_fault
-    (Some
-       (fun ~item ~attempt ->
-         if List.mem item poisoned then failwith "poison"
-         else if List.mem item flaky && attempt = 0 then failwith "flaky"));
-  let n = Trace.n_nodes chaos_trace in
-  let survivors = List.filter (fun s -> not (List.mem s poisoned)) (List.init n Fun.id) in
-  let reference = Delay_cdf.compute ~max_hops:3 ~grid ~sources:survivors chaos_trace in
+  let reference = Delay_cdf.compute ~max_hops:3 ~grid:chain_grid ~sources:chain_survivors chain in
   List.iter
     (fun domains ->
-      let o = get_ok (Driver.run ~domains ~supervise:fast chaos_plan) in
+      let o = get_ok (Driver.run ~domains ~quarantine:true chain_plan) in
       let p = o.Driver.progress in
       let at = Printf.sprintf "at %d domains" domains in
       Alcotest.(check bool) ("complete " ^ at) false p.Delay_cdf.partial;
-      Alcotest.(check int) "every source accounted for" n p.Delay_cdf.sources_done;
-      Alcotest.(check (list int)) ("quarantine exact " ^ at) (List.sort compare poisoned)
-        (List.sort compare (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded));
+      Alcotest.(check int) "every source accounted for" 12 p.Delay_cdf.sources_done;
+      Alcotest.(check (list int)) ("quarantine exact, in processing order " ^ at)
+        chain_failed_in_order (sources_of p);
+      List.iter
+        (fun (f : Delay_cdf.failure) ->
+          Alcotest.(check string) "reason is the exception's text"
+            {|Failure("Journey.run: no fixpoint within max_rounds")|} f.reason)
+        p.Delay_cdf.degraded;
       Alcotest.(check bool) ("surviving results bit-identical " ^ at) true
         (curves_equal o.Driver.curves reference))
     [ 1; 2; 3 ]
 
+(* Without quarantine the first failed source of the batch, in batch
+   order, fails the run with one typed error, at any domain count. *)
 let quarantine_off_propagates () =
-  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
-  S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 5 then failwith "poison"));
-  let policy = { fast with S.retries = 1; quarantine = false } in
-  match Driver.run ~supervise:policy chaos_plan with
-  | Error (e : Err.t) -> Alcotest.(check bool) "typed failure" true (e.Err.code = Err.Compute)
-  | Ok _ -> Alcotest.fail "quarantine=false must abort the run"
+  List.iter
+    (fun domains ->
+      match Driver.run ~domains chain_plan with
+      | Error (e : Err.t) ->
+        Alcotest.(check bool) "typed failure" true (e.Err.code = Err.Compute);
+        Alcotest.(check string) "names the first failed source"
+          {|source task failed: source 0: Failure("Journey.run: no fixpoint within max_rounds")|}
+          e.msg
+      | Ok _ -> Alcotest.fail "a failed source must abort the run")
+    [ 1; 2 ]
 
 let degraded_survives_resume () =
-  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
-  S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 7 then failwith "poison"));
   with_ckpt @@ fun path ->
-  let policy = { fast with S.retries = 1 } in
   let step () =
     Driver.run ~checkpoint_every:4 ~checkpoint:path ~resume:true ~budget_seconds:0.
-      ~supervise:policy chaos_plan
+      ~quarantine:true chain_plan
   in
   let rec drive n =
     if n > 10 then Alcotest.fail "resumed run did not converge";
     let o = get_ok (step ()) in
-    if o.Driver.progress.Delay_cdf.partial then drive (n + 1) else o.Driver.progress
+    if o.Driver.progress.Delay_cdf.partial then drive (n + 1) else o
   in
-  let p = drive 0 in
-  Alcotest.(check (list int)) "quarantine list survives kill/restart" [ 7 ]
-    (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded)
+  let o = drive 0 in
+  Alcotest.(check (list int)) "quarantine list survives kill/restart" chain_failed_in_order
+    (sources_of o.Driver.progress);
+  Alcotest.(check bool) "resumed curves are the survivors'" true
+    (curves_equal o.Driver.curves
+       (Delay_cdf.compute ~max_hops:3 ~grid:chain_grid ~sources:chain_survivors chain))
 
 let ckpt_fallback_recovers () =
   with_ckpt @@ fun path ->
@@ -408,47 +311,33 @@ let ckpt_fallback_recovers () =
     (Sys.file_exists path || Sys.file_exists (Checkpoint.prev_path path))
 
 let diameter_threads_resilience () =
-  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
-  S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 3 then failwith "poison"));
-  let o = get_ok (Driver.run ~supervise:fast chaos_plan) in
-  Alcotest.(check (list int)) "degraded surfaces in the driver's progress" [ 3 ]
-    (List.map (fun (f : S.failure) -> f.S.item) o.Driver.progress.Delay_cdf.degraded);
+  let o = get_ok (Driver.run ~quarantine:true chain_plan) in
+  Alcotest.(check (list int)) "degraded surfaces in the driver's progress"
+    chain_failed_in_order (sources_of o.Driver.progress);
   Alcotest.(check bool) "no fallback on a clean run" false
     o.Driver.progress.Delay_cdf.ckpt_fallback;
-  let survivors = List.filter (fun s -> s <> 3) (List.init (Trace.n_nodes chaos_trace) Fun.id) in
   Alcotest.(check (option int)) "degraded diameter is the survivors' diameter"
-    (Diameter.measure ~max_hops:3 ~grid ~sources:survivors chaos_trace).Diameter.diameter
+    (Diameter.measure ~max_hops:3 ~grid:chain_grid ~sources:chain_survivors chain)
+      .Diameter.diameter
     (Diameter.of_curves o.Driver.curves);
-  S.set_task_fault None;
-  let clean = get_ok (Driver.run chaos_plan) in
+  let clean = get_ok (Driver.run ~quarantine:true chaos_plan) in
   Alcotest.(check (list int)) "clean run has no degraded sources" []
-    (List.map (fun (f : S.failure) -> f.S.item) clean.Driver.progress.Delay_cdf.degraded)
+    (sources_of clean.Driver.progress)
 
 let metrics_flow () =
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      S.set_task_fault None;
       RI.set_inject None;
       Metrics.set_enabled false;
       Metrics.reset ())
   @@ fun () ->
   Metrics.reset ();
-  S.set_task_fault
-    (Some
-       (fun ~item ~attempt ->
-         if item = 1 then failwith "poison"
-         else if item = 2 && attempt = 0 then failwith "flaky"));
-  let _ =
-    S.map ~sleep:no_sleep ~id:(fun x -> x) { fast with S.retries = 1 } Fun.id [| 0; 1; 2; 3 |]
-  in
+  ignore (get_ok (Driver.run ~quarantine:true chain_plan));
   let total name =
     Option.value ~default:0 (Metrics.counter_total (Metrics.snapshot ()) name)
   in
-  Alcotest.(check bool) "retries counted" true (total "supervise.retries" >= 1);
-  Alcotest.(check bool) "failures counted" true (total "supervise.task_failures" >= 2);
-  Alcotest.(check int) "quarantines counted" 1 (total "supervise.quarantined");
-  S.set_task_fault None;
+  Alcotest.(check int) "quarantines counted once each" 6 (total "delay_cdf.sources_quarantined");
   (* injected I/O retries flow into resilience.io_retries *)
   let path = Filename.temp_file "omn_metrics" ".txt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
@@ -470,18 +359,16 @@ let report_reads_resilience_counters () =
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      S.set_task_fault None;
       RI.set_inject None;
       Metrics.set_enabled false;
       Metrics.reset ())
   @@ fun () ->
   Metrics.reset ();
-  S.set_task_fault (Some (fun ~item ~attempt:_ -> if item = 7 then failwith "poison"));
   with_ckpt @@ fun path ->
   let step ?budget_seconds ~resume () =
     get_ok
-      (Driver.run ~checkpoint_every:3 ~checkpoint:path ~resume ?budget_seconds ~supervise:fast
-         chaos_plan)
+      (Driver.run ~checkpoint_every:3 ~checkpoint:path ~resume ?budget_seconds ~quarantine:true
+         chain_plan)
   in
   ignore (step ~budget_seconds:0. ~resume:false ());
   ignore (step ~budget_seconds:0. ~resume:true ());
@@ -495,8 +382,8 @@ let report_reads_resilience_counters () =
   RI.set_inject None;
   let p = o.Driver.progress in
   Alcotest.(check bool) "run fell back to .prev" true p.Delay_cdf.ckpt_fallback;
-  Alcotest.(check (list int)) "source 7 quarantined" [ 7 ]
-    (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+  Alcotest.(check (list int)) "the failing sources quarantined" chain_failed_in_order
+    (sources_of p);
   let snap = Metrics.snapshot () in
   let report = Omn_obs.Report.build ~metrics:(Metrics.snapshot_to_json snap) () in
   List.iter
@@ -510,7 +397,7 @@ let report_reads_resilience_counters () =
       Alcotest.(check (option int)) ("resilience." ^ field ^ " reads " ^ counter)
         (Some registered) reported)
     [
-      ("degraded_sources", "delay_cdf.sources_quarantined");
+      ("quarantined", "delay_cdf.sources_quarantined");
       ("checkpoint_fallbacks", "delay_cdf.ckpt_fallbacks");
       ("io_retries", "resilience.io_retries");
     ]
@@ -575,12 +462,6 @@ let prop_random_fault_schedules =
 
 let suite =
   [
-    Alcotest.test_case "backoff deterministic, jittered, capped" `Quick backoff_deterministic;
-    Alcotest.test_case "run_task retries then succeeds" `Quick run_task_retries_then_succeeds;
-    Alcotest.test_case "run_task quarantines / re-raises" `Quick run_task_quarantines;
-    Alcotest.test_case "task deadline and give_up" `Quick run_task_deadlines;
-    Alcotest.test_case "supervised map keeps slot identity" `Quick supervised_map_bit_identity;
-    Alcotest.test_case "task-fault hook targets items" `Quick task_fault_hook_targets_items;
     Alcotest.test_case "transient error classification" `Quick transient_classification;
     Alcotest.test_case "retry_io recovers from injected faults" `Quick retry_io_injected_faults;
     Alcotest.test_case "checkpoint CRC catches flip/truncate" `Quick

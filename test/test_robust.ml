@@ -326,17 +326,10 @@ let ckpt_usage_errors () =
   expect_code Err.Usage (Driver.run ~checkpoint_every:0 (plan ()));
   expect_code Err.Usage (Driver.run ~budget_seconds:(-1.) (plan ()));
   expect_code Err.Usage (Driver.run ~budget_seconds:Float.nan (plan ()));
-  let deadline d = { Omn_parallel.Supervise.default with task_deadline = Some d } in
-  (* rejected before any batch reaches an executor, such as a fleet *)
-  let no_batch _ = Alcotest.fail "a batch ran under a malformed policy" in
-  expect_code Err.Usage
-    (Driver.run ~partials_of:no_batch ~supervise:(deadline Float.nan) (plan ()));
-  (* an infinite budget or deadline is no limit *)
+  (* an infinite budget is no limit *)
   let complete (o : Driver.outcome) = not o.progress.Delay_cdf.partial in
   Alcotest.(check bool) "infinite budget completes" true
     (complete (get_ok (Driver.run ~budget_seconds:infinity (plan ()))));
-  Alcotest.(check bool) "infinite task deadline completes" true
-    (complete (get_ok (Driver.run ~supervise:(deadline infinity) (plan ()))));
   (match Diameter.of_curves ~epsilon:Float.nan full with
   | _ -> Alcotest.fail "of_curves accepted epsilon nan"
   | exception Invalid_argument msg -> names "epsilon nan" msg);
@@ -345,7 +338,7 @@ let ckpt_usage_errors () =
   | exception Invalid_argument msg -> names "epsilon nan" msg);
   expect_code Err.Usage (Driver.run ~domains:0 (plan ()));
   expect_code Err.Usage
-    (Driver.run ~supervise:Omn_parallel.Supervise.default
+    (Driver.run ~quarantine:true
        ~sampling:
          { Driver.sample = 2; ci_width = 1.; confidence = 0.9; bootstrap = 10; epsilon = 0.01 }
        (plan ()))

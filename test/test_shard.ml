@@ -13,7 +13,6 @@ module Auth = Omn_shard.Auth
 module Store = Omn_shard.Store
 module Err = Omn_robust.Err
 module Faultgen = Omn_robust.Faultgen
-module S = Omn_parallel.Supervise
 module Delay_cdf = Omn_core.Delay_cdf
 module Trace_io = Omn_temporal.Trace_io
 module Rng = Omn_stats.Rng
@@ -130,8 +129,7 @@ let proto_roundtrip () =
     {
       Proto.trace_digest = String.make 64 'a'; worker = 1; max_hops = 4;
       dests = Some [ 1; 2 ]; grid = Some [| 1.; 2. |]; windows = Some [ (0., 10.) ];
-      supervise = Some { S.default with task_deadline = Some 0.5 }; domains = 2;
-      telemetry = true;
+      domains = 2; telemetry = true;
     }
   in
   List.iter
@@ -153,7 +151,7 @@ let proto_roundtrip () =
       Proto.Hello { worker = 1 }; Proto.Hello { worker = -1 };
       Proto.Ready { worker = 1 };
       Proto.Result { slot = 0; source = 5; partial = "bytes" };
-      Proto.Failed { slot = 1; source = 6; attempts = 3; reason = "poison" }; Proto.Pong;
+      Proto.Failed { slot = 1; source = 6; reason = "poison" }; Proto.Pong;
       Proto.Need_trace { digest = String.make 64 'c' }; Proto.Leave { worker = 2 };
       Proto.Stats_push
         {
@@ -413,10 +411,10 @@ let plan_of t =
 
 (* The fleet as [Driver.run]'s executor: curves, progress and the
    session's stats, or the first error of either. *)
-let fleet_run ?supervise ?report ?checkpoint_every ?sampling cfg plan =
+let fleet_run ?quarantine ?report ?checkpoint_every ?sampling cfg plan =
   match
     Coord.with_fleet cfg plan (fun partials_of ->
-        Omn_core.Driver.run ~partials_of ?supervise ?report ?checkpoint_every ?sampling plan)
+        Omn_core.Driver.run ~partials_of ?quarantine ?report ?checkpoint_every ?sampling plan)
   with
   | Error e | Ok (Error e, _) -> Error e
   | Ok (Ok o, st) -> Ok (o.curves, o.progress, st)
@@ -448,7 +446,7 @@ let fault_row ?(t = trace) ?(reference = reference) label cfg =
   | Ok (curves, p, st) ->
     Alcotest.(check bool) (label ^ ": complete") false p.Delay_cdf.partial;
     Alcotest.(check (list int)) (label ^ ": nothing degraded") []
-      (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+      (List.map (fun (f : Delay_cdf.failure) -> f.source) p.Delay_cdf.degraded);
     Alcotest.(check int) (label ^ ": every source merged once") (Array.length plan.sources)
       p.Delay_cdf.sources_done;
     Alcotest.(check bool) (label ^ ": compute's curves") true (curves_equal curves reference);
@@ -519,7 +517,7 @@ let coord_bit_identity () =
     Alcotest.(check bool) "complete" false p.Delay_cdf.partial;
     Alcotest.(check int) "every source accounted for" 10 p.Delay_cdf.sources_done;
     Alcotest.(check (list int)) "nothing degraded" []
-      (List.map (fun (f : S.failure) -> f.S.item) p.Delay_cdf.degraded);
+      (List.map (fun (f : Delay_cdf.failure) -> f.source) p.Delay_cdf.degraded);
     Alcotest.(check bool) "bit-identical to single-process" true (curves_equal curves reference);
     Alcotest.(check int) "exactly one spawn per worker" 3 st.Coord.spawns;
     st
@@ -647,9 +645,8 @@ let coord_idle_between_batches () =
     Alcotest.(check int) "one spawn per worker" 2 st.Coord.spawns
 
 (* One worker in a second domain of this process, serving one session
-   on a Unix socket: [Supervise.set_task_fault] reaches it, which it
-   cannot through an exec'd worker. [f] gets a fleet config naming it
-   as the only peer. SIGPIPE stays ignored until the worker domain has
+   on a Unix socket, unkeyed. [f] gets a fleet config naming it as the
+   only peer. SIGPIPE stays ignored until the worker domain has
    finished. *)
 let with_domain_worker f =
   let path =
@@ -679,37 +676,43 @@ let with_domain_worker f =
   f { (shard_cfg ~workers:0) with Coord.peers = [ Transport.Unix_path path ] }
 
 (* A worker's [Failed] reaches [progress.degraded] through the driver's
-   in-process rule: quarantined under a quarantining policy, a typed
-   Compute error with quarantine off, without a policy, and under
-   sampling. The poisoned source is the first one processed, so every
-   run reaches it. *)
+   in-process rule, on a spawned two-worker fleet over the chain of
+   [Util], whose sources 0–5 raise inside the exec'd workers:
+   quarantined under [~quarantine:true], and otherwise a typed Compute
+   error (the in-process one, byte for byte), sampling included. The
+   first source processed, 0, fails, so every run reaches a failure. *)
 let coord_failed_path () =
-  let plan = plan_of trace in
-  let poisoned = plan.sources.(plan.order.(0)) in
-  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
-  S.set_task_fault
-    (Some (fun ~item ~attempt:_ -> if item = poisoned then failwith "test: poisoned source"));
-  let policy = { S.default with backoff = 1e-4; backoff_max = 1e-3 } in
-  let run ?supervise ?sampling () =
-    with_domain_worker (fun cfg -> fleet_run ?supervise ?sampling { cfg with supervise } plan)
+  let chain = Util.chain_trace ~scale:0.37 () in
+  let grid = [| 1.; 5.; 20.; 100.; 400. |] and sources = List.init 12 Fun.id in
+  let plan =
+    match Delay_cdf.plan ~max_hops ~grid ~sources chain with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "plan rejected: %s" (Err.to_string e)
   in
-  (match run ~supervise:policy () with
+  let run ?quarantine ?sampling () = fleet_run ?quarantine ?sampling (shard_cfg ~workers:2) plan in
+  (match run ~quarantine:true () with
   | Error e -> Alcotest.failf "quarantining run failed: %s" (Err.to_string e)
   | Ok (curves, p, _) ->
-    Alcotest.(check (list (pair int int))) "exactly the poisoned source, after 3 attempts"
-      [ (poisoned, 3) ]
-      (List.map (fun (f : S.failure) -> (f.S.item, f.S.attempts)) p.Delay_cdf.degraded);
-    Alcotest.(check int) "every source processed" 10 p.Delay_cdf.sources_done;
-    let survivors = List.filter (fun v -> v <> poisoned) (List.init 10 Fun.id) in
+    Alcotest.(check (list int)) "exactly the failing sources, in processing order"
+      [ 0; 2; 4; 1; 3; 5 ]
+      (List.map (fun (f : Delay_cdf.failure) -> f.source) p.Delay_cdf.degraded);
+    Alcotest.(check int) "every source processed" 12 p.Delay_cdf.sources_done;
+    let survivors = List.filter (fun v -> not (List.mem v Util.chain_failing)) sources in
     Alcotest.(check bool) "curves bit-identical to compute over the survivors" true
-      (curves_equal curves (Delay_cdf.compute ~max_hops ~grid ~sources:survivors trace)));
+      (curves_equal curves (Delay_cdf.compute ~max_hops ~grid ~sources:survivors chain)));
+  let in_process =
+    match Omn_core.Driver.run plan with
+    | Error e -> e
+    | Ok _ -> Alcotest.fail "the in-process run did not fail"
+  in
   let compute_error what = function
-    | Error { Err.code = Err.Compute; _ } -> ()
+    | Error ({ Err.code = Err.Compute; _ } as e) ->
+      Alcotest.(check string) (what ^ ": the in-process error") (Err.to_string in_process)
+        (Err.to_string e)
     | Error e -> Alcotest.failf "%s: wrong error %s" what (Err.to_string e)
     | Ok _ -> Alcotest.failf "%s: a failed source did not fail the run" what
   in
-  compute_error "quarantine off" (run ~supervise:{ policy with quarantine = false } ());
-  compute_error "no policy" (run ());
+  compute_error "no quarantine" (run ());
   compute_error "sampling"
     (run
        ~sampling:
@@ -721,57 +724,6 @@ let coord_failed_path () =
            epsilon = 0.01;
          }
        ())
-
-(* The whole policy travels in the job: a fault that overruns the task
-   deadline before it raises is not retried, whatever [retries] says. *)
-let coord_task_deadline () =
-  let plan = plan_of trace in
-  let poisoned = plan.sources.(plan.order.(0)) in
-  Fun.protect ~finally:(fun () -> S.set_task_fault None) @@ fun () ->
-  S.set_task_fault
-    (Some
-       (fun ~item ~attempt:_ ->
-         if item = poisoned then begin
-           Unix.sleepf 0.05;
-           failwith "test: slow poisoned source"
-         end));
-  let policy =
-    { S.default with retries = 2; backoff = 1e-4; backoff_max = 1e-3; task_deadline = Some 0.01 }
-  in
-  match
-    with_domain_worker (fun cfg ->
-        fleet_run ~supervise:policy { cfg with supervise = Some policy } plan)
-  with
-  | Error e -> Alcotest.failf "deadline run failed: %s" (Err.to_string e)
-  | Ok (_, p, _) ->
-    Alcotest.(check (list (pair int int))) "overrunning source attempted once" [ (poisoned, 1) ]
-      (List.map (fun (f : S.failure) -> (f.S.item, f.S.attempts)) p.Delay_cdf.degraded)
-
-(* A malformed policy is refused before any worker starts. Shipped, it
-   fails every source on every worker; a caller that drives the
-   executor without [Driver.run] (which validates it first) would watch
-   the fleet crash through its respawn budget. *)
-let coord_rejects_bad_policy () =
-  let plan = plan_of trace in
-  let ran = ref false in
-  let cfg =
-    {
-      (shard_cfg ~workers:2) with
-      Coord.supervise = Some { S.default with task_deadline = Some (-1.) };
-    }
-  in
-  match
-    Coord.with_fleet cfg plan (fun partials_of ->
-        ran := true;
-        partials_of [ plan.sources.(0) ])
-  with
-  | Error { Err.code = Err.Usage; msg; _ } ->
-    Alcotest.(check bool) "the callback never ran" false !ran;
-    Alcotest.(check bool) "the error names the field" true
-      (Util.contains_substring msg "task deadline")
-  | Error e -> Alcotest.failf "wrong error: %s" (Err.to_string e)
-  | Ok _ -> Alcotest.fail "a negative task deadline was shipped"
-  | exception Err.Error e -> Alcotest.failf "the fleet ran the policy: %s" (Err.to_string e)
 
 (* The fleet's one resume path is the driver's checkpoint: a
    zero-budget fleet run stops after its first batch, and a fresh fleet
@@ -943,10 +895,11 @@ let coord_fleet_telemetry () =
 (* --- exit-code precedence --- *)
 
 let exit_code_precedence () =
-  Alcotest.(check int) "partial beats degraded" 124 (S.exit_code ~partial:true ~degraded:true);
-  Alcotest.(check int) "partial alone" 124 (S.exit_code ~partial:true ~degraded:false);
-  Alcotest.(check int) "degraded-but-complete" 3 (S.exit_code ~partial:false ~degraded:true);
-  Alcotest.(check int) "clean" 0 (S.exit_code ~partial:false ~degraded:false)
+  let code = Err.run_exit_code in
+  Alcotest.(check int) "partial beats degraded" 124 (code ~partial:true ~degraded:true);
+  Alcotest.(check int) "partial alone" 124 (code ~partial:true ~degraded:false);
+  Alcotest.(check int) "degraded-but-complete" 3 (code ~partial:false ~degraded:true);
+  Alcotest.(check int) "clean" 0 (code ~partial:false ~degraded:false)
 
 (* --- Faultgen shard fault names --- *)
 
@@ -1108,9 +1061,6 @@ let suite =
       coord_idle_between_batches;
     Alcotest.test_case "worker Failed: quarantined or a Compute error, as in process" `Quick
       coord_failed_path;
-    Alcotest.test_case "task deadline travels in the job" `Quick coord_task_deadline;
-    Alcotest.test_case "malformed policy refused before any worker starts" `Quick
-      coord_rejects_bad_policy;
     Alcotest.test_case "fleet resumes from the driver's checkpoint" `Quick
       coord_resume_from_checkpoint;
     Alcotest.test_case "unkeyed peers: another build is E-PROTO, one build serves" `Quick

@@ -110,8 +110,7 @@ let test_export_roundtrip () =
   Timeline.record ~tl ~ts:1.6 (Timeline.Queue_wait { seconds = 0.1 });
   Timeline.record ~tl ~ts:3.0 (Timeline.Ckpt_write { path = "x.ckpt"; seconds = 0.5 });
   Timeline.record ~tl ~ts:3.1 (Timeline.Ckpt_rotate { path = "x.ckpt" });
-  Timeline.record ~tl ~ts:3.2 (Timeline.Retry { item = 4; attempt = 1 });
-  Timeline.record ~tl ~ts:3.3 (Timeline.Quarantine { item = 4; attempts = 3 });
+  Timeline.record ~tl ~ts:3.3 (Timeline.Quarantine { source = 4 });
   Timeline.record ~tl ~ts:3.4 (Timeline.Io_retry { op = "read" });
   Timeline.record ~tl ~ts:3.5 (Timeline.Gc_sample { minor = 1; major = 2; heap_words = 1000 });
   let manifest = Manifest.to_json (Manifest.create ~cmdline:[ "omn"; "test" ] ~version:"test" ()) in
@@ -147,8 +146,7 @@ let test_export_roundtrip () =
       match events_named name json with
       | [ _ ] -> ()
       | l -> Alcotest.failf "expected 1 %s event, got %d" name (List.length l))
-    [ "steal"; "queue.wait"; "checkpoint.write"; "checkpoint.rotate"; "retry"; "quarantine";
-      "io.retry" ];
+    [ "steal"; "queue.wait"; "checkpoint.write"; "checkpoint.rotate"; "quarantine"; "io.retry" ];
   Alcotest.(check bool) "a thread_name track exists" true (events_named "thread_name" json <> []);
   let omn = Option.get (Json.member "omn" json) in
   Alcotest.(check (option string)) "schema" (Some Trace_export.schema)
@@ -462,7 +460,7 @@ let test_report_build () =
   Timeline.record ~tl ~ts:2.1 (Timeline.Chunk { index = 1; items = 4; start = 1.5 });
   Timeline.record ~tl ~ts:2.0 (Timeline.Pool_work { start = 1.0; stolen = false });
   Timeline.record ~tl ~ts:2.2 (Timeline.Ckpt_write { path = "c"; seconds = 0.2 });
-  Timeline.record ~tl ~ts:2.3 (Timeline.Retry { item = 1; attempt = 0 });
+  Timeline.record ~tl ~ts:2.3 (Timeline.Quarantine { source = 1 });
   let manifest = Manifest.to_json (Manifest.create ~cmdline:[ "omn" ] ~version:"test" ()) in
   let timeline = Trace_export.to_json ~manifest (Timeline.snapshot ~tl ()) in
   let report = Report.build ~timeline () in
@@ -473,9 +471,9 @@ let test_report_build () =
   (match Option.bind (Json.member "checkpoints" report) (Json.member "writes") with
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "checkpoint writes wrong");
-  (match Option.bind (Json.member "resilience" report) (Json.member "retries") with
+  (match Option.bind (Json.member "resilience" report) (Json.member "quarantined") with
   | Some (Json.Int 1) -> ()
-  | _ -> Alcotest.fail "retries wrong");
+  | _ -> Alcotest.fail "quarantines wrong");
   (match Option.bind (Json.member "manifest" report) (Json.member "cmdline") with
   | Some (Json.List [ Json.String "omn" ]) -> ()
   | _ -> Alcotest.fail "manifest not echoed");
@@ -490,6 +488,60 @@ let test_report_build () =
   done;
   let tj = Trace_export.to_json (Timeline.snapshot ~tl:small ()) in
   Alcotest.(check int) "drops surface" 8 (Report.dropped_events (Report.build ~timeline:tj ()))
+
+(* -- the I/O and rotation hooks --------------------------------------------- *)
+
+(* Retry_io and Checkpoint cannot see the registry; the driver points
+   their hooks at it. A real rotation and a real retried read must
+   reach the journal and the counters with no event recorded by hand. *)
+let test_io_and_rotation_hooks () =
+  let m_was = Metrics.enabled () and t_was = Timeline.enabled () in
+  Metrics.reset ();
+  Timeline.reset ();
+  Metrics.set_enabled true;
+  Timeline.set_enabled true;
+  let path = Filename.temp_file "omn_hooks" ".ckpt" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () ->
+      Omn_robust.Retry_io.set_inject None;
+      Omn_robust.Checkpoint.remove path;
+      Metrics.set_enabled m_was;
+      Timeline.set_enabled t_was;
+      Metrics.reset ();
+      Timeline.reset ())
+  @@ fun () ->
+  let events () = List.map (fun (_, (e : Timeline.entry)) -> e.ev) (Timeline.snapshot ()).events in
+  (* a clock that ticks once per read: the budget runs out after the
+     second batch, so the second checkpoint save rotates the first *)
+  let ticks = ref 0. in
+  let clock () =
+    let t = !ticks in
+    ticks := t +. 1.;
+    t
+  in
+  let trace = Util.random_trace (Rng.create 0x5eed) ~n:8 ~m:40 ~horizon:50 in
+  (match
+     Result.bind (Omn_core.Delay_cdf.plan ~max_hops:3 trace)
+       (Omn_core.Driver.run ~checkpoint:path ~checkpoint_every:2 ~budget_seconds:1.5 ~clock)
+   with
+  | Ok o -> Alcotest.(check int) "two batches, then the budget" 4 o.progress.sources_done
+  | Error e -> Alcotest.failf "driver failed: %s" (Omn_robust.Err.to_string e));
+  Alcotest.(check bool) "the second save rotated the first" true
+    (Sys.file_exists (Omn_robust.Checkpoint.prev_path path));
+  Alcotest.(check bool) "Ckpt_rotate recorded" true
+    (List.mem (Timeline.Ckpt_rotate { path }) (events ()));
+  let fails = Atomic.make 1 in
+  Omn_robust.Retry_io.set_inject
+    (Some
+       (fun ~op ~path:_ ->
+         if op = "read" && Atomic.fetch_and_add fails (-1) > 0 then
+           raise (Omn_robust.Retry_io.Injected "io")));
+  ignore (Omn_robust.Retry_io.read_to_string path);
+  Alcotest.(check bool) "Io_retry recorded" true
+    (List.mem (Timeline.Io_retry { op = "read" }) (events ()));
+  Alcotest.(check (option int)) "resilience.io_retries counted" (Some 1)
+    (Metrics.counter_total (Metrics.snapshot ()) "resilience.io_retries")
 
 let suite =
   [
@@ -506,4 +558,6 @@ let suite =
     Alcotest.test_case "manifest window covers a sleep-bearing run" `Quick test_manifest_window;
     Alcotest.test_case "sha256 FIPS vectors" `Quick test_sha256_vectors;
     Alcotest.test_case "report analyzer" `Quick test_report_build;
+    Alcotest.test_case "I/O retry and checkpoint rotation hooks reach the registry" `Quick
+      test_io_and_rotation_hooks;
   ]
