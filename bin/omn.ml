@@ -9,12 +9,15 @@
      omn corrupt trace.omn --fault nan -o bad.omn fault-injection harness
      omn theory --lambda 0.5                      closed-form results
 
-   Exit codes: 0 success; 1 computation error; 2 bad input or usage,
-   command-line parse errors included; 3 degraded-but-complete
-   (--quarantine kept the run going past failed sources — every other
-   result is exact); 124 partial result
-   (--budget-seconds expired before the run finished — the timeout(1)
-   convention, takes precedence over 3); 125 an uncaught exception. *)
+   The commands that load a trace (stats, diameter, delivery,
+   transform, forward) read a trace file or, whatever their flags, a
+   `# omn-shards 1' index (`omn gen --shards').
+
+   Exit codes: 0 success; 1 computation error (a source that fails
+   fails the run, naming it); 2 bad input or usage, command-line parse
+   errors included; 124 partial result (--budget-seconds expired
+   before the run finished — the timeout(1) convention); 125 an
+   uncaught exception. *)
 
 open Cmdliner
 module Err = Omn_robust.Err
@@ -83,13 +86,16 @@ let lenient_arg =
   in
   Arg.(value & flag & info [ "lenient" ] ~doc)
 
-(* [stream] reads through the streaming reader: constant-memory
-   ingestion, and the only reader that understands `# omn-shards 1'
-   indexes. *)
+(* The streaming reader runs under [stream] (constant-memory ingestion)
+   and on every `# omn-shards 1' index, which only it understands, by
+   the test it makes itself. *)
+let streams ~stream path = stream || Omn_temporal.Trace_stream.is_shard_index path
+
 let load_trace ?(stream = false) ~policy ~lenient path =
   let policy = if lenient && policy = Repair.Strict then Repair.Repair else policy in
   let load =
-    if stream then Omn_temporal.Trace_stream.load_result else Omn_temporal.Trace_io.load_result
+    if streams ~stream path then Omn_temporal.Trace_stream.load_result
+    else Omn_temporal.Trace_io.load_result
   in
   match load ~policy path with
   | Error e -> raise (Err.Error e)
@@ -133,8 +139,8 @@ let trace_out_arg =
     "Enable the event timeline and export it as Chrome trace-event JSON to $(docv) when \
      the command finishes (even if it fails midway). Open the file in Perfetto \
      (ui.perfetto.dev) or chrome://tracing: one track per OCaml domain, duration events \
-     for driver chunks and pool work, instants for steals, quarantines, I/O retries \
-     and checkpoint operations, and a GC counter track. Enabling the timeline never \
+     for driver chunks and pool work, instants for steals, I/O retries and checkpoint \
+     operations, and a GC counter track. Enabling the timeline never \
      changes computed results."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
@@ -272,7 +278,7 @@ let progress_reporter ~enabled label =
   if not enabled then (None, fun () -> ())
   else begin
     let bar = ref None in
-    let report ~done_ ~total ~degraded ~fallback =
+    let report ~done_ ~total ~fallback =
       let b =
         match !bar with
         | Some b -> b
@@ -281,7 +287,6 @@ let progress_reporter ~enabled label =
           bar := Some b;
           b
       in
-      if degraded > 0 then Omn_obs.Progress.set_degraded b degraded;
       if fallback then Omn_obs.Progress.set_fallback b;
       Omn_obs.Progress.set b done_
     in
@@ -475,14 +480,6 @@ let budget_arg =
      partial result over a uniformly sampled subset of source nodes."
   in
   Arg.(value & opt (some float) None & info [ "budget-seconds" ] ~docv:"S" ~doc)
-
-let quarantine_arg =
-  let doc =
-    "Quarantine a source whose computation fails: the run completes over the other \
-     sources, lists the quarantined ones and exits with code 3. Without this flag a \
-     failed source fails the run (exit 1). Not supported with $(b,--sample)."
-  in
-  Arg.(value & flag & info [ "quarantine" ] ~doc)
 
 (* --- sharded execution (omn_shard) --- *)
 
@@ -688,37 +685,28 @@ let note_fleet (cfg : Shard.config) (st : Shard.stats) =
   if st.joins > 0 || st.leaves > 0 then
     Format.eprintf "omn: shard membership: %d join(s), %d leave(s)@." st.joins st.leaves
 
-(* Report fallback/quarantine outcomes and pick the documented exit
-   code by [Err.run_exit_code]: partial (124) beats degraded (3) beats
-   success (0), whichever executor ran the sources. *)
-let resilience_exit ~partial ~ckpt_fallback degraded =
+(* Note a checkpoint fallback and pick the exit code of a run that
+   ended without an error: 124 for a partial result, otherwise 0,
+   whichever executor ran the sources. *)
+let run_exit ~partial ~ckpt_fallback =
   if ckpt_fallback then
     Format.eprintf "omn: checkpoint was corrupt; resumed from the previous generation@.";
-  (match degraded with
-  | [] -> ()
-  | fs ->
-    Format.printf "DEGRADED result: %d source task(s) quarantined@." (List.length fs);
-    List.iter
-      (fun (f : Omn_core.Delay_cdf.failure) -> Format.printf "  source %d: %s@." f.source f.reason)
-      fs);
-  Err.run_exit_code ~partial ~degraded:(degraded <> [])
+  if partial then 124 else 0
 
 (* `omn diameter' runs the one driver: the flags pick its policies,
    --progress its reporter, --workers its executor (the fleet serves
    every batch). *)
-let drive ~progress ~label ~domains ?fleet ~quarantine ?checkpoint ~resume ~every ?budget
-    ?sampling plan =
+let drive ~progress ~label ~domains ?fleet ?checkpoint ~resume ~every ?budget ?sampling plan =
   let report, finish = progress_reporter ~enabled:progress label in
   let report =
     Option.map
       (fun r (p : Omn_core.Delay_cdf.progress) _ ->
-        r ~done_:p.sources_done ~total:p.sources_total ~degraded:(List.length p.degraded)
-          ~fallback:p.ckpt_fallback)
+        r ~done_:p.sources_done ~total:p.sources_total ~fallback:p.ckpt_fallback)
       report
   in
   let run ?partials_of () =
     let outcome =
-      Omn_core.Driver.run ~domains ?partials_of ~quarantine ?checkpoint ~resume
+      Omn_core.Driver.run ~domains ?partials_of ?checkpoint ~resume
         ~checkpoint_every:every ?budget_seconds:budget ~clock:Unix.gettimeofday ?report
         ?sampling plan
     in
@@ -803,7 +791,7 @@ let heap_cap_arg =
 
 let diameter_cmd =
   let run path ingest lenient epsilon max_hops domains checkpoint resume every budget metrics
-      trace_out progress quarantine sample ci_width confidence bootstrap sample_seed stream
+      trace_out progress sample ci_width confidence bootstrap sample_seed stream
       workers heartbeat_timeout shard_faults listen auth_key worker_trace_cache stat_addr
       heap_cap output =
     protect_code @@ fun () ->
@@ -817,7 +805,6 @@ let diameter_cmd =
       if sample_seed <> None then reject "--sample-seed"
     end;
     let domains = Omn_parallel.Pool.resolve domains in
-    if sample <> None && quarantine then usage_err "--quarantine is not supported with --sample";
     let fleet =
       fleet_config ~domains ~telemetry:(metrics <> None || trace_out <> None)
         ~heartbeat_timeout ~shard_faults ~listen ~auth_key ~worker_trace_cache ~stat_addr workers
@@ -832,6 +819,7 @@ let diameter_cmd =
       if h > !peak then peak := h
     in
     let alarm = if heap_cap > 0 then Some (Gc.create_alarm note_peak) else None in
+    let stream = streams ~stream path in
     let trace = load_trace ~stream ~policy:ingest ~lenient path in
     Option.iter
       (fun a ->
@@ -854,7 +842,6 @@ let diameter_cmd =
             ("epsilon", Float epsilon); ("max_hops", Int max_hops);
             ("checkpoint_every", Int every);
             ("budget_seconds", match budget with Some b -> Float b | None -> Null);
-            ("quarantine", Bool quarantine);
             ("sample", match sample with Some k -> Int k | None -> Null);
             ("streamed", Bool stream);
           ]
@@ -879,7 +866,7 @@ let diameter_cmd =
     let o =
       drive ~progress
         ~label:(if sampling = None then "sources" else "sampled sources")
-        ~domains ?fleet ~quarantine ?checkpoint ~resume ~every ?budget ?sampling plan
+        ~domains ?fleet ?checkpoint ~resume ~every ?budget ?sampling plan
     in
     let p = o.progress in
     let diameter =
@@ -917,7 +904,6 @@ let diameter_cmd =
                ("epsilon", Float epsilon); ("diameter", opt diameter); ("max_hops", Int max_hops);
                ("sources_done", Int p.sources_done); ("sources_total", Int p.sources_total);
                ("partial", Bool p.partial);
-               ("degraded_sources", Int (List.length p.degraded));
                ("ckpt_fallback", Bool p.ckpt_fallback);
              ]
            @ curve_fields o.curves));
@@ -932,7 +918,7 @@ let diameter_cmd =
             p.sources_done p.sources_total s.rounds (100. *. confidence) (fmt_bound s.ci_lo)
             (fmt_bound s.ci_hi) s.width)
         o.sample);
-    resilience_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback p.degraded
+    run_exit ~partial:p.partial ~ckpt_fallback:p.ckpt_fallback
   in
   Cmd.v
     (Cmd.info "diameter"
@@ -942,7 +928,7 @@ let diameter_cmd =
     Term.(
       const run $ trace_arg $ ingest_arg $ lenient_arg $ epsilon_arg $ max_hops_arg
       $ domains_arg $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ budget_arg
-      $ metrics_arg $ trace_out_arg $ progress_arg $ quarantine_arg $ sample_arg
+      $ metrics_arg $ trace_out_arg $ progress_arg $ sample_arg
       $ ci_width_arg $ confidence_arg $ bootstrap_arg $ sample_seed_arg $ stream_arg
       $ workers_arg $ heartbeat_timeout_arg $ shard_fault_arg $ listen_arg $ auth_key_arg
       $ worker_trace_cache_arg $ stat_addr_arg $ heap_cap_arg $ output_arg)
@@ -1185,10 +1171,8 @@ let forward_cmd =
       |> List.sort_uniq compare
     in
     let report, finish = progress_reporter ~enabled:progress "messages" in
-    (* Sim reports only counts; forwarding quarantines nothing. *)
-    let report =
-      Option.map (fun r ~done_ ~total -> r ~done_ ~total ~degraded:0 ~fallback:false) report
-    in
+    (* Sim reports only counts; forwarding keeps no checkpoint. *)
+    let report = Option.map (fun r ~done_ ~total -> r ~done_ ~total ~fallback:false) report in
     let stats =
       Omn_forwarding.Sim.evaluate ~domains ?progress:report (Omn_stats.Rng.create seed) trace
         ~protocols ~messages ~deadline
@@ -1348,7 +1332,7 @@ let report_cmd =
        ~doc:
          "Analyse a finished run from its artifacts: manifest echo, per-domain busy/idle \
           breakdown, straggler and load-imbalance detection, checkpoint latency, \
-          quarantine/I/O-retry/fallback summary")
+          I/O-retry/fallback summary")
     Term.(
       const run $ result_pos $ metrics_in $ timeline_in $ json_flag $ fail_dropped
       $ fleet_flag $ output_arg)

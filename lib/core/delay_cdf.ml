@@ -350,6 +350,5 @@ type progress = {
   sources_done : int;
   sources_total : int;
   partial : bool;
-  degraded : failure list;
   ckpt_fallback : bool;
 }

@@ -60,7 +60,7 @@ val merge_into : dst:t -> t -> unit
 (** {1 Plan, per-source partials, fold}
 
     Every driver of this library — {!compute}, [Driver.run] (checkpoint,
-    budget, quarantine, progress, sampling) and the shard coordinator —
+    budget, progress, sampling) and the shard coordinator —
     computes the same thing: a validated {!plan}, one {!partial} per
     source, and {!fold} over the completed partials. The fold merges in
     ascending {e position} in the caller's source list, whatever order
@@ -177,17 +177,14 @@ type failure = {
   source : Omn_temporal.Node.t;  (** the source whose {!partial_of} raised *)
   reason : string;  (** [Printexc.to_string] of its exception *)
 }
-(** A source an executor ran once and that raised. Computing it again
-    raises again: a partial is a pure function of the trace and the
-    plan. *)
+(** A source an executor ran once and that raised: [Driver.run] fails
+    the run with it. Computing it again raises again: a partial is a
+    pure function of the trace and the plan. *)
 
 type progress = {
-  sources_done : int;  (** sources processed, including quarantined ones *)
+  sources_done : int;  (** sources completed *)
   sources_total : int;
   partial : bool;  (** the budget expired before the run finished *)
-  degraded : failure list;
-      (** sources quarantined under [Driver.run ~quarantine:true], in
-          the order they were processed; empty otherwise *)
   ckpt_fallback : bool;
       (** resume found the current checkpoint generation corrupt (or
           rejected) and restarted from [*.prev] *)

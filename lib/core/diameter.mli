@@ -41,5 +41,5 @@ val measure :
     diameter. [pool] / [domains] as in {!Delay_cdf.compute} — the
     result is independent of both. Raises [Invalid_argument] like
     {!Delay_cdf.compute} on a bad plan, and on [epsilon] outside
-    (0,1). For checkpoints, budgets, quarantine or sampling, run
+    (0,1). For checkpoints, budgets or sampling, run
     {!Driver.run} and apply {!of_curves}. *)

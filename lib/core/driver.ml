@@ -8,7 +8,6 @@ module Checkpoint = Omn_robust.Checkpoint
 let m_batch_s = Metrics.histogram "delay_cdf.chunk_seconds"
 let m_ckpt_s = Metrics.histogram "delay_cdf.checkpoint_seconds"
 let m_ckpt_fallback = Metrics.counter "delay_cdf.ckpt_fallbacks"
-let m_quarantined = Metrics.counter "delay_cdf.sources_quarantined"
 let m_io_retries = Metrics.counter "resilience.io_retries"
 let m_rounds = Metrics.counter "sample.rounds"
 let m_sampled = Metrics.counter "sample.sources_sampled"
@@ -55,16 +54,15 @@ let set_perturb f = perturb := f
 (* --- checkpoint: the completed partials --- *)
 
 (* Partials are keyed by merge position, so resuming needs no chunk
-   size: the processed sources are always a prefix of the plan's
-   processing order, completed or quarantined. *)
+   size: the completed sources are always a prefix of the plan's
+   processing order. *)
 type snapshot = {
   snap_fingerprint : string;
   snap_batches : int;
   snap_done : (int * Delay_cdf.partial) list;  (* (position, partial), latest first *)
-  snap_degraded : Delay_cdf.failure list;  (* latest first *)
 }
 
-let ckpt_magic = "omn-ckpt 5\n"
+let ckpt_magic = "omn-ckpt 6\n"
 
 (* The trace enters through its store's arrays, which marshal flat;
    [csr_prev] is derived from them. *)
@@ -136,7 +134,7 @@ let assess (plan : Delay_cdf.plan) (s : sampling) ~round ~total completed =
 
 (* --- the loop --- *)
 
-let run ?pool ?(domains = 1) ?partials_of ?(quarantine = false) ?checkpoint ?(resume = false)
+let run ?pool ?(domains = 1) ?partials_of ?checkpoint ?(resume = false)
     ?(checkpoint_every = 8) ?budget_seconds ?(clock = Sys.time) ?report ?sampling
     (plan : Delay_cdf.plan) =
   try
@@ -147,7 +145,6 @@ let run ?pool ?(domains = 1) ?partials_of ?(quarantine = false) ?checkpoint ?(re
     if checkpoint_every < 1 then usage "checkpoint_every %d < 1" checkpoint_every;
     (* an infinite budget is no limit; NaN fails the comparison *)
     Option.iter (fun b -> if not (b >= 0.) then usage "budget %g is not >= 0" b) budget_seconds;
-    if quarantine && sampling <> None then usage "quarantine does not combine with sampling";
     Option.iter
       (fun (s : sampling) ->
         if s.sample < 1 then usage "sample %d must be at least 1" s.sample;
@@ -170,13 +167,12 @@ let run ?pool ?(domains = 1) ?partials_of ?(quarantine = false) ?checkpoint ?(re
         end;
         (snap, fallback)
       | _ ->
-        ({ snap_fingerprint = ""; snap_batches = 0; snap_done = []; snap_degraded = [] }, false)
+        ({ snap_fingerprint = ""; snap_batches = 0; snap_done = [] }, false)
     in
     let total = Array.length plan.order in
     let completed = ref start.snap_done in
-    let degraded = ref start.snap_degraded in
     let batches = ref start.snap_batches in
-    let processed = ref (List.length !completed + List.length !degraded) in
+    let processed = ref (List.length !completed) in
     (* One pool for the whole run; a borrowed pool is left to its owner. *)
     let owned =
       if pool = None && domains > 1 && partials_of = None then Some (Pool.create ~domains ())
@@ -207,18 +203,14 @@ let run ?pool ?(domains = 1) ?partials_of ?(quarantine = false) ?checkpoint ?(re
         | None -> Pool.run ?pool ~domains run_source nodes
       in
       (* One rule, in batch order, whichever executor ran the batch: a
-         failed source is quarantined, or it fails the run. *)
+         failed source fails the run. *)
       Array.iteri
         (fun j -> function
           | Ok p -> completed := (positions.(j), p) :: !completed
           | Error (f : Delay_cdf.failure) ->
-            if not quarantine then
-              raise
-                (Err.Error
-                   (Err.errf Err.Compute "source task failed: source %d: %s" f.source f.reason));
-            Metrics.incr m_quarantined;
-            Timeline.record (Quarantine { source = f.source });
-            degraded := f :: !degraded)
+            raise
+              (Err.Error
+                 (Err.errf Err.Compute "source task failed: source %d: %s" f.source f.reason)))
         results;
       processed := !processed + Array.length positions
     in
@@ -241,7 +233,6 @@ let run ?pool ?(domains = 1) ?partials_of ?(quarantine = false) ?checkpoint ?(re
         Delay_cdf.sources_done = !processed;
         sources_total = total;
         partial;
-        degraded = List.rev !degraded;
         ckpt_fallback;
       }
     in
@@ -256,7 +247,6 @@ let run ?pool ?(domains = 1) ?partials_of ?(quarantine = false) ?checkpoint ?(re
              snap_fingerprint = Lazy.force fp;
              snap_batches = !batches;
              snap_done = !completed;
-             snap_degraded = !degraded;
            }
            []);
       if timed then begin

@@ -7,14 +7,15 @@
       session, [Omn_shard.Coord.with_fleet]). Every executor runs each
       source once and returns one result per source, a raised
       exception as a {!Delay_cdf.failure};
-    - {b quarantine}: the driver settles each batch in batch order. A
-      failed source joins [progress.degraded] under [quarantine]
-      (counted in [delay_cdf.sources_quarantined], one [Quarantine]
-      timeline event), and otherwise fails the run with one [Compute]
-      error that names it;
-    - {b checkpoint}: after every batch, the completed partials and the
-      quarantined sources are written CRC-framed with generation
-      rotation ({!Omn_robust.Checkpoint}, magic [omn-ckpt 5]);
+    - {b failure}: the driver settles each batch in batch order, and
+      the first failed source fails the run with one [Compute] error
+      that names it. A partial is a pure function of the trace and the
+      plan, and {!Journey.run} reaches its fixpoint within [n_nodes]
+      rounds, so a source fails only through a bug or resource
+      exhaustion;
+    - {b checkpoint}: after every batch, the completed partials are
+      written CRC-framed with generation rotation
+      ({!Omn_robust.Checkpoint}, magic [omn-ckpt 6]);
       [resume] continues from them, falling back to the previous
       generation when the current one is corrupt. Both generations are
       removed when the run finishes;
@@ -37,9 +38,7 @@
     Contract: the curves depend only on which sources completed. A run
     that covers every source (killed and resumed or not, batched or
     not, sampled exhaustively or not, at any domain count) returns
-    exactly {!Delay_cdf.compute}'s curves; a run that quarantined
-    sources returns {!Delay_cdf.compute}'s curves over the surviving
-    sources.
+    exactly {!Delay_cdf.compute}'s curves.
 
     This module also points {!Omn_robust.Retry_io.on_retry} (counter
     [resilience.io_retries], timeline [Io_retry]) and
@@ -80,7 +79,6 @@ val run :
   ?domains:int ->
   ?partials_of:
     (Omn_temporal.Node.t list -> (Delay_cdf.partial, Delay_cdf.failure) result list) ->
-  ?quarantine:bool ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?checkpoint_every:int ->
@@ -96,7 +94,7 @@ val run :
     [partials_of] receives each batch's sources and must return one
     result per source, in order: a {!Delay_cdf.source_partial}-
     equivalent partial, or the failure of a source whose computation
-    raised. [quarantine] defaults to [false].
+    raised.
 
     The checkpoint embeds a fingerprint of the trace, the plan and the
     sampling schedule, computed only when [checkpoint] is given;
@@ -104,11 +102,10 @@ val run :
     file of another format.
 
     Typed errors: [Usage] for [domains < 1], [checkpoint_every < 1], a
-    negative budget, a sampling parameter out of range, or
-    [quarantine] combined with [sampling]; [Compute] for the first
-    failed source of a batch without [quarantine] (["source task
-    failed: source N: REASON"]), or when [partials_of] returns the
-    wrong number of results; [Io] for file-system failures. An
+    negative budget or a sampling parameter out of range; [Compute]
+    for the first failed source of a batch (["source task failed:
+    source N: REASON"]), or when [partials_of] returns the wrong number
+    of results; [Io] for file-system failures. An
     exception [partials_of] raises as [Omn_robust.Err.Error] is
     returned as that error. *)
 

@@ -69,8 +69,7 @@ let[@inline] dominated f hint v ~ld ~ea =
    exactly the Pareto antichain of the round's fresh points — the same
    delta the list-and-reprune driver produced, in the same sorted
    order. *)
-let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_after trace
-    ~source =
+let run_internal ?(strategy = Semi_naive) ?on_round ?stop_after trace ~source =
   let n = Trace.n_nodes trace in
   if source < 0 || source >= n then invalid_arg "Journey.run: bad source";
   let frontiers = Array.init n (fun _ -> Frontier.create ()) in
@@ -343,8 +342,14 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
     (!changed, on_points)
   in
   let point_rounds = ref 0 in
+  (* A delay-optimal journey never repeats a node: cutting a loop out
+     leaves a valid journey with fewer hops whose (LD, EA) weakly
+     dominates, and the frontier, holding that point since an earlier
+     round, rejects the looped one. So a round past n - 1 changes
+     nothing, and round n is at the latest the fixpoint round; a round
+     past it is a bug. *)
   let rec loop round =
-    if round > max_rounds then failwith "Journey.run: no fixpoint within max_rounds";
+    if round > n then failwith "Journey.run: no fixpoint within n_nodes rounds";
     let changed, on_points = do_round () in
     if changed = 0 then round - 1
     else begin
@@ -362,8 +367,7 @@ let run_internal ?(max_rounds = 1024) ?(strategy = Semi_naive) ?on_round ?stop_a
   Omn_obs.Metrics.add m_point_rounds !point_rounds;
   (frontiers, rounds)
 
-let run ?max_rounds ?strategy ?on_round trace ~source =
-  run_internal ?max_rounds ?strategy ?on_round trace ~source
+let run ?strategy ?on_round trace ~source = run_internal ?strategy ?on_round trace ~source
 
 let frontiers_at_hops trace ~source ~max_hops =
   if max_hops < 0 then invalid_arg "Journey.frontiers_at_hops: negative bound";

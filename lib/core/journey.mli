@@ -9,7 +9,10 @@
       contact, using the concatenation rule (fact (iv)), and inserts the
       results in the destinations' frontiers;
     - rounds stop at a fixpoint (no frontier changed), which the small
-      diameter of opportunistic networks makes fast — or at [max_rounds].
+      diameter of opportunistic networks makes fast. It comes within
+      [n_nodes] rounds on any trace: a delay-optimal journey never
+      repeats a node, so one of more than [n_nodes − 1] hops is never
+      needed (see {!run}).
 
     The rounds are {e semi-naive}: only descriptors newly inserted during
     the previous round are extended, which is sound because frontiers
@@ -102,7 +105,6 @@ type strategy =
           delta (see the timing bench) *)
 
 val run :
-  ?max_rounds:int ->
   ?strategy:strategy ->
   ?on_round:(round_info -> unit) ->
   Omn_temporal.Trace.t ->
@@ -112,10 +114,19 @@ val run :
     paths of unbounded hop count) and the number of rounds executed.
     [on_round] fires after every round including the last (the fixpoint
     round, which has [changed = 0], is not reported as a round).
-    [max_rounds] (default 1024) is a safety valve; reaching it without a
-    fixpoint raises [Failure]. The frontiers handed to [on_round] are
-    live views — snapshot with {!Frontier.to_array} or {!Frontier.copy}
-    if kept. *)
+
+    The rounds executed are at most [n_nodes − 1], under either
+    strategy. Cutting a loop out of a journey leaves a valid journey
+    with fewer hops whose last departure is no earlier and whose
+    earliest arrival is no later, so the frontier already holds a point
+    that weakly dominates the looped one and rejects it; a round that
+    changes anything therefore inserts a loop-free journey, of at most
+    [n_nodes − 1] hops. Round [n_nodes] is thus at the latest the
+    fixpoint round, and a round past it would be a bug: it raises
+    [Failure]. The 1,030-node chain (contact i–(i+1) at time i) takes
+    exactly 1,029 rounds from source 0. The frontiers handed to
+    [on_round] are live views — snapshot with {!Frontier.to_array} or
+    {!Frontier.copy} if kept. *)
 
 val frontiers_at_hops :
   Omn_temporal.Trace.t -> source:Omn_temporal.Node.t -> max_hops:int -> Frontier.t array

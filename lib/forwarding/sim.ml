@@ -23,14 +23,23 @@ type node_state = {
                                   cycles through cliques of open contacts) *)
 }
 
+(* NaN fails every comparison, so a deadline must pass [>= 0.]. *)
+let check_deadline fn deadline =
+  if not (deadline >= 0.) then
+    invalid_arg (Printf.sprintf "%s: deadline %g is not >= 0" fn deadline)
+
+let check_protocol fn = function
+  | Protocol.Spray_and_wait { copies } when copies < 1 -> invalid_arg (fn ^ ": copies < 1")
+  | Protocol.Epidemic { ttl = Some k } when k < 0 ->
+    invalid_arg (Printf.sprintf "%s: epidemic TTL %d is negative" fn k)
+  | _ -> ()
+
 let run trace ~protocol ~source ~dest ~t0 ~deadline =
   let n = Trace.n_nodes trace in
   if source < 0 || source >= n || dest < 0 || dest >= n then invalid_arg "Sim.run: bad node";
   if source = dest then invalid_arg "Sim.run: source = dest";
-  if deadline < 0. then invalid_arg "Sim.run: negative deadline";
-  (match protocol with
-  | Protocol.Spray_and_wait { copies } when copies < 1 -> invalid_arg "Sim.run: copies < 1"
-  | _ -> ());
+  check_deadline "Sim.run" deadline;
+  check_protocol "Sim.run" protocol;
   let give_up = t0 +. deadline in
   let states =
     Array.init n (fun _ ->
@@ -186,6 +195,8 @@ let evaluate ?pool ?(domains = 1) ?progress rng trace ~protocols ~messages ~dead
   if domains < 1 then invalid_arg "Sim.evaluate: domains < 1";
   let n = Trace.n_nodes trace in
   if n < 2 then invalid_arg "Sim.evaluate: need two nodes";
+  check_deadline "Sim.evaluate" deadline;
+  List.iter (check_protocol "Sim.evaluate") protocols;
   Omn_obs.Span.with_ ~name:"sim.evaluate" @@ fun () ->
   let total_msgs = messages * List.length protocols in
   let msgs_done = Atomic.make 0 in

@@ -27,8 +27,9 @@ val run :
   deadline:float ->
   outcome
 (** Deliver one message created on [source] at [t0], give up after
-    [deadline] seconds. Raises [Invalid_argument] on bad nodes, negative
-    deadline, [source = dest], or non-positive spray copies. *)
+    [deadline] seconds. Raises [Invalid_argument] on bad nodes, a
+    deadline that is not [>= 0.] (NaN included), [source = dest],
+    non-positive spray copies or a negative epidemic TTL. *)
 
 type stats = {
   protocol : Protocol.t;
@@ -58,4 +59,8 @@ val evaluate :
 
     [progress] is called once per simulated message with the cumulative
     count over all protocols; it may run on any worker domain, so it
-    must be domain-safe ({!Omn_obs.Progress} is). *)
+    must be domain-safe ({!Omn_obs.Progress} is).
+
+    Raises [Invalid_argument], before any message is drawn, as {!run}
+    does on a bad deadline or protocol, and on [messages < 1],
+    [domains < 1] or a trace of fewer than two nodes. *)

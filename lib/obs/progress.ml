@@ -3,7 +3,6 @@ type t = {
   total : int option;
   tty : bool;
   mutable count : int;
-  mutable degraded : int;
   mutable fallback : bool;
   mutable rate : float;  (* EWMA items/s; 0 = no estimate yet *)
   mutable rate_at : float;  (* when the rate was last updated *)
@@ -25,7 +24,6 @@ let create ?total ~label () =
     total;
     tty;
     count = 0;
-    degraded = 0;
     fallback = false;
     rate = 0.;
     rate_at = Unix.gettimeofday ();
@@ -53,10 +51,7 @@ let update_rate t now =
   end
 
 let render t =
-  let status =
-    (if t.degraded > 0 then Printf.sprintf ", degraded %d" t.degraded else "")
-    ^ if t.fallback then ", ckpt-fallback" else ""
-  in
+  let status = if t.fallback then ", ckpt-fallback" else "" in
   match t.total with
   | Some total when total > 0 ->
     let eta =
@@ -94,9 +89,6 @@ let step ?(n = 1) t =
   locked t @@ fun () ->
   t.count <- t.count + n;
   print t ~force:false
-
-let set_degraded t n =
-  locked t @@ fun () -> t.degraded <- max t.degraded n
 
 let set_fallback t =
   locked t @@ fun () -> t.fallback <- true

@@ -10,10 +10,9 @@
 
     When a [total] is known the line carries an ETA derived from an
     exponentially-weighted moving average of the completion rate, and
-    every line appends the run's health — [degraded N] once any source
-    degrades and [ckpt-fallback] once a checkpoint falls back to its
-    previous generation — so an operator watching a long sweep sees
-    trouble as it happens rather than in the final summary. *)
+    every line appends [ckpt-fallback] once a checkpoint falls back to
+    its previous generation, so an operator watching a long sweep sees
+    it as it happens rather than in the final summary. *)
 
 type t
 
@@ -25,9 +24,6 @@ val set : t -> int -> unit
 
 val step : ?n:int -> t -> unit
 (** Advance by [n] (default 1). *)
-
-val set_degraded : t -> int -> unit
-(** Raise the degraded-source count shown on the line (monotone). *)
 
 val set_fallback : t -> unit
 (** Mark that a checkpoint load fell back to the previous generation;

@@ -33,7 +33,6 @@ type tally = {
   mutable ckpt_us : float list;
   mutable rotates : int;
   mutable fallbacks : int;
-  mutable quarantines : int;
   mutable io_retries : int;
   mutable gc_samples : int;
   mutable spawns : int;
@@ -80,7 +79,6 @@ let tally_event t ev =
     | _, "steal" -> (dom_of t tid).steals <- (dom_of t tid).steals + 1
     | _, "checkpoint.rotate" -> t.rotates <- t.rotates + 1
     | _, "checkpoint.fallback" -> t.fallbacks <- t.fallbacks + 1
-    | _, "quarantine" -> t.quarantines <- t.quarantines + 1
     | _, "io.retry" -> t.io_retries <- t.io_retries + 1
     | _, "worker.spawn" -> t.spawns <- t.spawns + 1
     | _, "heartbeat.miss" -> t.heartbeat_misses <- t.heartbeat_misses + 1
@@ -98,7 +96,6 @@ let tally_timeline tl =
       ckpt_us = [];
       rotates = 0;
       fallbacks = 0;
-      quarantines = 0;
       io_retries = 0;
       gc_samples = 0;
       spawns = 0;
@@ -244,7 +241,6 @@ let resilience_section t counters =
      drop. Report whichever saw more. *)
   Json.Obj
     [
-      ("quarantined", Json.Int (max t.quarantines (c "delay_cdf.sources_quarantined")));
       ("io_retries", Json.Int (max t.io_retries (c "resilience.io_retries")));
       ("checkpoint_fallbacks", Json.Int (max t.fallbacks (c "delay_cdf.ckpt_fallbacks")));
     ]
@@ -493,9 +489,8 @@ let pp ppf report =
   | _ -> ());
   (match Json.member "resilience" report with
   | Some (Json.Obj _ as r) ->
-    line "  resil.   : %a quarantined, %a io retries, %a ckpt fallbacks@." pp_float
-      (get "quarantined" r) pp_float (get "io_retries" r) pp_float
-      (get "checkpoint_fallbacks" r)
+    line "  resil.   : %a io retries, %a ckpt fallbacks@." pp_float (get "io_retries" r)
+      pp_float (get "checkpoint_fallbacks" r)
   | _ -> ());
   (match Json.member "shard" report with
   | Some (Json.Obj _ as s) ->

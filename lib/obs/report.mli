@@ -17,7 +17,7 @@ val build : ?metrics:Json.t -> ?timeline:Json.t -> ?result:Json.t -> unit -> Jso
     (first found among result, timeline, metrics inputs), wall-clock
     span, per-domain busy/idle/steal breakdown, chunk-duration
     straggler and load-imbalance statistics (max vs median), checkpoint
-    write-latency percentiles, quarantine/I/O-retry/fallback summary, and
+    write-latency percentiles, I/O-retry/fallback summary, and
     the [dropped_events] count (top-level key; the larger of the trace
     footer and the metrics counter [timeline.dropped_events], so a
     metrics file alone is enough for [--fail-dropped]).

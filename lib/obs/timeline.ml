@@ -13,7 +13,6 @@ type event =
   | Ckpt_write of { path : string; seconds : float }
   | Ckpt_rotate of { path : string }
   | Ckpt_fallback of { path : string }
-  | Quarantine of { source : int }
   | Io_retry of { op : string }
   | Gc_sample of { minor : int; major : int; heap_words : int }
   | Mark of { name : string }

@@ -37,8 +37,6 @@ type event =
       (** the previous checkpoint generation was promoted to [*.prev] *)
   | Ckpt_fallback of { path : string }
       (** resume found the current generation corrupt and fell back *)
-  | Quarantine of { source : int }
-      (** the driver quarantined a source whose computation raised *)
   | Io_retry of { op : string }
   | Gc_sample of { minor : int; major : int; heap_words : int }
       (** cumulative collection counts and major-heap words *)

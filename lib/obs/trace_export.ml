@@ -86,9 +86,6 @@ let event_json ?pid ~t0 (domain, (e : Timeline.entry)) =
   | Ckpt_fallback { path } ->
     instant_event ~t0 ~tid ~name:"checkpoint.fallback" ~cat:"checkpoint" ~ts:e.ts
       [ ("path", Json.String path) ]
-  | Quarantine { source } ->
-    instant_event ~t0 ~tid ~name:"quarantine" ~cat:"driver" ~ts:e.ts
-      [ ("source", Json.Int source) ]
   | Io_retry { op } ->
     instant_event ~t0 ~tid ~name:"io.retry" ~cat:"io" ~ts:e.ts
       [ ("op", Json.String op) ]

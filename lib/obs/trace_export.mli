@@ -3,7 +3,7 @@
     The output opens directly in Perfetto (ui.perfetto.dev) or
     [chrome://tracing]: one track (thread) per OCaml domain, duration
     ("ph":"X") events for chunks and pool work loops, instant ("ph":"i")
-    events for steals, I/O retries, quarantines and checkpoint operations,
+    events for steals, I/O retries and checkpoint operations,
     and a counter ("ph":"C") track for GC samples. Timestamps are
     microseconds relative to the earliest event; the absolute epoch
     start and the dropped-event counts live in a top-level ["omn"]

@@ -32,7 +32,6 @@ let code_name = function
   | Proto -> "E-PROTO"
 
 let exit_code = function Compute -> 1 | _ -> 2
-let run_exit_code ~partial ~degraded = if partial then 124 else if degraded then 3 else 0
 let in_file file e = match e.file with Some _ -> e | None -> { e with file = Some file }
 
 let pp fmt e =

@@ -5,7 +5,9 @@
     flags — is described by a value of {!t} carrying an error {!code},
     an optional source location (file, line) and a human-readable
     message. Library code returns [('a, t) result]; the CLI boundary
-    turns the code into a documented process exit status. *)
+    turns the code into a documented process exit status ({!exit_code}).
+    A run that ends without an error exits 0, or 124 for a result the
+    budget cut short. *)
 
 type code =
   | Parse  (** a line or field could not be parsed at all *)
@@ -38,13 +40,6 @@ val exit_code : code -> int
 (** Documented process exit status for the CLI: 1 for computation
     errors ({!Compute}), 2 for bad input or usage (everything else).
     0 is success and never produced here. *)
-
-val run_exit_code : partial:bool -> degraded:bool -> int
-(** Exit status of a run that finished without an error: a partial
-    result (124, the [timeout(1)] convention) beats a complete one
-    with quarantined sources (3), which beats success (0). Every
-    executor, in process or on a fleet, reports through this one
-    rule. *)
 
 val in_file : string -> t -> t
 (** Attach a file name if the error does not carry one yet. *)

@@ -31,7 +31,7 @@ module Sha256 = Omn_obs.Sha256
 (* Version of this handshake + the Proto framing it fronts. Bump when
    the Marshal-encoded message set or the handshake frames change
    incompatibly. *)
-let protocol_version = 7
+let protocol_version = 8
 
 (* Marshal requires both ends to agree on the runtime's value layout;
    refusing a different compiler version up front turns a would-be

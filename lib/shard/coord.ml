@@ -124,7 +124,7 @@ type sstate =
   | Pending
   | Assigned of int
   | Acked of string
-  | Degr of Delay_cdf.failure
+  | Raised of Delay_cdf.failure
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -562,7 +562,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
         if slot < 0 || i >= Array.length !slot_state then handle_death w
         else
           match if i < 0 then None else Some !slot_state.(i) with
-          | None | Some (Acked _ | Degr _) ->
+          | None | Some (Acked _ | Raised _) ->
             incr st_dups;
             Metrics.incr m_duplicates
           | Some (Pending | Assigned _ as st) ->
@@ -599,7 +599,6 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
             ignore (send_to w (Proto.Trace_data { digest; text = trace_text }))
           end
           else handle_death w (* asking for some other trace: confused peer *)
-        | Leave _ -> handle_leave w
         | Stats_push { worker = _; t_coord; t_worker; metrics; events; dropped } ->
           (* NTP-style offset: the worker stamped t_worker between our
              send (t_coord, echoed back) and our receive; assuming a
@@ -634,7 +633,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
           end;
           dispatch_pending ()
         | Result { slot; source = _; partial } -> settle w slot (Acked partial)
-        | Failed { slot; source; reason } -> settle w slot (Degr { Delay_cdf.source; reason })
+        | Failed { slot; source; reason } -> settle w slot (Raised { Delay_cdf.source; reason })
       in
       let handle_fd w =
         match w.conn with
@@ -920,7 +919,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
         end
       in
       (* One batch, served to completion: every slot ends Acked or
-         Degr, or the fleet is lost and the batch raises. Time spent
+         Raised, or the fleet is lost and the batch raises. Time spent
          outside [serve] (the driver's checkpoints, reporter, folds)
          is not worker silence, so the heartbeat clock restarts. *)
       let serve batch =
@@ -986,7 +985,7 @@ let with_fleet cfg (plan : Delay_cdf.plan) f =
                match Delay_cdf.partial_of_string s with
                | Ok p -> Ok p
                | Error msg -> raise (Err.Error (Err.v Compute ("shard: " ^ msg))))
-             | Degr f -> Error f
+             | Raised f -> Error f
              | Pending | Assigned _ -> assert false)
       in
       match f serve with

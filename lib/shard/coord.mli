@@ -66,9 +66,10 @@
     - a source whose computation raises is computed once: the worker
       reports it as [Failed] and survives, and it comes back as
       [Error failure]. [Driver.run] settles it by the in-process rule:
-      the source joins [progress.degraded] (CLI exit 3) under
-      [~quarantine:true], and the run fails with a [Compute] error
-      naming it (CLI exit 1) otherwise, sampling included;
+      the run fails with a [Compute] error naming it (CLI exit 1),
+      sampling included. Only a bug or resource exhaustion gets there
+      ({!Omn_core.Journey.run} reaches its fixpoint within [n_nodes]
+      rounds); a source outside the trace is one such raise;
     - when every worker has exhausted its respawns and sources remain,
       the executor raises a [Compute] error (CLI exit 1), which
       [Driver.run] returns: results are never silently incomplete.

@@ -31,7 +31,6 @@ type from_worker =
       events : (int * Omn_obs.Timeline.entry) list;
       dropped : (int * int) list;
     }
-  | Leave of { worker : int }
   | Pong
 
 let encode_to_worker (m : to_worker) = Marshal.to_string m []

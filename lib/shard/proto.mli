@@ -20,7 +20,9 @@
     {!to_worker.Trace_data}. The worker then answers
     {!from_worker.Ready}; only then does the coordinator stream
     [Compute] messages. A worker keeps no results across sessions:
-    every source it is asked for, it computes. *)
+    every source it is asked for, it computes. A worker never
+    announces its departure: the coordinator sees its link close, or
+    drops the member itself (the [worker-leave] chaos fault). *)
 
 type job = {
   trace_digest : string;
@@ -69,9 +71,8 @@ type from_worker =
   | Failed of { slot : int; source : int; reason : string }
       (** computing this source raised; [reason] is
           [Printexc.to_string] of the exception. The worker runs each
-          source once and survives it: whether the source is
-          quarantined or fails the run is the coordinator's driver's
-          decision *)
+          source once and survives it; the coordinator's driver fails
+          the run with it *)
   | Stats_push of {
       worker : int;
       t_coord : float;  (** echo of the pull's send stamp *)
@@ -84,11 +85,7 @@ type from_worker =
               (per-domain watermarks worker-side), worker-clock stamps *)
       dropped : (int * int) list;  (** cumulative per-domain ring drops *)
     }
-      (** answer to [Stats_pull]; also sent once more right before
-          [Leave] so the final merged artifacts see the complete run *)
-  | Leave of { worker : int }
-      (** graceful departure: stop assigning to me, reassign my
-          in-flight sources, don't respawn me *)
+      (** answer to [Stats_pull] *)
   | Pong
 
 val encode_to_worker : to_worker -> string

@@ -180,8 +180,8 @@ let session ~persist ~trace_cache ~worker fd =
         in
         (* Batch order = arrival order; replies go out on this domain
            once the pool run is over. A source is computed once and a
-           raising one is reported, never raised: quarantine is the
-           coordinator's driver's decision. *)
+           raising one is reported, never raised: the coordinator's
+           driver fails the run with it, and this worker serves on. *)
         let run_batch batch =
           Pool.run ?pool
             (fun (slot, source) ->

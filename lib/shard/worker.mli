@@ -30,8 +30,9 @@
     its checkpoint; a respawned or rejoining worker, or a listening one
     serving a later run of the same job, computes a source it is asked
     for again. A source whose computation raises is computed once and
-    reported as [Failed] with its exception's text — the worker itself
-    survives it.
+    reported as [Failed] with its exception's text; the coordinator's
+    driver fails the run with it, and the worker itself survives it
+    and serves the next request.
 
     The worker ignores [SIGPIPE]; a permanently unreachable
     coordinator is an orderly [Ok] exit, while an authentication or

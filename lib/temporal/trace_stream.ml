@@ -560,6 +560,13 @@ let shard_list ~index_path text =
        if l = "" || l.[0] = '#' then None
        else Some (if Filename.is_relative l then Filename.concat dir l else l))
 
+let is_magic_line line = String.trim line = shard_magic
+
+let is_shard_index path =
+  match In_channel.with_open_bin path In_channel.input_line with
+  | Some first -> is_magic_line first
+  | None | (exception Sys_error _) -> false
+
 (* Raises [Err.Error]; [Sys_error] is mapped by the public wrappers. *)
 let run ~policy path =
   let st = create ~policy ~ordered:true ~hold:0 in
@@ -569,7 +576,7 @@ let run ~policy path =
     In_channel.with_open_bin path (fun ic ->
       (* the whole first line, however short the reads come back *)
       match In_channel.input_line ic with
-      | Some first when String.trim first = shard_magic -> `Index (In_channel.input_all ic)
+      | Some first when is_magic_line first -> `Index (In_channel.input_all ic)
       | first ->
         Option.iter (fun l -> feed st (l ^ "\n")) first;
         pump st buf ic;

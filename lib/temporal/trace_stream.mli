@@ -56,6 +56,11 @@ val load_result :
     [policy] defaults to [Strict]. IO failures come back as [Io]
     errors. *)
 
+val is_shard_index : string -> bool
+(** The file's first line is [# omn-shards 1] (surrounding blanks
+    ignored): the test {!load_result} makes to read it as a shard
+    index. [false] for a file that cannot be read. *)
+
 val parse_chunks :
   ?policy:Omn_robust.Repair.policy ->
   ?file:string ->

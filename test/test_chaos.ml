@@ -1,10 +1,9 @@
 (* Chaos harness for the resilience layer: retrying I/O (Retry_io),
    CRC-framed rotated checkpoints (Checkpoint), the checkpoint faults
    of Faultgen, and the end-to-end guarantees on the delay-CDF pipeline
-   — a run over sources that fail (the chain of [Util]) either fails
-   with a typed error naming one, or, under quarantine, completes,
-   reports its quarantined sources exactly, and every surviving result
-   is bit-identical to a fault-free run. *)
+   — a run whose executor reports a failed source fails with one typed
+   error naming it, and a run through kills, resumes and checkpoint
+   faults is bit-identical to a fault-free one. *)
 
 module RI = Omn_robust.Retry_io
 module Checkpoint = Omn_robust.Checkpoint
@@ -227,79 +226,53 @@ let curves_equal (a : Delay_cdf.curves) (b : Delay_cdf.curves) =
   && a.flood_success = b.flood_success && a.flood_success_inf = b.flood_success_inf
   && a.max_rounds_used = b.max_rounds_used
 
-(* The chain's first 12 sources: 0–5 fail, 6–11 complete. Processing
-   order is 0, 7, 2, 9, 4, 11, 6, 1, 8, 3, 10, 5. *)
-let chain = Util.chain_trace ~scale:0.37 ()
-let chain_grid = [| 1.; 5.; 20.; 100.; 400. |]
-let chain_sources = List.init 12 Fun.id
-let chain_plan = get_ok (Delay_cdf.plan ~max_hops:3 ~grid:chain_grid ~sources:chain_sources chain)
-let chain_failed_in_order = [ 0; 2; 4; 1; 3; 5 ]
-let chain_survivors = List.filter (fun s -> not (List.mem s Util.chain_failing)) chain_sources
-let sources_of (p : Delay_cdf.progress) =
-  List.map (fun (f : Delay_cdf.failure) -> f.source) p.degraded
-
-let degraded_bit_identity () =
-  let reference = Delay_cdf.compute ~max_hops:3 ~grid:chain_grid ~sources:chain_survivors chain in
+(* An executor that reports one source as failed: the run fails with
+   exactly the one typed error that names it, whether the plan runs as
+   one batch or in batches, and no batch after the failed one is asked
+   for. Source 4 is the 5th of the 12 in processing order (0, 7, 2, 9,
+   4, 11, 6, 1, 8, 3, 10, 5), so in batches of 3 it falls in the second
+   of four and in batches of 2 in the third of six. *)
+let failed_source_aborts () =
+  let reason = {|Failure("injected")|} in
+  let victim = 4 in
   List.iter
-    (fun domains ->
-      let o = get_ok (Driver.run ~domains ~quarantine:true chain_plan) in
-      let p = o.Driver.progress in
-      let at = Printf.sprintf "at %d domains" domains in
-      Alcotest.(check bool) ("complete " ^ at) false p.Delay_cdf.partial;
-      Alcotest.(check int) "every source accounted for" 12 p.Delay_cdf.sources_done;
-      Alcotest.(check (list int)) ("quarantine exact, in processing order " ^ at)
-        chain_failed_in_order (sources_of p);
-      List.iter
-        (fun (f : Delay_cdf.failure) ->
-          Alcotest.(check string) "reason is the exception's text"
-            {|Failure("Journey.run: no fixpoint within max_rounds")|} f.reason)
-        p.Delay_cdf.degraded;
-      Alcotest.(check bool) ("surviving results bit-identical " ^ at) true
-        (curves_equal o.Driver.curves reference))
-    [ 1; 2; 3 ]
-
-(* Without quarantine the first failed source of the batch, in batch
-   order, fails the run with one typed error, at any domain count. *)
-let quarantine_off_propagates () =
-  List.iter
-    (fun domains ->
-      match Driver.run ~domains chain_plan with
+    (fun (checkpoint_every, batches_expected) ->
+      let batches = ref 0 in
+      let partials_of sources =
+        incr batches;
+        List.map
+          (fun s ->
+            if s = victim then Error { Delay_cdf.source = s; reason }
+            else Ok (Delay_cdf.partial_of chaos_plan s))
+          sources
+      in
+      let report _ _ = () in
+      match Driver.run ~partials_of ~checkpoint_every ~report chaos_plan with
       | Error (e : Err.t) ->
         Alcotest.(check bool) "typed failure" true (e.Err.code = Err.Compute);
-        Alcotest.(check string) "names the first failed source"
-          {|source task failed: source 0: Failure("Journey.run: no fixpoint within max_rounds")|}
-          e.msg
+        Alcotest.(check string) "names the failed source and its reason"
+          (Printf.sprintf "source task failed: source %d: %s" victim reason)
+          e.msg;
+        Alcotest.(check int) "no batch after the failed one" batches_expected !batches
       | Ok _ -> Alcotest.fail "a failed source must abort the run")
-    [ 1; 2 ]
+    [ (12, 1); (3, 2); (2, 3) ]
 
-let degraded_survives_resume () =
-  with_ckpt @@ fun path ->
-  let step () =
-    Driver.run ~checkpoint_every:4 ~checkpoint:path ~resume:true ~budget_seconds:0.
-      ~quarantine:true chain_plan
-  in
-  let rec drive n =
-    if n > 10 then Alcotest.fail "resumed run did not converge";
-    let o = get_ok (step ()) in
-    if o.Driver.progress.Delay_cdf.partial then drive (n + 1) else o
-  in
-  let o = drive 0 in
-  Alcotest.(check (list int)) "quarantine list survives kill/restart" chain_failed_in_order
-    (sources_of o.Driver.progress);
-  Alcotest.(check bool) "resumed curves are the survivors'" true
-    (curves_equal o.Driver.curves
-       (Delay_cdf.compute ~max_hops:3 ~grid:chain_grid ~sources:chain_survivors chain))
-
-let ckpt_fallback_recovers () =
-  with_ckpt @@ fun path ->
+(* Two zero-budget runs leave two checkpoint generations; the current
+   one is then corrupted, and the resume falls back to [.prev].
+   [before_resume] runs just before the resume. *)
+let resume_through_fallback ?(before_resume = ignore) path =
   let step ?budget_seconds ~resume () =
     get_ok (Driver.run ~checkpoint_every:3 ~checkpoint:path ~resume ?budget_seconds chaos_plan)
   in
   ignore (step ~budget_seconds:0. ~resume:false ());
   ignore (step ~budget_seconds:0. ~resume:true ());
-  (* two generations on disk; corrupt the current one *)
   flip_file path;
-  let o = step ~resume:true () in
+  before_resume ();
+  step ~resume:true ()
+
+let ckpt_fallback_recovers () =
+  with_ckpt @@ fun path ->
+  let o = resume_through_fallback path in
   Alcotest.(check bool) "fallback reported" true o.Driver.progress.Delay_cdf.ckpt_fallback;
   Alcotest.(check bool) "run completed" false o.Driver.progress.Delay_cdf.partial;
   let clean = get_ok (Driver.run chaos_plan) in
@@ -310,21 +283,29 @@ let ckpt_fallback_recovers () =
   Alcotest.(check bool) "both generations removed on completion" false
     (Sys.file_exists path || Sys.file_exists (Checkpoint.prev_path path))
 
+(* The diameter read off a run that resumed through a checkpoint
+   fallback, and off a clean run, is [Diameter.measure]'s. *)
 let diameter_threads_resilience () =
-  let o = get_ok (Driver.run ~quarantine:true chain_plan) in
-  Alcotest.(check (list int)) "degraded surfaces in the driver's progress"
-    chain_failed_in_order (sources_of o.Driver.progress);
-  Alcotest.(check bool) "no fallback on a clean run" false
-    o.Driver.progress.Delay_cdf.ckpt_fallback;
-  Alcotest.(check (option int)) "degraded diameter is the survivors' diameter"
-    (Diameter.measure ~max_hops:3 ~grid:chain_grid ~sources:chain_survivors chain)
-      .Diameter.diameter
+  let measured = (Diameter.measure ~max_hops:3 ~grid chaos_trace).Diameter.diameter in
+  with_ckpt @@ fun path ->
+  let o = resume_through_fallback path in
+  Alcotest.(check bool) "the resume fell back" true o.Driver.progress.Delay_cdf.ckpt_fallback;
+  Alcotest.(check (option int)) "post-fallback diameter is measure's" measured
     (Diameter.of_curves o.Driver.curves);
-  let clean = get_ok (Driver.run ~quarantine:true chaos_plan) in
-  Alcotest.(check (list int)) "clean run has no degraded sources" []
-    (sources_of clean.Driver.progress)
+  let clean = get_ok (Driver.run chaos_plan) in
+  Alcotest.(check bool) "no fallback on a clean run" false
+    clean.Driver.progress.Delay_cdf.ckpt_fallback;
+  Alcotest.(check (option int)) "clean diameter is measure's" measured
+    (Diameter.of_curves clean.Driver.curves)
 
-let metrics_flow () =
+let inject_one_read_fault () =
+  let fails = Atomic.make 1 in
+  RI.set_inject
+    (Some
+       (fun ~op ~path:_ ->
+         if op = "read" && Atomic.fetch_and_add fails (-1) > 0 then raise (RI.Injected "io")))
+
+let with_metrics f =
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
@@ -333,57 +314,34 @@ let metrics_flow () =
       Metrics.reset ())
   @@ fun () ->
   Metrics.reset ();
-  ignore (get_ok (Driver.run ~quarantine:true chain_plan));
+  f ()
+
+let metrics_flow () =
+  with_metrics @@ fun () ->
   let total name =
     Option.value ~default:0 (Metrics.counter_total (Metrics.snapshot ()) name)
   in
-  Alcotest.(check int) "quarantines counted once each" 6 (total "delay_cdf.sources_quarantined");
+  (* a checkpoint fallback is counted once *)
+  with_ckpt (fun path -> ignore (resume_through_fallback path));
+  Alcotest.(check int) "fallback counted once" 1 (total "delay_cdf.ckpt_fallbacks");
   (* injected I/O retries flow into resilience.io_retries *)
   let path = Filename.temp_file "omn_metrics" ".txt" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) @@ fun () ->
   RI.write_string path "x";
-  let fails = Atomic.make 1 in
-  RI.set_inject
-    (Some
-       (fun ~op ~path:_ ->
-         if op = "read" && Atomic.fetch_and_add fails (-1) > 0 then raise (RI.Injected "io")));
+  inject_one_read_fault ();
   ignore (RI.read_to_string path);
   RI.set_inject None;
   Alcotest.(check bool) "io retries counted" true (total "resilience.io_retries" >= 1)
 
 (* [omn report] reads the resilience counters by the names the library
    registers: a report built from the metrics snapshot alone of a run
-   that quarantined a source, retried a read and fell back to [.prev]
-   must show all three. *)
+   that retried a read and fell back to [.prev] must show both. *)
 let report_reads_resilience_counters () =
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      RI.set_inject None;
-      Metrics.set_enabled false;
-      Metrics.reset ())
-  @@ fun () ->
-  Metrics.reset ();
+  with_metrics @@ fun () ->
   with_ckpt @@ fun path ->
-  let step ?budget_seconds ~resume () =
-    get_ok
-      (Driver.run ~checkpoint_every:3 ~checkpoint:path ~resume ?budget_seconds ~quarantine:true
-         chain_plan)
-  in
-  ignore (step ~budget_seconds:0. ~resume:false ());
-  ignore (step ~budget_seconds:0. ~resume:true ());
-  flip_file path;
-  let fails = Atomic.make 1 in
-  RI.set_inject
-    (Some
-       (fun ~op ~path:_ ->
-         if op = "read" && Atomic.fetch_and_add fails (-1) > 0 then raise (RI.Injected "io")));
-  let o = step ~resume:true () in
+  let o = resume_through_fallback ~before_resume:inject_one_read_fault path in
   RI.set_inject None;
-  let p = o.Driver.progress in
-  Alcotest.(check bool) "run fell back to .prev" true p.Delay_cdf.ckpt_fallback;
-  Alcotest.(check (list int)) "the failing sources quarantined" chain_failed_in_order
-    (sources_of p);
+  Alcotest.(check bool) "run fell back to .prev" true o.Driver.progress.Delay_cdf.ckpt_fallback;
   let snap = Metrics.snapshot () in
   let report = Omn_obs.Report.build ~metrics:(Metrics.snapshot_to_json snap) () in
   List.iter
@@ -397,7 +355,6 @@ let report_reads_resilience_counters () =
       Alcotest.(check (option int)) ("resilience." ^ field ^ " reads " ^ counter)
         (Some registered) reported)
     [
-      ("quarantined", "delay_cdf.sources_quarantined");
       ("checkpoint_fallbacks", "delay_cdf.ckpt_fallbacks");
       ("io_retries", "resilience.io_retries");
     ]
@@ -473,10 +430,7 @@ let suite =
     Alcotest.test_case "validate rejection falls back" `Quick
       checkpoint_validate_rejection_falls_back;
     Alcotest.test_case "faultgen checkpoint faults" `Quick faultgen_ckpt_faults;
-    Alcotest.test_case "degraded run: exact quarantine, bit-identical rest" `Quick
-      degraded_bit_identity;
-    Alcotest.test_case "quarantine off aborts the run" `Quick quarantine_off_propagates;
-    Alcotest.test_case "degraded list survives kill/restart" `Quick degraded_survives_resume;
+    Alcotest.test_case "a failed source aborts the run" `Quick failed_source_aborts;
     Alcotest.test_case "corrupt checkpoint falls back to .prev" `Quick ckpt_fallback_recovers;
     Alcotest.test_case "diameter threads resilience through" `Quick diameter_threads_resilience;
     Alcotest.test_case "retry/fault/fallback counts reach metrics" `Quick metrics_flow;

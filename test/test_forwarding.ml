@@ -202,6 +202,20 @@ let evaluate_parallel_bit_identical () =
   Omn_parallel.Pool.with_pool ~domains:3 (fun pool ->
       Alcotest.(check bool) "shared pool bit-identical" true (eval ~pool () = seq))
 
+(* A NaN deadline fails every comparison, and a negative TTL delivers
+   nothing: [evaluate] refuses both before it draws a message. *)
+let evaluate_refuses_bad_deadline_and_ttl () =
+  let trace = Util.random_trace (Rng.create 79) ~n:6 ~m:30 ~horizon:100 in
+  let expect_invalid name ~protocols ~deadline =
+    match Sim.evaluate (Rng.create 1) trace ~protocols ~messages:10 ~deadline with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  let epidemic = [ Protocol.Epidemic { ttl = None } ] in
+  expect_invalid "deadline nan" ~protocols:epidemic ~deadline:Float.nan;
+  expect_invalid "deadline -1" ~protocols:epidemic ~deadline:(-1.);
+  expect_invalid "ttl -1" ~protocols:[ Protocol.Epidemic { ttl = Some (-1) } ] ~deadline:60.
+
 let suite =
   [
     Alcotest.test_case "direct only src->dst" `Quick direct_only_src_dst;
@@ -219,3 +233,7 @@ let suite =
         epidemic_matches_bounded_dijkstra; epidemic_unlimited_matches_dijkstra; ttl_monotone;
         epidemic_dominates; outcomes_sane;
       ]
+  @ [
+      Alcotest.test_case "evaluate refuses a NaN deadline and a negative TTL" `Quick
+        evaluate_refuses_bad_deadline_and_ttl;
+    ]

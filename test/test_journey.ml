@@ -501,6 +501,38 @@ let oracle_reaches_both_paths () =
         (0 < points && points < rounds))
     oracle_families
 
+(* --- The round bound: a fixpoint within n_nodes rounds. --- *)
+
+(* A delay-optimal journey never repeats a node, so no run needs a
+   round past n_nodes - 1, under either strategy. Over the four
+   generator families of [test differential] ([Test_differential.instance]
+   picks one by seed mod 4). *)
+let prop_rounds_within_nodes =
+  QCheck2.Test.make ~count:400 ~name:"rounds <= n_nodes - 1 on the differential families"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, full) ->
+      let trace = Test_differential.instance seed in
+      let n = Trace.n_nodes trace in
+      let strategy = if full then Journey.Full_recompute else Journey.Semi_naive in
+      for source = 0 to n - 1 do
+        let _, rounds = Journey.run ~strategy trace ~source in
+        if rounds > n - 1 then
+          QCheck2.Test.fail_reportf "seed %d full %b source %d: %d rounds on %d nodes" seed full
+            source rounds n
+      done;
+      true)
+
+(* The chain of [Util] (1,030 nodes, contact i–(i+1) at time i) reaches
+   the bound: from source 0 the fixpoint takes exactly 1,029 rounds,
+   more than a constant cap of 1,024 allows, and a delay CDF over its
+   first sources completes. *)
+let chain_rounds () =
+  let chain = Util.chain_trace () in
+  let _, rounds = Journey.run chain ~source:0 in
+  Alcotest.(check int) "rounds from source 0" 1029 rounds;
+  let curves = Delay_cdf.compute ~sources:[ 0; 1; 2 ] ~max_hops:4 chain in
+  Alcotest.(check int) "max_rounds_used of sources 0-2" 1029 curves.Delay_cdf.max_rounds_used
+
 let suite =
   [
     Alcotest.test_case "semi-naive = full recompute (30 random traces)" `Slow strategies_agree;
@@ -523,4 +555,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cursor_sweep_matches_reference;
     Alcotest.test_case "oracle families reach both sweep paths" `Quick
       oracle_reaches_both_paths;
+    QCheck_alcotest.to_alcotest prop_rounds_within_nodes;
+    Alcotest.test_case "chain: 1,029 rounds from source 0" `Quick chain_rounds;
   ]

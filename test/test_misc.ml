@@ -61,12 +61,6 @@ let theory_long_supercritical_interval () =
     Alcotest.(check bool) "nonempty" true (g1 < g2);
     Alcotest.(check bool) "g1 positive" true (g1 > 0.)
 
-let journey_max_rounds_guard () =
-  let trace = Util.trace_of_contacts [ (0, 1, 0., 1.); (1, 2, 2., 3.); (2, 3, 4., 5.) ] in
-  match Omn_core.Journey.run ~max_rounds:1 trace ~source:0 with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected max_rounds failure"
-
 let frontier_copy_independent () =
   let f = Omn_core.Frontier.create () in
   ignore (Omn_core.Frontier.insert f (Omn_core.Ld_ea.make ~ld:1. ~ea:0.));
@@ -119,7 +113,6 @@ let suite =
     Alcotest.test_case "delivery plot" `Quick delivery_plot;
     Alcotest.test_case "long-case supercritical interval" `Quick
       theory_long_supercritical_interval;
-    Alcotest.test_case "journey max_rounds guard" `Quick journey_max_rounds_guard;
     Alcotest.test_case "frontier copy" `Quick frontier_copy_independent;
     Alcotest.test_case "long-case flood coherent" `Quick discrete_flood_long_coherent;
     Alcotest.test_case "protocol names unique" `Quick protocol_names_unique;

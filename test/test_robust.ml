@@ -288,6 +288,29 @@ let ckpt_rejects_parameter_mismatch () =
       expect_code Err.Checkpoint
         (Driver.run ~checkpoint:path ~resume:true (plan ~max_hops:5 ())))
 
+(* The magic names the snapshot's layout. The previous one, [omn-ckpt
+   5], held a fourth field (the failed sources); a checkpoint in it is
+   refused by its magic before its payload is read, since Marshal would
+   read the four-field record as the three-field one without a word. *)
+let ckpt_rejects_previous_format () =
+  with_ckpt_file (fun path ->
+      let _ = get_ok (step path) in
+      let data = Atomic_file.read_to_string path in
+      let magic = "omn-ckpt 6\n" in
+      let m = String.length magic in
+      Alcotest.(check string) "written under omn-ckpt 6" magic (String.sub data 0 m);
+      let fp, batches, done_ =
+        (Marshal.from_string (String.sub data m (String.length data - m - 8)) 0
+          : string * int * (int * Delay_cdf.partial) list)
+      in
+      let old = Marshal.to_string (fp, batches, done_, ([] : Delay_cdf.failure list)) [] in
+      Atomic_file.write_string path ("omn-ckpt 5\n" ^ old ^ Omn_robust.Checkpoint.crc32_hex old);
+      match step path with
+      | Error (e : Err.t) ->
+        Alcotest.(check string) "typed" "E-CHECKPOINT" (Err.code_name e.code);
+        Alcotest.(check string) "refused by its magic" "not an omn checkpoint file" e.msg
+      | Ok _ -> Alcotest.fail "an omn-ckpt 5 checkpoint was read")
+
 (* Every bad input is a typed Usage error naming the bad value, and the
    raising entry points raise [Invalid_argument] with the same message. *)
 let ckpt_usage_errors () =
@@ -336,12 +359,7 @@ let ckpt_usage_errors () =
   (match Diameter.vs_delay ~epsilon:Float.nan full with
   | _ -> Alcotest.fail "vs_delay accepted epsilon nan"
   | exception Invalid_argument msg -> names "epsilon nan" msg);
-  expect_code Err.Usage (Driver.run ~domains:0 (plan ()));
-  expect_code Err.Usage
-    (Driver.run ~quarantine:true
-       ~sampling:
-         { Driver.sample = 2; ci_width = 1.; confidence = 0.9; bootstrap = 10; epsilon = 0.01 }
-       (plan ()))
+  expect_code Err.Usage (Driver.run ~domains:0 (plan ()))
 
 (* A batched run (budget and reporter on) gives [Diameter.measure]'s
    diameter and curves. *)
@@ -393,4 +411,6 @@ let suite =
     Alcotest.test_case "usage errors are typed" `Quick ckpt_usage_errors;
     Alcotest.test_case "batched driver diameter = measure" `Quick batched_diameter_complete;
     Alcotest.test_case "budget yields labelled partial" `Quick budget_partial_is_uniform_prefix;
+    Alcotest.test_case "checkpoint of the previous format refused" `Quick
+      ckpt_rejects_previous_format;
   ]

@@ -152,7 +152,7 @@ let proto_roundtrip () =
       Proto.Ready { worker = 1 };
       Proto.Result { slot = 0; source = 5; partial = "bytes" };
       Proto.Failed { slot = 1; source = 6; reason = "poison" }; Proto.Pong;
-      Proto.Need_trace { digest = String.make 64 'c' }; Proto.Leave { worker = 2 };
+      Proto.Need_trace { digest = String.make 64 'c' };
       Proto.Stats_push
         {
           worker = 1;
@@ -411,10 +411,10 @@ let plan_of t =
 
 (* The fleet as [Driver.run]'s executor: curves, progress and the
    session's stats, or the first error of either. *)
-let fleet_run ?quarantine ?report ?checkpoint_every ?sampling cfg plan =
+let fleet_run ?report ?checkpoint_every ?sampling cfg plan =
   match
     Coord.with_fleet cfg plan (fun partials_of ->
-        Omn_core.Driver.run ~partials_of ?quarantine ?report ?checkpoint_every ?sampling plan)
+        Omn_core.Driver.run ~partials_of ?report ?checkpoint_every ?sampling plan)
   with
   | Error e | Ok (Error e, _) -> Error e
   | Ok (Ok o, st) -> Ok (o.curves, o.progress, st)
@@ -436,8 +436,8 @@ let computed_per_worker (st : Coord.stats) =
            t.tw_events))
     st.Coord.fleet
 
-(* One fault row: the run completes, nothing is degraded, every source
-   is merged once and the curves are [compute]'s. The session's stats
+(* One fault row: the run completes, every source is merged once and
+   the curves are [compute]'s. The session's stats
    come back for the row's own counter. *)
 let fault_row ?(t = trace) ?(reference = reference) label cfg =
   let plan = plan_of t in
@@ -445,8 +445,6 @@ let fault_row ?(t = trace) ?(reference = reference) label cfg =
   | Error e -> Alcotest.failf "%s: run failed: %s" label (Err.to_string e)
   | Ok (curves, p, st) ->
     Alcotest.(check bool) (label ^ ": complete") false p.Delay_cdf.partial;
-    Alcotest.(check (list int)) (label ^ ": nothing degraded") []
-      (List.map (fun (f : Delay_cdf.failure) -> f.source) p.Delay_cdf.degraded);
     Alcotest.(check int) (label ^ ": every source merged once") (Array.length plan.sources)
       p.Delay_cdf.sources_done;
     Alcotest.(check bool) (label ^ ": compute's curves") true (curves_equal curves reference);
@@ -516,8 +514,6 @@ let coord_bit_identity () =
     let curves, p, st = run_ok ~cfg () in
     Alcotest.(check bool) "complete" false p.Delay_cdf.partial;
     Alcotest.(check int) "every source accounted for" 10 p.Delay_cdf.sources_done;
-    Alcotest.(check (list int)) "nothing degraded" []
-      (List.map (fun (f : Delay_cdf.failure) -> f.source) p.Delay_cdf.degraded);
     Alcotest.(check bool) "bit-identical to single-process" true (curves_equal curves reference);
     Alcotest.(check int) "exactly one spawn per worker" 3 st.Coord.spawns;
     st
@@ -675,55 +671,34 @@ let with_domain_worker f =
   wait 2000;
   f { (shard_cfg ~workers:0) with Coord.peers = [ Transport.Unix_path path ] }
 
-(* A worker's [Failed] reaches [progress.degraded] through the driver's
-   in-process rule, on a spawned two-worker fleet over the chain of
-   [Util], whose sources 0–5 raise inside the exec'd workers:
-   quarantined under [~quarantine:true], and otherwise a typed Compute
-   error (the in-process one, byte for byte), sampling included. The
-   first source processed, 0, fails, so every run reaches a failure. *)
+(* A source whose computation raises inside an exec'd worker, on a
+   spawned two-worker fleet: asked for [n_nodes], one past the last
+   node, the session's executor returns one [Error] naming that source
+   with [Delay_cdf.source_partial]'s [Invalid_argument] as its reason
+   (the driver fails a run with it: chaos "a failed source aborts the
+   run"). The same session then serves [0; 1] with partials
+   bit-identical to [Delay_cdf.source_partial]: the worker survived. *)
 let coord_failed_path () =
-  let chain = Util.chain_trace ~scale:0.37 () in
-  let grid = [| 1.; 5.; 20.; 100.; 400. |] and sources = List.init 12 Fun.id in
-  let plan =
-    match Delay_cdf.plan ~max_hops ~grid ~sources chain with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "plan rejected: %s" (Err.to_string e)
-  in
-  let run ?quarantine ?sampling () = fleet_run ?quarantine ?sampling (shard_cfg ~workers:2) plan in
-  (match run ~quarantine:true () with
-  | Error e -> Alcotest.failf "quarantining run failed: %s" (Err.to_string e)
-  | Ok (curves, p, _) ->
-    Alcotest.(check (list int)) "exactly the failing sources, in processing order"
-      [ 0; 2; 4; 1; 3; 5 ]
-      (List.map (fun (f : Delay_cdf.failure) -> f.source) p.Delay_cdf.degraded);
-    Alcotest.(check int) "every source processed" 12 p.Delay_cdf.sources_done;
-    let survivors = List.filter (fun v -> not (List.mem v Util.chain_failing)) sources in
-    Alcotest.(check bool) "curves bit-identical to compute over the survivors" true
-      (curves_equal curves (Delay_cdf.compute ~max_hops ~grid ~sources:survivors chain)));
-  let in_process =
-    match Omn_core.Driver.run plan with
-    | Error e -> e
-    | Ok _ -> Alcotest.fail "the in-process run did not fail"
-  in
-  let compute_error what = function
-    | Error ({ Err.code = Err.Compute; _ } as e) ->
-      Alcotest.(check string) (what ^ ": the in-process error") (Err.to_string in_process)
-        (Err.to_string e)
-    | Error e -> Alcotest.failf "%s: wrong error %s" what (Err.to_string e)
-    | Ok _ -> Alcotest.failf "%s: a failed source did not fail the run" what
-  in
-  compute_error "no quarantine" (run ());
-  compute_error "sampling"
-    (run
-       ~sampling:
-         {
-           Omn_core.Driver.sample = 2;
-           ci_width = 0.5;
-           confidence = 0.9;
-           bootstrap = 20;
-           epsilon = 0.01;
-         }
-       ())
+  let n = Omn_temporal.Trace.n_nodes trace in
+  let local v = Delay_cdf.partial_to_string (Delay_cdf.source_partial ~max_hops ~grid trace v) in
+  match
+    Coord.with_fleet (shard_cfg ~workers:2) (plan_of trace) (fun partials_of ->
+        (match partials_of [ n ] with
+        | [ Error (f : Delay_cdf.failure) ] ->
+          Alcotest.(check int) "the failure names the source" n f.source;
+          Alcotest.(check bool) ("an Invalid_argument reason: " ^ f.reason) true
+            (String.starts_with ~prefix:"Invalid_argument(" f.reason)
+        | _ -> Alcotest.fail "expected one Error for an out-of-range source");
+        match partials_of [ 0; 1 ] with
+        | [ Ok p0; Ok p1 ] ->
+          Alcotest.(check string) "source 0 bit-identical" (local 0)
+            (Delay_cdf.partial_to_string p0);
+          Alcotest.(check string) "source 1 bit-identical" (local 1)
+            (Delay_cdf.partial_to_string p1)
+        | _ -> Alcotest.fail "the session did not serve [0; 1]")
+  with
+  | Ok ((), _) -> ()
+  | Error e -> Alcotest.failf "fleet session failed: %s" (Err.to_string e)
 
 (* The fleet's one resume path is the driver's checkpoint: a
    zero-budget fleet run stops after its first batch, and a fresh fleet
@@ -892,15 +867,6 @@ let coord_fleet_telemetry () =
     Alcotest.(check bool) "exposition body served live" true
       (contains body "# TYPE omn_shard_worker_spawns counter")
 
-(* --- exit-code precedence --- *)
-
-let exit_code_precedence () =
-  let code = Err.run_exit_code in
-  Alcotest.(check int) "partial beats degraded" 124 (code ~partial:true ~degraded:true);
-  Alcotest.(check int) "partial alone" 124 (code ~partial:true ~degraded:false);
-  Alcotest.(check int) "degraded-but-complete" 3 (code ~partial:false ~degraded:true);
-  Alcotest.(check int) "clean" 0 (code ~partial:false ~degraded:false)
-
 (* --- Faultgen shard fault names --- *)
 
 (* The [--shard-fault] parser reads every kind by its name. *)
@@ -1055,12 +1021,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_single_kill_schedules;
     Alcotest.test_case "fleet telemetry: merged totals, segments, live scrape" `Quick
       coord_fleet_telemetry;
-    Alcotest.test_case "exit-code precedence 124 > 3 > 0" `Quick exit_code_precedence;
     Alcotest.test_case "shard fault names round-trip" `Quick shard_fault_names_roundtrip;
     Alcotest.test_case "idle between batches is not worker silence" `Quick
       coord_idle_between_batches;
-    Alcotest.test_case "worker Failed: quarantined or a Compute error, as in process" `Quick
-      coord_failed_path;
+    Alcotest.test_case "worker survives a Failed source" `Quick coord_failed_path;
     Alcotest.test_case "fleet resumes from the driver's checkpoint" `Quick
       coord_resume_from_checkpoint;
     Alcotest.test_case "unkeyed peers: another build is E-PROTO, one build serves" `Quick

@@ -110,7 +110,6 @@ let test_export_roundtrip () =
   Timeline.record ~tl ~ts:1.6 (Timeline.Queue_wait { seconds = 0.1 });
   Timeline.record ~tl ~ts:3.0 (Timeline.Ckpt_write { path = "x.ckpt"; seconds = 0.5 });
   Timeline.record ~tl ~ts:3.1 (Timeline.Ckpt_rotate { path = "x.ckpt" });
-  Timeline.record ~tl ~ts:3.3 (Timeline.Quarantine { source = 4 });
   Timeline.record ~tl ~ts:3.4 (Timeline.Io_retry { op = "read" });
   Timeline.record ~tl ~ts:3.5 (Timeline.Gc_sample { minor = 1; major = 2; heap_words = 1000 });
   let manifest = Manifest.to_json (Manifest.create ~cmdline:[ "omn"; "test" ] ~version:"test" ()) in
@@ -146,7 +145,7 @@ let test_export_roundtrip () =
       match events_named name json with
       | [ _ ] -> ()
       | l -> Alcotest.failf "expected 1 %s event, got %d" name (List.length l))
-    [ "steal"; "queue.wait"; "checkpoint.write"; "checkpoint.rotate"; "quarantine"; "io.retry" ];
+    [ "steal"; "queue.wait"; "checkpoint.write"; "checkpoint.rotate"; "io.retry" ];
   Alcotest.(check bool) "a thread_name track exists" true (events_named "thread_name" json <> []);
   let omn = Option.get (Json.member "omn" json) in
   Alcotest.(check (option string)) "schema" (Some Trace_export.schema)
@@ -460,7 +459,7 @@ let test_report_build () =
   Timeline.record ~tl ~ts:2.1 (Timeline.Chunk { index = 1; items = 4; start = 1.5 });
   Timeline.record ~tl ~ts:2.0 (Timeline.Pool_work { start = 1.0; stolen = false });
   Timeline.record ~tl ~ts:2.2 (Timeline.Ckpt_write { path = "c"; seconds = 0.2 });
-  Timeline.record ~tl ~ts:2.3 (Timeline.Quarantine { source = 1 });
+  Timeline.record ~tl ~ts:2.3 (Timeline.Io_retry { op = "read" });
   let manifest = Manifest.to_json (Manifest.create ~cmdline:[ "omn" ] ~version:"test" ()) in
   let timeline = Trace_export.to_json ~manifest (Timeline.snapshot ~tl ()) in
   let report = Report.build ~timeline () in
@@ -471,9 +470,9 @@ let test_report_build () =
   (match Option.bind (Json.member "checkpoints" report) (Json.member "writes") with
   | Some (Json.Int 1) -> ()
   | _ -> Alcotest.fail "checkpoint writes wrong");
-  (match Option.bind (Json.member "resilience" report) (Json.member "quarantined") with
+  (match Option.bind (Json.member "resilience" report) (Json.member "io_retries") with
   | Some (Json.Int 1) -> ()
-  | _ -> Alcotest.fail "quarantines wrong");
+  | _ -> Alcotest.fail "io retries wrong");
   (match Option.bind (Json.member "manifest" report) (Json.member "cmdline") with
   | Some (Json.List [ Json.String "omn" ]) -> ()
   | _ -> Alcotest.fail "manifest not echoed");

@@ -51,13 +51,11 @@ let check_float ?(eps = 1e-9) msg expected actual =
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
 (* The chain: 1,030 nodes, contact i–(i+1) at time i (scaled by
-   [scale]). Flooding from source s takes 1,029 − s hops, so sources
-   0–5 need more rounds than [Journey.run]'s 1,024-round cap and raise
-   its [Failure] wherever they run; every other source completes. The
-   failure-path tests use this real failing input. A fractional
-   [scale] makes the curves depend on merge order. *)
+   [scale]). Flooding from source s takes 1,029 − s hops, so source 0's
+   fixpoint takes 1,029 rounds: the most [Journey.run]'s round bound of
+   [n_nodes] allows, and more than any constant cap of 1,024. A
+   fractional [scale] makes the curves depend on merge order. *)
 let chain_nodes = 1030
-let chain_failing = [ 0; 1; 2; 3; 4; 5 ]
 
 let chain_trace ?(scale = 1.) () =
   trace_of_contacts
