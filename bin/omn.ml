@@ -1225,26 +1225,32 @@ let theory_cmd =
     Arg.(value & opt float 0.5 & info [ "lambda" ] ~docv:"RATE" ~doc:"Contact rate per node per slot.")
   in
   let n = Arg.(value & opt int 1000 & info [ "n" ] ~docv:"N" ~doc:"Network size.") in
+  (* Every value is computed before the first line is printed, so a
+     usage error (n < 2, a bad lambda) leaves stdout empty. *)
   let run lambda n =
     protect @@ fun () ->
     let open Omn_randnet in
-    List.iter
-      (fun (case, label) ->
-        let tau = Theory.tau_critical case ~lambda in
-        Format.printf "%s contacts:@." label;
-        if tau = 0. then
-          Format.printf "  supercritical (lambda >= 1): paths exist at any delay coefficient@."
+    let lines (case, label) =
+      let tau = Theory.tau_critical case ~lambda in
+      let delay =
+        if tau = 0. then "  supercritical (lambda >= 1): paths exist at any delay coefficient"
         else
-          Format.printf "  critical delay  tau* = %.4f  (~ %.1f slots at N = %d)@." tau
+          Printf.sprintf "  critical delay  tau* = %.4f  (~ %.1f slots at N = %d)" tau
             (Theory.expected_delay case ~lambda ~n)
-            n;
-        let k = Theory.hop_coefficient case ~lambda in
-        if k = infinity then Format.printf "  hop coefficient diverges at lambda = 1@."
+            n
+      in
+      let k = Theory.hop_coefficient case ~lambda in
+      let hops =
+        if k = infinity then "  hop coefficient diverges at lambda = 1"
         else
-          Format.printf "  hop coefficient %.4f  (~ %.1f hops at N = %d)@." k
+          Printf.sprintf "  hop coefficient %.4f  (~ %.1f hops at N = %d)" k
             (Theory.expected_hops case ~lambda ~n)
-            n)
-      [ (Theory.Short, "short"); (Theory.Long, "long") ]
+            n
+      in
+      [ label ^ " contacts:"; delay; hops ]
+    in
+    List.concat_map lines [ (Theory.Short, "short"); (Theory.Long, "long") ]
+    |> List.iter (Format.printf "%s@.")
   in
   Cmd.v
     (Cmd.info "theory" ~doc:"Closed-form predictions for random temporal networks (section 3)")

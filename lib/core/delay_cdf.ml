@@ -9,6 +9,9 @@ let m_pairs = Metrics.counter "delay_cdf.pairs_done"
 (* Descriptors walked by accumulation, added once per pair. *)
 let m_segments = Metrics.counter "delay_cdf.segments"
 
+(* The most source partials a run held at once; set once per run. *)
+let g_partials_held = Metrics.gauge "delay_cdf.partials_held"
+
 type t = {
   grid_ : float array;
   slope_diff : float array;  (* length n+1: coefficient of d on [i_lo, i_full) *)
@@ -266,6 +269,11 @@ let plan_exn ?max_hops ?sources ?dests ?grid ?windows trace =
 
 type partial = { p_hops : t array; p_flood : t; p_rounds : int }
 
+(* Each domain runs its journeys in one workspace, whatever plan or
+   trace they belong to: [partial_of] reads the frontiers before it
+   returns, and a domain runs one source at a time. *)
+let workspace = Domain.DLS.new_key Journey.workspace
+
 (* The per-hop and flooding accumulators of one source. Self-contained
    so that sources can run on separate domains or worker processes:
    the only shared value is the (frozen) plan. *)
@@ -284,7 +292,9 @@ let partial_of plan source =
   let on_round (info : Journey.round_info) =
     if info.hop <= plan.max_hops then add_frontiers hops.(info.hop - 1) info.frontiers
   in
-  let frontiers, rounds = Journey.run ~on_round plan.trace ~source in
+  let frontiers, rounds =
+    Journey.run ~workspace:(Domain.DLS.get workspace) ~on_round plan.trace ~source
+  in
   for k = rounds + 1 to plan.max_hops do
     add_frontiers hops.(k - 1) frontiers
   done;
@@ -296,27 +306,92 @@ let partial_of plan source =
 
 (* [merge_into] is plain float addition, so the curves depend on the
    sequence of merges: ascending position, whatever order the partials
-   completed in. *)
-let fold plan parts =
-  let hops = Array.init plan.max_hops (fun _ -> create ~grid:plan.grid) in
-  let flood = create ~grid:plan.grid in
-  let rounds = ref 0 in
-  List.iter
-    (fun (_, p) ->
-      if Array.length p.p_hops <> plan.max_hops then
-        invalid_arg "Delay_cdf.fold: max_hops mismatch";
-      Array.iteri (fun i acc -> merge_into ~dst:hops.(i) acc) p.p_hops;
-      merge_into ~dst:flood p.p_flood;
-      rounds := max !rounds p.p_rounds)
-    (List.stable_sort (fun (i, _) (j, _) -> Int.compare i j) parts);
+   completed in. [fold] and the fold state share the one merge step. *)
+type sums = { s_hops : t array; s_flood : t; mutable s_rounds : int }
+
+let sums plan =
+  {
+    s_hops = Array.init plan.max_hops (fun _ -> create ~grid:plan.grid);
+    s_flood = create ~grid:plan.grid;
+    s_rounds = 0;
+  }
+
+let merge_partial s p =
+  if Array.length p.p_hops <> Array.length s.s_hops then
+    invalid_arg "Delay_cdf.fold: max_hops mismatch";
+  Array.iteri (fun i acc -> merge_into ~dst:s.s_hops.(i) acc) p.p_hops;
+  merge_into ~dst:s.s_flood p.p_flood;
+  s.s_rounds <- max s.s_rounds p.p_rounds
+
+let curves_of plan s =
   {
     grid = Array.copy plan.grid;
-    hop_success = Array.map success hops;
-    hop_success_inf = Array.map success_inf hops;
-    flood_success = success flood;
-    flood_success_inf = success_inf flood;
-    max_rounds_used = !rounds;
+    hop_success = Array.map success s.s_hops;
+    hop_success_inf = Array.map success_inf s.s_hops;
+    flood_success = success s.s_flood;
+    flood_success_inf = success_inf s.s_flood;
+    max_rounds_used = s.s_rounds;
   }
+
+let fold plan parts =
+  let s = sums plan in
+  List.iter
+    (fun (_, p) -> merge_partial s p)
+    (List.stable_sort (fun (i, _) (j, _) -> Int.compare i j) parts);
+  curves_of plan s
+
+(* [next]: every position below it has been merged, and it has not.
+   [held]: the partials that arrived before their turn, by position. *)
+type fold_state = {
+  f_plan : plan;
+  f_sums : sums;
+  f_held : partial option array;
+  mutable f_next : int;
+  mutable f_n_held : int;
+  mutable f_most_held : int;
+}
+
+let fold_state plan =
+  {
+    f_plan = plan;
+    f_sums = sums plan;
+    f_held = Array.make (Array.length plan.sources) None;
+    f_next = 0;
+    f_n_held = 0;
+    f_most_held = 0;
+  }
+
+let fold_add st pos p =
+  if pos < st.f_next || pos >= Array.length st.f_held || Option.is_some st.f_held.(pos) then
+    invalid_arg (Printf.sprintf "Delay_cdf.fold_add: position %d already added or out of range" pos);
+  st.f_most_held <- max st.f_most_held (st.f_n_held + 1);
+  if pos > st.f_next then begin
+    st.f_held.(pos) <- Some p;
+    st.f_n_held <- st.f_n_held + 1
+  end
+  else begin
+    merge_partial st.f_sums p;
+    st.f_next <- pos + 1;
+    let n = Array.length st.f_held in
+    let rec drain () =
+      if st.f_next < n then
+        match st.f_held.(st.f_next) with
+        | None -> ()
+        | Some p ->
+          merge_partial st.f_sums p;
+          st.f_held.(st.f_next) <- None;
+          st.f_n_held <- st.f_n_held - 1;
+          st.f_next <- st.f_next + 1;
+          drain ()
+    in
+    drain ()
+  end
+
+let fold_finish st =
+  Array.iter (Option.iter (merge_partial st.f_sums)) st.f_held;
+  curves_of st.f_plan st.f_sums
+
+let most_held st = st.f_most_held
 
 let source_partial ?max_hops ?dests ?grid ?windows trace source =
   partial_of (plan_exn ?max_hops ~sources:[ source ] ?dests ?grid ?windows trace) source
@@ -341,8 +416,10 @@ let compute ?max_hops ?sources ?dests ?grid ?pool ?(domains = 1) ?windows trace 
   if domains < 1 then invalid_arg "Delay_cdf.compute: domains < 1";
   let plan = plan_exn ?max_hops ?sources ?dests ?grid ?windows trace in
   Omn_obs.Span.with_ ~name:"delay_cdf.compute" @@ fun () ->
-  let parts = Pool.run ?pool ~domains (partial_of plan) plan.sources in
-  fold plan (List.mapi (fun i p -> (i, p)) (Array.to_list parts))
+  let st = fold_state plan in
+  Pool.feed ?pool ~domains (partial_of plan) plan.sources (fold_add st);
+  Metrics.set g_partials_held (float_of_int st.f_most_held);
+  fold_finish st
 
 type failure = { source : Omn_temporal.Node.t; reason : string }
 

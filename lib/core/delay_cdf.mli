@@ -62,11 +62,23 @@ val merge_into : dst:t -> t -> unit
     Every driver of this library — {!compute}, [Driver.run] (checkpoint,
     budget, progress, sampling) and the shard coordinator —
     computes the same thing: a validated {!plan}, one {!partial} per
-    source, and {!fold} over the completed partials. The fold merges in
+    source, and a fold over the completed partials. The fold merges in
     ascending {e position} in the caller's source list, whatever order
     the partials completed in, so curves depend only on which sources
     completed: bit-identical across domain counts, worker counts,
-    checkpoint/resume, batching and sampling. *)
+    checkpoint/resume, batching and sampling.
+
+    What a solve holds, and for how long. A partial is [max_hops + 1]
+    accumulators of about 4 |grid| words each (6.3 k words at 14 hops
+    on a 100-point grid). {!fold} takes every partial at once;
+    the {!fold_state} that {!compute} and every unsampled [Driver.run]
+    use merges each partial as soon as every lower position has been
+    merged, and holds only those that arrive before their turn. Sources
+    are dispatched in ascending position, so a plain solve holds about
+    one partial per domain; the gauge [delay_cdf.partials_held] records
+    the most a run held at once. {!partial_of} runs its journeys in one
+    {!Journey.workspace} per domain, so the frontiers are allocated
+    once per domain, not once per source. *)
 
 type curves = {
   grid : float array;
@@ -122,13 +134,39 @@ val plan :
 val partial_of : plan -> Omn_temporal.Node.t -> partial
 (** The contribution of one source of the plan: run {!Journey.run} and
     accumulate its frontiers per hop bound and for flooding. Safe to
-    call from any domain. *)
+    call from any domain; the journey runs in the calling domain's
+    workspace (domain-local storage), which stays allocated for the
+    domain's life and serves its next call, whatever the plan. *)
 
 val fold : plan -> (int * partial) list -> curves
 (** Fold [(position, partial)] pairs into curves, merging in ascending
     position (a stable sort, so repeated positions — bootstrap
     resamples — merge in list order). Raises [Invalid_argument] on a
     partial of another [max_hops] or grid. *)
+
+type fold_state
+(** {!fold} one partial at a time, in any arrival order. *)
+
+val fold_state : plan -> fold_state
+
+val fold_add : fold_state -> int -> partial -> unit
+(** [fold_add st position p]: merge [p] now if every lower position
+    has been merged, then every held partial whose turn that makes;
+    otherwise hold [p] until its turn. Not thread-safe: callers
+    serialize it ({!Omn_parallel.Pool.feed} does). Raises
+    [Invalid_argument] on a position outside the plan's source list or
+    one already added, and as {!fold} does. *)
+
+val fold_finish : fold_state -> curves
+(** Merge the held partials in ascending position, skipping the
+    positions that never arrived, and return the curves: bit for bit
+    {!fold} over every [(position, partial)] added, whatever the
+    arrival order, for a complete run or any subset of its sources (a
+    budget-truncated run). The state is spent afterwards. *)
+
+val most_held : fold_state -> int
+(** The most partials the state held at once, counting the one being
+    added: 1 when every partial arrived in its turn. *)
 
 val compute :
   ?max_hops:int ->
@@ -141,9 +179,10 @@ val compute :
   Omn_temporal.Trace.t ->
   curves
 (** {!plan}, one {!partial_of} per source in a single
-    {!Omn_parallel.Pool.run}, then {!fold} — the whole plan, no
-    policies. [pool] runs the per-source journeys on a shared pool;
-    otherwise [domains > 1] uses a temporary pool of that many OCaml
+    {!Omn_parallel.Pool.feed} in ascending position, each folded by a
+    {!fold_state} as it completes — the whole plan, no policies; sets
+    the [delay_cdf.partials_held] gauge. [pool] runs the per-source
+    journeys on a shared pool; otherwise [domains > 1] uses a temporary pool of that many OCaml
     domains. Either way the curves are bit-identical to the sequential
     run. Raises [Invalid_argument] with the {!plan} error's message,
     or when [domains < 1]. *)

@@ -13,6 +13,7 @@ let m_rounds = Metrics.counter "sample.rounds"
 let m_sampled = Metrics.counter "sample.sources_sampled"
 let m_boot = Metrics.counter "sample.bootstrap_resamples"
 let g_width = Metrics.gauge "sample.ci_width"
+let g_held = Metrics.gauge "delay_cdf.partials_held"
 
 (* Retry_io and Checkpoint sit below the metrics/timeline registry in
    the dependency order, so their hooks are wired up here, where both
@@ -170,7 +171,19 @@ let run ?pool ?(domains = 1) ?partials_of ?checkpoint ?(resume = false)
         ({ snap_fingerprint = ""; snap_batches = 0; snap_done = [] }, false)
     in
     let total = Array.length plan.order in
+    (* Every partial goes to the fold state as it completes; the list of
+       completed partials is kept only for what needs them all: the
+       checkpoint, which writes them, and the bootstrap, which
+       resamples them (a sampled run folds from that list instead). *)
+    let keep = checkpoint <> None || sampling <> None in
+    let folded = if sampling = None then Some (Delay_cdf.fold_state plan) else None in
     let completed = ref start.snap_done in
+    Option.iter
+      (fun st ->
+        List.iter
+          (fun (pos, p) -> Delay_cdf.fold_add st pos p)
+          (List.sort (fun (i, _) (j, _) -> Int.compare i j) start.snap_done))
+      folded;
     let batches = ref start.snap_batches in
     let processed = ref (List.length !completed) in
     (* One pool for the whole run; a borrowed pool is left to its owner. *)
@@ -188,31 +201,48 @@ let run ?pool ?(domains = 1) ?partials_of ?checkpoint ?(resume = false)
       | p -> Ok p
       | exception e -> Error { Delay_cdf.source = node; reason = Printexc.to_string e }
     in
-    let execute positions =
-      let nodes = Array.map (fun i -> plan.sources.(i)) positions in
-      let results =
-        match partials_of with
-        | Some f ->
-          let rs = Array.of_list (f (Array.to_list nodes)) in
-          if Array.length rs <> Array.length nodes then
-            raise
-              (Err.Error
-                 (Err.errf Err.Compute "Driver.run: partials_of returned %d results for %d sources"
-                    (Array.length rs) (Array.length nodes)));
-          rs
-        | None -> Pool.run ?pool ~domains run_source nodes
+    (* A batch is a run of the processing order, dispatched in
+       ascending position so that the fold state merges most partials
+       as they arrive. [by_pos.(j)] is the batch index of the j-th
+       source dispatched. *)
+    let execute batch =
+      let k = Array.length batch in
+      let by_pos = Array.init k Fun.id in
+      Array.sort (fun a b -> Int.compare batch.(a) batch.(b)) by_pos;
+      let nodes = Array.map (fun b -> plan.sources.(batch.(b))) by_pos in
+      let kept = if keep then Array.make k None else [||] in
+      let failed = ref None in
+      let settle j result =
+        let b = by_pos.(j) in
+        match result with
+        | Ok p ->
+          Option.iter (fun st -> Delay_cdf.fold_add st batch.(b) p) folded;
+          if keep then kept.(b) <- Some p
+        | Error (f : Delay_cdf.failure) -> (
+          match !failed with Some (b', _) when b' < b -> () | _ -> failed := Some (b, f))
       in
-      (* One rule, in batch order, whichever executor ran the batch: a
-         failed source fails the run. *)
+      (match partials_of with
+      | Some f ->
+        let rs = Array.of_list (f (Array.to_list nodes)) in
+        if Array.length rs <> k then
+          raise
+            (Err.Error
+               (Err.errf Err.Compute "Driver.run: partials_of returned %d results for %d sources"
+                  (Array.length rs) k));
+        Array.iteri settle rs
+      | None -> Pool.feed ?pool ~domains run_source nodes settle);
+      (* One rule, whichever executor ran the batch: a failed source
+         fails the run, the first in batch order if several did. *)
+      Option.iter
+        (fun (_, (f : Delay_cdf.failure)) ->
+          raise
+            (Err.Error (Err.errf Err.Compute "source task failed: source %d: %s" f.source f.reason)))
+        !failed;
+      (* [completed] keeps batch order, as the checkpoint has it. *)
       Array.iteri
-        (fun j -> function
-          | Ok p -> completed := (positions.(j), p) :: !completed
-          | Error (f : Delay_cdf.failure) ->
-            raise
-              (Err.Error
-                 (Err.errf Err.Compute "source task failed: source %d: %s" f.source f.reason)))
-        results;
-      processed := !processed + Array.length positions
+        (fun b p -> completed := (batch.(b), Option.get p) :: !completed)
+        kept;
+      processed := !processed + k
     in
     (* Sampling rounds double the sample; otherwise a run is one batch
        unless a checkpoint, a budget or a reporter needs a barrier. *)
@@ -299,7 +329,14 @@ let run ?pool ?(domains = 1) ?partials_of ?checkpoint ?(resume = false)
       end
     in
     let curves, sample, partial = loop () in
-    let curves = match curves with Some c -> c | None -> Delay_cdf.fold plan !completed in
+    (* A sampled run's last round assessed (and folded) its curves. *)
+    let curves, held =
+      match folded with
+      | Some st ->
+        (Delay_cdf.fold_finish st, max (List.length !completed) (Delay_cdf.most_held st))
+      | None -> (Option.get curves, List.length !completed)
+    in
+    Metrics.set g_held (float_of_int held);
     Ok { curves; progress = progress ~partial; sample }
   with
   | Err.Error e -> Error e

@@ -1,5 +1,8 @@
 (** The one driver: a {!Delay_cdf.plan}, per-source partials from an
-    executor, and {!Delay_cdf.fold} over the completed ones.
+    executor, and a fold over the completed ones: a
+    {!Delay_cdf.fold_state} that merges each partial as it completes
+    (every unsampled run), or {!Delay_cdf.fold} over the completed
+    list (the sampling rule).
 
     Policies are optional and compose in one loop:
     - {b executor}: the inline / domain-pool {!Delay_cdf.partial_of}
@@ -31,9 +34,23 @@
       wide, or every source is sampled.
 
     Batches: without a checkpoint, a budget, a reporter or sampling,
-    the whole plan runs as one batch (one {!Omn_parallel.Pool.run});
-    with one of the first three, each batch holds [checkpoint_every]
-    sources (default 8) in the plan's processing order.
+    the whole plan runs as one batch (one {!Omn_parallel.Pool.feed});
+    with one of the first three, each batch holds the next
+    [checkpoint_every] sources (default 8) of the plan's processing
+    order. Every executor is handed a batch in ascending position.
+
+    What a run holds. An unsampled run hands each partial to the fold
+    state as soon as it completes (the pool's callback, or the fleet's
+    batch once it has returned whole), which merges it when every lower
+    position has been merged and holds it until then. The list of
+    completed partials, in batch order, is kept only for what needs all
+    of them: a checkpoint writes it, and the bootstrap resamples it. So
+    a plain run holds about one partial per domain; a batched run
+    without a checkpoint holds those ahead of the lowest missing
+    position; a checkpointed or sampled run holds every completed one.
+    A fleet's coordinator receives each batch whole before the fold
+    sees it. The gauge [delay_cdf.partials_held], set once per run,
+    records the most partials held at once.
 
     Contract: the curves depend only on which sources completed. A run
     that covers every source (killed and resumed or not, batched or

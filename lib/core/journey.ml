@@ -44,6 +44,57 @@ let[@inline] dominated f hint v ~ld ~ea =
   (* i < size *)
   i < Frontier.size f && (Frontier.ea_arr f).!(i) <= ea
 
+(* Everything a run allocates in proportion to n: the result
+   frontiers, the two scratch frontier arrays [delta] and [next], the
+   touched-node stacks and the per-node [cursor] and [hint] tables. A
+   frontier's arrays grow by doubling and, past 256 points, go straight
+   to the major heap, so a run per source on fresh ones leaves the
+   major GC a run's worth of frontiers to trace and free. [prepare]
+   empties a workspace's tables for the next run instead, keeping every
+   frontier's capacity; [fresh] builds tables that no later run
+   touches. *)
+type tables = {
+  w_frontiers : Frontier.t array;
+  w_delta : Frontier.t array;
+  w_next : Frontier.t array;
+  w_touched : int array;
+  w_next_touched : int array;
+  w_cursor : int array;
+  w_hint : int array;
+}
+
+type workspace = tables ref
+
+let fresh n =
+  let frontier_array () = Array.init n (fun _ -> Frontier.create ()) in
+  {
+    w_frontiers = frontier_array ();
+    w_delta = frontier_array ();
+    w_next = frontier_array ();
+    w_touched = Array.make n 0;
+    w_next_touched = Array.make n 0;
+    w_cursor = Array.make n (-1);
+    w_hint = Array.make n 0;
+  }
+
+let workspace () = ref (fresh 0)
+
+(* A run may stop early ([stop_after]), end on a full-recompute round
+   that refilled [delta], or raise, so every table is reset here, not
+   trusted from the last run: O(n), against a run's O(rounds * m). The
+   stacks need no reset: a run writes each slot before reading it. *)
+let prepare ws n =
+  if Array.length !ws.w_frontiers <> n then ws := fresh n
+  else begin
+    let t = !ws in
+    Array.iter Frontier.clear t.w_frontiers;
+    Array.iter Frontier.clear t.w_delta;
+    Array.iter Frontier.clear t.w_next;
+    Array.fill t.w_cursor 0 n (-1);
+    Array.fill t.w_hint 0 n 0
+  end;
+  !ws
+
 (* The round loop is written against the structure-of-arrays layers
    underneath it and allocates nothing per relaxation in the steady
    state:
@@ -69,18 +120,19 @@ let[@inline] dominated f hint v ~ld ~ea =
    exactly the Pareto antichain of the round's fresh points — the same
    delta the list-and-reprune driver produced, in the same sorted
    order. *)
-let run_internal ?(strategy = Semi_naive) ?on_round ?stop_after trace ~source =
+let run_internal ?(strategy = Semi_naive) ?workspace ?on_round ?stop_after trace ~source =
   let n = Trace.n_nodes trace in
   if source < 0 || source >= n then invalid_arg "Journey.run: bad source";
-  let frontiers = Array.init n (fun _ -> Frontier.create ()) in
+  let ws = match workspace with Some ws -> prepare ws n | None -> fresh n in
+  let frontiers = ws.w_frontiers in
   let _ = Frontier.insert frontiers.(source) Ld_ea.identity in
-  let delta = ref (Array.init n (fun _ -> Frontier.create ())) in
-  let next = ref (Array.init n (fun _ -> Frontier.create ())) in
+  let delta = ref ws.w_delta in
+  let next = ref ws.w_next in
   Frontier.insert_scratch !delta.(source) ~ld:Ld_ea.identity.ld ~ea:Ld_ea.identity.ea;
   (* Touched-node stacks (this round's and next round's), reused across
      rounds; [next.(v)]'s emptiness dedups membership. *)
-  let touched = ref (Array.make n 0) and touched_n = ref 1 in
-  let next_touched = ref (Array.make n 0) and next_touched_n = ref 0 in
+  let touched = ref ws.w_touched and touched_n = ref 1 in
+  let next_touched = ref ws.w_next_touched and next_touched_n = ref 0 in
   !touched.(0) <- source;
   let csr = Trace.time_csr trace in
   let ca = csr.Trace.csr_a and cb = csr.Trace.csr_b in
@@ -92,9 +144,9 @@ let run_internal ?(strategy = Semi_naive) ?on_round ?stop_after trace ~source =
   let changed = ref 0 in
   (* [cursor.(u)]: last index of [delta.(u)] with [ea <= tb] for the
      contact being swept. See [extend]. *)
-  let cursor = Array.make n (-1) in
+  let cursor = ws.w_cursor in
   (* [hint.(v)]: where the last [dominated] check on [v] ended. *)
-  let hint = Array.make n 0 in
+  let hint = ws.w_hint in
   let extends = ref 0 and candidates = ref 0 and rejected = ref 0 and repeats = ref 0 in
   (* Without flambda, every float crossing a function boundary is boxed,
      so the sweep passes only the contact index (an immediate) and the
@@ -367,7 +419,8 @@ let run_internal ?(strategy = Semi_naive) ?on_round ?stop_after trace ~source =
   Omn_obs.Metrics.add m_point_rounds !point_rounds;
   (frontiers, rounds)
 
-let run ?strategy ?on_round trace ~source = run_internal ?strategy ?on_round trace ~source
+let run ?strategy ?workspace ?on_round trace ~source =
+  run_internal ?strategy ?workspace ?on_round trace ~source
 
 let frontiers_at_hops trace ~source ~max_hops =
   if max_hops < 0 then invalid_arg "Journey.frontiers_at_hops: negative bound";

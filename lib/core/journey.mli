@@ -84,7 +84,14 @@
     dominating it, i.e. when [P]'s [ea] and [ld] are both at most that
     contact's end. Pairs that meet again and again make this a large
     share of all candidates (53 % on the Infocom05 preset); the counter
-    [journey.pair_repeats] tallies them. *)
+    [journey.pair_repeats] tallies them.
+
+    Memory. A run's frontiers and scratch tables take O(n) records plus
+    arrays that grow with the frontiers. A caller that runs source
+    after source (the exact solve, through [Delay_cdf.partial_of]) can
+    hand each run the same {!workspace}, which keeps that storage
+    between runs; the returned frontiers then last only until the next
+    run on it. Without one, a run's frontiers are its own. *)
 
 type round_info = {
   hop : int;  (** the round just completed; descriptors use <= [hop] contacts *)
@@ -104,8 +111,22 @@ type strategy =
           results, cost grows with the whole frontier instead of the
           delta (see the timing bench) *)
 
+type workspace
+(** What a run allocates in proportion to the node count: the result
+    frontiers, the round's two scratch frontier arrays and the per-node
+    tables. Reused by {!run}, it keeps every frontier's capacity, so
+    runs after the first allocate no frontier storage until they
+    outgrow it. One workspace serves one run at a time: give each
+    domain its own ([Delay_cdf.partial_of] keeps one per domain in
+    domain-local storage). *)
+
+val workspace : unit -> workspace
+(** An empty workspace; the first run sizes it to its trace, and a run
+    on a trace of another node count sizes it afresh. *)
+
 val run :
   ?strategy:strategy ->
+  ?workspace:workspace ->
   ?on_round:(round_info -> unit) ->
   Omn_temporal.Trace.t ->
   source:Omn_temporal.Node.t ->
@@ -114,6 +135,14 @@ val run :
     paths of unbounded hop count) and the number of rounds executed.
     [on_round] fires after every round including the last (the fixpoint
     round, which has [changed = 0], is not reported as a round).
+
+    Without [workspace], every run allocates fresh frontiers that no
+    later run touches: the caller may keep them. With [workspace], the
+    run first empties it, whatever the last run left there (a run that
+    raised included), and the returned frontiers belong to it: the next
+    run on the same workspace overwrites them, so read or copy them
+    first. Either way the frontiers, the rounds and the counters are
+    the same.
 
     The rounds executed are at most [n_nodes − 1], under either
     strategy. Cutting a loop out of a journey leaves a valid journey

@@ -27,7 +27,7 @@ type event =
       (** one driver chunk (e.g. [checkpoint_every] sources through the
           pool), recorded on the submitting domain *)
   | Pool_work of { start : float; stolen : bool }
-      (** one domain's work loop within one [Pool.map]; [stolen] marks a
+      (** one domain's work loop within one [Pool.feed]; [stolen] marks a
           helper domain rather than the submitter *)
   | Steal  (** a helper executed one task the submitter did not *)
   | Queue_wait of { seconds : float }

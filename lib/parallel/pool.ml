@@ -143,21 +143,24 @@ let check_usable pool =
   Mutex.unlock pool.lock;
   if stopping then invalid_arg "Pool.map: pool already shut down"
 
-(* Deterministic fan-out: item [i]'s result lands in slot [i] whichever
-   domain computed it, so the returned array — and any in-order reduction
-   of it — is independent of the domain count and of scheduling. *)
-let map pool f xs =
+(* The one work loop. Items are taken in index order by whichever
+   domain is free; each result goes to [k] on the domain that computed
+   it, as soon as it is computed, under [k_lock], so calls to [k] never
+   overlap. The first exception of [f] or [k] is re-raised on the
+   caller once every item is done; [k] sees no result after it. *)
+let feed_on pool f xs k =
   check_usable pool;
   let n = Array.length xs in
-  if n = 0 then [||]
+  if n = 0 then ()
   else if pool.domains = 1 || n = 1 then begin
     Omn_obs.Metrics.add m_tasks_run n;
-    Array.map f xs
+    Array.iteri (fun i x -> k i (f x)) xs
   end
   else begin
-    let results = Array.make n None in
     let error = Atomic.make None in
     let next = Atomic.make 0 in
+    let k_lock = Mutex.create () in
+    let fail e = ignore (Atomic.compare_and_set error None (Some e)) in
     let work ~stolen () =
       let continue = ref true in
       while !continue do
@@ -167,8 +170,11 @@ let map pool f xs =
           Omn_obs.Metrics.incr m_tasks_run;
           if stolen then Omn_obs.Metrics.incr m_tasks_stolen;
           match f xs.(i) with
-          | v -> results.(i) <- Some v
-          | exception e -> ignore (Atomic.compare_and_set error None (Some e))
+          | v ->
+            Mutex.lock k_lock;
+            (if Option.is_none (Atomic.get error) then try k i v with e -> fail e);
+            Mutex.unlock k_lock
+          | exception e -> fail e
         end
       done
     in
@@ -213,11 +219,23 @@ let map pool f xs =
       Condition.wait fin fin_lock
     done;
     Mutex.unlock fin_lock;
-    (match Atomic.get error with Some e -> raise e | None -> ());
-    Array.map (function Some v -> v | None -> assert false) results
+    match Atomic.get error with Some e -> raise e | None -> ()
   end
 
-let run ?pool ?(domains = 1) f xs =
+let feed ?pool ?(domains = 1) f xs k =
   match pool with
-  | Some p -> map p f xs
-  | None -> if domains <= 1 then Array.map f xs else with_pool ~domains (fun p -> map p f xs)
+  | Some p -> feed_on p f xs k
+  | None ->
+    if domains <= 1 then Array.iteri (fun i x -> k i (f x)) xs
+    else with_pool ~domains (fun p -> feed_on p f xs k)
+
+(* Deterministic fan-out: item [i]'s result lands in slot [i] whichever
+   domain computed it, so the returned array — and any in-order reduction
+   of it — is independent of the domain count and of scheduling. *)
+let collect feed xs =
+  let results = Array.make (Array.length xs) None in
+  feed (fun i v -> results.(i) <- Some v);
+  Array.map (function Some v -> v | None -> assert false) results
+
+let map pool f xs = collect (feed_on pool f xs) xs
+let run ?pool ?domains f xs = collect (feed ?pool ?domains f xs) xs

@@ -13,7 +13,13 @@
     including 1 — parallelism changes wall-clock time only. All the
     parallel drivers in this repository ([Delay_cdf.compute],
     [Forwarding.Sim.evaluate], the [Omn_randnet] Monte-Carlo
-    estimators) are built on this contract. *)
+    estimators) are built on this contract.
+
+    {!map} and {!run} are written on {!feed}, the one work loop: it
+    hands each result to a callback as soon as it is computed, so a
+    caller that folds results as they come holds only those that
+    arrive before their turn (the exact solve's
+    [Delay_cdf.fold_state]), not a slot per item until the end. *)
 
 type t
 (** A pool of [domains - 1] worker domains plus the calling domain. *)
@@ -52,6 +58,20 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
     [Invalid_argument] after {!shutdown}. The first exception raised
     by [f] is re-raised on the caller after all items finish or are
     abandoned. *)
+
+val feed : ?pool:t -> ?domains:int -> ('a -> 'b) -> 'a array -> (int -> 'b -> unit) -> unit
+(** [feed f xs k] applies [f] to every element, in index order of
+    dispatch, and calls [k i (f xs.(i))] on the domain that computed
+    item [i], as soon as it is computed. Calls to [k] are serialized
+    (never two at once) but come in completion order, which depends on
+    scheduling: a caller that needs determinism makes its result
+    independent of that order, as {!map} does by slot. Pool selection
+    is {!run}'s: [pool] when given, otherwise the caller alone for
+    [domains <= 1] (the default), or a temporary pool. [f] must not
+    touch the pool (see {!map}); [k] runs under a lock and must not
+    either. The first exception raised by [f] or [k] is re-raised on
+    the caller after all items finish or are abandoned, and [k] is not
+    called after it. *)
 
 val run : ?pool:t -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Convenience front end for APIs that accept both an optional shared

@@ -12,7 +12,8 @@
     ({!Transport}, {!Auth}) for multi-machine fleets — and one result
     per source comes back, in order. The session keeps no budget, merge or plan of its own:
     batching, budget, checkpoint/resume, progress, sampling and the
-    ascending-position {!Omn_core.Delay_cdf.fold} are the driver's,
+    ascending-position fold are the driver's (which sees a batch's
+    partials once the session has returned the whole batch),
     so the curves are bit-identical to {!Omn_core.Delay_cdf.compute}
     (over the sources that completed) at any worker count, under any
     membership schedule and any failure schedule that still

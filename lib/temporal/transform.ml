@@ -32,8 +32,19 @@ let duration trace i =
   let { Trace.csr_beg; csr_end; _ } = Trace.time_csr trace in
   csr_end.(i) -. csr_beg.(i)
 
-let keep_longer_than threshold trace = filter (fun i -> duration trace i > threshold) trace
-let keep_shorter_than threshold trace = filter (fun i -> duration trace i <= threshold) trace
+(* A NaN threshold compares false with every duration, so it would
+   keep no contact (longer) or every one (shorter) without a word; an
+   infinite one keeps every contact or none, as asked. *)
+let check_threshold fn threshold =
+  if Float.is_nan threshold then invalid_arg ("Transform." ^ fn ^ ": NaN threshold")
+
+let keep_longer_than threshold trace =
+  check_threshold "keep_longer_than" threshold;
+  filter (fun i -> duration trace i > threshold) trace
+
+let keep_shorter_than threshold trace =
+  check_threshold "keep_shorter_than" threshold;
+  filter (fun i -> duration trace i <= threshold) trace
 
 (* Adds [f i]'s image of every contact, last contact first. *)
 let map_rev trace f =

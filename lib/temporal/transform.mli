@@ -9,10 +9,12 @@ val remove_random : rng:Omn_stats.Rng.t -> p:float -> Trace.t -> Trace.t
 
 val keep_longer_than : float -> Trace.t -> Trace.t
 (** §6.2: keep only contacts of duration strictly greater than the
-    threshold (seconds). *)
+    threshold (seconds). [neg_infinity] keeps every contact and
+    [infinity] none; a NaN threshold raises [Invalid_argument]. *)
 
 val keep_shorter_than : float -> Trace.t -> Trace.t
-(** Complement of {!keep_longer_than} (duration <= threshold). *)
+(** Complement of {!keep_longer_than} (duration <= threshold), with the
+    same refusal of NaN. *)
 
 val time_window : t_start:float -> t_end:float -> Trace.t -> Trace.t
 (** Crop to a sub-window: contacts intersecting it are kept with their

@@ -6,10 +6,12 @@
 #      one that spans no time; --max-hops 2 must print a two-column
 #      curve table; a NaN or infinite horizon or rate, a NaN epsilon,
 #      budget or heartbeat timeout, a NaN forwarding deadline or a
-#      negative epidemic TTL, an auth-bad shard fault without a key,
-#      and each of the six fleet flags without --workers (refused
-#      before the trace is read) must exit 2 within 10 s with an
-#      E-USAGE error naming it; an unknown flag (the removed
+#      negative epidemic TTL, a NaN --min-duration (which must not
+#      write its -o file), `theory -n` below 2, an auth-bad shard
+#      fault without a key, and each of the six fleet flags without
+#      --workers (refused before the trace is read) must exit 2
+#      within 10 s with an E-USAGE error naming it and nothing on
+#      stdout; an unknown flag (the removed
 #      --worker-ckpt-dir, --retries, --task-deadline and --quarantine
 #      too) or a removed command (chaos, delay-cdf) must exit 2, never
 #      the 124 of a PARTIAL run;
@@ -144,10 +146,15 @@ fi
 while IFS='|' read -r name args; do
   rc=0
   # shellcheck disable=SC2086
-  timeout 10 env -u OMN_SHARD_KEY "$OMN" $args </dev/null >/dev/null 2>"$tmp/nonfinite.err" || rc=$?
+  timeout 10 env -u OMN_SHARD_KEY "$OMN" $args </dev/null >"$tmp/usage.out" 2>"$tmp/nonfinite.err" || rc=$?
   if [ "$rc" -ne 2 ] || ! grep -q "E-USAGE.*$name" "$tmp/nonfinite.err"; then
     echo "smoke FAIL: 'omn $args' exited $rc, expected 2 with E-USAGE naming $name" >&2
     cat "$tmp/nonfinite.err" >&2
+    exit 1
+  fi
+  if [ -s "$tmp/usage.out" ]; then
+    echo "smoke FAIL: 'omn $args' printed on stdout before its usage error:" >&2
+    cat "$tmp/usage.out" >&2
     exit 1
   fi
 done <<CASES
@@ -172,7 +179,14 @@ auth-bad|diameter $tmp/clean.omn --workers 2 --shard-fault auth-bad:1:0
 --stat-addr|diameter $tmp/mangled.omn --workers 0 --stat-addr 127.0.0.1:0
 deadline|forward $tmp/clean.omn --deadline nan
 TTL|forward $tmp/clean.omn --ttl=-1
+threshold|transform $tmp/clean.omn --min-duration nan -o $tmp/nan_duration.omn
+n < 2|theory -n 0
+n < 2|theory -n 1
 CASES
+if [ -e "$tmp/nan_duration.omn" ]; then
+  echo "smoke FAIL: 'omn transform --min-duration nan' wrote its output file" >&2
+  exit 1
+fi
 
 # A command-line parse error is a usage error: 124 means a
 # budget-truncated PARTIAL run, one to resume.

@@ -495,6 +495,53 @@ let merge_order_is_caller_position () =
     (c.flood_success = Delay_cdf.success flood
     && c.flood_success_inf = Delay_cdf.success_inf flood)
 
+(* The fold state merges each partial once every lower position has
+   been merged and holds the rest, so the curves are [fold]'s, bit for
+   bit, whatever order the partials arrive in and whichever of them do:
+   a pool delivers them in completion order, and a budget-truncated run
+   completes a subset. On fractional times a merge in arrival order
+   would move bits; each case feeds one plan's partials in a random
+   order, all of them or a random subset, and compares every float of
+   the curves through its bits. *)
+let curve_bits (c : Delay_cdf.curves) =
+  let bits = Array.map Int64.bits_of_float in
+  ( Array.map bits c.hop_success,
+    bits c.hop_success_inf,
+    bits c.flood_success,
+    Int64.bits_of_float c.flood_success_inf,
+    c.max_rounds_used )
+
+let fold_state_matches_fold =
+  QCheck2.Test.make ~count:150 ~name:"fold state = fold, bit for bit, in any arrival order"
+    QCheck2.Gen.(quad int (int_range 3 10) bool int)
+    (fun (seed, n, subset, order_seed) ->
+      let rng = Rng.create seed in
+      let trace = Util.random_trace ~scale:0.37 rng ~n ~m:(10 + Rng.int rng 60) ~horizon:120 in
+      let sources = Array.init n Fun.id in
+      Rng.shuffle rng sources;
+      let plan =
+        match
+          Delay_cdf.plan ~max_hops:3 ~grid:[| 1.; 4.; 15.; 40. |] ~sources:(Array.to_list sources)
+            trace
+        with
+        | Ok p -> p
+        | Error e -> QCheck2.Test.fail_reportf "plan: %s" e.Omn_robust.Err.msg
+      in
+      let parts = Array.mapi (fun pos s -> (pos, Delay_cdf.partial_of plan s)) sources in
+      let order_rng = Rng.create order_seed in
+      Rng.shuffle order_rng parts;
+      let arrived =
+        if subset then List.filter (fun _ -> Rng.bool order_rng) (Array.to_list parts)
+        else Array.to_list parts
+      in
+      let st = Delay_cdf.fold_state plan in
+      List.iter (fun (pos, p) -> Delay_cdf.fold_add st pos p) arrived;
+      let got = Delay_cdf.fold_finish st in
+      if curve_bits got <> curve_bits (Delay_cdf.fold plan arrived) then
+        QCheck2.Test.fail_reportf "seed %d n %d subset %b order %d: curves differ from fold" seed
+          n subset order_seed;
+      true)
+
 let suite =
   [
     Alcotest.test_case "rejects bad grids" `Quick rejects_bad_grid;
@@ -514,4 +561,5 @@ let suite =
       Alcotest.test_case "non-finite windows and NaN descriptors refused" `Quick
         rejects_non_finite_inputs;
       QCheck_alcotest.to_alcotest edge_accumulation_bit_identical;
+      QCheck_alcotest.to_alcotest fold_state_matches_fold;
     ]

@@ -533,6 +533,65 @@ let chain_rounds () =
   let curves = Delay_cdf.compute ~sources:[ 0; 1; 2 ] ~max_hops:4 chain in
   Alcotest.(check int) "max_rounds_used of sources 0-2" 1029 curves.Delay_cdf.max_rounds_used
 
+(* --- The workspace: reused by partial_of, never by the public default. --- *)
+
+(* [Delay_cdf.partial_of] runs its journeys in its domain's workspace.
+   What one source leaves there must not reach the next: sources A, B
+   and A again of one trace, with a source of a trace of another node
+   count in between, each give the partial of a fresh workspace, bit
+   for bit (the whole payload: every accumulator cell and the rounds).
+   A fresh domain has a fresh workspace. *)
+let prop_workspace_leaks_nothing =
+  QCheck2.Test.make ~count:100 ~name:"partial_of in a reused workspace = a fresh workspace's"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let t1 = Test_differential.instance seed in
+      let n1 = Trace.n_nodes t1 in
+      let rng = Rng.create seed in
+      let t2 = Util.random_trace ~scale:0.37 rng ~n:(n1 + 1 + Rng.int rng 3) ~m:20 ~horizon:40 in
+      let plan trace =
+        match Delay_cdf.plan ~max_hops:3 ~grid:[| 1.; 5.; 20. |] trace with
+        | Ok p -> p
+        | Error e -> QCheck2.Test.fail_reportf "plan: %s" e.Omn_robust.Err.msg
+      in
+      let p1 = plan t1 and p2 = plan t2 in
+      let a = seed mod n1 in
+      let b = (a + 1 + Rng.int rng (n1 - 1)) mod n1 in
+      let c = Rng.int rng (Trace.n_nodes t2) in
+      let payload plan s = Delay_cdf.partial_to_string (Delay_cdf.partial_of plan s) in
+      let fresh plan s = Domain.join (Domain.spawn (fun () -> payload plan s)) in
+      let runs = [ (p1, a, "A"); (p1, b, "B"); (p2, c, "other trace"); (p1, a, "A again") ] in
+      let reused = List.map (fun (plan, s, _) -> payload plan s) runs in
+      List.iter2
+        (fun (plan, s, label) got ->
+          if got <> fresh plan s then
+            QCheck2.Test.fail_reportf "seed %d, %s (source %d): reused workspace differs" seed
+              label s)
+        runs reused;
+      true)
+
+(* Without a workspace, [Journey.run] returns frontiers that no later
+   run touches: a second run, from another source of the same trace,
+   leaves the first run's frontiers as they were. *)
+let prop_public_runs_independent =
+  QCheck2.Test.make ~count:200 ~name:"public runs return frontiers no later run touches"
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let trace = Test_differential.instance seed in
+      let n = Trace.n_nodes trace in
+      let a = seed mod n in
+      let b = (a + 1) mod n in
+      let first, _ = Journey.run trace ~source:a in
+      let kept = Array.map Frontier.copy first in
+      ignore (Journey.run trace ~source:b);
+      Array.iteri
+        (fun dest f ->
+          if not (Frontier.equal f kept.(dest)) then
+            QCheck2.Test.fail_reportf "seed %d: run from %d changed run from %d's frontier %d" seed
+              b a dest)
+        first;
+      true)
+
 let suite =
   [
     Alcotest.test_case "semi-naive = full recompute (30 random traces)" `Slow strategies_agree;
@@ -557,4 +616,6 @@ let suite =
       oracle_reaches_both_paths;
     QCheck_alcotest.to_alcotest prop_rounds_within_nodes;
     Alcotest.test_case "chain: 1,029 rounds from source 0" `Quick chain_rounds;
+    QCheck_alcotest.to_alcotest prop_workspace_leaks_nothing;
+    QCheck_alcotest.to_alcotest prop_public_runs_independent;
   ]

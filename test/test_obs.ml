@@ -668,6 +668,43 @@ let test_ingest_parse_layer () =
           ("Trace_stream.parse", fun () -> Omn_temporal.Trace_stream.parse text);
         ])
 
+(* [delay_cdf.partials_held] is the most source partials a run held at
+   once. The fold state merges each partial in its turn, and sources
+   are dispatched in ascending position: a plain 1-domain run holds one
+   at a time, a 2-domain run only those that finish before a lower
+   position; a checkpoint keeps every completed partial to write it.
+   Each of the 24 sources takes a few milliseconds, so a run at 2
+   domains would hold them all only if one domain stalled for the
+   whole run. *)
+let test_partials_held () =
+  let module Delay_cdf = Omn_core.Delay_cdf in
+  let trace = Util.random_trace ~scale:0.37 (Rng.create 0x4E1D) ~n:24 ~m:600 ~horizon:400 in
+  let plan = Result.get_ok (Delay_cdf.plan ~max_hops:4 trace) in
+  let held run =
+    Metrics.reset ();
+    Metrics.set_enabled true;
+    Fun.protect ~finally:(fun () -> Metrics.set_enabled false) run;
+    match Metrics.gauge_total (Metrics.snapshot ()) "delay_cdf.partials_held" with
+    | Some v -> int_of_float v
+    | None -> Alcotest.fail "delay_cdf.partials_held not set"
+  in
+  let driver ?domains ?checkpoint () =
+    match Omn_core.Driver.run ?domains ?checkpoint plan with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "Driver.run: %s" (Omn_robust.Err.to_string e)
+  in
+  let was = Metrics.enabled () in
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  Alcotest.(check int) "plain run, 1 domain" 1 (held (driver ~domains:1));
+  Alcotest.(check int) "compute, 1 domain" 1
+    (held (fun () -> ignore (Delay_cdf.compute ~max_hops:4 trace)));
+  let path = Filename.temp_file "omn_held" ".ckpt" in
+  Sys.remove path;
+  Alcotest.(check int) "checkpointed run: every source" 24
+    (held (driver ~domains:1 ~checkpoint:path));
+  let two = held (driver ~domains:2) in
+  Alcotest.(check bool) (Printf.sprintf "plain run, 2 domains: %d < 24" two) true (two < 24)
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -695,4 +732,6 @@ let suite =
   @ [
       Alcotest.test_case "ingest.parse span per load, trace.create a root" `Quick
         test_ingest_parse_layer;
+      Alcotest.test_case "delay_cdf.partials_held: 1, all with a checkpoint, fewer at 2 domains"
+        `Quick test_partials_held;
     ]

@@ -90,6 +90,36 @@ let run_dispatch () =
   Pool.with_pool ~domains:2 (fun pool ->
       Alcotest.(check (array int)) "run ~pool" expected (Pool.run ~pool f xs))
 
+(* [feed] hands every result to its callback exactly once, with its
+   index, never two calls at once, from a pool, a temporary pool or the
+   caller alone; an exception of the callback reaches the caller. *)
+let feed_serialized () =
+  let xs = Array.init 300 Fun.id in
+  let f x =
+    let acc = ref 0 in
+    for j = 0 to (x mod 13) * 200 do
+      acc := !acc + j
+    done;
+    x + (!acc * 0)
+  in
+  let check label feed =
+    let seen = Array.make (Array.length xs) 0 and inside = Atomic.make 0 in
+    let overlaps = Atomic.make 0 in
+    feed (fun i v ->
+        if Atomic.fetch_and_add inside 1 > 0 then Atomic.incr overlaps;
+        if v = f xs.(i) then seen.(i) <- seen.(i) + 1;
+        Atomic.decr inside);
+    Alcotest.(check (array int)) (label ^ ": each result once") (Array.make (Array.length xs) 1) seen;
+    Alcotest.(check int) (label ^ ": no overlapping calls") 0 (Atomic.get overlaps)
+  in
+  check "caller alone" (Pool.feed f xs);
+  check "temporary pool" (Pool.feed ~domains:3 f xs);
+  Pool.with_pool ~domains:4 (fun pool ->
+      check "pool" (Pool.feed ~pool f xs);
+      match Pool.feed ~pool f xs (fun i _ -> if i = 7 then failwith "stop") with
+      | exception Failure msg -> Alcotest.(check string) "callback exception" "stop" msg
+      | () -> Alcotest.fail "callback exception not re-raised")
+
 let spec_parsing () =
   Alcotest.(check bool) "auto" true (Pool.spec_of_string "auto" = Some Pool.Auto);
   Alcotest.(check bool) "4" true (Pool.spec_of_string "4" = Some (Pool.Fixed 4));
@@ -113,4 +143,5 @@ let suite =
     Alcotest.test_case "nested map on same pool detected" `Quick nested_map_detected;
     Alcotest.test_case "run dispatches on pool/domains" `Quick run_dispatch;
     Alcotest.test_case "--domains spec parsing" `Quick spec_parsing;
+    Alcotest.test_case "feed: each result once, calls serialized" `Quick feed_serialized;
   ]

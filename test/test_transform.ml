@@ -179,6 +179,28 @@ let window_nonfinite () =
       | _ -> Alcotest.failf "%s: non-finite window accepted" label)
     [ ("T0:inf", 10., infinity); ("-inf:T1", neg_infinity, 30.); ("nan:nan", nan, nan) ]
 
+(* [omn transform --min-duration nan] used to exit 0 with a 0-contact
+   trace: [duration > nan] is false for every contact. A NaN threshold
+   is refused as [remove_random] refuses a bad [p]; an infinite one
+   keeps every contact or none. *)
+let duration_thresholds () =
+  let trace = Util.random_trace (Rng.create 3) ~n:5 ~m:20 ~horizon:40 in
+  let m = Trace.n_contacts trace in
+  List.iter
+    (fun (label, keep) ->
+      match keep nan trace with
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) (label ^ " message") ("Transform." ^ label ^ ": NaN threshold") msg
+      | t -> Alcotest.failf "%s nan accepted (%d contacts kept)" label (Trace.n_contacts t))
+    [ ("keep_longer_than", Transform.keep_longer_than);
+      ("keep_shorter_than", Transform.keep_shorter_than) ];
+  let count keep threshold = Trace.n_contacts (keep threshold trace) in
+  Alcotest.(check int) "longer than -inf: all" m (count Transform.keep_longer_than neg_infinity);
+  Alcotest.(check int) "longer than inf: none" 0 (count Transform.keep_longer_than infinity);
+  Alcotest.(check int) "shorter than inf: all" m (count Transform.keep_shorter_than infinity);
+  Alcotest.(check int) "shorter than -inf: none" 0
+    (count Transform.keep_shorter_than neg_infinity)
+
 let suite =
   [
     Alcotest.test_case "remove p=0 / p=1" `Quick remove_edge_cases;
@@ -191,3 +213,5 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ duration_partition; window_clips; quantize_aligns; shift_translates; merge_counts ]
+  @ [ Alcotest.test_case "duration filters: NaN refused, +-inf keep all or none" `Quick
+        duration_thresholds ]
